@@ -176,7 +176,7 @@ def _recurse(spec: AlgebraSpec, form: LinearForm, i: int, stats) -> RankResult:
     if i == 0:
         mm = build_matrix(spec, form, 0, n)
         _note_stats(stats, mm.matrix)
-        e = mm.matrix.entries[0]
+        e = mm.matrix.entry(0, 0)
         found = 1 if e else 0
         return RankResult(found, "block-recursive", ((0, 0),) if found else ())
     rspec = spec.restricted()

@@ -1,11 +1,17 @@
 """Dense exact matrices over ZZ, QQ and F_p: products, rank, determinant.
 
+A matrix is a read-only 2-D numpy array.  Integer and F_p matrices are int64
+when every entry is below 2^62 in absolute value (so the sum or difference
+of two entries still fits) and object arrays of Python ints otherwise; QQ
+matrices are object arrays of Fractions.  The row-major tuple `entries` is
+built only when an exact path asks for Python scalars.
+
 Rank over the integers uses fraction-free (one-step division) elimination, in
 which every intermediate entry is a minor of the input, so the arithmetic
 stays in ZZ and the final pivot of a full elimination is the determinant up
-to the row-swap sign.  Rank over F_p uses ordinary row reduction; for
-p < 2^31 the rows are int64 numpy vectors (products stay below 2^62), with a
-plain-object fallback for larger primes.
+to the row-swap sign.  Rank and determinant over F_p come from one row
+reduction of the stored array: in int64 numpy for p < 2^31 (products stay
+below 2^62), on Python ints for larger primes.
 
 A full rank mod one prime certifies full rank over Q (specialization can
 only lose rank), which is the cheap one-sided check behind certified_rank;
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -30,87 +36,173 @@ GF = "Fp"
 # default probe prime for certified_rank: large, numpy-safe (p^2 < 2^63)
 DEFAULT_PROBE_PRIME = 2**31 - 1
 
+# integer entries strictly inside (-INT64_BOUND, INT64_BOUND) are stored as int64
+INT64_BOUND = 2**62
+
 Scalar = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
+def _check_domain(domain: str, modulus: int | None) -> None:
+    if domain == GF:
+        if modulus is None or not is_prime(modulus):
+            raise ValueError("F_p matrices need a prime modulus")
+    elif domain in (ZZ, QQ):
+        if modulus is not None:
+            raise ValueError("modulus is only meaningful for F_p")
+    else:
+        raise ValueError(f"unknown domain {domain!r}")
+
+
+def _integer_array(flat: list, shape: tuple[int, int]) -> np.ndarray:
+    """Integers as int64 when all are below INT64_BOUND, else as Python ints."""
+    try:
+        a = np.array(flat, dtype=np.int64)
+    except OverflowError:
+        a = None
+    if a is not None and (not a.size or (-INT64_BOUND < a.min() and a.max() < INT64_BOUND)):
+        return a.reshape(shape)
+    return np.array([int(e) for e in flat], dtype=object).reshape(shape)
+
+
+def _from_scalars(flat: list, shape: tuple[int, int], domain: str, modulus: int | None) -> np.ndarray:
+    """Stored form of row-major Python scalars in a checked domain."""
+    if domain == QQ:
+        return np.array([e if isinstance(e, Fraction) else Fraction(e) for e in flat], dtype=object).reshape(shape)
+    if any(isinstance(e, Fraction) for e in flat):
+        raise TypeError("fractional entry in an integer matrix")
+    if domain == GF:
+        flat = [int(e) % modulus for e in flat]
+    return _integer_array(flat, shape)
+
+
+def _from_array(a: np.ndarray, domain: str, modulus: int | None) -> np.ndarray:
+    """Stored form of a 2-D integer or object array in a checked domain."""
+    if domain == QQ or a.dtype.kind == "O" or a.dtype == np.uint64 or (domain == GF and modulus >= INT64_BOUND):
+        return _from_scalars(a.ravel().tolist(), a.shape, domain, modulus)
+    a = a.astype(np.int64)  # a copy: the matrix never shares the caller's buffer
+    if domain == GF:
+        a %= modulus
+        return a
+    if a.size and not (-INT64_BOUND < a.min() and a.max() < INT64_BOUND):
+        return _integer_array(a.ravel().tolist(), a.shape)
+    return a
+
+
 class ExactMatrix:
-    """Immutable dense matrix; entries row-major in a single coefficient domain."""
+    """Immutable dense matrix over one coefficient domain.
 
-    rows: int
-    cols: int
-    entries: tuple
-    domain: str = ZZ
-    modulus: int | None = None
+    `array` is the read-only 2-D storage described in the module docstring;
+    `entries` is the row-major tuple of Python ints or Fractions, built on
+    first use and cached.
+    """
 
-    def __post_init__(self) -> None:
-        entries = self.entries
-        if not isinstance(entries, tuple):
-            entries = tuple(entries)
-        if self.rows < 0 or self.cols < 0:
+    __slots__ = ("rows", "cols", "domain", "modulus", "array", "_entries")
+
+    def __init__(
+        self,
+        rows: int,
+        cols: int,
+        entries: Sequence[Scalar],
+        domain: str = ZZ,
+        modulus: int | None = None,
+    ) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        if len(entries) != self.rows * self.cols:
+        flat = list(entries)
+        if len(flat) != rows * cols:
             raise ValueError("entry count does not match dimensions")
-        if self.domain == GF:
-            p = self.modulus
-            if p is None or not is_prime(p):
-                raise ValueError("F_p matrices need a prime modulus")
-            entries = tuple(int(e) % p for e in entries)
-        elif self.domain == QQ:
-            if self.modulus is not None:
-                raise ValueError("modulus is only meaningful for F_p")
-            entries = tuple(e if isinstance(e, Fraction) else Fraction(e) for e in entries)
-        elif self.domain == ZZ:
-            if self.modulus is not None:
-                raise ValueError("modulus is only meaningful for F_p")
-            if any(isinstance(e, Fraction) for e in entries):
-                raise TypeError("fractional entry in an integer matrix")
-            entries = tuple(int(e) for e in entries)
-        else:
-            raise ValueError(f"unknown domain {self.domain!r}")
-        object.__setattr__(self, "entries", entries)
+        _check_domain(domain, modulus)
+        self._set(_from_scalars(flat, (rows, cols), domain, modulus), domain, modulus)
+
+    def _set(self, array: np.ndarray, domain: str, modulus: int | None) -> None:
+        array.flags.writeable = False
+        setter = object.__setattr__
+        setter(self, "rows", array.shape[0])
+        setter(self, "cols", array.shape[1])
+        setter(self, "domain", domain)
+        setter(self, "modulus", modulus)
+        setter(self, "array", array)
+        setter(self, "_entries", None)
+
+    @classmethod
+    def _stored(cls, array: np.ndarray, domain: str, modulus: int | None) -> "ExactMatrix":
+        # array is already in canonical form and owned by the new matrix
+        m = object.__new__(cls)
+        m._set(array, domain, modulus)
+        return m
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ExactMatrix is immutable")
+
+    def __reduce__(self):
+        return (ExactMatrix.from_rows, (self.array, self.domain, self.modulus))
+
+    @property
+    def entries(self) -> tuple:
+        if self._entries is None:
+            object.__setattr__(self, "_entries", tuple(self.array.ravel().tolist()))
+        return self._entries
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        return (
+            self.domain == other.domain
+            and self.modulus == other.modulus
+            and bool(np.array_equal(self.array, other.array))
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.domain, self.modulus, self.entries))
+
+    def __repr__(self) -> str:
+        return (
+            f"ExactMatrix(rows={self.rows}, cols={self.cols}, entries={self.entries!r}, "
+            f"domain={self.domain!r}, modulus={self.modulus!r})"
+        )
 
     @classmethod
     def from_rows(
         cls,
-        rows: Sequence[Sequence[Scalar]],
+        rows: Sequence[Sequence[Scalar]] | np.ndarray,
         domain: str = ZZ,
         modulus: int | None = None,
     ) -> "ExactMatrix":
+        """Matrix from a list of rows or from a 2-D integer or object ndarray."""
+        if isinstance(rows, np.ndarray):
+            if rows.ndim != 2:
+                raise ValueError("matrix arrays must be 2-D")
+            if rows.dtype.kind not in "iuO":
+                raise TypeError(f"matrix arrays need an integer or object dtype, not {rows.dtype}")
+            _check_domain(domain, modulus)
+            return cls._stored(_from_array(rows, domain, modulus), domain, modulus)
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        flat = tuple(e for r in rows for e in r)
-        return cls(nrows, ncols, flat, domain, modulus)
+        return cls(nrows, ncols, [e for r in rows for e in r], domain, modulus)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, domain: str = ZZ, modulus: int | None = None) -> "ExactMatrix":
-        return cls(rows, cols, (0,) * (rows * cols), domain, modulus)
+        return cls.from_rows(np.zeros((rows, cols), dtype=np.int64), domain, modulus)
 
     @classmethod
     def identity(cls, k: int, domain: str = ZZ, modulus: int | None = None) -> "ExactMatrix":
-        flat = tuple(1 if r == c else 0 for r in range(k) for c in range(k))
-        return cls(k, k, flat, domain, modulus)
+        return cls.from_rows(np.eye(k, dtype=np.int64), domain, modulus)
 
     def entry(self, r: int, c: int) -> Scalar:
-        return self.entries[r * self.cols + c]
+        return self.array.item(r, c)
 
     def to_rows(self) -> list[list]:
-        c = self.cols
-        return [list(self.entries[r * c : (r + 1) * c]) for r in range(self.rows)]
+        return self.array.tolist()
 
     def transpose(self) -> "ExactMatrix":
-        flat = tuple(self.entries[r * self.cols + c] for c in range(self.cols) for r in range(self.rows))
-        return ExactMatrix(self.cols, self.rows, flat, self.domain, self.modulus)
+        return ExactMatrix._stored(self.array.T.copy(), self.domain, self.modulus)
 
     def to_csv(self) -> str:
         if self.domain == QQ:
             raise ValueError("CSV export is defined for integer entries only")
-        out = []
-        for r in range(self.rows):
-            out.append(",".join(str(e) for e in self.entries[r * self.cols : (r + 1) * self.cols]))
-        return "\n".join(out) + "\n"
+        return "\n".join(",".join(str(e) for e in row) for row in self.to_rows()) + "\n"
 
     @classmethod
     def from_csv(cls, text: str, domain: str = ZZ, modulus: int | None = None) -> "ExactMatrix":
@@ -178,7 +270,7 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     arows = a.to_rows()
-    bcols = b.transpose().to_rows()
+    bcols = b.array.T.tolist()
     out = []
     for ar in arows:
         out.append([sum(x * y for x, y in zip(ar, bc)) for bc in bcols])
@@ -199,14 +291,8 @@ def block_assemble(tl: ExactMatrix, tr: ExactMatrix, bl: ExactMatrix, br: ExactM
         raise ValueError("row counts of horizontal neighbours differ")
     if tl.cols != bl.cols or tr.cols != br.cols:
         raise ValueError("column counts of vertical neighbours differ")
-    rows = []
-    for r in range(tl.rows):
-        rows.append(list(tl.entries[r * tl.cols : (r + 1) * tl.cols]) + list(tr.entries[r * tr.cols : (r + 1) * tr.cols]))
-    for r in range(bl.rows):
-        rows.append(list(bl.entries[r * bl.cols : (r + 1) * bl.cols]) + list(br.entries[r * br.cols : (r + 1) * br.cols]))
-    if not rows:
-        return ExactMatrix.zeros(0, tl.cols + tr.cols, tl.domain, tl.modulus)
-    return ExactMatrix.from_rows(rows, tl.domain, tl.modulus)
+    whole = np.block([[tl.array, tr.array], [bl.array, br.array]])
+    return ExactMatrix.from_rows(whole, tl.domain, tl.modulus)
 
 
 def _fraction_free_echelon(tails: list[list[int]]) -> tuple[int, tuple, int, int]:
@@ -269,11 +355,18 @@ def rank_fraction_free(m: ExactMatrix) -> RankResult:
     return RankResult(rank, "fraction-free", pivots, last if rank else None)
 
 
-def _echelon_mod_p_numpy(rowdata: list[list[int]], p: int) -> tuple[int, tuple]:
+def _echelon_mod_p_numpy(rowdata, p: int) -> tuple[int, tuple, int]:
+    """Row reduction over F_p, p < 2^31, on an int64 copy of reduced rows.
+
+    Returns (rank, pivots, det): det is the row-swap sign times the product
+    of the pivots mod p, the determinant when the input is square and of
+    full rank.
+    """
     a = np.array(rowdata, dtype=np.int64)
     nrows, ncols = a.shape
     ids = list(range(nrows))
     pivots: list[tuple[int, int]] = []
+    det = 1
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -285,7 +378,9 @@ def _echelon_mod_p_numpy(rowdata: list[list[int]], p: int) -> tuple[int, tuple]:
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
             ids[r], ids[pr] = ids[pr], ids[r]
+            det = -det
         piv = int(a[r, c])
+        det = det * piv % p
         if piv != 1:
             a[r, c:] = (a[r, c:] * pow(piv, -1, p)) % p
         nzb = np.flatnonzero(a[r + 1 :, c])
@@ -294,14 +389,16 @@ def _echelon_mod_p_numpy(rowdata: list[list[int]], p: int) -> tuple[int, tuple]:
             a[idx, c:] = (a[idx, c:] - np.outer(a[idx, c], a[r, c:])) % p
         pivots.append((ids[r], c))
         r += 1
-    return r, tuple(pivots)
+    return r, tuple(pivots), det
 
 
-def _echelon_mod_p_object(rowdata: list[list[int]], p: int) -> tuple[int, tuple]:
+def _echelon_mod_p_object(rowdata: list[list[int]], p: int) -> tuple[int, tuple, int]:
+    """The same reduction on Python ints, for any prime; consumes its rows."""
     nrows = len(rowdata)
     ncols = len(rowdata[0]) if nrows else 0
     ids = list(range(nrows))
     pivots: list[tuple[int, int]] = []
+    det = 1
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -316,7 +413,10 @@ def _echelon_mod_p_object(rowdata: list[list[int]], p: int) -> tuple[int, tuple]
         if pr != r:
             rowdata[r], rowdata[pr] = rowdata[pr], rowdata[r]
             ids[r], ids[pr] = ids[pr], ids[r]
-        inv = pow(rowdata[r][c], -1, p)
+            det = -det
+        piv = rowdata[r][c]
+        det = det * piv % p
+        inv = pow(piv, -1, p)
         if inv != 1:
             rowdata[r] = [x * inv % p for x in rowdata[r]]
         base = rowdata[r]
@@ -326,28 +426,32 @@ def _echelon_mod_p_object(rowdata: list[list[int]], p: int) -> tuple[int, tuple]
                 rowdata[i] = [(x - f * y) % p for x, y in zip(rowdata[i], base)]
         pivots.append((ids[r], c))
         r += 1
-    return r, tuple(pivots)
+    return r, tuple(pivots), det
+
+
+def _echelon_mod_p(m: ExactMatrix, p: int) -> tuple[int, tuple, int]:
+    """(rank, pivots, det) of m over F_p, eliminating its stored array."""
+    if m.domain == GF:
+        if m.modulus != p:
+            raise ValueError("matrix already lives over a different prime field")
+        a = m.array
+    elif m.domain == ZZ:
+        a = (m.array if p < INT64_BOUND else m.array.astype(object)) % p
+    else:
+        raise ValueError("rank mod p expects an integer or F_p matrix")
+    if m.rows == 0 or m.cols == 0:
+        return 0, (), 1
+    if p < 2**31:
+        return _echelon_mod_p_numpy(a, p)
+    return _echelon_mod_p_object(a.tolist(), p)
 
 
 def rank_mod_p(m: ExactMatrix, p: int) -> RankResult:
     """Rank over F_p; integer matrices are reduced mod p first."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if m.domain == GF:
-        if m.modulus != p:
-            raise ValueError("matrix already lives over a different prime field")
-        rowdata = m.to_rows()
-    elif m.domain == ZZ:
-        rowdata = [[e % p for e in row] for row in m.to_rows()]
-    else:
-        raise ValueError("rank mod p expects an integer or F_p matrix")
-    if m.rows == 0 or m.cols == 0:
-        return RankResult(0, "modular", ())
-    if p < 2**31:
-        rank, pivots = _echelon_mod_p_numpy(rowdata, p)
-    else:
-        rank, pivots = _echelon_mod_p_object(rowdata, p)
-    return RankResult(rank, "modular", pivots)
+    rank_, pivots, _det = _echelon_mod_p(m, p)
+    return RankResult(rank_, "modular", pivots)
 
 
 def _row_integerized(m: ExactMatrix) -> ExactMatrix:
@@ -389,34 +493,6 @@ def certified_rank(m: ExactMatrix, probe_prime: int = DEFAULT_PROBE_PRIME) -> Ra
     return rank_fraction_free(mm)
 
 
-def _det_mod_p(rowdata: list[list[int]], p: int) -> int:
-    n = len(rowdata)
-    det = 1
-    r = 0
-    for c in range(n):
-        pr = -1
-        for i in range(r, n):
-            if rowdata[i][c]:
-                pr = i
-                break
-        if pr < 0:
-            return 0
-        if pr != r:
-            rowdata[r], rowdata[pr] = rowdata[pr], rowdata[r]
-            det = -det
-        piv = rowdata[r][c]
-        det = det * piv % p
-        inv = pow(piv, -1, p)
-        base = [x * inv % p for x in rowdata[r]]
-        rowdata[r] = base
-        for i in range(r + 1, n):
-            f = rowdata[i][c]
-            if f:
-                rowdata[i] = [(x - f * y) % p for x, y in zip(rowdata[i], base)]
-        r += 1
-    return det % p
-
-
 def determinant(m: ExactMatrix) -> Scalar:
     """Exact determinant; raises for non-square input."""
     if m.rows != m.cols:
@@ -424,7 +500,8 @@ def determinant(m: ExactMatrix) -> Scalar:
     if m.rows == 0:
         return 1 % m.modulus if m.domain == GF else (Fraction(1) if m.domain == QQ else 1)
     if m.domain == GF:
-        return _det_mod_p(m.to_rows(), m.modulus)
+        rank_, _piv, det = _echelon_mod_p(m, m.modulus)
+        return det if rank_ == m.rows else 0
     if m.domain == QQ:
         denom = 1
         rows = []

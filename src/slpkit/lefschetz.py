@@ -1,11 +1,15 @@
 """Multiplication matrices for powers of a linear form and SLP verdicts.
 
 For a linear form l = sum c_k x_k the matrix of multiplication by l^t from
-degree i to degree i+t is built entry-by-entry: the coefficient of a target
-monomial v on a source monomial u is the multinomial t!/prod(w_k!) times
-prod c_k^{w_k}, where w = exponents(v) - exponents(u); no power of l is ever
-expanded.  The strong Lefschetz property for the given form holds when every
-such matrix has maximal rank.
+degree i to degree i+t has, on source monomial u and target v = u + w, the
+multinomial t!/prod(w_k!) times prod c_k^{w_k}; no power of l is ever
+expanded.  The value depends on the increment w alone, so each distinct w
+is evaluated once in exact arithmetic and placed in every column at once:
+with mixed-radix codes code(e) = sum e_k * prod_{j<k} d_j, a column u takes
+w exactly when code(u) + code(w) is the code of a degree-(i+t) monomial,
+found by binary search in that degree's ascending code table.  The strong
+Lefschetz property for the given form holds when every such matrix has
+maximal rank.
 
 Rank checks over Q try one prime above the socle degree first (full modular
 rank certifies full rational rank) and only fall back to exact fraction-free
@@ -18,12 +22,16 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import factorial
-from typing import Iterable, Iterator, Sequence
+from functools import lru_cache
+from math import factorial, prod
+from typing import Iterable
+
+import numpy as np
 
 from ._primes import is_prime, next_prime
 from .exactmat import (
     GF,
+    INT64_BOUND,
     QQ,
     ZZ,
     ExactMatrix,
@@ -31,7 +39,6 @@ from .exactmat import (
     certified_rank,
     rank_mod_p,
 )
-from .monomials import Monomial
 from .quotient import AlgebraSpec, AlgebraElement, basis_positions, graded_basis, hilbert_vector
 
 
@@ -79,32 +86,27 @@ class MultiplicationMatrix:
     matrix: ExactMatrix
 
 
-def _increments(room: Sequence[int], total: int) -> Iterator[tuple[int, ...]]:
-    # exponent bumps w with 0 <= w_k <= room[k] and sum(w) == total
-    n = len(room)
-    w = [0] * n
+# (pattern, column) pairs placed per numpy step; bounds the builder's scratch memory
+_PLACE_CHUNK = 1 << 18
 
-    def rec(k: int, rem: int):
-        if k == n - 1:
-            if rem <= room[k]:
-                w[k] = rem
-                yield tuple(w)
-                w[k] = 0
-            return
-        for e in range(min(room[k], rem) + 1):
-            w[k] = e
-            yield from rec(k + 1, rem - e)
-        w[k] = 0
 
-    if n == 0:
-        if total == 0:
-            yield ()
-        return
-    yield from rec(0, total)
+@lru_cache(maxsize=16)
+def _position_codes(exponents: tuple[int, ...], degree: int) -> np.ndarray:
+    """Mixed-radix codes of graded_basis(degree) for these killed powers.
+
+    The listing is ascending in the reversed exponent tuple, and the last
+    exponent is the most significant digit, so the codes ascend too and a
+    code's index in this table is its monomial's position.  The table does
+    not depend on the characteristic.
+    """
+    basis = graded_basis(AlgebraSpec(len(exponents), exponents), degree)
+    dtype = np.int64 if prod(exponents) <= INT64_BOUND else object
+    radix = np.array([prod(exponents[:k]) for k in range(len(exponents))], dtype=dtype)
+    return np.array([m.exponents for m in basis], dtype=dtype) @ radix
 
 
 def build_matrix(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> MultiplicationMatrix:
-    """Multiplication matrix of form^t from degree i, entry-wise multinomials."""
+    """Multiplication matrix of form^t from degree i, one value per increment pattern."""
     if form.nvars != spec.n:
         raise ValueError("form has the wrong number of coefficients")
     if i < 0 or t < 0 or i + t > spec.socle_degree:
@@ -112,38 +114,48 @@ def build_matrix(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> Multipl
     char = spec.characteristic
     coeffs = [spec.normalize_coeff(c) for c in form.coefficients]
     rational = char == 0 and any(isinstance(c, Fraction) for c in coeffs)
-    source = graded_basis(spec, i)
-    target_pos = basis_positions(spec, i + t)
-    nrows, ncols = len(target_pos), len(source)
-    rows = [[0] * ncols for _ in range(nrows)]
+    ncols = len(graded_basis(spec, i))
+    nrows = len(basis_positions(spec, i + t))
     fact = factorial(t)
-    bounds = spec.exponents
-    for col, u in enumerate(source):
-        ue = u.exponents
-        room = tuple(
-            (bounds[k] - 1 - ue[k]) if coeffs[k] else 0 for k in range(spec.n)
-        )
-        for w in _increments(room, t):
-            c = fact
-            val = 1
-            for k, wk in enumerate(w):
-                if wk:
-                    if wk > 1:
-                        c //= factorial(wk)
-                    val *= coeffs[k] ** wk
-            val = c * val
-            if char:
-                val %= char
-            if not val:
-                continue
-            v = Monomial(tuple(a + b for a, b in zip(ue, w)))
-            rows[target_pos[v]][col] = val
-    if char:
-        matrix = ExactMatrix.from_rows(rows, GF, char) if rows else ExactMatrix.zeros(0, ncols, GF, char)
-    elif rational:
-        matrix = ExactMatrix.from_rows(rows, QQ) if rows else ExactMatrix.zeros(0, ncols, QQ)
+    picked, values = [], []
+    for j, w in enumerate(graded_basis(spec, t)):
+        c = fact
+        val = 1
+        for coeff, wk in zip(coeffs, w.exponents):
+            if wk:
+                c //= factorial(wk)
+                val *= coeff**wk
+        val = c * val
+        if char:
+            val %= char
+        if val:
+            picked.append(j)
+            values.append(val)
+    if rational:
+        out = np.full((nrows, ncols), Fraction(0), dtype=object)
+        vals = np.array([Fraction(v) for v in values], dtype=object)
+    elif all(-INT64_BOUND < v < INT64_BOUND for v in values):
+        out = np.zeros((nrows, ncols), dtype=np.int64)
+        vals = np.array(values, dtype=np.int64)
     else:
-        matrix = ExactMatrix.from_rows(rows, ZZ) if rows else ExactMatrix.zeros(0, ncols, ZZ)
+        out = np.zeros((nrows, ncols), dtype=object)
+        vals = np.array(values, dtype=object)
+    # u + w stays inside the box exactly when adding the codes carries
+    # nowhere; a carry lowers the digit sum, so a sum that lands on a
+    # degree-(i+t) code is always the code of u + w itself
+    source = _position_codes(spec.exponents, i)
+    target = _position_codes(spec.exponents, i + t)
+    pattern = _position_codes(spec.exponents, t)[picked]
+    step = max(1, _PLACE_CHUNK // ncols)
+    for lo in range(0, len(picked), step):
+        sums = pattern[lo : lo + step, None] + source[None, :]
+        rows = np.minimum(np.searchsorted(target, sums), nrows - 1)
+        hit_w, hit_col = np.nonzero(target[rows] == sums)
+        out[rows[hit_w, hit_col], hit_col] = vals[lo + hit_w]
+    if char:
+        matrix = ExactMatrix.from_rows(out, GF, char)
+    else:
+        matrix = ExactMatrix.from_rows(out, QQ if rational else ZZ)
     return MultiplicationMatrix(spec, form, i, t, matrix)
 
 

@@ -6,6 +6,7 @@ in the package; nothing clever is allowed in here.
 """
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 
 def gauss_rank(rows):
@@ -116,3 +117,58 @@ def naive_power_times(bounds, coeffs, t, u_exps, char=0):
     for _ in range(t):
         acc = naive_product(bounds, acc, ell, char)
     return acc
+
+
+def _increments(room, total):
+    """Exponent bumps w with 0 <= w_k <= room[k] and sum(w) == total."""
+    n = len(room)
+    w = [0] * n
+
+    def rec(k, rem):
+        if k == n - 1:
+            if rem <= room[k]:
+                w[k] = rem
+                yield tuple(w)
+                w[k] = 0
+            return
+        for e in range(min(room[k], rem) + 1):
+            w[k] = e
+            yield from rec(k + 1, rem - e)
+        w[k] = 0
+
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    yield from rec(0, total)
+
+
+def reference_matrix(bounds, coeffs, i, t, char=0):
+    """Rows of multiplication by (sum c_k x_k)^t from degree i, entry by entry.
+
+    For every source monomial u and every increment w that fits in the room
+    u leaves below the bounds, the entry at row u + w is
+    t!/prod(w_k!) * prod(c_k^w_k), reduced mod char when char is a prime.
+    Rows and columns follow brute_standard_monomials.
+    """
+    if char:
+        coeffs = [c % char for c in coeffs]
+    source = brute_standard_monomials(bounds, i)
+    target_pos = {e: r for r, e in enumerate(brute_standard_monomials(bounds, i + t))}
+    rows = [[0] * len(source) for _ in target_pos]
+    fact = factorial(t)
+    for col, ue in enumerate(source):
+        room = tuple((bounds[k] - 1 - ue[k]) if coeffs[k] else 0 for k in range(len(bounds)))
+        for w in _increments(room, t):
+            c = fact
+            val = 1
+            for k, wk in enumerate(w):
+                if wk:
+                    c //= factorial(wk)
+                    val *= coeffs[k] ** wk
+            val = c * val
+            if char:
+                val %= char
+            if val:
+                rows[target_pos[tuple(a + b for a, b in zip(ue, w))]][col] = val
+    return rows

@@ -1,7 +1,9 @@
 """Exact matrices: rank, determinant, modular reduction, serialization."""
 from fractions import Fraction
+import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -141,15 +143,15 @@ def test_numpy_and_object_modular_paths_agree():
         rows = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), 0, 100)
         for p in (101, 2**31 - 1):
             reduced = [[e % p for e in row] for row in rows]
-            rn, pn = _echelon_mod_p_numpy([list(r) for r in reduced], p)
-            ro, po = _echelon_mod_p_object([list(r) for r in reduced], p)
-            assert (rn, pn) == (ro, po)
+            numpy_path = _echelon_mod_p_numpy([list(r) for r in reduced], p)
+            object_path = _echelon_mod_p_object([list(r) for r in reduced], p)
+            assert numpy_path == object_path
 
 
 def test_large_prime_uses_object_path():
-    p = next_prime(2**31)
     m = ExactMatrix.from_rows(GOLDEN)
-    assert rank_mod_p(m, p).rank == 4
+    for p in (next_prime(2**31), next_prime(2**64)):
+        assert rank_mod_p(m, p).rank == 4
 
 
 def test_certified_rank_methods():
@@ -295,6 +297,58 @@ def test_validation_errors():
         mat_mul(ExactMatrix.zeros(2, 3), ExactMatrix.zeros(2, 3))
     with pytest.raises(ValueError):
         mat_mul(ExactMatrix.zeros(2, 2), ExactMatrix.zeros(2, 2, GF, 5))
+
+
+def test_ndarray_input_is_validated():
+    with pytest.raises(TypeError):
+        ExactMatrix.from_rows(np.ones((2, 2)))
+    with pytest.raises(TypeError):
+        ExactMatrix.from_rows(np.array([["1"]]))
+    with pytest.raises(ValueError):
+        ExactMatrix.from_rows(np.arange(4))
+    with pytest.raises(ValueError):
+        ExactMatrix.from_rows(np.zeros((1, 2, 2), dtype=np.int64))
+    with pytest.raises(ValueError):
+        ExactMatrix.from_rows(np.eye(2, dtype=np.int64), GF)
+    with pytest.raises(ValueError):
+        ExactMatrix.from_rows(np.eye(2, dtype=np.int64), GF, 6)
+    with pytest.raises(TypeError):
+        ExactMatrix.from_rows(np.array([[Fraction(1, 2)]], dtype=object))
+
+
+def test_array_built_matrix_equals_list_built():
+    for domain, modulus in ((ZZ, None), (GF, 5), (GF, next_prime(2**62))):
+        arr = np.array(GOLDEN, dtype=np.int64) - 3
+        m = ExactMatrix.from_rows(arr, domain, modulus)
+        arr[0, 0] = 99  # the matrix keeps its own copy
+        listed = ExactMatrix.from_rows([[e - 3 for e in row] for row in GOLDEN], domain, modulus)
+        assert m == listed and hash(m) == hash(listed)
+        assert isinstance(m.entries, tuple)
+        assert all(type(e) is int for e in m.entries)
+        assert not m.array.flags.writeable
+    big = [[2**70, -1], [3, 2**62]]
+    m = ExactMatrix.from_rows(np.array(big, dtype=object))
+    assert m.array.dtype == object and m.to_rows() == big
+    assert m == ExactMatrix.from_rows(big) and hash(m) == hash(ExactMatrix.from_rows(big))
+    small = ExactMatrix.from_rows(np.array([[1, 2**62 - 1]], dtype=object))
+    assert small.array.dtype == np.int64
+    assert ExactMatrix.from_rows(np.array([[2**63]], dtype=np.uint64)).entries == (2**63,)
+    assert pickle.loads(pickle.dumps(m)) == m
+    with pytest.raises(AttributeError):
+        m.rows = 3
+    rational = ExactMatrix.from_rows(np.array([[1, 2]]), QQ)
+    assert rational.entries == (Fraction(1), Fraction(2))
+    assert all(type(e) is Fraction for e in rational.entries)
+
+
+def test_large_entries_keep_exact_ranks():
+    # entries beyond int64 live in object arrays and still reduce mod p exactly
+    big = 2**70
+    m = ExactMatrix.from_rows([[big, 1], [1, 0]])
+    assert rank_mod_p(m, 2).rank == 2 and rank_mod_p(m, 3).rank == 2
+    assert certified_rank(m).rank == 2
+    assert determinant(m) == -1
+    assert determinant(ExactMatrix.from_rows(GOLDEN, GF, next_prime(2**31))) == (-48) % next_prime(2**31)
 
 
 @settings(max_examples=60, deadline=None)

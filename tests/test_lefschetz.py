@@ -1,10 +1,12 @@
 """Multiplication matrices, rank verdicts and characteristic scans."""
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import numpy as np
 import oracles
 from slpkit._primes import next_prime
 from slpkit.exactmat import ExactMatrix, GF, QQ, ZZ, mat_mul, rank_mod_p
@@ -68,6 +70,62 @@ def test_entries_match_naive_power_products(bounds, char, seed):
                     if e:
                         got_col[v.exponents] = e
                 assert got_col == want
+
+
+_COEFFS = st.sampled_from([0, 0, 1, -1, 2, -3, 3])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_build_matrix_matches_reference_builder(data):
+    # boxes of up to 729 monomials keep the entry-by-entry reference quick
+    bounds = data.draw(
+        st.lists(st.integers(1, 4), min_size=1, max_size=6).filter(lambda b: prod(b) <= 729)
+    )
+    char = data.draw(st.sampled_from([0, 2, 3, 5, 7]))
+    coeff = _COEFFS
+    if char == 0:
+        coeff = st.one_of(_COEFFS, st.fractions(-3, 3, max_denominator=4))
+    coeffs = tuple(data.draw(st.lists(coeff, min_size=len(bounds), max_size=len(bounds))))
+    spec = AlgebraSpec(len(bounds), tuple(bounds), char)
+    rational = char == 0 and any(isinstance(c, Fraction) for c in coeffs)
+    domain = GF if char else (QQ if rational else ZZ)
+    m = spec.socle_degree
+    for i in range(m + 1):
+        for t in range(m - i + 1):
+            mat = build_matrix(spec, LinearForm(coeffs), i, t).matrix
+            assert mat.domain == domain
+            assert mat.to_rows() == oracles.reference_matrix(bounds, coeffs, i, t, char)
+            if not rational:
+                assert mat.array.dtype == np.int64
+                assert all(type(e) is int for e in mat.entries)
+
+
+def test_entries_beyond_int64_take_the_object_path():
+    spec = AlgebraSpec.quadratic(8)
+    form = LinearForm((10**3,) * 8)
+    mm = build_matrix(spec, form, 0, 8)
+    assert mm.matrix.array.dtype == object
+    assert mm.matrix.entries == (factorial(8) * 10**24,)
+    for i, t in ((0, 8), (1, 7), (2, 5), (3, 2)):
+        mat = build_matrix(spec, form, i, t).matrix
+        assert mat.to_rows() == oracles.reference_matrix((2,) * 8, form.coefficients, i, t)
+        assert mat.array.dtype == (object if factorial(t) * 10 ** (3 * t) >= 2**62 else np.int64)
+        assert all(type(e) is int for e in mat.entries)
+
+
+def test_boxes_beyond_int64_codes_build_exactly():
+    # 2^64 standard monomials: the mixed-radix codes need Python ints
+    n = 64
+    spec = AlgebraSpec.quadratic(n)
+    coeffs = tuple(range(1, n + 1))
+    mm = build_matrix(spec, LinearForm(coeffs), 1, 1)
+    pos = basis_positions(spec, 2)
+    assert (mm.matrix.rows, mm.matrix.cols) == (comb(n, 2), n)
+    for col, u in enumerate(graded_basis(spec, 1)):
+        want = oracles.naive_power_times((2,) * n, coeffs, 1, u.exponents)
+        got = {v.exponents: mm.matrix.entry(r, col) for v, r in pos.items() if mm.matrix.entry(r, col)}
+        assert got == want
 
 
 def test_socle_entry_is_the_full_multinomial():
