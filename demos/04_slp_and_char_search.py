@@ -3,8 +3,9 @@ Strong Lefschetz verdicts
 =========================
 
 A form has the strong Lefschetz property when every power of it multiplies
-one graded piece onto another with maximal rank.  For symmetric unimodal
-dimension vectors only the square "middle" maps need checking.
+one graded piece onto another with maximal rank.  The dimension vectors of
+these algebras are symmetric, so only the square "middle" maps need
+checking, in any characteristic.
 """
 from slpkit import AlgebraSpec, LinearForm, char_search, slp_check
 
@@ -31,10 +32,14 @@ for pr in probes:
     print(f"p={pr.prime}: {verdict}")
 
 ###############################################################################
-# Non-quadratic algebras run the full set of powers.
+# Other killed powers check their middle maps too; mode="full" runs every
+# power and reaches the same verdict.
 
-report = slp_check(AlgebraSpec(2, (3, 4)), LinearForm.ones(2))
-print(f"killed powers (3,4): slp={report.slp} across {len(report.maps)} maps")
+spec = AlgebraSpec(2, (3, 4))
+report = slp_check(spec, LinearForm.ones(2))
+full = slp_check(spec, LinearForm.ones(2), mode="full")
+print(f"killed powers (3,4): slp={report.slp} across {len(report.maps)} middle maps")
+print(f"  mode='full': slp={full.slp} across {len(full.maps)} maps")
 
 ###############################################################################
 # A zero coefficient always breaks the property: the top power of the form

@@ -29,6 +29,7 @@ from .exactmat import (
     certified_rank,
     determinant,
     mat_mul,
+    peak_bits,
     rank,
     rank_mod_p,
     scale,
@@ -135,22 +136,10 @@ def block_pivot_rank(
     return result
 
 
-def _peak_bits(mat: ExactMatrix) -> int:
-    best = 0
-    for e in mat.entries:
-        if isinstance(e, int):
-            b = abs(e).bit_length()
-        else:
-            b = max(abs(e.numerator).bit_length(), e.denominator.bit_length())
-        if b > best:
-            best = b
-    return best
-
-
 def _note_stats(stats, mat: ExactMatrix) -> None:
     if stats is None:
         return
-    stats["peak_bits"] = max(stats.get("peak_bits", 0), _peak_bits(mat))
+    stats["peak_bits"] = max(stats.get("peak_bits", 0), peak_bits(mat))
     stats["levels"] = stats.get("levels", 0) + 1
 
 

@@ -12,44 +12,21 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
 from math import comb
 
 from ._primes import primes_in_range
-from .blockrec import block_pivot_rank, decompose, recursive_middle_rank
+from .blockrec import block_pivot_rank, decompose
 from .embedding import EmbeddingSpec, transfer_slp, verify_kernel_dims, verify_socle_image
 from .exactmat import ExactMatrix, determinant, mat_mul, rank_mod_p
 from .lefschetz import (
     LinearForm,
     build_matrix,
     char_search,
-    max_rank_check,
+    check_map,
     middle_pairs,
     slp_check,
 )
 from .quotient import AlgebraSpec, hilbert_vector
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: one command plus its knobs."""
-
-    command: str
-    spec: AlgebraSpec | None
-    form: LinearForm | None
-    mode: str
-    method: str
-    out: str | None
-    format: str
-    jobs: int
-    seed: int
-    primes: tuple[int, ...] | None
-    i: int | None = None
-    t: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -112,16 +89,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("slp", help="strong Lefschetz verdict (exit 0 holds, 1 fails)")
     _add_spec_flags(p)
     _add_form_flag(p)
-    p.add_argument("--mode", choices=("full", "middle", "auto"), default="auto")
+    p.add_argument("--mode", choices=("middle", "full"), default="middle")
     p.add_argument("--method", choices=("dense", "block", "auto"), default="auto")
-    p.add_argument("--jobs", type=int, default=1)
     _add_output_flags(p)
 
     p = sub.add_parser("char-search", help="probe the same form over a range of prime fields")
     _add_spec_flags(p)
     _add_form_flag(p)
     p.add_argument("--primes", type=_parse_prime_range, required=True, metavar="LO..HI")
-    p.add_argument("--mode", choices=("full", "middle", "auto"), default="auto")
+    p.add_argument("--mode", choices=("middle", "full"), default="middle")
     _add_output_flags(p)
 
     p = sub.add_parser("embed-verify", help="verify the quadratic embedding of the algebra")
@@ -201,39 +177,23 @@ def _cmd_matrix(args) -> int:
 def _cmd_rank(args) -> int:
     spec = _spec_from_args(args)
     form = _form_from_args(args, spec.n)
-    i, t = args.i, args.t
-    method = args.method
-    is_middle = spec.is_quadratic and t == spec.n - 2 * i and 0 <= i < spec.n / 2
-    if method == "auto":
-        method = "block" if is_middle else "dense"
-    if method == "block" and not is_middle:
-        raise ValueError("block method applies to middle maps of quadratic specs only")
-    start = time.perf_counter()
-    if method == "block":
-        rr = recursive_middle_rank(spec, form, i)
-        nrows, ncols = spec.dim(i + t), spec.dim(i)
-        maximal = rr.rank == min(nrows, ncols)
-    else:
-        mm = build_matrix(spec, form, i, t)
-        nrows, ncols = mm.matrix.rows, mm.matrix.cols
-        maximal, rr = max_rank_check(mm)
-    ms = (time.perf_counter() - start) * 1000.0
+    c = check_map(spec, form, args.i, args.t, args.method)
     print(
-        f"rank {rr.rank} of {nrows}x{ncols}"
-        f" ({'maximal' if maximal else 'NOT maximal'}; {rr.method}; {ms:.2f} ms)"
+        f"rank {c.rank} of {c.rows}x{c.cols}"
+        f" ({'maximal' if c.maximal else 'NOT maximal'}; {c.method}; {c.ms:.2f} ms)"
     )
     payload = {
         "spec": spec.to_json_dict(),
         "form": form.to_json(),
-        "i": i,
-        "t": t,
-        "rows": nrows,
-        "cols": ncols,
-        "rank": rr.rank,
-        "maximal": maximal,
-        "method": rr.method,
-        "notes": list(rr.notes),
-        "timing": {"total_ms": round(ms, 3)},
+        "i": c.i,
+        "t": c.t,
+        "rows": c.rows,
+        "cols": c.cols,
+        "rank": c.rank,
+        "maximal": c.maximal,
+        "method": c.method,
+        "notes": list(c.notes),
+        "timing": {"total_ms": round(c.ms, 3)},
     }
     _emit(args, payload)
     return 0
@@ -242,7 +202,7 @@ def _cmd_rank(args) -> int:
 def _cmd_slp(args) -> int:
     spec = _spec_from_args(args)
     form = _form_from_args(args, spec.n)
-    report = slp_check(spec, form, mode=args.mode, method=args.method, jobs=args.jobs)
+    report = slp_check(spec, form, mode=args.mode, method=args.method)
     for c in report.maps:
         mark = "ok " if c.maximal else "FAIL"
         print(
@@ -326,35 +286,27 @@ def _cmd_bench(args) -> int:
     records = []
     ranks: dict[tuple[int, int], set[int]] = {}
     for i, t in middle_pairs(spec.socle_degree):
-        nrows, ncols = spec.dim(i + t), spec.dim(i)
         for method in methods:
-            start = time.perf_counter()
-            if method == "block":
-                stats: dict = {}
-                rr = recursive_middle_rank(spec, form, i, stats=stats)
-                peak_bits = stats.get("peak_bits", 0)
-            else:
-                mm = build_matrix(spec, form, i, t)
-                peak_bits = max((abs(e).bit_length() for e in mm.matrix.entries), default=0)
-                _maximal, rr = max_rank_check(mm)
-            ms = (time.perf_counter() - start) * 1000.0
-            ranks.setdefault((i, t), set()).add(rr.rank)
+            stats: dict = {}
+            c = check_map(spec, form, i, t, method, stats=stats)
+            peak_bits = stats.get("peak_bits", 0)
+            ranks.setdefault((i, t), set()).add(c.rank)
             records.append(
                 {
                     "n": spec.n,
                     "i": i,
                     "t": t,
-                    "rows": nrows,
-                    "cols": ncols,
+                    "rows": c.rows,
+                    "cols": c.cols,
                     "method": method,
-                    "rank": rr.rank,
+                    "rank": c.rank,
                     "peak_bits": peak_bits,
-                    "ms": round(ms, 3),
+                    "ms": round(c.ms, 3),
                 }
             )
             print(
-                f"n={spec.n} i={i} t={t} {nrows}x{ncols} {method:<5s}"
-                f" rank={rr.rank} peak_bits={peak_bits} {ms:.2f} ms"
+                f"n={spec.n} i={i} t={t} {c.rows}x{c.cols} {method:<5s}"
+                f" rank={c.rank} peak_bits={peak_bits} {c.ms:.2f} ms"
             )
     disagreements = {k: v for k, v in ranks.items() if len(v) > 1}
     if disagreements:

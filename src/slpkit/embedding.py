@@ -246,7 +246,7 @@ def transfer_slp(es: EmbeddingSpec) -> TransferRecord:
     source = es.source_spec
     target = es.target_spec
     hv = hilbert_vector(source)
-    direct = slp_check(source, LinearForm.ones(es.n), mode="auto", method="dense")
+    direct = slp_check(source, LinearForm.ones(es.n), method="dense")
     probe = next_prime(m)
     records = []
     for i in range((m + 1) // 2):

@@ -10,8 +10,9 @@ Rank over the integers uses fraction-free (one-step division) elimination, in
 which every intermediate entry is a minor of the input, so the arithmetic
 stays in ZZ and the final pivot of a full elimination is the determinant up
 to the row-swap sign.  Rank and determinant over F_p come from one row
-reduction of the stored array: in int64 numpy for p < 2^31 (products stay
-below 2^62), on Python ints for larger primes.
+reduction of the stored array, run by the same numpy steps on an int64 copy
+for p < 2^31 (products stay below 2^62) and on an object copy of Python ints
+for larger primes.
 
 A full rank mod one prime certifies full rank over Q (specialization can
 only lose rank), which is the cheap one-sided check behind certified_rank;
@@ -259,6 +260,19 @@ class RankResult:
     notes: tuple[str, ...] = ()
 
 
+def peak_bits(m: ExactMatrix) -> int:
+    """Largest bit size of an entry (numerator or denominator for fractions)."""
+    best = 0
+    for e in m.entries:
+        if isinstance(e, int):
+            b = abs(e).bit_length()
+        else:
+            b = max(abs(e.numerator).bit_length(), e.denominator.bit_length())
+        if b > best:
+            best = b
+    return best
+
+
 def _same_domain(a: ExactMatrix, b: ExactMatrix) -> None:
     if a.domain != b.domain or a.modulus != b.modulus:
         raise ValueError("matrices live in different coefficient domains")
@@ -356,13 +370,14 @@ def rank_fraction_free(m: ExactMatrix) -> RankResult:
 
 
 def _echelon_mod_p_numpy(rowdata, p: int) -> tuple[int, tuple, int]:
-    """Row reduction over F_p, p < 2^31, on an int64 copy of reduced rows.
+    """Row reduction over F_p of rows already reduced mod p, on a copy.
 
-    Returns (rank, pivots, det): det is the row-swap sign times the product
-    of the pivots mod p, the determinant when the input is square and of
-    full rank.
+    The copy is int64 for p < 2^31 and an object array of Python ints for
+    larger primes.  Returns (rank, pivots, det): det is the row-swap sign
+    times the product of the pivots mod p, the determinant when the input is
+    square and of full rank.
     """
-    a = np.array(rowdata, dtype=np.int64)
+    a = np.array(rowdata, dtype=np.int64 if p < 2**31 else object)
     nrows, ncols = a.shape
     ids = list(range(nrows))
     pivots: list[tuple[int, int]] = []
@@ -392,43 +407,6 @@ def _echelon_mod_p_numpy(rowdata, p: int) -> tuple[int, tuple, int]:
     return r, tuple(pivots), det
 
 
-def _echelon_mod_p_object(rowdata: list[list[int]], p: int) -> tuple[int, tuple, int]:
-    """The same reduction on Python ints, for any prime; consumes its rows."""
-    nrows = len(rowdata)
-    ncols = len(rowdata[0]) if nrows else 0
-    ids = list(range(nrows))
-    pivots: list[tuple[int, int]] = []
-    det = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = -1
-        for i in range(r, nrows):
-            if rowdata[i][c]:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        if pr != r:
-            rowdata[r], rowdata[pr] = rowdata[pr], rowdata[r]
-            ids[r], ids[pr] = ids[pr], ids[r]
-            det = -det
-        piv = rowdata[r][c]
-        det = det * piv % p
-        inv = pow(piv, -1, p)
-        if inv != 1:
-            rowdata[r] = [x * inv % p for x in rowdata[r]]
-        base = rowdata[r]
-        for i in range(r + 1, nrows):
-            f = rowdata[i][c]
-            if f:
-                rowdata[i] = [(x - f * y) % p for x, y in zip(rowdata[i], base)]
-        pivots.append((ids[r], c))
-        r += 1
-    return r, tuple(pivots), det
-
-
 def _echelon_mod_p(m: ExactMatrix, p: int) -> tuple[int, tuple, int]:
     """(rank, pivots, det) of m over F_p, eliminating its stored array."""
     if m.domain == GF:
@@ -441,9 +419,7 @@ def _echelon_mod_p(m: ExactMatrix, p: int) -> tuple[int, tuple, int]:
         raise ValueError("rank mod p expects an integer or F_p matrix")
     if m.rows == 0 or m.cols == 0:
         return 0, (), 1
-    if p < 2**31:
-        return _echelon_mod_p_numpy(a, p)
-    return _echelon_mod_p_object(a.tolist(), p)
+    return _echelon_mod_p_numpy(a, p)
 
 
 def rank_mod_p(m: ExactMatrix, p: int) -> RankResult:

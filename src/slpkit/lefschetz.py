@@ -11,6 +11,15 @@ found by binary search in that degree's ascending code table.  The strong
 Lefschetz property for the given form holds when every such matrix has
 maximal rank.
 
+The Hilbert function h of these algebras is symmetric (h_i = h_{m-i}), so
+the middle maps l^(m-2i): A_i -> A_(m-i) are square, and in any
+characteristic the property holds exactly when they are all bijective.
+For l^t: A_i -> A_j with i + j <= m, l^(m-2i) is l^(m-i-j) after l^t, so a
+bijective l^(m-2i) makes l^t injective; otherwise l^(2j-m): A_(m-j) -> A_j
+is l^t after l^(i+j-m), so a bijective l^(2j-m) makes l^t surjective.
+slp_check therefore checks the middle maps by default; mode "full" runs
+every power and serves as the oracle in tests.
+
 Rank checks over Q try one prime above the socle degree first (full modular
 rank certifies full rational rank) and only fall back to exact fraction-free
 elimination when the certificate fails, so the expensive path runs exactly
@@ -19,7 +28,6 @@ when something genuinely degenerates.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -37,9 +45,10 @@ from .exactmat import (
     ExactMatrix,
     RankResult,
     certified_rank,
+    peak_bits,
     rank_mod_p,
 )
-from .quotient import AlgebraSpec, AlgebraElement, basis_positions, graded_basis, hilbert_vector
+from .quotient import AlgebraSpec, AlgebraElement, basis_positions, graded_basis
 
 
 @dataclass(frozen=True)
@@ -89,6 +98,18 @@ class MultiplicationMatrix:
 # (pattern, column) pairs placed per numpy step; bounds the builder's scratch memory
 _PLACE_CHUNK = 1 << 18
 
+# largest dim(i) * dim(i+t) of a map that is built or checked (2 GiB of int64)
+MAX_MAP_CELLS = 1 << 28
+
+
+def _refuse_oversized(spec: AlgebraSpec, i: int, t: int) -> None:
+    """Raise ValueError for a map too large to hold, before listing any basis."""
+    rows, cols = spec.dim(i + t), spec.dim(i)
+    if rows * cols > MAX_MAP_CELLS:
+        raise ValueError(
+            f"the (i={i}, t={t}) map is {rows}x{cols}, above the limit of {MAX_MAP_CELLS} cells"
+        )
+
 
 @lru_cache(maxsize=16)
 def _position_codes(exponents: tuple[int, ...], degree: int) -> np.ndarray:
@@ -106,11 +127,16 @@ def _position_codes(exponents: tuple[int, ...], degree: int) -> np.ndarray:
 
 
 def build_matrix(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> MultiplicationMatrix:
-    """Multiplication matrix of form^t from degree i, one value per increment pattern."""
+    """Multiplication matrix of form^t from degree i, one value per increment pattern.
+
+    A map of more than MAX_MAP_CELLS cells raises ValueError before any
+    basis is listed.
+    """
     if form.nvars != spec.n:
         raise ValueError("form has the wrong number of coefficients")
     if i < 0 or t < 0 or i + t > spec.socle_degree:
         raise ValueError("degrees out of range for this algebra")
+    _refuse_oversized(spec, i, t)
     char = spec.characteristic
     coeffs = [spec.normalize_coeff(c) for c in form.coefficients]
     rational = char == 0 and any(isinstance(c, Fraction) for c in coeffs)
@@ -175,7 +201,7 @@ def max_rank_check(mm: MultiplicationMatrix) -> tuple[bool, RankResult]:
 
 @dataclass(frozen=True)
 class MapCheck:
-    """One (i, t) rank check inside an SLP run."""
+    """One (i, t) rank check; notes carry RankResult.notes (fallback reasons)."""
 
     i: int
     t: int
@@ -185,6 +211,7 @@ class MapCheck:
     maximal: bool
     method: str
     ms: float
+    notes: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -240,77 +267,86 @@ def full_pairs(socle_degree: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, t) for i in range(m) for t in range(1, m - i + 1))
 
 
-def _check_one(spec: AlgebraSpec, form: LinearForm, i: int, t: int, method: str) -> MapCheck:
-    hv = hilbert_vector(spec)
+def check_map(
+    spec: AlgebraSpec,
+    form: LinearForm,
+    i: int,
+    t: int,
+    method: str = "auto",
+    stats: dict | None = None,
+) -> MapCheck:
+    """Rank check of multiplication by form^t from degree i.
+
+    method "block" takes the recursive rank of blockrec, which applies to
+    the middle maps (i, n-2i) of quadratic specs only; "dense" builds the
+    matrix; "auto" is block exactly for those middle maps.  A stats dict
+    receives "peak_bits", the largest entry bit size of any matrix built.
+    """
+    middle = spec.is_quadratic and (i, t) in middle_pairs(spec.n)
+    if method == "auto":
+        method = "block" if middle else "dense"
+    if method not in ("dense", "block"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "block" and not middle:
+        raise ValueError("block method applies to middle maps of quadratic specs only")
+    _refuse_oversized(spec, i, t)
     start = time.perf_counter()
     if method == "block":
         from .blockrec import recursive_middle_rank
 
-        rr = recursive_middle_rank(spec, form, i)
-        nrows, ncols = hv[i + t], hv[i]
+        rr = recursive_middle_rank(spec, form, i, stats=stats)
+        nrows, ncols = spec.dim(i + t), spec.dim(i)
         maximal = rr.rank == min(nrows, ncols)
     else:
         mm = build_matrix(spec, form, i, t)
+        if stats is not None:
+            stats["peak_bits"] = max(stats.get("peak_bits", 0), peak_bits(mm.matrix))
         nrows, ncols = mm.matrix.rows, mm.matrix.cols
         maximal, rr = max_rank_check(mm)
     ms = (time.perf_counter() - start) * 1000.0
-    return MapCheck(i, t, nrows, ncols, rr.rank, maximal, rr.method, ms)
-
-
-def _map_job(payload) -> MapCheck:
-    spec, form, i, t, method = payload
-    return _check_one(spec, form, i, t, method)
+    return MapCheck(i, t, nrows, ncols, rr.rank, maximal, rr.method, ms, rr.notes)
 
 
 def slp_check(
     spec: AlgebraSpec,
     form: LinearForm,
-    mode: str = "auto",
+    mode: str = "middle",
     method: str = "auto",
-    jobs: int = 1,
 ) -> LefschetzReport:
     """Decide the strong Lefschetz property for the given form.
 
-    mode "middle" checks only the square maps (i, m-2i), which decide the
-    full property for any symmetric unimodal Hilbert vector; "full" checks
-    every power.  "auto" picks middle for quadratic specs, full otherwise.
-    method "block" routes middle maps through the recursive rank computation
-    (quadratic specs only); "dense" builds each matrix outright.
+    mode "middle" checks the square maps (i, m-2i), which decide the whole
+    property for every spec in every characteristic (module docstring);
+    "full" checks every power.  method "block" routes the middle maps of a
+    quadratic spec through the recursive rank computation and "dense" builds
+    each matrix outright; "auto" is block in middle mode on quadratic specs
+    and dense otherwise, so full mode stays independent of the recursion.
+    Every map's size is checked before any is built.
     """
     if form.nvars != spec.n:
         raise ValueError("form has the wrong number of coefficients")
-    if mode == "auto":
-        mode = "middle" if spec.is_quadratic else "full"
     if mode not in ("middle", "full"):
         raise ValueError(f"unknown mode {mode!r}")
     if method == "auto":
-        method = "block" if (spec.is_quadratic and mode == "middle") else "dense"
+        method = "block" if spec.is_quadratic and mode == "middle" else "dense"
     if method not in ("dense", "block"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "block":
-        if not spec.is_quadratic:
-            raise ValueError("block method is defined for quadratic specs only")
-        if mode != "middle":
-            raise ValueError("block method computes middle maps only")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    # for n = 1 the one full pair (0, 1) is also a middle map
+    if method == "block" and mode == "full":
+        raise ValueError("block method computes middle maps only")
     m = spec.socle_degree
     pairs = middle_pairs(m) if mode == "middle" else full_pairs(m)
-    payloads = [(spec, form, i, t, method) for i, t in pairs]
+    for i, t in pairs:
+        _refuse_oversized(spec, i, t)
     start = time.perf_counter()
-    if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            checks = list(pool.map(_map_job, payloads))
-    else:
-        checks = [_map_job(p) for p in payloads]
+    checks = tuple(check_map(spec, form, i, t, method) for i, t in pairs)
     total_ms = (time.perf_counter() - start) * 1000.0
-    checks.sort(key=lambda c: (c.i, c.t))
     return LefschetzReport(
         spec=spec,
         form=form,
         mode=mode,
         method=method,
-        maps=tuple(checks),
+        maps=checks,
         slp=all(c.maximal for c in checks),
         total_ms=total_ms,
     )
@@ -329,7 +365,7 @@ def char_search(
     spec: AlgebraSpec,
     form: LinearForm,
     primes: Iterable[int],
-    mode: str = "auto",
+    mode: str = "middle",
 ) -> tuple[CharProbe, ...]:
     """Probe the same coefficient pattern over a range of prime fields."""
     for c in form.coefficients:

@@ -172,3 +172,40 @@ def reference_matrix(bounds, coeffs, i, t, char=0):
             if val:
                 rows[target_pos[tuple(a + b for a, b in zip(ue, w))]][col] = val
     return rows
+
+
+def reference_echelon_mod_p(rows, p):
+    """(rank, pivots, det) of rows already reduced mod p, on Python-int lists.
+
+    Pivot rule: the first non-zero entry at or below the current row, in
+    column order.  pivots are (original row, column) pairs; det is the
+    row-swap sign times the product of the pivots mod p.
+    """
+    a = [list(row) for row in rows]
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    ids = list(range(nrows))
+    pivots = []
+    det = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if a[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            a[r], a[pr] = a[pr], a[r]
+            ids[r], ids[pr] = ids[pr], ids[r]
+            det = -det
+        piv = a[r][c]
+        det = det * piv % p
+        inv = pow(piv, -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(r + 1, nrows):
+            f = a[i][c]
+            if f:
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append((ids[r], c))
+        r += 1
+    return r, tuple(pivots), det

@@ -171,6 +171,10 @@ def test_bench(capsys, tmp_path):
     assert {r["method"] for r in records} == {"dense", "block"}
     for r in records:
         assert set(r) == {"n", "i", "t", "rows", "cols", "method", "rank", "peak_bits", "ms"}
+    # dense: bit size of t!; block: the largest of the recursion's matrices
+    assert [(r["method"], r["peak_bits"]) for r in records] == [
+        ("dense", 7), ("block", 7), ("dense", 3), ("block", 5), ("dense", 1), ("block", 3)
+    ]
 
 
 def test_selftest(capsys):
@@ -192,6 +196,17 @@ def test_usage_errors_exit_two(capsys):
         main(["no-such-command"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_oversized_algebra_exits_two_before_listing_a_basis(capsys, monkeypatch):
+    import slpkit.lefschetz
+
+    def no_basis_listing(*args):
+        pytest.fail("slp --quadratic 30 reached graded_basis")
+
+    monkeypatch.setattr(slpkit.lefschetz, "graded_basis", no_basis_listing)
+    code, out, err = run(capsys, "slp", "--quadratic", "30")
+    assert code == 2 and "limit" in err and out == ""
 
 
 def test_input_errors_exit_two(capsys):

@@ -23,7 +23,6 @@ from slpkit.exactmat import (
     rank_mod_p,
     scale,
     _echelon_mod_p_numpy,
-    _echelon_mod_p_object,
 )
 
 # the 4x4 multiplication matrix used as a golden fixture across the suite
@@ -137,15 +136,37 @@ def test_full_square_pivot_minor_equals_determinant_up_to_sign():
         assert abs(rr.pivot_minor_det) == abs(d)
 
 
+def _deficient_rows(rng, nrows, ncols, p):
+    """Rows mod p of rank below min(nrows, ncols): combinations of fewer rows."""
+    k = rng.randint(0, min(nrows, ncols) - 1)
+    basis = [[rng.randrange(p) for _ in range(ncols)] for _ in range(k)]
+    rows = []
+    for _ in range(nrows):
+        coeffs = [rng.randrange(p) for _ in range(k)]
+        rows.append([sum(c * b[j] for c, b in zip(coeffs, basis)) % p for j in range(ncols)])
+    return rows
+
+
 def test_numpy_and_object_modular_paths_agree():
+    # one echelon: int64 steps below 2^31, the same steps on Python ints above
     rng = random.Random(1008)
-    for _ in range(40):
-        rows = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), 0, 100)
-        for p in (101, 2**31 - 1):
-            reduced = [[e % p for e in row] for row in rows]
-            numpy_path = _echelon_mod_p_numpy([list(r) for r in reduced], p)
-            object_path = _echelon_mod_p_object([list(r) for r in reduced], p)
-            assert numpy_path == object_path
+    for p in (101, 2**31 - 1, next_prime(2**31), 2**61 - 1, next_prime(2**64)):
+        for trial in range(40):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+            if trial % 2:
+                rows = _deficient_rows(rng, nrows, ncols, p)
+            else:
+                rows = [[e % p for e in row] for row in random_matrix(rng, nrows, ncols, 0, 100)]
+            want = oracles.reference_echelon_mod_p(rows, p)
+            assert _echelon_mod_p_numpy(np.array(rows, dtype=object), p) == want
+            if p < 2**63:
+                assert _echelon_mod_p_numpy(np.array(rows, dtype=np.int64), p) == want
+            if trial % 2:
+                assert want[0] < min(nrows, ncols)
+        for shape in ((1, 1), (3, 4), (5, 2)):
+            zero = [[0] * shape[1] for _ in range(shape[0])]
+            assert _echelon_mod_p_numpy(np.array(zero, dtype=object), p) == (0, (), 1)
+            assert oracles.reference_echelon_mod_p(zero, p) == (0, (), 1)
 
 
 def test_large_prime_uses_object_path():

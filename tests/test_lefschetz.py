@@ -15,6 +15,7 @@ from slpkit.lefschetz import (
     LinearForm,
     build_matrix,
     char_search,
+    check_map,
     full_pairs,
     max_rank_check,
     middle_pairs,
@@ -175,6 +176,26 @@ def test_build_validation():
         build_matrix(spec, LinearForm.ones(3), 0, -1)
 
 
+def _no_basis_listing(*args):
+    pytest.fail("an oversized map reached graded_basis")
+
+
+def test_oversized_maps_are_refused_before_any_listing(monkeypatch):
+    import slpkit.lefschetz
+
+    monkeypatch.setattr(slpkit.lefschetz, "graded_basis", _no_basis_listing)
+    spec = AlgebraSpec.quadratic(30)
+    with pytest.raises(ValueError, match="limit"):
+        build_matrix(spec, LinearForm.ones(30), 14, 2)
+    with pytest.raises(ValueError, match=r"\(i=14, t=2\) map is 145422675x145422675"):
+        check_map(spec, LinearForm.ones(30), 14, 2)
+    for method in ("block", "dense"):
+        with pytest.raises(ValueError, match="limit"):
+            slp_check(spec, LinearForm.ones(30), method=method)
+    with pytest.raises(ValueError, match="limit"):
+        slp_check(spec, LinearForm.ones(30), mode="full")
+
+
 def _composition_triples(m):
     for i in range(m + 1):
         for s in range(1, m - i + 1):
@@ -232,14 +253,21 @@ def test_slp_small_characteristic_failures():
     report3 = slp_check(AlgebraSpec.quadratic(3, 3), LinearForm.ones(3))
     assert not report3.slp
     assert report3.failures == ((0, 3),)
+    # the block recursion needs characteristic > n; each map says it fell back
+    for c in report3.maps:
+        assert len(c.notes) == 1 and c.notes[0].startswith("characteristic 3 <= 3 variables")
 
 
 def test_slp_general_spec_full_mode():
     spec = AlgebraSpec(2, (3, 4))
     report = slp_check(spec, LinearForm.ones(2))
-    assert report.mode == "full" and report.method == "dense"
+    assert report.mode == "middle" and report.method == "dense"
     assert report.slp
-    assert len(report.maps) == 15
+    assert [(c.i, c.t) for c in report.maps] == [(0, 5), (1, 3), (2, 1)]
+    full = slp_check(spec, LinearForm.ones(2), mode="full")
+    assert full.mode == "full" and full.method == "dense"
+    assert full.slp
+    assert len(full.maps) == 15
 
 
 def test_full_and_middle_verdicts_agree():
@@ -256,6 +284,25 @@ def test_full_and_middle_verdicts_agree():
         full = slp_check(spec, form, mode="full", method="dense")
         middle = slp_check(spec, form, mode="middle", method="dense")
         assert full.slp == middle.slp
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_middle_maps_decide_the_full_property(data):
+    # symmetric Hilbert functions: bijective middle maps give maximal rank
+    # for every power, in every characteristic
+    bounds = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    char = data.draw(st.sampled_from([0, 2, 3, 5, 7]))
+    coeffs = data.draw(
+        st.lists(st.sampled_from([0, 1, -1, 2, 3]), min_size=len(bounds), max_size=len(bounds))
+    )
+    spec = AlgebraSpec(len(bounds), bounds, char)
+    form = LinearForm(coeffs)
+    middle = slp_check(spec, form, mode="middle")
+    full = slp_check(spec, form, mode="full")
+    assert [(c.i, c.t) for c in middle.maps] == list(middle_pairs(spec.socle_degree))
+    assert middle.slp == full.slp
+    assert set(middle.failures) <= set(full.failures)
 
 
 def test_nonzero_forms_hold_and_zero_coefficient_fails():
@@ -295,16 +342,6 @@ def test_char_search_validation():
         char_search(spec, LinearForm.ones(3), (4,))
     with pytest.raises(TypeError):
         char_search(spec, LinearForm((Fraction(1, 2), 1, 1)), (5,))
-
-
-def test_parallel_jobs_give_identical_reports():
-    spec = AlgebraSpec.quadratic(6)
-    form = LinearForm.ones(6)
-    one = slp_check(spec, form, jobs=1)
-    two = slp_check(spec, form, jobs=2)
-    strip = lambda report: [(c.i, c.t, c.rows, c.cols, c.rank, c.maximal, c.method) for c in report.maps]
-    assert strip(one) == strip(two)
-    assert one.slp == two.slp
 
 
 def test_report_json_shape():
@@ -352,12 +389,32 @@ def test_mode_method_validation():
         slp_check(spec, form, method="magic")
     with pytest.raises(ValueError):
         slp_check(spec, form, mode="full", method="block")
+    # (0, 1) is the one full pair and a middle map, yet full mode refuses block
+    with pytest.raises(ValueError):
+        slp_check(AlgebraSpec.quadratic(1), LinearForm.ones(1), mode="full", method="block")
+    with pytest.raises(ValueError):
+        slp_check(spec, form, mode="auto")
     with pytest.raises(ValueError):
         slp_check(AlgebraSpec(2, (3, 3)), LinearForm.ones(2), method="block")
     with pytest.raises(ValueError):
         slp_check(spec, LinearForm.ones(4))
+
+
+def test_check_map_picks_block_only_for_middle_maps():
+    spec, form = AlgebraSpec.quadratic(5), LinearForm.ones(5)
+    assert check_map(spec, form, 1, 3).method == "block-recursive"
+    assert check_map(spec, form, 1, 3, "dense").method == "modular"
+    assert check_map(spec, form, 1, 2).method == "modular"
+    general = AlgebraSpec(2, (3, 3))
+    assert check_map(general, LinearForm.ones(2), 1, 2).method == "modular"
+    for bad_spec, i, t in ((spec, 1, 2), (spec, -1, 7), (general, 1, 2)):
+        with pytest.raises(ValueError):
+            check_map(bad_spec, LinearForm.ones(bad_spec.n), i, t, "block")
     with pytest.raises(ValueError):
-        slp_check(spec, form, jobs=0)
+        check_map(spec, form, 1, 3, "magic")
+    stats = {}
+    c = check_map(spec, LinearForm((1, 1, 1, 1, 1000)), 0, 5, "dense", stats=stats)
+    assert c.rank == 1 and stats["peak_bits"] == (120 * 1000).bit_length()
 
 
 def test_char_probe_is_plain_data():
