@@ -1,10 +1,13 @@
 """Primality helpers shared by the exact-arithmetic modules."""
 from __future__ import annotations
 
+from functools import lru_cache
+
 # Deterministic Miller-Rabin witness set, exact for n < 3.3e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@lru_cache(maxsize=64)  # every modular rank and F_p matrix validates its prime
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin test (exact far beyond the 64-bit range)."""
     if n < 2:

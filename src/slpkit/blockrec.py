@@ -11,16 +11,15 @@ For the square middle maps (t = n - 2i) the top-left factor splits through a
 square block P = M_bar(i, t-1); when P is nonsingular the whole rank reduces
 to size(P) plus the rank of the restricted middle map one degree down, which
 recurses on n-1 variables.  Every pivot block is certified nonsingular (one
-modular elimination, exact integer elimination as arbiter) before the
-reduction is applied; on failure the computation falls back to dense
-elimination of the directly built matrix and records the anomaly.
+elimination mod exactmat.PROBE_PRIME, exact integer elimination as arbiter)
+before the reduction is applied; on failure the computation falls back to
+dense elimination of the directly built matrix and records the anomaly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import comb
 
-from ._primes import next_prime
 from .exactmat import (
     GF,
     ExactMatrix,
@@ -92,13 +91,12 @@ def decompose(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> BlockDecom
         raise ValueError("power must satisfy 1 <= t <= n-i")
     rspec = spec.restricted()
     rform = form.restricted()
+    raw_bl = build_matrix(rspec, rform, i, t - 1).matrix
     if i + t <= rspec.socle_degree:
         tl = build_matrix(rspec, rform, i, t).matrix
     else:
         # target degree n has no square-free monomials in n-1 variables
-        proto = build_matrix(rspec, rform, i, 0).matrix
-        tl = ExactMatrix.zeros(0, comb(n - 1, i), proto.domain, proto.modulus)
-    raw_bl = build_matrix(rspec, rform, i, t - 1).matrix
+        tl = ExactMatrix.zeros(0, raw_bl.cols, raw_bl.domain, raw_bl.modulus)
     scalar = spec.normalize_coeff(form.coefficients[-1] * t)
     bl = scale(raw_bl, scalar)
     br = build_matrix(rspec, rform, i - 1, t).matrix
@@ -150,13 +148,10 @@ def _dense_middle(spec: AlgebraSpec, form: LinearForm, i: int, reason: str, stat
     return replace(rr, notes=rr.notes + (reason,))
 
 
-def _pivot_nonsingular(pmat: ExactMatrix, restricted_socle: int) -> bool:
-    size = pmat.rows
-    if size == 0:
-        return True
+def _pivot_nonsingular(pmat: ExactMatrix) -> bool:
     if pmat.domain == GF:
-        return rank_mod_p(pmat, pmat.modulus).rank == size
-    return certified_rank(pmat, probe_prime=next_prime(restricted_socle)).rank == size
+        return rank_mod_p(pmat, pmat.modulus).rank == pmat.rows
+    return certified_rank(pmat).rank == pmat.rows
 
 
 def _recurse(spec: AlgebraSpec, form: LinearForm, i: int, stats) -> RankResult:
@@ -172,7 +167,7 @@ def _recurse(spec: AlgebraSpec, form: LinearForm, i: int, stats) -> RankResult:
     rform = form.restricted()
     pmat = build_matrix(rspec, rform, i, t - 1).matrix
     _note_stats(stats, pmat)
-    if not _pivot_nonsingular(pmat, rspec.socle_degree):
+    if not _pivot_nonsingular(pmat):
         return _dense_middle(spec, form, i, f"pivot block singular at {n} variables", stats)
     inner = _recurse(rspec, rform, i - 1, stats)
     return RankResult(comb(n - 1, i) + inner.rank, "block-recursive", None, None, inner.notes)

@@ -108,7 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_spec_flags(p)
     _add_form_flag(p)
     p.add_argument("--methods", default="dense,block", metavar="M1,M2")
-    p.add_argument("--seed", type=int, default=0)
     _add_output_flags(p)
 
     p = sub.add_parser("selftest", help="quick internal checks (exit 0 all pass)")

@@ -11,20 +11,27 @@ power a_j + 1), sends the socle monomial to prod(a_j!) times x_1...x_m, and
 is injective in every degree, which the per-degree matrix ranks certify.
 Strong Lefschetz for the source then transfers along the embedding: the sum
 of all source variables maps to the sum of all target variables.
+
+The degree-j matrix has a closed form.  A square-free target monomial v
+meeting block k in c_k variables occurs only in the image of y^c, and there
+with coefficient prod(c_k!), one for each ordering of v's variables inside
+every block; phi_matrix places these values through the source's
+mixed-radix code table and multiplies no polynomials.  Ranks go through
+exactmat.certified_rank and its one probe prime.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Mapping, Union
 
-from ._primes import next_prime
+import numpy as np
+
 from .exactmat import GF, ZZ, ExactMatrix, certified_rank, mat_mul
-from .lefschetz import LefschetzReport, LinearForm, build_matrix, slp_check
+from .lefschetz import LefschetzReport, LinearForm, _position_codes, _radix, build_matrix, slp_check
 from .monomials import Monomial
-from .quotient import AlgebraSpec, AlgebraElement, basis_positions, graded_basis, hilbert_vector, multiply
+from .quotient import AlgebraSpec, AlgebraElement, graded_basis, hilbert_vector, multiply
 
 
 @dataclass(frozen=True)
@@ -73,20 +80,9 @@ class EmbeddingSpec:
         return AlgebraSpec.quadratic(self.m, self.characteristic)
 
 
-@lru_cache(maxsize=None)
 def _block_sum(es: EmbeddingSpec, j: int) -> AlgebraElement:
     lo, hi = es.offsets[j], es.offsets[j + 1]
-    target = es.target_spec
-    return AlgebraElement(
-        target, {Monomial.variable(es.m, k): 1 for k in range(lo, hi)}
-    )
-
-
-@lru_cache(maxsize=None)
-def _block_power(es: EmbeddingSpec, j: int, e: int) -> AlgebraElement:
-    if e == 0:
-        return AlgebraElement.one(es.target_spec)
-    return multiply(_block_power(es, j, e - 1), _block_sum(es, j))
+    return AlgebraElement(es.target_spec, {Monomial.variable(es.m, k): 1 for k in range(lo, hi)})
 
 
 def phi_monomial(es: EmbeddingSpec, exponents: tuple[int, ...]) -> AlgebraElement:
@@ -96,7 +92,7 @@ def phi_monomial(es: EmbeddingSpec, exponents: tuple[int, ...]) -> AlgebraElemen
     out = AlgebraElement.one(es.target_spec)
     for j, e in enumerate(exponents):
         if e:
-            out = multiply(out, _block_power(es, j, e))
+            out = multiply(out, _block_sum(es, j).power(e))
             if out.is_zero:
                 break
     return out
@@ -118,19 +114,23 @@ def phi(es: EmbeddingSpec, f: Union[AlgebraElement, Mapping]) -> AlgebraElement:
 
 
 def phi_matrix(es: EmbeddingSpec, degree: int) -> ExactMatrix:
-    """Matrix of the degree-j piece: source basis columns, target basis rows."""
-    src = graded_basis(es.source_spec, degree)
-    pos = basis_positions(es.target_spec, degree)
-    nrows, ncols = len(pos), len(src)
-    rows = [[0] * ncols for _ in range(nrows)]
-    for col, u in enumerate(src):
-        img = phi_monomial(es, u.exponents)
-        for v, c in img.terms.items():
-            rows[pos[v]][col] = c
+    """Matrix of the degree-j piece: source basis columns, target basis rows.
+
+    Row v holds prod(c_k!) in the column of y^c, where c_k counts v's
+    variables in block k, and nothing else (module docstring).
+    """
+    source = es.source_spec.exponents
+    columns = _position_codes(source, degree)
+    target = graded_basis(es.target_spec, degree)
+    exps = np.array([v.exponents for v in target], dtype=np.int64).reshape(-1, es.m)
+    counts = np.add.reduceat(exps, es.offsets[:-1], axis=1)
+    radix = _radix(source)
+    cols = np.searchsorted(columns, counts.astype(radix.dtype) @ radix)
+    fact = np.array([factorial(k) for k in range(max(es.powers) + 1)], dtype=object)
+    out = np.zeros((len(target), len(columns)), dtype=object)
+    out[np.arange(len(target)), cols] = fact[counts].prod(axis=1)
     char = es.characteristic
-    if not rows:
-        return ExactMatrix.zeros(0, ncols, GF if char else ZZ, char or None)
-    return ExactMatrix.from_rows(rows, GF if char else ZZ, char or None)
+    return ExactMatrix.from_rows(out, GF if char else ZZ, char or None)
 
 
 @dataclass(frozen=True)
@@ -190,12 +190,11 @@ def verify_kernel_dims(es: EmbeddingSpec, up_to_degree: int | None = None) -> Ke
     """Certify injectivity degree by degree: rank == source dimension."""
     top = es.m if up_to_degree is None else up_to_degree
     hv = hilbert_vector(es.source_spec)
-    probe = next_prime(es.m)
     records = []
     for j in range(top + 1):
         dim_src = hv[j] if j <= es.m else 0
         mat = phi_matrix(es, j)
-        rr = certified_rank(mat, probe_prime=probe)
+        rr = certified_rank(mat)
         records.append(
             DegreeRankRecord(
                 degree=j,
@@ -247,13 +246,12 @@ def transfer_slp(es: EmbeddingSpec) -> TransferRecord:
     target = es.target_spec
     hv = hilbert_vector(source)
     direct = slp_check(source, LinearForm.ones(es.n), method="dense")
-    probe = next_prime(m)
     records = []
     for i in range((m + 1) // 2):
         t = m - 2 * i
         mid = build_matrix(target, LinearForm.ones(m), i, t).matrix
         composite = mat_mul(mid, phi_matrix(es, i))
-        rr = certified_rank(composite, probe_prime=probe)
+        rr = certified_rank(composite)
         records.append(
             EmbeddedMapCheck(
                 source_degree=i,

@@ -15,8 +15,16 @@ for p < 2^31 (products stay below 2^62) and on an object copy of Python ints
 for larger primes.
 
 A full rank mod one prime certifies full rank over Q (specialization can
-only lose rank), which is the cheap one-sided check behind certified_rank;
-rank deficits are always re-established by the exact integer elimination.
+only lose rank), which is the cheap one-sided check behind certified_rank.
+It always probes mod one fixed prime, PROBE_PRIME = 2^31 - 1: in an
+algebra whose socle degree is below that prime, x1+...+xn has the strong
+Lefschetz property mod it, and scaling each variable is an automorphism, so
+the probe certifies every map of an integer form whose coefficients are all
+nonzero mod it.  Rank deficits are always re-established by the exact
+integer elimination.
+
+Products and scalings multiply the stored arrays as object arrays of
+Python scalars and never build `entries`.
 """
 from __future__ import annotations
 
@@ -34,8 +42,8 @@ ZZ = "ZZ"
 QQ = "QQ"
 GF = "Fp"
 
-# default probe prime for certified_rank: large, numpy-safe (p^2 < 2^63)
-DEFAULT_PROBE_PRIME = 2**31 - 1
+# the one probe prime of certified_rank: numpy-safe (p^2 < 2^63)
+PROBE_PRIME = 2**31 - 1
 
 # integer entries strictly inside (-INT64_BOUND, INT64_BOUND) are stored as int64
 INT64_BOUND = 2**62
@@ -283,18 +291,11 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     _same_domain(a, b)
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    arows = a.to_rows()
-    bcols = b.array.T.tolist()
-    out = []
-    for ar in arows:
-        out.append([sum(x * y for x, y in zip(ar, bc)) for bc in bcols])
-    if not out:
-        return ExactMatrix.zeros(a.rows, b.cols, a.domain, a.modulus)
-    return ExactMatrix.from_rows(out, a.domain, a.modulus)
+    return ExactMatrix.from_rows(a.array.astype(object) @ b.array.astype(object), a.domain, a.modulus)
 
 
 def scale(a: ExactMatrix, c: Scalar) -> ExactMatrix:
-    return ExactMatrix(a.rows, a.cols, tuple(e * c for e in a.entries), a.domain, a.modulus)
+    return ExactMatrix.from_rows(a.array.astype(object) * c, a.domain, a.modulus)
 
 
 def block_assemble(tl: ExactMatrix, tr: ExactMatrix, bl: ExactMatrix, br: ExactMatrix) -> ExactMatrix:
@@ -430,15 +431,15 @@ def rank_mod_p(m: ExactMatrix, p: int) -> RankResult:
     return RankResult(rank_, "modular", pivots)
 
 
-def _row_integerized(m: ExactMatrix) -> ExactMatrix:
-    """Scale each row to integers (rank-preserving, not determinant-preserving)."""
+def _row_integerized(m: ExactMatrix) -> tuple[ExactMatrix, int]:
+    """Scale each row to integers; returns the matrix and the product of the multipliers."""
     rows = []
+    denom = 1
     for row in m.to_rows():
         mult = lcm(*(e.denominator for e in row)) if row else 1
+        denom *= mult
         rows.append([int(e * mult) for e in row])
-    if not rows:
-        return ExactMatrix.zeros(m.rows, m.cols, ZZ)
-    return ExactMatrix.from_rows(rows, ZZ)
+    return ExactMatrix.from_rows(np.array(rows, dtype=object).reshape(m.array.shape), ZZ), denom
 
 
 def rank(m: ExactMatrix) -> RankResult:
@@ -446,24 +447,24 @@ def rank(m: ExactMatrix) -> RankResult:
     if m.domain == GF:
         return rank_mod_p(m, m.modulus)
     if m.domain == QQ:
-        return rank_fraction_free(_row_integerized(m))
+        return rank_fraction_free(_row_integerized(m)[0])
     return rank_fraction_free(m)
 
 
-def certified_rank(m: ExactMatrix, probe_prime: int = DEFAULT_PROBE_PRIME) -> RankResult:
+def certified_rank(m: ExactMatrix) -> RankResult:
     """Exact rank with a cheap modular certificate for the full-rank case.
 
-    A single elimination mod probe_prime either certifies maximal rank or the
+    A single elimination mod PROBE_PRIME either certifies maximal rank or the
     run falls through to the exact integer elimination; the result is exact
     either way, only the cost is asymmetric.
     """
     if m.domain == GF:
         return rank_mod_p(m, m.modulus)
-    mm = _row_integerized(m) if m.domain == QQ else m
+    mm = _row_integerized(m)[0] if m.domain == QQ else m
     want = min(mm.rows, mm.cols)
     if want == 0:
         return RankResult(0, "modular", ())
-    rr = rank_mod_p(mm, probe_prime)
+    rr = rank_mod_p(mm, PROBE_PRIME)
     if rr.rank == want:
         return rr
     return rank_fraction_free(mm)
@@ -479,16 +480,8 @@ def determinant(m: ExactMatrix) -> Scalar:
         rank_, _piv, det = _echelon_mod_p(m, m.modulus)
         return det if rank_ == m.rows else 0
     if m.domain == QQ:
-        denom = 1
-        rows = []
-        for row in m.to_rows():
-            mult = lcm(*(e.denominator for e in row))
-            denom *= mult
-            rows.append([int(e * mult) for e in row])
-        rank_, _piv, sign, last = _fraction_free_echelon(rows)
-        if rank_ < m.rows:
-            return Fraction(0)
-        return Fraction(sign * last, denom)
+        mm, denom = _row_integerized(m)
+        return Fraction(determinant(mm), denom)
     rank_, _piv, sign, last = _fraction_free_echelon(m.to_rows())
     if rank_ < m.rows:
         return 0

@@ -20,10 +20,11 @@ is l^t after l^(i+j-m), so a bijective l^(2j-m) makes l^t surjective.
 slp_check therefore checks the middle maps by default; mode "full" runs
 every power and serves as the oracle in tests.
 
-Rank checks over Q try one prime above the socle degree first (full modular
-rank certifies full rational rank) and only fall back to exact fraction-free
-elimination when the certificate fails, so the expensive path runs exactly
-when something genuinely degenerates.
+Rank checks over Q go through exactmat.certified_rank, which probes mod
+the one fixed prime exactmat.PROBE_PRIME (full modular rank certifies full
+rational rank) and falls back to exact fraction-free elimination only when
+the certificate fails, so the expensive path runs exactly when something
+genuinely degenerates.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._primes import is_prime, next_prime
+from ._primes import is_prime
 from .exactmat import (
     GF,
     INT64_BOUND,
@@ -111,6 +112,12 @@ def _refuse_oversized(spec: AlgebraSpec, i: int, t: int) -> None:
         )
 
 
+def _radix(exponents: tuple[int, ...]) -> np.ndarray:
+    """Place values prod_{j<k} d_j of the codes; int64 unless prod(d) > 2^62."""
+    dtype = np.int64 if prod(exponents) <= INT64_BOUND else object
+    return np.array([prod(exponents[:k]) for k in range(len(exponents))], dtype=dtype)
+
+
 @lru_cache(maxsize=16)
 def _position_codes(exponents: tuple[int, ...], degree: int) -> np.ndarray:
     """Mixed-radix codes of graded_basis(degree) for these killed powers.
@@ -121,9 +128,8 @@ def _position_codes(exponents: tuple[int, ...], degree: int) -> np.ndarray:
     not depend on the characteristic.
     """
     basis = graded_basis(AlgebraSpec(len(exponents), exponents), degree)
-    dtype = np.int64 if prod(exponents) <= INT64_BOUND else object
-    radix = np.array([prod(exponents[:k]) for k in range(len(exponents))], dtype=dtype)
-    return np.array([m.exponents for m in basis], dtype=dtype) @ radix
+    radix = _radix(exponents)
+    return np.array([m.exponents for m in basis], dtype=radix.dtype).reshape(-1, len(exponents)) @ radix
 
 
 def build_matrix(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> MultiplicationMatrix:
@@ -195,7 +201,7 @@ def max_rank_check(mm: MultiplicationMatrix) -> tuple[bool, RankResult]:
     if mat.domain == GF:
         rr = rank_mod_p(mat, mat.modulus)
     else:
-        rr = certified_rank(mat, probe_prime=next_prime(mm.spec.socle_degree))
+        rr = certified_rank(mat)
     return rr.rank == want, rr
 
 

@@ -195,15 +195,18 @@ class AlgebraElement:
         return multiply(self, other)
 
     def power(self, k: int) -> "AlgebraElement":
+        """self^k, multiplying by self one factor at a time.
+
+        The partial powers of a sparse base such as a linear form stay
+        small, where repeated squaring would multiply two dense halves.
+        """
         if k < 0:
             raise ValueError("negative powers are undefined here")
         result = AlgebraElement.one(self.spec)
-        base = self
-        while k:
-            if k & 1:
-                result = multiply(result, base)
-            base = multiply(base, base) if k > 1 else base
-            k >>= 1
+        for _ in range(k):
+            if result.is_zero:
+                break
+            result = multiply(result, self)
         return result
 
     def __str__(self) -> str:

@@ -174,6 +174,38 @@ def reference_matrix(bounds, coeffs, i, t, char=0):
     return rows
 
 
+def reference_phi_matrix(powers, degree, char=0):
+    """Rows of the block-sum substitution y_j -> (sum of block j) in one degree.
+
+    Each source monomial y^e is expanded by enumerating every way to pick,
+    for each j, an ordered e_j-tuple of variables from block j; a pick that
+    uses a variable twice dies in the square-free target.  Columns follow
+    the source listing (killed powers a_j + 1), rows the square-free listing
+    on sum(a_j) variables, both sorted by the reversed exponent tuple.
+    """
+    m = sum(powers)
+    blocks, start = [], 0
+    for a in powers:
+        blocks.append(range(start, start + a))
+        start += a
+    source = sorted(_increments(tuple(powers), degree), key=lambda e: e[::-1])
+    target = sorted(_increments((1,) * m, degree), key=lambda e: e[::-1])
+    target_pos = {e: r for r, e in enumerate(target)}
+    rows = [[0] * len(source) for _ in target]
+    for col, e in enumerate(source):
+        per_block = [list(product(block, repeat=ej)) for block, ej in zip(blocks, e)]
+        for pick in product(*per_block):
+            exps = [0] * m
+            for chosen in pick:
+                for k in chosen:
+                    exps[k] += 1
+            if max(exps, default=0) < 2:
+                rows[target_pos[tuple(exps)]][col] += 1
+    if char:
+        rows = [[x % char for x in row] for row in rows]
+    return rows
+
+
 def reference_echelon_mod_p(rows, p):
     """(rank, pivots, det) of rows already reduced mod p, on Python-int lists.
 

@@ -198,6 +198,13 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_bench_has_no_seed_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--quadratic", "3", "--seed", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_oversized_algebra_exits_two_before_listing_a_basis(capsys, monkeypatch):
     import slpkit.lefschetz
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import oracles
 from slpkit.embedding import (
     EmbeddingSpec,
     phi,
@@ -14,6 +15,7 @@ from slpkit.embedding import (
     verify_kernel_dims,
     verify_socle_image,
 )
+from slpkit.lefschetz import _position_codes
 from slpkit.monomials import Monomial
 from slpkit.quotient import AlgebraElement, AlgebraSpec, graded_basis, hilbert_vector, multiply
 
@@ -132,6 +134,20 @@ def test_degree_one_matrix_golden():
     es = EmbeddingSpec.from_powers((2, 1))
     mat = phi_matrix(es, 1)
     assert mat.to_rows() == [[1, 0], [1, 0], [0, 1]]
+
+
+def test_phi_matrix_matches_brute_force_expansion():
+    for m in range(1, 7):
+        for powers in compositions(m):
+            for char in (0, 2, 3, 5, 7):
+                es = EmbeddingSpec.from_powers(powers, char)
+                for degree in range(m + 1):
+                    got = phi_matrix(es, degree)
+                    assert got.to_rows() == oracles.reference_phi_matrix(powers, degree, char), (es, degree)
+    # 2^70 monomials: the code tables hold Python ints
+    powers = (1,) * 70
+    assert _position_codes(tuple(a + 1 for a in powers), 1).dtype == object
+    assert phi_matrix(EmbeddingSpec.from_powers(powers), 1).to_rows() == oracles.reference_phi_matrix(powers, 1)
 
 
 def test_kernel_dims_certify_injectivity():

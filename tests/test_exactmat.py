@@ -12,6 +12,7 @@ from slpkit._primes import next_prime
 from slpkit.exactmat import (
     GF,
     QQ,
+    PROBE_PRIME,
     ZZ,
     ExactMatrix,
     block_assemble,
@@ -183,8 +184,10 @@ def test_certified_rank_methods():
     assert rr.method == "fraction-free"
     assert rr.rank == 1
     # a probe prime that lies about the rank still gets corrected
-    tricky = ExactMatrix.from_rows([[101, 0], [0, 101]])
-    assert certified_rank(tricky, probe_prime=101).rank == 2
+    tricky = ExactMatrix.from_rows([[PROBE_PRIME, 0], [0, PROBE_PRIME]])
+    rr = certified_rank(tricky)
+    assert rr.method == "fraction-free"
+    assert rr.rank == 2
 
 
 def test_rational_matrices():
@@ -231,14 +234,40 @@ def test_identity_and_scale():
 
 
 def test_mat_mul_matches_triple_loop():
+    """Products and scalings against Python loops, with the storage rule."""
     rng = random.Random(1009)
-    for _ in range(30):
-        n, k, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
-        a = random_matrix(rng, n, k)
-        b = random_matrix(rng, k, m)
-        want = [[sum(a[r][j] * b[j][c] for j in range(k)) for c in range(m)] for r in range(n)]
-        got = mat_mul(ExactMatrix.from_rows(a), ExactMatrix.from_rows(b))
-        assert got.to_rows() == want
+    domains = ((ZZ, None), (QQ, None), (GF, 7), (GF, next_prime(2**62)))
+    for trial in range(160):
+        domain, modulus = domains[trial % 4]
+        n, k, m = rng.randint(0, 4), rng.randint(0, 4) if trial % 5 else 0, rng.randint(0, 4)
+        # a third of the trials have entries of 2^62 and above
+        bound = 2**64 if trial % 3 == 0 else 9
+        a = random_matrix(rng, n, k, -bound, bound)
+        b = random_matrix(rng, k, m, -bound, bound)
+        if domain == QQ:
+            a = [[Fraction(x, rng.randint(1, 5)) for x in row] for row in a]
+        c = rng.choice((0, 3, -(2**63), Fraction(1, 3) if domain == QQ else 5))
+        want = [[sum((a[r][j] * b[j][col] for j in range(k)), 0) for col in range(m)] for r in range(n)]
+        scaled = [[x * c for x in row] for row in a]
+        if modulus:
+            want = [[x % modulus for x in row] for row in want]
+            scaled = [[x % modulus for x in row] for row in scaled]
+
+        def make(rows, ncols):
+            return ExactMatrix.from_rows(np.array(rows, dtype=object).reshape(len(rows), ncols), domain, modulus)
+
+        ma, mb = make(a, k), make(b, m)
+        for got, expect, ncols in ((mat_mul(ma, mb), want, m), (scale(ma, c), scaled, k)):
+            assert (got.rows, got.cols, got.domain, got.modulus) == (n, ncols, domain, modulus)
+            assert got.to_rows() == expect
+            assert got == make(expect, ncols)
+            if domain == QQ:
+                assert got.array.dtype == object
+                assert all(type(x) is Fraction for x in got.entries)
+            else:
+                small = all(-(2**62) < x < 2**62 for row in expect for x in row)
+                assert got.array.dtype == (np.int64 if small else object)
+                assert all(type(x) is int for x in got.entries)
 
 
 def test_block_assemble():

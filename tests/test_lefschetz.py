@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import numpy as np
 import oracles
+import slpkit.exactmat
 from slpkit._primes import next_prime
 from slpkit.exactmat import ExactMatrix, GF, QQ, ZZ, mat_mul, rank_mod_p
 from slpkit.lefschetz import (
@@ -365,6 +366,21 @@ def test_max_rank_check_methods():
     gf = build_matrix(AlgebraSpec.quadratic(3, 2), LinearForm.ones(3), 1, 1)
     ok, rr = max_rank_check(gf)
     assert not ok and rr.method == "modular"
+
+
+def test_coefficient_seven_on_quadratic_six_is_certified_modularly():
+    # a probe prime chosen as next_prime(socle degree) = 7 would see this form lose a variable
+    report = slp_check(AlgebraSpec.quadratic(6), LinearForm((7, 1, 1, 1, 1, 1)), method="dense")
+    assert report.slp and len(report.maps) == 3
+    assert [c.method for c in report.maps] == ["modular"] * 3
+
+
+def test_block_recursion_with_coefficient_n_plus_one_needs_no_exact_elimination(monkeypatch):
+    def no_exact_elimination(m):
+        pytest.fail("a form with nonzero coefficients reached fraction-free elimination")
+
+    monkeypatch.setattr(slpkit.exactmat, "rank_fraction_free", no_exact_elimination)
+    assert slp_check(AlgebraSpec.quadratic(10), LinearForm((11,) + (1,) * 9)).slp
 
 
 def test_linear_form_helpers():
