@@ -9,10 +9,18 @@ built only when an exact path asks for Python scalars.
 Rank over the integers uses fraction-free (one-step division) elimination, in
 which every intermediate entry is a minor of the input, so the arithmetic
 stays in ZZ and the final pivot of a full elimination is the determinant up
-to the row-swap sign.  Rank and determinant over F_p come from one row
-reduction of the stored array, run by the same numpy steps on an int64 copy
-for p < 2^31 (products stay below 2^62) and on an object copy of Python ints
-for larger primes.
+to the row-swap sign.  The elimination is lazily scaled: a step with pivot
+piv after running pivot prev turns a row with a zero in the pivot column
+into piv/prev times itself, and these factors telescope, so such a row is
+left as stored.  Each row carries a stamp, the running pivot when it was
+last rewritten, and an offset, the column where its stored tail starts; it
+is exact up to the factor prev/stamp and is rescaled only when it meets a
+nonzero pivot-column entry or becomes the pivot row.  Both divisions this
+takes are exact, because the up-to-date entries are minors of the input.
+
+Rank and determinant over F_p come from one row reduction of the stored
+array, run by the same numpy steps on an int64 copy for p < 2^31 (products
+stay below 2^62) and on an object copy of Python ints for larger primes.
 
 A full rank mod one prime certifies full rank over Q (specialization can
 only lose rank), which is the cheap one-sided check behind certified_rank.
@@ -270,8 +278,10 @@ class RankResult:
 
 def peak_bits(m: ExactMatrix) -> int:
     """Largest bit size of an entry (numerator or denominator for fractions)."""
+    if m.array.dtype != object:
+        return int(np.abs(m.array).max(initial=0)).bit_length()
     best = 0
-    for e in m.entries:
+    for e in m.array.flat:
         if isinstance(e, int):
             b = abs(e).bit_length()
         else:
@@ -311,15 +321,28 @@ def block_assemble(tl: ExactMatrix, tr: ExactMatrix, bl: ExactMatrix, br: ExactM
 
 
 def _fraction_free_echelon(tails: list[list[int]]) -> tuple[int, tuple, int, int]:
-    """One-step fraction-free elimination; consumes its input rows.
+    """One-step fraction-free elimination, lazily scaled; consumes its input rows.
 
     Returns (rank, pivots, sign, last_pivot).  Pivot rows are reported with
     their original indices; first non-zero entry in column order is the pivot
     rule, so the run is deterministic.
+
+    Row i is stored as tails[i], whose first entry sits in column offs[i],
+    and is exact up to the factor prev / stamps[i]: stamps[i] is the running
+    pivot when the row was last rewritten and prev the running pivot now.
+    A step with pivot piv rewrites a row a with entry f in the pivot column
+    as (piv * a - f * b) // prev; with f = 0 that is a * piv / prev, and
+    these factors telescope, so a row that only meets zeros is never
+    touched.  A touched row becomes (piv * a - f * b) // stamps[i] in its
+    stored entries, and the pivot row is brought up to a * prev // stamps[i]
+    before use; both divisions are exact, as every up-to-date entry is a
+    minor of the input.
     """
     nrows = len(tails)
     ncols = len(tails[0]) if nrows else 0
     ids = list(range(nrows))
+    offs = [0] * nrows
+    stamps = [1] * nrows
     pivots: list[tuple[int, int]] = []
     prev = 1
     sign = 1
@@ -329,31 +352,36 @@ def _fraction_free_echelon(tails: list[list[int]]) -> tuple[int, tuple, int, int
             break
         pr = -1
         for i in range(r, nrows):
-            if tails[i][0]:
+            if tails[i][col - offs[i]]:
                 pr = i
                 break
         if pr < 0:
-            for i in range(r, nrows):
-                del tails[i][0]
             continue
         if pr != r:
             tails[r], tails[pr] = tails[pr], tails[r]
+            offs[r], offs[pr] = offs[pr], offs[r]
+            stamps[r], stamps[pr] = stamps[pr], stamps[r]
             ids[r], ids[pr] = ids[pr], ids[r]
             sign = -sign
         piv_row = tails[r]
-        piv = piv_row[0]
+        k = col - offs[r]
+        if stamps[r] != prev:
+            s = stamps[r]
+            piv_row = [a * prev // s for a in islice(piv_row, k, None)]
+            k = 0
+        piv = piv_row[k]
         for i in range(r + 1, nrows):
             ti = tails[i]
-            f = ti[0]
+            j = col - offs[i]
+            f = ti[j]
             if f:
+                s = stamps[i]
                 tails[i] = [
-                    (piv * a - f * b) // prev
-                    for a, b in zip(islice(ti, 1, None), islice(piv_row, 1, None))
+                    (piv * a - f * b) // s
+                    for a, b in zip(islice(ti, j + 1, None), islice(piv_row, k + 1, None))
                 ]
-            elif piv == 1 and prev == 1:
-                del ti[0]
-            else:
-                tails[i] = [(piv * a) // prev for a in islice(ti, 1, None)]
+                offs[i] = col + 1
+                stamps[i] = piv
         pivots.append((ids[r], col))
         prev = piv
         r += 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator, Mapping, Optional, Union
 
 from ._primes import is_prime
@@ -90,15 +91,22 @@ class AlgebraSpec:
 
 
 def _bounded_exponents(bounds: tuple[int, ...], t: int) -> Iterator[tuple[int, ...]]:
-    # last exponent ascending outermost: yields decreasing revlex order
-    if len(bounds) == 1:
-        if 0 <= t < bounds[0]:
+    # last exponent ascending outermost: yields decreasing revlex order;
+    # room[k] = sum(d - 1) over the first k variables, the most they can hold,
+    # so an exponent leaving more than that for the others is skipped
+    room = list(accumulate((d - 1 for d in bounds), initial=0))
+
+    def first(k: int, t: int) -> Iterator[tuple[int, ...]]:
+        # exponents of the first k variables with total t, 0 <= t <= room[k]
+        if k == 1:
             yield (t,)
-        return
-    head = bounds[:-1]
-    for e in range(min(bounds[-1] - 1, t) + 1):
-        for rest in _bounded_exponents(head, t - e):
-            yield rest + (e,)
+            return
+        for e in range(max(0, t - room[k - 1]), min(bounds[k - 1] - 1, t) + 1):
+            for rest in first(k - 1, t - e):
+                yield rest + (e,)
+
+    if 0 <= t <= room[-1]:
+        yield from first(len(bounds), t)
 
 
 @lru_cache(maxsize=None)

@@ -5,8 +5,8 @@ force enumerations, dict-based polynomial products.  Anything clever lives
 in the package; nothing clever is allowed in here.
 """
 from fractions import Fraction
-from itertools import product
-from math import factorial
+from itertools import islice, product
+from math import comb, factorial
 
 
 def gauss_rank(rows):
@@ -241,3 +241,68 @@ def reference_echelon_mod_p(rows, p):
         pivots.append((ids[r], c))
         r += 1
     return r, tuple(pivots), det
+
+
+def reference_fraction_free_echelon(tails):
+    """One-step fraction-free elimination; consumes its input rows.
+
+    Returns (rank, pivots, sign, last_pivot).  Pivot rows are reported with
+    their original indices; first non-zero entry in column order is the pivot
+    rule, so the run is deterministic.  Every row below the pivot is
+    rewritten at every step, including those with a zero in the pivot column.
+    """
+    nrows = len(tails)
+    ncols = len(tails[0]) if nrows else 0
+    ids = list(range(nrows))
+    pivots = []
+    prev = 1
+    sign = 1
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        pr = -1
+        for i in range(r, nrows):
+            if tails[i][0]:
+                pr = i
+                break
+        if pr < 0:
+            for i in range(r, nrows):
+                del tails[i][0]
+            continue
+        if pr != r:
+            tails[r], tails[pr] = tails[pr], tails[r]
+            ids[r], ids[pr] = ids[pr], ids[r]
+            sign = -sign
+        piv_row = tails[r]
+        piv = piv_row[0]
+        for i in range(r + 1, nrows):
+            ti = tails[i]
+            f = ti[0]
+            if f:
+                tails[i] = [
+                    (piv * a - f * b) // prev
+                    for a, b in zip(islice(ti, 1, None), islice(piv_row, 1, None))
+                ]
+            elif piv == 1 and prev == 1:
+                del ti[0]
+            else:
+                tails[i] = [(piv * a) // prev for a in islice(ti, 1, None)]
+        pivots.append((ids[r], col))
+        prev = piv
+        r += 1
+    return r, tuple(pivots), sign, prev
+
+
+def tensor_deficit_rank(n, k, i, t):
+    """Rank of multiplication by L^t from degree i on k[x1..xn]/(x_j^2) over Q,
+    where L has k zero and n-k nonzero coefficients.
+
+    The algebra is A (the n-k variables of L) tensor B (the k others), and L
+    acts on A alone.  Degree i of the tensor is the sum over j of
+    A_{i-j} (x) B_j, with dim B_j = C(k, j); by the strong Lefschetz property
+    of A in characteristic 0, L^t: A_{i-j} -> A_{i-j+t} has maximal rank
+    min(C(n-k, i-j), C(n-k, i-j+t)).
+    """
+    a = n - k
+    return sum(comb(k, j) * min(comb(a, i - j), comb(a, i - j + t)) for j in range(min(k, i) + 1))

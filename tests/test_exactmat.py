@@ -1,5 +1,6 @@
 """Exact matrices: rank, determinant, modular reduction, serialization."""
 from fractions import Fraction
+from itertools import combinations
 import pickle
 import random
 
@@ -21,10 +22,14 @@ from slpkit.exactmat import (
     mat_mul,
     rank,
     rank_fraction_free,
+    peak_bits,
     rank_mod_p,
     scale,
     _echelon_mod_p_numpy,
+    _fraction_free_echelon,
 )
+from slpkit.lefschetz import LinearForm, build_matrix, middle_pairs
+from slpkit.quotient import AlgebraSpec
 
 # the 4x4 multiplication matrix used as a golden fixture across the suite
 GOLDEN = [[2, 2, 2, 0], [2, 2, 0, 2], [2, 0, 2, 2], [0, 2, 2, 2]]
@@ -412,3 +417,144 @@ def test_large_entries_keep_exact_ranks():
 def test_rank_property_against_oracle(rows):
     m = ExactMatrix.from_rows(rows)
     assert rank_fraction_free(m).rank == oracles.gauss_rank(rows)
+
+
+
+# entries for the elimination properties: mostly small, some of 2^64 and above
+_SMALL = st.integers(min_value=-9, max_value=9)
+_HUGE = st.integers(min_value=2**64, max_value=2**80) | st.integers(min_value=-(2**80), max_value=-(2**64))
+_ENTRY = st.one_of(_SMALL, _SMALL, _SMALL, _HUGE)
+
+
+def _shape(draw, square, least=1):
+    nrows = draw(st.integers(least, 8))
+    return nrows, nrows if square else draw(st.integers(least, 8))
+
+
+@st.composite
+def _plain_rows(draw, square=False):
+    """Any shape up to 8x8, wide or tall, with some rows and columns zeroed."""
+    nrows, ncols = _shape(draw, square)
+    rows = [[draw(_ENTRY) for _ in range(ncols)] for _ in range(nrows)]
+    for r in draw(st.sets(st.integers(0, nrows - 1), max_size=nrows)):
+        rows[r] = [0] * ncols
+    for c in draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)):
+        for row in rows:
+            row[c] = 0
+    return rows
+
+
+@st.composite
+def _deficient_product(draw, square=False):
+    """A product through k < min(nrows, ncols) dimensions."""
+    nrows, ncols = _shape(draw, square, least=2)
+    k = draw(st.integers(0, min(nrows, ncols) - 1))
+    left = [[draw(_ENTRY) for _ in range(k)] for _ in range(nrows)]
+    right = [[draw(_ENTRY) for _ in range(ncols)] for _ in range(k)]
+    return [[sum((left[r][j] * right[j][c] for j in range(k)), 0) for c in range(ncols)] for r in range(nrows)]
+
+
+@st.composite
+def _permuted_blocks(draw, square=False):
+    """Row- and column-permuted block diagonal: where rows meet the most zeros."""
+    sizes = st.integers(1, 3)
+    shapes = draw(st.lists(sizes.map(lambda h: (h, h)) if square else st.tuples(sizes, sizes), min_size=1, max_size=4))
+    nrows, ncols = sum(h for h, _w in shapes), sum(w for _h, w in shapes)
+    rows = [[0] * ncols for _ in range(nrows)]
+    r0 = c0 = 0
+    for h, w in shapes:
+        for r in range(r0, r0 + h):
+            for c in range(c0, c0 + w):
+                rows[r][c] = draw(_ENTRY)
+        r0, c0 = r0 + h, c0 + w
+    rperm = draw(st.permutations(range(nrows)))
+    cperm = draw(st.permutations(range(ncols)))
+    return [[rows[r][c] for c in cperm] for r in rperm]
+
+
+def _echelon_inputs(square=False):
+    return st.one_of(_plain_rows(square), _deficient_product(square), _permuted_blocks(square))
+
+
+def _both_echelons(rows):
+    got = _fraction_free_echelon([list(row) for row in rows])
+    want = oracles.reference_fraction_free_echelon([list(row) for row in rows])
+    return got, want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_echelon_inputs())
+def test_lazy_echelon_matches_reference(rows):
+    got, want = _both_echelons(rows)
+    assert got == want
+    assert got[0] == oracles.gauss_rank(rows)
+
+
+def test_lazy_echelon_on_permuted_blocks_with_huge_entries():
+    # blocks [[2, 1], [4, 5], [6, 6]], [[3, 1], [6, 7]] and [[5]]: rank 5, and
+    # rows skip the pivot columns of the other blocks before they are touched
+    rng = random.Random(1010)
+    blocks = [[2, 0, 0, 1, 0], [0, 3, 0, 0, 1], [4, 0, 0, 5, 0], [0, 0, 5, 0, 0], [0, 6, 0, 0, 7], [6, 0, 0, 6, 0]]
+    for _ in range(20):
+        rperm, cperm = rng.sample(range(6), 6), rng.sample(range(5), 5)
+        rows = [[blocks[r][c] * (2**65 + 1) for c in cperm] for r in rperm]
+        got, want = _both_echelons(rows)
+        assert got == want and got[0] == 5
+
+
+@pytest.mark.parametrize("nzero", [1, 2])
+def test_lazy_echelon_on_quadratic_8_middle_maps(nzero):
+    rng = random.Random(1011 + nzero)
+    spec = AlgebraSpec.quadratic(8)
+    for zeros in combinations(range(8), nzero):
+        coeffs = [0 if k in zeros else rng.choice((1, 2, 3)) * rng.choice((-1, 1)) for k in range(8)]
+        for i, t in middle_pairs(spec.socle_degree):
+            rows = build_matrix(spec, LinearForm(coeffs), i, t).matrix.to_rows()
+            got, want = _both_echelons(rows)
+            assert got == want
+            assert got[0] == oracles.tensor_deficit_rank(8, nzero, i, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_echelon_inputs(square=True), st.lists(st.integers(1, 7), min_size=12, max_size=12))
+def test_determinants_match_gauss_det(rows, denominators):
+    want = oracles.gauss_det(rows)
+    assert determinant(ExactMatrix.from_rows(rows)) == want
+    rational = [[Fraction(e, d) for e in row] for row, d in zip(rows, denominators)]
+    assert determinant(ExactMatrix.from_rows(rational, QQ)) == oracles.gauss_det(rational)
+
+
+def _peak_bits_by_entries(m):
+    best = 0
+    for e in m.entries:
+        if isinstance(e, int):
+            b = abs(e).bit_length()
+        else:
+            b = max(abs(e.numerator).bit_length(), e.denominator.bit_length())
+        best = max(best, b)
+    return best
+
+
+def test_peak_bits_matches_entry_loop():
+    rng = random.Random(1012)
+    for trial in range(80):
+        nrows, ncols = rng.randint(0, 5), rng.randint(0, 5)
+        bound = (9, 1000, 2**62 - 1, 2**70)[trial % 4]
+        rows = random_matrix(rng, nrows, ncols, -bound, bound)
+        fractions = [[Fraction(e, rng.randint(1, 2**40)) for e in row] for row in rows]
+        for data, domain, modulus in (
+            (rows, ZZ, None),
+            (rows, GF, 7),
+            (rows, GF, next_prime(2**64)),
+            (fractions, QQ, None),
+        ):
+            arr = np.array(data, dtype=object).reshape(nrows, ncols)
+            m = ExactMatrix.from_rows(arr, domain, modulus)
+            assert peak_bits(m) == _peak_bits_by_entries(ExactMatrix.from_rows(arr, domain, modulus))
+            assert m._entries is None  # no entries tuple was built
+    # both storages: int64 below 2^62, object arrays from 2^62
+    assert ExactMatrix.from_rows([[-(2**62) + 1, 3]]).array.dtype == np.int64
+    assert peak_bits(ExactMatrix.from_rows([[-(2**62) + 1, 3]])) == 62
+    assert ExactMatrix.from_rows([[2**62]]).array.dtype == object
+    assert peak_bits(ExactMatrix.from_rows([[2**62]])) == 63
+    assert peak_bits(ExactMatrix.from_rows([[Fraction(3, 1024)]], QQ)) == 11

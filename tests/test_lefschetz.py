@@ -436,3 +436,17 @@ def test_check_map_picks_block_only_for_middle_maps():
 def test_char_probe_is_plain_data():
     probe = CharProbe(5, True, ())
     assert probe.prime == 5 and probe.slp and probe.failing == ()
+
+
+@pytest.mark.parametrize("nzero", [1, 2, 3])
+def test_deficit_ranks_match_the_tensor_product_oracle(nzero):
+    # k zero coefficients split the algebra as A (x) B with L acting on A alone
+    rng = random.Random(3000 + nzero)
+    for n in range(nzero + 1, 11):
+        zeros = set(rng.sample(range(n), nzero))
+        coeffs = [0 if k in zeros else rng.choice((1, 2, 3)) * rng.choice((-1, 1)) for k in range(n)]
+        spec = AlgebraSpec.quadratic(n)
+        for i, t in middle_pairs(spec.socle_degree):
+            c = check_map(spec, LinearForm(coeffs), i, t)
+            assert c.rank == oracles.tensor_deficit_rank(n, nzero, i, t)
+            assert not c.maximal

@@ -40,6 +40,26 @@ def test_basis_matches_brute_force(bounds):
         assert got == oracles.brute_standard_monomials(bounds, t)
 
 
+def test_pruned_listing_matches_brute_force_on_random_boxes():
+    # killed powers of 1 pin an exponent to 0; one-variable boxes are included
+    rng = random.Random(2024)
+    for _ in range(120):
+        bounds = tuple(rng.choice((1, 1, 2, 3, 4)) for _ in range(rng.randint(1, 5)))
+        spec = AlgebraSpec(len(bounds), bounds)
+        for t in range(-1, spec.socle_degree + 2):
+            got = [m.exponents for m in graded_basis(spec, t)]
+            assert got == oracles.brute_standard_monomials(bounds, t)
+
+
+def test_top_degrees_of_a_large_box_are_listed_without_a_full_walk():
+    # unpruned, either degree walks about 2^40 prefixes
+    spec = AlgebraSpec.quadratic(40)
+    assert graded_basis(spec, 40) == (Monomial((1,) * 40),)
+    below = graded_basis(spec, 39)
+    assert len(below) == 40
+    assert [m.exponents.index(0) for m in below] == list(range(39, -1, -1))
+
+
 def test_basis_positions_are_consistent():
     spec = AlgebraSpec(3, (3, 2, 4))
     for t in range(spec.socle_degree + 1):
