@@ -57,8 +57,9 @@ for n in (8, 9, 10):
     )
 
 ###############################################################################
-# When the structured path's preconditions fail, the computation silently
-# falls back to dense elimination and says why in the notes.
+# When the structured path's preconditions fail (here a zero coefficient),
+# the rank comes from the same dense map check that certifies every pivot
+# block, and the notes say why the recursion was not used.
 
 rr = recursive_middle_rank(AlgebraSpec.quadratic(4), LinearForm((1, 1, 1, 0)), 1)
 print(f"rank {rr.rank}, notes: {rr.notes}")

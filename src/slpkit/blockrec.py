@@ -10,30 +10,29 @@ restricted (n-1)-variable data:
 For the square middle maps (t = n - 2i) the top-left factor splits through a
 square block P = M_bar(i, t-1); when P is nonsingular the whole rank reduces
 to size(P) plus the rank of the restricted middle map one degree down, which
-recurses on n-1 variables.  Every pivot block is certified nonsingular (one
-elimination mod exactmat.PROBE_PRIME, exact integer elimination as arbiter)
-before the reduction is applied; on failure the computation falls back to
-dense elimination of the directly built matrix and records the anomaly.
+recurses on n-1 variables.  P is itself the middle map (i, n-1-2i) of the
+first n-1 variables, so every pivot block, like the base case (0, n), is
+checked by the dense route of lefschetz.check_map before the reduction is
+applied.  When a pivot block is singular, or the characteristic is at most n,
+or a coefficient is zero, the whole map goes to that dense check instead, and
+the reason is added to its notes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb
 
 from .exactmat import (
-    GF,
     ExactMatrix,
     RankResult,
     block_assemble,
     certified_rank,
     determinant,
     mat_mul,
-    peak_bits,
-    rank,
-    rank_mod_p,
+    rank_mod_p,  # unused; perfbench/tests/test_tracing.py expects this binding
     scale,
 )
-from .lefschetz import LinearForm, build_matrix, max_rank_check
+from .lefschetz import LinearForm, build_matrix, check_map
 from .quotient import AlgebraSpec
 
 
@@ -119,7 +118,7 @@ def block_pivot_rank(
     if determinant(pivot) == 0:
         raise ValueError("pivot block is singular")
     apb = mat_mul(mat_mul(a, pivot), b)
-    inner = rank(apb)
+    inner = certified_rank(apb)
     result = RankResult(pivot.rows + inner.rank, "block-recursive")
     if check:
         assembled = block_assemble(
@@ -128,47 +127,27 @@ def block_pivot_rank(
             pivot,
             mat_mul(pivot, b),
         )
-        direct = rank(assembled)
+        direct = certified_rank(assembled)
         if direct.rank != result.rank:
             raise RuntimeError("block rank identity violated by direct elimination")
     return result
 
 
-def _note_stats(stats, mat: ExactMatrix) -> None:
-    if stats is None:
-        return
-    stats["peak_bits"] = max(stats.get("peak_bits", 0), peak_bits(mat))
-    stats["levels"] = stats.get("levels", 0) + 1
-
-
-def _dense_middle(spec: AlgebraSpec, form: LinearForm, i: int, reason: str, stats) -> RankResult:
-    mm = build_matrix(spec, form, i, spec.n - 2 * i)
-    _note_stats(stats, mm.matrix)
-    _maximal, rr = max_rank_check(mm)
-    return replace(rr, notes=rr.notes + (reason,))
-
-
-def _pivot_nonsingular(pmat: ExactMatrix) -> bool:
-    if pmat.domain == GF:
-        return rank_mod_p(pmat, pmat.modulus).rank == pmat.rows
-    return certified_rank(pmat).rank == pmat.rows
+def _dense_fallback(spec: AlgebraSpec, form: LinearForm, i: int, reason: str, stats) -> RankResult:
+    mc = check_map(spec, form, i, spec.n - 2 * i, "dense", stats)
+    return RankResult(mc.rank, mc.method, None, None, mc.notes + (reason,))
 
 
 def _recurse(spec: AlgebraSpec, form: LinearForm, i: int, stats) -> RankResult:
     n = spec.n
-    t = n - 2 * i
     if i == 0:
-        mm = build_matrix(spec, form, 0, n)
-        _note_stats(stats, mm.matrix)
-        e = mm.matrix.entry(0, 0)
-        found = 1 if e else 0
+        found = check_map(spec, form, 0, n, "dense", stats).rank
         return RankResult(found, "block-recursive", ((0, 0),) if found else ())
     rspec = spec.restricted()
     rform = form.restricted()
-    pmat = build_matrix(rspec, rform, i, t - 1).matrix
-    _note_stats(stats, pmat)
-    if not _pivot_nonsingular(pmat):
-        return _dense_middle(spec, form, i, f"pivot block singular at {n} variables", stats)
+    # the pivot block M_bar(i, n-1-2i) is the middle map of degree i in n-1 variables
+    if not check_map(rspec, rform, i, n - 1 - 2 * i, "dense", stats).maximal:
+        return _dense_fallback(spec, form, i, f"pivot block singular at {n} variables", stats)
     inner = _recurse(rspec, rform, i - 1, stats)
     return RankResult(comb(n - 1, i) + inner.rank, "block-recursive", None, None, inner.notes)
 
@@ -180,8 +159,10 @@ def recursive_middle_rank(
 
     Preconditions for the structured path: quadratic spec, 0 <= i < n/2,
     characteristic 0 or > n, and all form coefficients non-zero.  Violations
-    of the characteristic or coefficient conditions are not errors: the
-    computation falls back to dense elimination and records why.
+    of the characteristic or coefficient conditions, and a singular pivot
+    block, are not errors: the rank is check_map's dense rank of the map and
+    the notes say why.  A stats dict receives "peak_bits" from every map
+    check_map builds.
     """
     if not spec.is_quadratic:
         raise ValueError("recursive middle rank is defined for quadratic specs only")
@@ -192,10 +173,10 @@ def recursive_middle_rank(
         raise ValueError("source degree must satisfy 0 <= i < n/2")
     char = spec.characteristic
     if char and char <= n:
-        return _dense_middle(
+        return _dense_fallback(
             spec, form, i, f"characteristic {char} <= {n} variables; structured path unavailable", stats
         )
     coeffs = [spec.normalize_coeff(c) for c in form.coefficients]
     if any(c == 0 for c in coeffs):
-        return _dense_middle(spec, form, i, "zero coefficient in the form; structured path unavailable", stats)
+        return _dense_fallback(spec, form, i, "zero coefficient in the form; structured path unavailable", stats)
     return _recurse(spec, form, i, stats)

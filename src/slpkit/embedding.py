@@ -245,7 +245,7 @@ def transfer_slp(es: EmbeddingSpec) -> TransferRecord:
     source = es.source_spec
     target = es.target_spec
     hv = hilbert_vector(source)
-    direct = slp_check(source, LinearForm.ones(es.n), method="dense")
+    direct = slp_check(source, LinearForm.ones(es.n))
     records = []
     for i in range((m + 1) // 2):
         t = m - 2 * i

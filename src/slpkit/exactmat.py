@@ -470,21 +470,13 @@ def _row_integerized(m: ExactMatrix) -> tuple[ExactMatrix, int]:
     return ExactMatrix.from_rows(np.array(rows, dtype=object).reshape(m.array.shape), ZZ), denom
 
 
-def rank(m: ExactMatrix) -> RankResult:
-    """Exact rank in the matrix's own domain."""
-    if m.domain == GF:
-        return rank_mod_p(m, m.modulus)
-    if m.domain == QQ:
-        return rank_fraction_free(_row_integerized(m)[0])
-    return rank_fraction_free(m)
-
-
 def certified_rank(m: ExactMatrix) -> RankResult:
-    """Exact rank with a cheap modular certificate for the full-rank case.
+    """Exact rank in the matrix's own domain, certified cheaply when full.
 
-    A single elimination mod PROBE_PRIME either certifies maximal rank or the
-    run falls through to the exact integer elimination; the result is exact
-    either way, only the cost is asymmetric.
+    An F_p matrix is eliminated mod p.  Over ZZ and QQ (rows scaled to
+    integers) a single elimination mod PROBE_PRIME either certifies maximal
+    rank or the run falls through to the exact integer elimination; the
+    result is exact either way, only the cost is asymmetric.
     """
     if m.domain == GF:
         return rank_mod_p(m, m.modulus)

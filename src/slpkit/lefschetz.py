@@ -20,11 +20,16 @@ is l^t after l^(i+j-m), so a bijective l^(2j-m) makes l^t surjective.
 slp_check therefore checks the middle maps by default; mode "full" runs
 every power and serves as the oracle in tests.
 
-Rank checks over Q go through exactmat.certified_rank, which probes mod
-the one fixed prime exactmat.PROBE_PRIME (full modular rank certifies full
-rational rank) and falls back to exact fraction-free elimination only when
-the certificate fails, so the expensive path runs exactly when something
-genuinely degenerates.
+check_map is the one routine that builds a map and ranks it, on either
+route.  Its dense route ranks the built matrix with exactmat.certified_rank:
+over F_p that is one elimination mod p; over Q it probes mod the one fixed
+prime exactmat.PROBE_PRIME (full modular rank certifies full rational rank)
+and falls back to exact fraction-free elimination only when the certificate
+fails, so the expensive path runs exactly when something genuinely
+degenerates.  Its block route, blockrec.recursive_middle_rank, checks its
+pivot blocks and every fallback through the dense route again.  The route
+follows from the input alone, so char_search takes the block recursion for
+the middle maps of a quadratic spec whenever p > n.
 """
 from __future__ import annotations
 
@@ -44,10 +49,9 @@ from .exactmat import (
     QQ,
     ZZ,
     ExactMatrix,
-    RankResult,
     certified_rank,
     peak_bits,
-    rank_mod_p,
+    rank_mod_p,  # unused; perfbench/tests/test_tracing.py expects this binding
 )
 from .quotient import AlgebraSpec, AlgebraElement, basis_positions, graded_basis
 
@@ -191,20 +195,6 @@ def build_matrix(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> Multipl
     return MultiplicationMatrix(spec, form, i, t, matrix)
 
 
-def max_rank_check(mm: MultiplicationMatrix) -> tuple[bool, RankResult]:
-    """Is the map of maximal rank?  Returns the verdict and the rank evidence."""
-    mat = mm.matrix
-    want = min(mat.rows, mat.cols)
-    if want == 0:
-        tag = "modular" if mat.domain == GF else "fraction-free"
-        return True, RankResult(0, tag, ())
-    if mat.domain == GF:
-        rr = rank_mod_p(mat, mat.modulus)
-    else:
-        rr = certified_rank(mat)
-    return rr.rank == want, rr
-
-
 @dataclass(frozen=True)
 class MapCheck:
     """One (i, t) rank check; notes carry RankResult.notes (fallback reasons)."""
@@ -283,10 +273,14 @@ def check_map(
 ) -> MapCheck:
     """Rank check of multiplication by form^t from degree i.
 
-    method "block" takes the recursive rank of blockrec, which applies to
-    the middle maps (i, n-2i) of quadratic specs only; "dense" builds the
-    matrix; "auto" is block exactly for those middle maps.  A stats dict
-    receives "peak_bits", the largest entry bit size of any matrix built.
+    This is the one routine that builds a map and ranks it.  method "block"
+    takes the recursive rank of blockrec, which applies to the middle maps
+    (i, n-2i) of quadratic specs only and checks its own pivot blocks here;
+    "dense" builds the matrix and ranks it with exactmat.certified_rank,
+    which eliminates F_p matrices mod p and certifies integer and rational
+    ones mod PROBE_PRIME; "auto" is block exactly for those middle maps.
+    rows and cols come from spec.dim on both routes.  A stats dict receives
+    "peak_bits", the largest entry bit size of any matrix built.
     """
     middle = spec.is_quadratic and (i, t) in middle_pairs(spec.n)
     if method == "auto":
@@ -296,20 +290,19 @@ def check_map(
     if method == "block" and not middle:
         raise ValueError("block method applies to middle maps of quadratic specs only")
     _refuse_oversized(spec, i, t)
+    nrows, ncols = spec.dim(i + t), spec.dim(i)
     start = time.perf_counter()
     if method == "block":
         from .blockrec import recursive_middle_rank
 
         rr = recursive_middle_rank(spec, form, i, stats=stats)
-        nrows, ncols = spec.dim(i + t), spec.dim(i)
-        maximal = rr.rank == min(nrows, ncols)
     else:
-        mm = build_matrix(spec, form, i, t)
+        mat = build_matrix(spec, form, i, t).matrix
         if stats is not None:
-            stats["peak_bits"] = max(stats.get("peak_bits", 0), peak_bits(mm.matrix))
-        nrows, ncols = mm.matrix.rows, mm.matrix.cols
-        maximal, rr = max_rank_check(mm)
+            stats["peak_bits"] = max(stats.get("peak_bits", 0), peak_bits(mat))
+        rr = certified_rank(mat)
     ms = (time.perf_counter() - start) * 1000.0
+    maximal = rr.rank == min(nrows, ncols)
     return MapCheck(i, t, nrows, ncols, rr.rank, maximal, rr.method, ms, rr.notes)
 
 
@@ -382,6 +375,6 @@ def char_search(
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         pspec = replace(spec, characteristic=p)
-        report = slp_check(pspec, form, mode=mode, method="dense")
+        report = slp_check(pspec, form, mode=mode)
         probes.append(CharProbe(p, report.slp, report.failures))
     return tuple(probes)

@@ -1,10 +1,13 @@
 """Last-variable block splitting and the recursive middle-map rank."""
+from dataclasses import replace
 from math import comb
 import random
 
 import pytest
 
-from slpkit.exactmat import ExactMatrix, GF, block_assemble, mat_mul, rank, rank_fraction_free
+import slpkit.blockrec
+
+from slpkit.exactmat import ExactMatrix, GF, block_assemble, mat_mul, rank_fraction_free, rank_mod_p
 from slpkit.blockrec import (
     BlockDecomposition,
     block_pivot_rank,
@@ -115,7 +118,7 @@ def test_block_pivot_rank_random_trials():
             pivot = ExactMatrix.from_rows(
                 [[rng.randrange(p) for _ in range(ndim)] for _ in range(ndim)], GF, p
             )
-            if rank(pivot).rank == ndim:
+            if rank_mod_p(pivot, p).rank == ndim:
                 break
         a = ExactMatrix.from_rows([[rng.randrange(p) for _ in range(ndim)] for _ in range(mdim)], GF, p)
         b = ExactMatrix.from_rows([[rng.randrange(p) for _ in range(pdim)] for _ in range(ndim)], GF, p)
@@ -130,7 +133,7 @@ def test_block_pivot_rank_integer_trials():
         pivot = ExactMatrix.from_rows(
             [[rng.randint(-4, 4) for _ in range(ndim)] for _ in range(ndim)]
         )
-        if rank(pivot).rank < ndim:
+        if rank_fraction_free(pivot).rank < ndim:
             continue
         trials += 1
         mdim, pdim = rng.randint(1, 4), rng.randint(1, 4)
@@ -183,14 +186,14 @@ def test_recursive_rank_large_characteristic():
             rr = recursive_middle_rank(spec, form, i)
             assert rr.notes == ()
             mat = build_matrix(spec, form, i, n - 2 * i).matrix
-            assert rr.rank == rank(mat).rank
+            assert rr.rank == rank_mod_p(mat, p).rank
 
 
 def test_recursive_rank_small_characteristic_falls_back():
     spec = AlgebraSpec.quadratic(3, 2)
     rr = recursive_middle_rank(spec, LinearForm.ones(3), 1)
     assert any("characteristic" in note for note in rr.notes)
-    dense = rank(build_matrix(spec, LinearForm.ones(3), 1, 1).matrix)
+    dense = rank_mod_p(build_matrix(spec, LinearForm.ones(3), 1, 1).matrix, 2)
     assert rr.rank == dense.rank
 
 
@@ -202,11 +205,32 @@ def test_recursive_rank_zero_coefficient_falls_back():
     assert rr.rank == dense.rank
 
 
+@pytest.mark.parametrize("char", [0, 101])
+def test_singular_pivot_falls_back_to_the_dense_check(monkeypatch, char):
+    real = slpkit.blockrec.check_map
+    calls = []
+
+    def first_pivot_singular(*args):
+        mc = real(*args)
+        calls.append(args[:4])
+        return replace(mc, maximal=False) if len(calls) == 1 else mc
+
+    monkeypatch.setattr(slpkit.blockrec, "check_map", first_pivot_singular)
+    spec = AlgebraSpec.quadratic(6, char)
+    form = LinearForm((1, 2, -1, 3, 1, -2))
+    rr = recursive_middle_rank(spec, form, 2)
+    assert calls[0][2:] == (2, 1) and calls[0][0].n == 5
+    assert rr.notes == ("pivot block singular at 6 variables",)
+    mat = build_matrix(spec, form, 2, 2).matrix
+    dense = rank_mod_p(mat, char).rank if char else rank_fraction_free(mat).rank
+    assert rr.rank == dense == comb(6, 2)
+    assert rr.method == "modular"
+
+
 def test_recursive_rank_stats():
     stats = {}
     recursive_middle_rank(AlgebraSpec.quadratic(6), LinearForm.ones(6), 2, stats=stats)
-    assert stats["levels"] >= 2
-    assert stats["peak_bits"] >= 1
+    assert stats == {"peak_bits": 5}
 
 
 def test_recursive_rank_base_case():

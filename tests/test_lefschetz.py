@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import numpy as np
 import oracles
+import slpkit.blockrec
 import slpkit.exactmat
 from slpkit._primes import next_prime
 from slpkit.exactmat import ExactMatrix, GF, QQ, ZZ, mat_mul, rank_mod_p
@@ -18,7 +19,6 @@ from slpkit.lefschetz import (
     char_search,
     check_map,
     full_pairs,
-    max_rank_check,
     middle_pairs,
     slp_check,
 )
@@ -161,8 +161,8 @@ def test_fraction_coefficients_build_rational_matrices():
     mm = build_matrix(spec, form, 0, 2)
     assert mm.matrix.domain == QQ
     assert mm.matrix.to_rows() == [[Fraction(1)]]
-    ok, rr = max_rank_check(mm)
-    assert ok and rr.rank == 1
+    mc = check_map(spec, form, 0, 2, "dense")
+    assert mc.maximal and mc.rank == 1
 
 
 def test_build_validation():
@@ -345,6 +345,34 @@ def test_char_search_validation():
         char_search(spec, LinearForm((Fraction(1, 2), 1, 1)), (5,))
 
 
+def test_char_search_takes_the_block_route_above_n(monkeypatch):
+    real = slpkit.blockrec.recursive_middle_rank
+    structured = []
+
+    def counting(spec, form, i, stats=None):
+        rr = real(spec, form, i, stats=stats)
+        if rr.method == "block-recursive":
+            structured.append((spec.n, spec.characteristic, i))
+        return rr
+
+    monkeypatch.setattr(slpkit.blockrec, "recursive_middle_rank", counting)
+    rng = random.Random(606)
+    primes = (2, 3, 5, 7, 11, 13)
+    for n in range(1, 9):
+        for _ in range(2):
+            form = LinearForm(tuple(rng.choice((1, 2, 3)) * rng.choice((-1, 1)) for _ in range(n)))
+            spec = AlgebraSpec.quadratic(n)
+            structured.clear()
+            probes = char_search(spec, form, primes)
+            for pr in probes:
+                dense = slp_check(AlgebraSpec.quadratic(n, pr.prime), form, method="dense")
+                assert (pr.slp, pr.failing) == (dense.slp, dense.failures), (form, pr.prime)
+            for p in primes:
+                if p > n and all(c % p for c in form.coefficients):
+                    got = sorted(i for m, q, i in structured if (m, q) == (n, p))
+                    assert got == list(range((n + 1) // 2)), (form, p)
+
+
 def test_report_json_shape():
     report = slp_check(AlgebraSpec.quadratic(3, 2), LinearForm.ones(3))
     data = report.to_json_dict()
@@ -356,16 +384,13 @@ def test_report_json_shape():
         assert set(d) == {"i", "t", "rows", "cols", "rank", "maximal", "method", "ms"}
 
 
-def test_max_rank_check_methods():
-    golden = build_matrix(AlgebraSpec.quadratic(4), LinearForm.ones(4), 1, 2)
-    ok, rr = max_rank_check(golden)
-    assert ok and rr.method == "modular"
-    degenerate = build_matrix(AlgebraSpec.quadratic(3), LinearForm((1, 1, 0)), 0, 3)
-    ok, rr = max_rank_check(degenerate)
-    assert not ok and rr.method == "fraction-free"
-    gf = build_matrix(AlgebraSpec.quadratic(3, 2), LinearForm.ones(3), 1, 1)
-    ok, rr = max_rank_check(gf)
-    assert not ok and rr.method == "modular"
+def test_dense_check_map_methods():
+    golden = check_map(AlgebraSpec.quadratic(4), LinearForm.ones(4), 1, 2, "dense")
+    assert golden.maximal and golden.method == "modular"
+    degenerate = check_map(AlgebraSpec.quadratic(3), LinearForm((1, 1, 0)), 0, 3, "dense")
+    assert not degenerate.maximal and degenerate.method == "fraction-free"
+    gf = check_map(AlgebraSpec.quadratic(3, 2), LinearForm.ones(3), 1, 1, "dense")
+    assert not gf.maximal and gf.method == "modular"
 
 
 def test_coefficient_seven_on_quadratic_six_is_certified_modularly():
