@@ -34,8 +34,8 @@ assert dec.assemble() == build_matrix(spec, form, 1, 2).matrix
 
 ###############################################################################
 # The recursion against dense elimination on the widest middle map for
-# each variable count.  Both are exact; the recursion touches only
-# (n-1)-variable matrices.
+# each variable count.  Both are exact; the recursion is the paper's
+# induction on variables and builds only the 1x1 base maps l^k: A_0 -> A_k.
 
 for n in (8, 9, 10):
     spec = AlgebraSpec.quadratic(n)
@@ -58,8 +58,8 @@ for n in (8, 9, 10):
 
 ###############################################################################
 # When the structured path's preconditions fail (here a zero coefficient),
-# the rank comes from the same dense map check that certifies every pivot
-# block, and the notes say why the recursion was not used.
+# the rank comes from the same dense map check that certifies the base
+# maps, and the notes say why the recursion was not used.
 
 rr = recursive_middle_rank(AlgebraSpec.quadratic(4), LinearForm((1, 1, 1, 0)), 1)
 print(f"rank {rr.rank}, notes: {rr.notes}")

@@ -8,14 +8,20 @@ restricted (n-1)-variable data:
      [ c_n * t * M_bar(i,t-1), M_bar(i-1,t) ]]
 
 For the square middle maps (t = n - 2i) the top-left factor splits through a
-square block P = M_bar(i, t-1); when P is nonsingular the whole rank reduces
-to size(P) plus the rank of the restricted middle map one degree down, which
-recurses on n-1 variables.  P is itself the middle map (i, n-1-2i) of the
-first n-1 variables, so every pivot block, like the base case (0, n), is
-checked by the dense route of lefschetz.check_map before the reduction is
-applied.  When a pivot block is singular, or the characteristic is at most n,
-or a coefficient is zero, the whole map goes to that dense check instead, and
-the reason is added to its notes.
+square block P = M_bar(i, t-1), the middle map (i, n-1-2i) of the first n-1
+variables.  When P is bijective and c_n * t is invertible, the whole map is
+bijective exactly when the middle map (i-1, n+1-2i) of the first n-1
+variables is.  That is the paper's induction, and recursive_middle_rank runs
+it without building P: the node (k, j) stands for the middle map
+(j, k-2j) of the first k variables, and it is bijective when (k-1, j) and
+(k-1, j-1) are.  Nodes with 2j = k are identities; nodes with j = 0 are the
+1x1 maps l^k: A_0 -> A_k, the scalar k! c_1...c_k, each checked by the
+dense route of lefschetz.check_map.  The nodes are memoized per call, so a
+middle map costs O(n^2) nodes and at most n such 1x1 checks.  The
+preconditions (characteristic 0 or above n, no zero coefficient) make every
+c_k * (k-2j) invertible; when they fail, or a node is not bijective, the
+whole map goes to the dense check instead, and the reason is added to its
+notes.
 """
 from __future__ import annotations
 
@@ -138,18 +144,20 @@ def _dense_fallback(spec: AlgebraSpec, form: LinearForm, i: int, reason: str, st
     return RankResult(mc.rank, mc.method, None, None, mc.notes + (reason,))
 
 
-def _recurse(spec: AlgebraSpec, form: LinearForm, i: int, stats) -> RankResult:
-    n = spec.n
-    if i == 0:
-        found = check_map(spec, form, 0, n, "dense", stats).rank
-        return RankResult(found, "block-recursive", ((0, 0),) if found else ())
-    rspec = spec.restricted()
-    rform = form.restricted()
-    # the pivot block M_bar(i, n-1-2i) is the middle map of degree i in n-1 variables
-    if not check_map(rspec, rform, i, n - 1 - 2 * i, "dense", stats).maximal:
-        return _dense_fallback(spec, form, i, f"pivot block singular at {n} variables", stats)
-    inner = _recurse(rspec, rform, i - 1, stats)
-    return RankResult(comb(n - 1, i) + inner.rank, "block-recursive", None, None, inner.notes)
+def _bijective(spec: AlgebraSpec, form: LinearForm, k: int, j: int, memo: dict, stats) -> bool:
+    """Whether the middle map (j, k-2j) of the first k variables is bijective."""
+    if (k, j) not in memo:
+        if 2 * j == k:
+            found = True  # l^0, the identity
+        elif j == 0:
+            prefix = AlgebraSpec.quadratic(k, spec.characteristic)
+            found = check_map(prefix, LinearForm(form.coefficients[:k]), 0, k, "dense", stats).maximal
+        else:
+            found = _bijective(spec, form, k - 1, j, memo, stats) and _bijective(
+                spec, form, k - 1, j - 1, memo, stats
+            )
+        memo[k, j] = found
+    return memo[k, j]
 
 
 def recursive_middle_rank(
@@ -158,11 +166,13 @@ def recursive_middle_rank(
     """Rank of the middle map (i, n-2i) by structural recursion on variables.
 
     Preconditions for the structured path: quadratic spec, 0 <= i < n/2,
-    characteristic 0 or > n, and all form coefficients non-zero.  Violations
-    of the characteristic or coefficient conditions, and a singular pivot
-    block, are not errors: the rank is check_map's dense rank of the map and
-    the notes say why.  A stats dict receives "peak_bits" from every map
-    check_map builds.
+    characteristic 0 or > n, and all form coefficients non-zero.  The rank
+    then comes from the paper's induction (module docstring), which builds
+    only the 1x1 base maps l^k, k <= n-i.  Violations of the characteristic
+    or coefficient conditions, and a base map that is not bijective, are not
+    errors: the rank is check_map's dense rank of the map and the notes say
+    why.  A stats dict receives "peak_bits" from every map check_map builds;
+    on the structured path that is the bit size of the largest k! c_1...c_k.
     """
     if not spec.is_quadratic:
         raise ValueError("recursive middle rank is defined for quadratic specs only")
@@ -179,4 +189,9 @@ def recursive_middle_rank(
     coeffs = [spec.normalize_coeff(c) for c in form.coefficients]
     if any(c == 0 for c in coeffs):
         return _dense_fallback(spec, form, i, "zero coefficient in the form; structured path unavailable", stats)
-    return _recurse(spec, form, i, stats)
+    memo: dict[tuple[int, int], bool] = {}
+    if not _bijective(spec, form, n, i, memo, stats):
+        # the walk stops at the first singular base map, so exactly one is in memo
+        k = next(k for (k, j), ok in memo.items() if j == 0 and not ok)
+        return _dense_fallback(spec, form, i, f"base map (0, {k}) of the first {k} variables singular", stats)
+    return RankResult(comb(n, i), "block-recursive", ((0, 0),) if i == 0 else None)

@@ -332,6 +332,16 @@ def _cmd_selftest(args) -> int:
         ok = ok and slp_check(qs, LinearForm.ones(n), method="block").slp
     checks.append(("square-free sweep holds through six variables", ok))
 
+    # over F_5 the recursion runs for n < 5 and falls back to the dense map for n >= 5
+    ok = True
+    for n in range(1, 7):
+        qs = AlgebraSpec.quadratic(n, 5)
+        ranks = [
+            [c.rank for c in slp_check(qs, LinearForm.ones(n), method=m).maps] for m in ("dense", "block")
+        ]
+        ok = ok and ranks[0] == ranks[1]
+    checks.append(("block and dense middle ranks agree over F_5 through six variables", ok))
+
     char2 = slp_check(AlgebraSpec.quadratic(3, 2), LinearForm.ones(3))
     checks.append(("three variables fail in characteristic two", not char2.slp))
 

@@ -26,10 +26,12 @@ over F_p that is one elimination mod p; over Q it probes mod the one fixed
 prime exactmat.PROBE_PRIME (full modular rank certifies full rational rank)
 and falls back to exact fraction-free elimination only when the certificate
 fails, so the expensive path runs exactly when something genuinely
-degenerates.  Its block route, blockrec.recursive_middle_rank, checks its
-pivot blocks and every fallback through the dense route again.  The route
-follows from the input alone, so char_search takes the block recursion for
-the middle maps of a quadratic spec whenever p > n.
+degenerates.  Its block route, blockrec.recursive_middle_rank, runs the
+paper's induction on variables: it builds no matrix beyond the 1x1 base
+maps l^k: A_0 -> A_k, which it checks through the dense route, as it does
+every fallback.  The route follows from the input alone, so char_search
+takes the block recursion for the middle maps of a quadratic spec whenever
+p > n.
 """
 from __future__ import annotations
 
@@ -275,7 +277,7 @@ def check_map(
 
     This is the one routine that builds a map and ranks it.  method "block"
     takes the recursive rank of blockrec, which applies to the middle maps
-    (i, n-2i) of quadratic specs only and checks its own pivot blocks here;
+    (i, n-2i) of quadratic specs only and checks its 1x1 base maps here;
     "dense" builds the matrix and ranks it with exactmat.certified_rank,
     which eliminates F_p matrices mod p and certifies integer and rational
     ones mod PROBE_PRIME; "auto" is block exactly for those middle maps.

@@ -1,5 +1,6 @@
 """Last-variable block splitting and the recursive middle-map rank."""
 from dataclasses import replace
+from fractions import Fraction
 from math import comb
 import random
 
@@ -14,7 +15,8 @@ from slpkit.blockrec import (
     decompose,
     recursive_middle_rank,
 )
-from slpkit.lefschetz import LinearForm, build_matrix
+import slpkit.lefschetz
+from slpkit.lefschetz import LinearForm, build_matrix, middle_pairs, slp_check
 from slpkit.quotient import AlgebraSpec
 
 
@@ -206,25 +208,96 @@ def test_recursive_rank_zero_coefficient_falls_back():
 
 
 @pytest.mark.parametrize("char", [0, 101])
-def test_singular_pivot_falls_back_to_the_dense_check(monkeypatch, char):
+def test_singular_base_map_falls_back_to_the_dense_check(monkeypatch, char):
     real = slpkit.blockrec.check_map
     calls = []
 
-    def first_pivot_singular(*args):
+    def first_base_map_singular(*args):
         mc = real(*args)
         calls.append(args[:4])
         return replace(mc, maximal=False) if len(calls) == 1 else mc
 
-    monkeypatch.setattr(slpkit.blockrec, "check_map", first_pivot_singular)
+    monkeypatch.setattr(slpkit.blockrec, "check_map", first_base_map_singular)
     spec = AlgebraSpec.quadratic(6, char)
     form = LinearForm((1, 2, -1, 3, 1, -2))
     rr = recursive_middle_rank(spec, form, 2)
-    assert calls[0][2:] == (2, 1) and calls[0][0].n == 5
-    assert rr.notes == ("pivot block singular at 6 variables",)
+    # (6, 2) -> (5, 2) -> (4, 1) -> (3, 1) -> (2, 0): the first leaf is l^2 on 2 variables
+    assert [(s.n, f.coefficients, i, t) for s, f, i, t in calls] == [
+        (2, (1, 2), 0, 2),
+        (6, form.coefficients, 2, 2),
+    ]
+    assert rr.notes == ("base map (0, 2) of the first 2 variables singular",)
     mat = build_matrix(spec, form, 2, 2).matrix
     dense = rank_mod_p(mat, char).rank if char else rank_fraction_free(mat).rank
     assert rr.rank == dense == comb(6, 2)
     assert rr.method == "modular"
+
+
+def _random_form(rng, n, char):
+    """Nonzero coefficients; Fractions in characteristic 0, residues beyond p otherwise."""
+    if char == 0:
+        return LinearForm(tuple(Fraction(rng.randint(-7, 7) or 1, rng.randint(1, 5)) for _ in range(n)))
+    return LinearForm(tuple(rng.randrange(1, char) + char * rng.randint(-2, 2) for _ in range(n)))
+
+
+def test_auto_route_agrees_with_the_full_dense_check():
+    rng = random.Random(77)
+    for n in range(1, 10):
+        for char in (0, 2, 3, 5, 7, 11, 13):
+            spec = AlgebraSpec.quadratic(n, char)
+            forms = [_random_form(rng, n, char) for _ in range(2)]
+            if char == 0:
+                forms.append(LinearForm(tuple(rng.choice((1, 2, 3)) * rng.choice((-1, 1)) for _ in range(n))))
+            for form in forms:
+                auto = slp_check(spec, form)
+                full = slp_check(spec, form, mode="full", method="dense")
+                assert auto.slp == full.slp, (n, char, form)
+                dense_ranks = {(c.i, c.t): c.rank for c in full.maps}
+                assert [(c.i, c.t) for c in auto.maps] == list(middle_pairs(n))
+                for c in auto.maps:
+                    assert c.rank == dense_ranks[c.i, c.t], (n, char, form, c)
+                    if char == 0 or char > n:
+                        assert (c.method, c.notes) == ("block-recursive", ()), (n, char, c)
+                    else:
+                        assert c.method == "modular"
+                        assert any(note.startswith(f"characteristic {char}") for note in c.notes)
+
+
+@pytest.mark.parametrize("char", [0, 17])
+def test_block_route_builds_only_base_maps(monkeypatch, char):
+    real_build = slpkit.lefschetz.build_matrix
+
+    def only_one_by_one(spec, form, i, t):
+        if spec.dim(i) * spec.dim(i + t) > 1:
+            pytest.fail(f"built the ({i}, {t}) map of {spec.n} variables")
+        return real_build(spec, form, i, t)
+
+    real_check = slpkit.blockrec.check_map
+    real_rank = slpkit.blockrec.recursive_middle_rank
+    leaves, per_map = [], {}
+
+    def counting_check(*args):
+        leaves.append(args[:4])
+        return real_check(*args)
+
+    def counting_rank(spec, form, i, stats=None):
+        leaves.clear()
+        rr = real_rank(spec, form, i, stats=stats)
+        per_map[i] = len(leaves)
+        return rr
+
+    monkeypatch.setattr(slpkit.lefschetz, "build_matrix", only_one_by_one)
+    monkeypatch.setattr(slpkit.blockrec, "check_map", counting_check)
+    monkeypatch.setattr(slpkit.blockrec, "recursive_middle_rank", counting_rank)
+    n = 16
+    form = LinearForm(tuple((-1) ** k * (k % 5 + 1) for k in range(n)))
+    report = slp_check(AlgebraSpec.quadratic(n, char), form)
+    assert report.slp
+    assert [(c.i, c.rank, c.method) for c in report.maps] == [
+        (i, comb(n, i), "block-recursive") for i in range(n // 2)
+    ]
+    assert sorted(per_map) == list(range(n // 2))
+    assert all(1 <= count <= n for count in per_map.values()), per_map
 
 
 def test_recursive_rank_stats():

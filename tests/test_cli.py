@@ -171,7 +171,7 @@ def test_bench(capsys, tmp_path):
     assert {r["method"] for r in records} == {"dense", "block"}
     for r in records:
         assert set(r) == {"n", "i", "t", "rows", "cols", "method", "rank", "peak_bits", "ms"}
-    # dense: bit size of t!; block: the largest of the recursion's matrices
+    # dense: bit size of t!; block: the largest base scalar k! c_1...c_k the recursion checks
     assert [(r["method"], r["peak_bits"]) for r in records] == [
         ("dense", 7), ("block", 7), ("dense", 3), ("block", 5), ("dense", 1), ("block", 3)
     ]
@@ -181,8 +181,9 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     lines = out.strip().splitlines()
-    assert len(lines) == 8
+    assert len(lines) == 9
     assert all(line.startswith("PASS") for line in lines)
+    assert "PASS: block and dense middle ranks agree over F_5 through six variables" in lines
 
 
 def test_usage_errors_exit_two(capsys):
