@@ -6,7 +6,8 @@ Ordering the square-free basis by the last variable turns every
 multiplication matrix into four blocks built from the algebra on one fewer
 variable.  For the square middle maps the split collapses the rank
 computation to a recursion, which is much cheaper than eliminating the
-full matrix.
+full matrix.  Through the block-sum embedding the same recursion decides
+the middle maps of every spec.
 """
 import time
 
@@ -17,6 +18,7 @@ from slpkit import (
     decompose,
     rank_fraction_free,
     recursive_middle_rank,
+    slp_check,
 )
 
 ###############################################################################
@@ -63,3 +65,18 @@ for n in (8, 9, 10):
 
 rr = recursive_middle_rank(AlgebraSpec.quadratic(4), LinearForm((1, 1, 1, 0)), 1)
 print(f"rank {rr.rank}, notes: {rr.notes}")
+
+###############################################################################
+# Any other spec reaches the same induction through the block-sum embedding.
+# On killed powers (3, 4, 5) the form 2x1 - x2 + 3x3 becomes the square-free
+# form (2, 2, -1, -1, -1, 3, 3, 3, 3) on m = 9 variables, whose middle maps
+# the walk decides; the dense check of every power agrees.
+
+spec = AlgebraSpec(3, (3, 4, 5))
+form = LinearForm((2, -1, 3))
+report = slp_check(spec, form)
+full = slp_check(spec, form, mode="full", method="dense")
+assert report.slp == full.slp
+methods = sorted({c.method for c in report.maps})
+print(f"killed powers (3, 4, 5): SLP {'holds' if report.slp else 'fails'} by {methods};"
+      f" the dense check of all {len(full.maps)} powers agrees")

@@ -1,4 +1,4 @@
-"""Structured rank computation for quadratic algebras via variable splitting.
+"""Structured rank computation: variable splitting and the paper's induction.
 
 Writing the square-free basis with the last-variable-free monomials first,
 multiplication by l^t in n variables decomposes into blocks built from the
@@ -17,16 +17,13 @@ it without building P: the node (k, j) stands for the middle map
 (k-1, j-1) are.  Nodes with 2j = k are identities; nodes with j = 0 are the
 1x1 maps l^k: A_0 -> A_k, the scalar k! c_1...c_k, each checked by the
 dense route of lefschetz.check_map.  The nodes are memoized per call, so a
-middle map costs O(n^2) nodes and at most n such 1x1 checks.  The
-preconditions (characteristic 0 or above n, no zero coefficient) make every
-c_k * (k-2j) invertible; when they fail, or a node is not bijective, the
-whole map goes to the dense check instead, and the reason is added to its
-notes.
+middle map costs O(n^2) nodes and at most n such 1x1 checks.  Every other
+spec reaches the walk through the block-sum embedding; recursive_middle_rank
+gives the argument and the dense fallbacks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .exactmat import (
     ExactMatrix,
@@ -140,21 +137,21 @@ def block_pivot_rank(
 
 
 def _dense_fallback(spec: AlgebraSpec, form: LinearForm, i: int, reason: str, stats) -> RankResult:
-    mc = check_map(spec, form, i, spec.n - 2 * i, "dense", stats)
+    mc = check_map(spec, form, i, spec.socle_degree - 2 * i, "dense", stats)
     return RankResult(mc.rank, mc.method, None, None, mc.notes + (reason,))
 
 
-def _bijective(spec: AlgebraSpec, form: LinearForm, k: int, j: int, memo: dict, stats) -> bool:
-    """Whether the middle map (j, k-2j) of the first k variables is bijective."""
+def _bijective(coeffs: tuple, char: int, k: int, j: int, memo: dict, stats) -> bool:
+    """Whether the middle map (j, k-2j) of the first k square-free variables is bijective."""
     if (k, j) not in memo:
         if 2 * j == k:
             found = True  # l^0, the identity
         elif j == 0:
-            prefix = AlgebraSpec.quadratic(k, spec.characteristic)
-            found = check_map(prefix, LinearForm(form.coefficients[:k]), 0, k, "dense", stats).maximal
+            prefix = AlgebraSpec.quadratic(k, char)
+            found = check_map(prefix, LinearForm(coeffs[:k]), 0, k, "dense", stats).maximal
         else:
-            found = _bijective(spec, form, k - 1, j, memo, stats) and _bijective(
-                spec, form, k - 1, j - 1, memo, stats
+            found = _bijective(coeffs, char, k - 1, j, memo, stats) and _bijective(
+                coeffs, char, k - 1, j - 1, memo, stats
             )
         memo[k, j] = found
     return memo[k, j]
@@ -163,35 +160,37 @@ def _bijective(spec: AlgebraSpec, form: LinearForm, k: int, j: int, memo: dict, 
 def recursive_middle_rank(
     spec: AlgebraSpec, form: LinearForm, i: int, stats: dict | None = None
 ) -> RankResult:
-    """Rank of the middle map (i, n-2i) by structural recursion on variables.
+    """Rank of the middle map (i, m-2i) of any spec, m its socle degree.
 
-    Preconditions for the structured path: quadratic spec, 0 <= i < n/2,
-    characteristic 0 or > n, and all form coefficients non-zero.  The rank
-    then comes from the paper's induction (module docstring), which builds
-    only the 1x1 base maps l^k, k <= n-i.  Violations of the characteristic
-    or coefficient conditions, and a base map that is not bijective, are not
-    errors: the rank is check_map's dense rank of the map and the notes say
-    why.  A stats dict receives "peak_bits" from every map check_map builds;
-    on the structured path that is the bit size of the largest k! c_1...c_k.
+    Hypotheses: characteristic 0 or above m, and c_j nonzero for every
+    killed power a_j >= 2 (a variable killed at power 1 is zero).  The
+    induction (module docstring) then decides the middle map (i, m-2i) of
+    E = (each c_j repeated a_j - 1 times) on the square-free algebra on m
+    variables, building only 1x1 base maps; a square-free spec has E = form.
+    The block-sum embedding phi (embedding.py) carries the verdict over: phi
+    is a ring map with phi(form) = E; phi_i is injective, each row of
+    phi_matrix holding the one entry prod(c_k!) with c_k <= m < p; so
+    E^t o phi_i = phi o form^t injective makes form^t injective, hence
+    bijective as h_i = h_(m-i).  Otherwise, or when a base map is singular,
+    the rank is check_map's dense rank and the notes say why.  A stats dict
+    receives "peak_bits" from every map check_map builds.
     """
-    if not spec.is_quadratic:
-        raise ValueError("recursive middle rank is defined for quadratic specs only")
     if form.nvars != spec.n:
         raise ValueError("form has the wrong number of coefficients")
-    n = spec.n
-    if i < 0 or 2 * i >= n:
-        raise ValueError("source degree must satisfy 0 <= i < n/2")
+    m = spec.socle_degree
+    if i < 0 or 2 * i >= m:
+        raise ValueError("source degree must satisfy 0 <= i < m/2")
     char = spec.characteristic
-    if char and char <= n:
+    if char and char <= m:
         return _dense_fallback(
-            spec, form, i, f"characteristic {char} <= {n} variables; structured path unavailable", stats
+            spec, form, i, f"characteristic {char} <= socle degree {m}; structured path unavailable", stats
         )
-    coeffs = [spec.normalize_coeff(c) for c in form.coefficients]
-    if any(c == 0 for c in coeffs):
+    expanded = tuple(c for c, a in zip(form.coefficients, spec.exponents) for _ in range(a - 1))
+    if any(spec.normalize_coeff(c) == 0 for c in expanded):
         return _dense_fallback(spec, form, i, "zero coefficient in the form; structured path unavailable", stats)
     memo: dict[tuple[int, int], bool] = {}
-    if not _bijective(spec, form, n, i, memo, stats):
+    if not _bijective(expanded, char, m, i, memo, stats):
         # the walk stops at the first singular base map, so exactly one is in memo
         k = next(k for (k, j), ok in memo.items() if j == 0 and not ok)
         return _dense_fallback(spec, form, i, f"base map (0, {k}) of the first {k} variables singular", stats)
-    return RankResult(comb(n, i), "block-recursive", ((0, 0),) if i == 0 else None)
+    return RankResult(spec.dim(i), "block-recursive", ((0, 0),) if i == 0 else None)

@@ -277,11 +277,8 @@ def _cmd_bench(args) -> int:
     spec = _spec_from_args(args)
     form = _form_from_args(args, spec.n)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    for m in methods:
-        if m not in ("dense", "block"):
-            raise ValueError(f"unknown method {m!r}")
-    if "block" in methods and not spec.is_quadratic:
-        raise ValueError("block method is defined for quadratic specs only")
+    if not methods or not set(methods) <= {"dense", "block"}:
+        raise ValueError(f"--methods must name dense and/or block, got {args.methods!r}")
     records = []
     ranks: dict[tuple[int, int], set[int]] = {}
     for i, t in middle_pairs(spec.socle_degree):

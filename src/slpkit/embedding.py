@@ -235,17 +235,17 @@ class TransferRecord:
 def transfer_slp(es: EmbeddingSpec) -> TransferRecord:
     """Decide SLP for the sum of source variables along both routes.
 
-    Route one runs the direct check on the source algebra.  Route two pushes
-    each source graded piece into the quadratic algebra and asks the target
-    middle map to stay injective on the image; since source graded pieces in
-    complementary degrees have equal dimension, full column rank of the
-    composite decides the source middle map.
+    Route one is the dense check on the source algebra (the block route is
+    this embedding argument).  Route two pushes each source graded piece into
+    the quadratic algebra and asks the target middle map to stay injective on
+    the image; source pieces in complementary degrees have equal dimension,
+    so full column rank of the composite decides the source middle map.
     """
     m = es.m
     source = es.source_spec
     target = es.target_spec
     hv = hilbert_vector(source)
-    direct = slp_check(source, LinearForm.ones(es.n))
+    direct = slp_check(source, LinearForm.ones(es.n), method="dense")
     records = []
     for i in range((m + 1) // 2):
         t = m - 2 * i

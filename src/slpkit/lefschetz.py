@@ -29,9 +29,9 @@ fails, so the expensive path runs exactly when something genuinely
 degenerates.  Its block route, blockrec.recursive_middle_rank, runs the
 paper's induction on variables: it builds no matrix beyond the 1x1 base
 maps l^k: A_0 -> A_k, which it checks through the dense route, as it does
-every fallback.  The route follows from the input alone, so char_search
-takes the block recursion for the middle maps of a quadratic spec whenever
-p > n.
+every fallback; through the block-sum embedding it decides the middle maps
+of every spec.  The route follows from the input alone, so char_search
+takes it for the middle maps whenever p exceeds the socle degree m.
 """
 from __future__ import annotations
 
@@ -40,6 +40,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
+from numbers import Rational
 from typing import Iterable
 
 import numpy as np
@@ -67,6 +68,9 @@ class LinearForm:
     def __post_init__(self) -> None:
         if not isinstance(self.coefficients, tuple):
             object.__setattr__(self, "coefficients", tuple(self.coefficients))
+        # int first: the block route makes a form per base map, and an ABC check is slow
+        if not all(type(c) is int or isinstance(c, Rational) for c in self.coefficients):
+            raise TypeError(f"form coefficients must be exact rationals (int or Fraction): {self.coefficients}")
 
     @property
     def nvars(self) -> int:
@@ -277,20 +281,20 @@ def check_map(
 
     This is the one routine that builds a map and ranks it.  method "block"
     takes the recursive rank of blockrec, which applies to the middle maps
-    (i, n-2i) of quadratic specs only and checks its 1x1 base maps here;
-    "dense" builds the matrix and ranks it with exactmat.certified_rank,
-    which eliminates F_p matrices mod p and certifies integer and rational
-    ones mod PROBE_PRIME; "auto" is block exactly for those middle maps.
+    (i, m-2i) of every spec and checks its 1x1 base maps here; "dense"
+    builds the matrix and ranks it with exactmat.certified_rank, which
+    eliminates F_p matrices mod p and certifies integer and rational ones
+    mod PROBE_PRIME; "auto" is block exactly for the middle maps.
     rows and cols come from spec.dim on both routes.  A stats dict receives
     "peak_bits", the largest entry bit size of any matrix built.
     """
-    middle = spec.is_quadratic and (i, t) in middle_pairs(spec.n)
+    middle = (i, t) in middle_pairs(spec.socle_degree)
     if method == "auto":
         method = "block" if middle else "dense"
     if method not in ("dense", "block"):
         raise ValueError(f"unknown method {method!r}")
     if method == "block" and not middle:
-        raise ValueError("block method applies to middle maps of quadratic specs only")
+        raise ValueError("block method applies to middle maps only")
     _refuse_oversized(spec, i, t)
     nrows, ncols = spec.dim(i + t), spec.dim(i)
     start = time.perf_counter()
@@ -318,10 +322,10 @@ def slp_check(
 
     mode "middle" checks the square maps (i, m-2i), which decide the whole
     property for every spec in every characteristic (module docstring);
-    "full" checks every power.  method "block" routes the middle maps of a
-    quadratic spec through the recursive rank computation and "dense" builds
-    each matrix outright; "auto" is block in middle mode on quadratic specs
-    and dense otherwise, so full mode stays independent of the recursion.
+    "full" checks every power.  method "block" routes the middle maps
+    through the recursive rank computation and "dense" builds each matrix
+    outright; "auto" is block in middle mode and dense in full mode, so full
+    mode stays independent of the recursion.
     Every map's size is checked before any is built.
     """
     if form.nvars != spec.n:
@@ -329,10 +333,10 @@ def slp_check(
     if mode not in ("middle", "full"):
         raise ValueError(f"unknown mode {mode!r}")
     if method == "auto":
-        method = "block" if spec.is_quadratic and mode == "middle" else "dense"
+        method = "block" if mode == "middle" else "dense"
     if method not in ("dense", "block"):
         raise ValueError(f"unknown method {method!r}")
-    # for n = 1 the one full pair (0, 1) is also a middle map
+    # for m = 1 the one full pair (0, 1) is also a middle map
     if method == "block" and mode == "full":
         raise ValueError("block method computes middle maps only")
     m = spec.socle_degree
@@ -368,7 +372,7 @@ def char_search(
     primes: Iterable[int],
     mode: str = "middle",
 ) -> tuple[CharProbe, ...]:
-    """Probe the same coefficient pattern over a range of prime fields."""
+    """Probe one coefficient pattern over prime fields (block route for middle maps above the socle degree)."""
     for c in form.coefficients:
         if not isinstance(c, int):
             raise TypeError("characteristic search expects integer coefficients")

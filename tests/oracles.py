@@ -294,15 +294,19 @@ def reference_fraction_free_echelon(tails):
     return r, tuple(pivots), sign, prev
 
 
-def tensor_deficit_rank(n, k, i, t):
-    """Rank of multiplication by L^t from degree i on k[x1..xn]/(x_j^2) over Q,
-    where L has k zero and n-k nonzero coefficients.
+def tensor_deficit_rank(live, dead, i, t):
+    """Rank of multiplication by L^t from degree i over Q, where L has a
+    nonzero coefficient on the variables killed at the powers in live and a
+    zero coefficient on those killed at the powers in dead.
 
-    The algebra is A (the n-k variables of L) tensor B (the k others), and L
+    The algebra is A (the live variables) tensor B (the dead ones), and L
     acts on A alone.  Degree i of the tensor is the sum over j of
-    A_{i-j} (x) B_j, with dim B_j = C(k, j); by the strong Lefschetz property
-    of A in characteristic 0, L^t: A_{i-j} -> A_{i-j+t} has maximal rank
-    min(C(n-k, i-j), C(n-k, i-j+t)).
+    A_{i-j} (x) B_j; by the strong Lefschetz property of A in characteristic
+    0, L^t: A_{i-j} -> A_{i-j+t} has maximal rank
+    min(h_A(i-j), h_A(i-j+t)).  Both Hilbert functions are counted by brute
+    force.
     """
-    a = n - k
-    return sum(comb(k, j) * min(comb(a, i - j), comb(a, i - j + t)) for j in range(min(k, i) + 1))
+    def h(bounds, d):
+        return len(brute_standard_monomials(bounds, d)) if d >= 0 else 0
+
+    return sum(h(dead, j) * min(h(live, i - j), h(live, i - j + t)) for j in range(i + 1))

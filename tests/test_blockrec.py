@@ -2,6 +2,7 @@
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
+import itertools
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from slpkit.blockrec import (
     recursive_middle_rank,
 )
 import slpkit.lefschetz
-from slpkit.lefschetz import LinearForm, build_matrix, middle_pairs, slp_check
+from slpkit.lefschetz import LinearForm, build_matrix, check_map, middle_pairs, slp_check
 from slpkit.quotient import AlgebraSpec
 
 
@@ -263,8 +264,50 @@ def test_auto_route_agrees_with_the_full_dense_check():
                         assert any(note.startswith(f"characteristic {char}") for note in c.notes)
 
 
-@pytest.mark.parametrize("char", [0, 17])
-def test_block_route_builds_only_base_maps(monkeypatch, char):
+def test_auto_route_agrees_with_the_full_dense_check_on_general_specs():
+    # a sample of killed powers 1..5 on up to four variables; forms with zero
+    # and Fraction coefficients over Q, residues that may vanish over F_p
+    rng = random.Random(88)
+    tuples = [e for n in range(1, 5) for e in itertools.product(range(1, 6), repeat=n) if max(e) > 1]
+    for char in (0, 2, 3, 5, 7, 11, 13, 17, 19):
+        for exponents in rng.sample(tuples, 20):
+            spec = AlgebraSpec(len(exponents), exponents, char)
+            if char == 0:
+                form = LinearForm(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in exponents))
+            else:
+                form = LinearForm(tuple(rng.randint(-char, 2 * char) for _ in exponents))
+            auto = slp_check(spec, form)
+            full = slp_check(spec, form, mode="full", method="dense")
+            assert auto.slp == full.slp, (exponents, char, form)
+            dense_ranks = {(c.i, c.t): c.rank for c in full.maps}
+            m = spec.socle_degree
+            assert [(c.i, c.t) for c in auto.maps] == list(middle_pairs(m))
+            proof = (char == 0 or char > m) and all(
+                spec.normalize_coeff(c) for c, d in zip(form.coefficients, exponents) if d > 1
+            )
+            for c in auto.maps:
+                assert c.rank == dense_ranks[c.i, c.t], (exponents, char, form, c)
+                assert (c.method == "block-recursive" and c.notes == ()) == proof, (exponents, char, form, c)
+
+
+@pytest.mark.parametrize("char", [0, 7])
+def test_zero_coefficient_on_a_killed_power_one_variable_keeps_the_proof_route(char):
+    # x2 is zero in the algebra, so its coefficient does not matter
+    spec = AlgebraSpec(3, (3, 1, 4), char)
+    form = LinearForm((2, 0, -1))
+    for i, t in middle_pairs(spec.socle_degree):
+        rr = recursive_middle_rank(spec, form, i)
+        assert (rr.method, rr.notes) == ("block-recursive", ())
+        dense = check_map(spec, form, i, t, "dense")
+        assert rr.rank == dense.rank == spec.dim(i)
+
+
+@pytest.mark.parametrize(
+    "char, exponents",
+    [(0, (2,) * 16), (17, (2,) * 16), (0, (3, 4, 5, 6)), (17, (3, 4, 5, 6))],
+    ids=["0", "17", "0-3456", "17-3456"],
+)
+def test_block_route_builds_only_base_maps(monkeypatch, char, exponents):
     real_build = slpkit.lefschetz.build_matrix
 
     def only_one_by_one(spec, form, i, t):
@@ -289,15 +332,16 @@ def test_block_route_builds_only_base_maps(monkeypatch, char):
     monkeypatch.setattr(slpkit.lefschetz, "build_matrix", only_one_by_one)
     monkeypatch.setattr(slpkit.blockrec, "check_map", counting_check)
     monkeypatch.setattr(slpkit.blockrec, "recursive_middle_rank", counting_rank)
-    n = 16
-    form = LinearForm(tuple((-1) ** k * (k % 5 + 1) for k in range(n)))
-    report = slp_check(AlgebraSpec.quadratic(n, char), form)
+    spec = AlgebraSpec(len(exponents), exponents, char)
+    form = LinearForm(tuple((-1) ** k * (k % 5 + 1) for k in range(spec.n)))
+    report = slp_check(spec, form)
     assert report.slp
+    m = spec.socle_degree
     assert [(c.i, c.rank, c.method) for c in report.maps] == [
-        (i, comb(n, i), "block-recursive") for i in range(n // 2)
+        (i, spec.dim(i), "block-recursive") for i in range((m + 1) // 2)
     ]
-    assert sorted(per_map) == list(range(n // 2))
-    assert all(1 <= count <= n for count in per_map.values()), per_map
+    assert sorted(per_map) == list(range((m + 1) // 2))
+    assert all(1 <= count <= m for count in per_map.values()), per_map
 
 
 def test_recursive_rank_stats():
@@ -315,8 +359,9 @@ def test_recursive_rank_base_case():
 
 
 def test_recursive_rank_validation():
+    # (3, 3) has socle degree 4, so i = 2 is not below the middle
     with pytest.raises(ValueError):
-        recursive_middle_rank(AlgebraSpec(2, (3, 3)), LinearForm.ones(2), 0)
+        recursive_middle_rank(AlgebraSpec(2, (3, 3)), LinearForm.ones(2), 2)
     with pytest.raises(ValueError):
         recursive_middle_rank(AlgebraSpec.quadratic(4), LinearForm.ones(3), 1)
     with pytest.raises(ValueError):

@@ -177,6 +177,18 @@ def test_bench(capsys, tmp_path):
     ]
 
 
+def test_rank_block_on_a_general_spec(capsys, tmp_path):
+    path = tmp_path / "rank.json"
+    code, out, _ = run(
+        capsys, "rank", "--exponents", "3,4", "--i", "1", "--t", "3", "--method", "block", "--out", str(path)
+    )
+    assert code == 0 and "block-recursive" in out
+    payload = json.loads(path.read_text())
+    assert (payload["rank"], payload["method"], payload["notes"]) == (2, "block-recursive", [])
+    code, out, _ = run(capsys, "bench", "--exponents", "3,3")
+    assert code == 0 and "all methods agree on every rank" in out
+
+
 def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
@@ -226,5 +238,5 @@ def test_input_errors_exit_two(capsys):
     assert code == 2
     code, _, err = run(capsys, "embed-verify", "--exponents", "1,2")
     assert code == 2
-    code, _, err = run(capsys, "bench", "--exponents", "3,3")
-    assert code == 2
+    code, _, err = run(capsys, "bench", "--quadratic", "3", "--methods", ",")
+    assert code == 2 and "--methods must name" in err

@@ -509,7 +509,7 @@ def test_lazy_echelon_on_quadratic_8_middle_maps(nzero):
             rows = build_matrix(spec, LinearForm(coeffs), i, t).matrix.to_rows()
             got, want = _both_echelons(rows)
             assert got == want
-            assert got[0] == oracles.tensor_deficit_rank(8, nzero, i, t)
+            assert got[0] == oracles.tensor_deficit_rank((2,) * (8 - nzero), (2,) * nzero, i, t)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,4 +1,5 @@
 """Multiplication matrices, rank verdicts and characteristic scans."""
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial, prod
 import random
@@ -254,15 +255,15 @@ def test_slp_small_characteristic_failures():
     report3 = slp_check(AlgebraSpec.quadratic(3, 3), LinearForm.ones(3))
     assert not report3.slp
     assert report3.failures == ((0, 3),)
-    # the block recursion needs characteristic > n; each map says it fell back
+    # the block recursion needs characteristic > m; each map says it fell back
     for c in report3.maps:
-        assert len(c.notes) == 1 and c.notes[0].startswith("characteristic 3 <= 3 variables")
+        assert len(c.notes) == 1 and c.notes[0].startswith("characteristic 3 <= socle degree 3")
 
 
 def test_slp_general_spec_full_mode():
     spec = AlgebraSpec(2, (3, 4))
     report = slp_check(spec, LinearForm.ones(2))
-    assert report.mode == "middle" and report.method == "dense"
+    assert report.mode == "middle" and report.method == "block"
     assert report.slp
     assert [(c.i, c.t) for c in report.maps] == [(0, 5), (1, 3), (2, 1)]
     full = slp_check(spec, LinearForm.ones(2), mode="full")
@@ -421,6 +422,14 @@ def test_linear_form_helpers():
         LinearForm((1,)).restricted()
 
 
+@pytest.mark.parametrize("inexact", [1.5, 0.5, Decimal("0.5")], ids=["float-1.5", "float-0.5", "Decimal"])
+def test_linear_form_refuses_inexact_coefficients(inexact):
+    # the matrix build would truncate a float, so 0.5 would act as a zero coefficient
+    with pytest.raises(TypeError):
+        LinearForm((inexact, 1, 1))
+    assert LinearForm((True, np.int64(2), Fraction(1, 2))).nvars == 3
+
+
 def test_mode_method_validation():
     spec = AlgebraSpec.quadratic(3)
     form = LinearForm.ones(3)
@@ -436,7 +445,7 @@ def test_mode_method_validation():
     with pytest.raises(ValueError):
         slp_check(spec, form, mode="auto")
     with pytest.raises(ValueError):
-        slp_check(AlgebraSpec(2, (3, 3)), LinearForm.ones(2), method="block")
+        slp_check(AlgebraSpec(2, (3, 3)), LinearForm.ones(2), mode="full", method="block")
     with pytest.raises(ValueError):
         slp_check(spec, LinearForm.ones(4))
 
@@ -447,8 +456,9 @@ def test_check_map_picks_block_only_for_middle_maps():
     assert check_map(spec, form, 1, 3, "dense").method == "modular"
     assert check_map(spec, form, 1, 2).method == "modular"
     general = AlgebraSpec(2, (3, 3))
-    assert check_map(general, LinearForm.ones(2), 1, 2).method == "modular"
-    for bad_spec, i, t in ((spec, 1, 2), (spec, -1, 7), (general, 1, 2)):
+    assert check_map(general, LinearForm.ones(2), 1, 2).method == "block-recursive"
+    assert check_map(general, LinearForm.ones(2), 1, 1).method == "modular"
+    for bad_spec, i, t in ((spec, 1, 2), (spec, -1, 7), (general, 1, 1)):
         with pytest.raises(ValueError):
             check_map(bad_spec, LinearForm.ones(bad_spec.n), i, t, "block")
     with pytest.raises(ValueError):
@@ -473,5 +483,21 @@ def test_deficit_ranks_match_the_tensor_product_oracle(nzero):
         spec = AlgebraSpec.quadratic(n)
         for i, t in middle_pairs(spec.socle_degree):
             c = check_map(spec, LinearForm(coeffs), i, t)
-            assert c.rank == oracles.tensor_deficit_rank(n, nzero, i, t)
+            assert c.rank == oracles.tensor_deficit_rank((2,) * (n - nzero), (2,) * nzero, i, t)
             assert not c.maximal
+
+
+def test_general_deficit_ranks_match_the_tensor_product_oracle():
+    # zero coefficients on general killed powers, a killed power of 1 included
+    rng = random.Random(4000)
+    for n in range(1, 5):
+        for _ in range(12):
+            exponents = tuple(rng.randint(1, 5) for _ in range(n))
+            zeros = set(rng.sample(range(n), rng.randint(1, n)))
+            coeffs = [0 if k in zeros else Fraction(rng.choice((1, 2, 3)), rng.choice((1, 2))) for k in range(n)]
+            spec = AlgebraSpec(n, exponents)
+            live = tuple(d for k, d in enumerate(exponents) if k not in zeros)
+            dead = tuple(d for k, d in enumerate(exponents) if k in zeros)
+            for i, t in middle_pairs(spec.socle_degree):
+                c = check_map(spec, LinearForm(coeffs), i, t)
+                assert c.rank == oracles.tensor_deficit_rank(live, dead, i, t), (exponents, coeffs, i, t)
