@@ -37,7 +37,9 @@ assert dec.assemble() == build_matrix(spec, form, 1, 2).matrix
 ###############################################################################
 # The recursion against dense elimination on the widest middle map for
 # each variable count.  Both are exact; the recursion is the paper's
-# induction on variables and builds only the 1x1 base maps l^k: A_0 -> A_k.
+# induction on variables, whose steps and 1x1 base maps l^k: A_0 -> A_k are
+# invertible in characteristic 0 with no zero coefficient, so it checks
+# those hypotheses and builds only the 1x1 socle map l^n: A_0 -> A_n.
 
 for n in (8, 9, 10):
     spec = AlgebraSpec.quadratic(n)
@@ -60,8 +62,8 @@ for n in (8, 9, 10):
 
 ###############################################################################
 # When the structured path's preconditions fail (here a zero coefficient),
-# the rank comes from the same dense map check that certifies the base
-# maps, and the notes say why the recursion was not used.
+# the rank comes from the same dense map check that certifies the socle
+# map, and the notes say why the recursion was not used.
 
 rr = recursive_middle_rank(AlgebraSpec.quadratic(4), LinearForm((1, 1, 1, 0)), 1)
 print(f"rank {rr.rank}, notes: {rr.notes}")
@@ -70,7 +72,7 @@ print(f"rank {rr.rank}, notes: {rr.notes}")
 # Any other spec reaches the same induction through the block-sum embedding.
 # On killed powers (3, 4, 5) the form 2x1 - x2 + 3x3 becomes the square-free
 # form (2, 2, -1, -1, -1, 3, 3, 3, 3) on m = 9 variables, whose middle maps
-# the walk decides; the dense check of every power agrees.
+# the induction makes bijective; the dense check of every power agrees.
 
 spec = AlgebraSpec(3, (3, 4, 5))
 form = LinearForm((2, -1, 3))

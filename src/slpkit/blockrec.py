@@ -11,15 +11,14 @@ For the square middle maps (t = n - 2i) the top-left factor splits through a
 square block P = M_bar(i, t-1), the middle map (i, n-1-2i) of the first n-1
 variables.  When P is bijective and c_n * t is invertible, the whole map is
 bijective exactly when the middle map (i-1, n+1-2i) of the first n-1
-variables is.  That is the paper's induction, and recursive_middle_rank runs
-it without building P: the node (k, j) stands for the middle map
-(j, k-2j) of the first k variables, and it is bijective when (k-1, j) and
-(k-1, j-1) are.  Nodes with 2j = k are identities; nodes with j = 0 are the
-1x1 maps l^k: A_0 -> A_k, the scalar k! c_1...c_k, each checked by the
-dense route of lefschetz.check_map.  The nodes are memoized per call, so a
-middle map costs O(n^2) nodes and at most n such 1x1 checks.  Every other
-spec reaches the walk through the block-sum embedding; recursive_middle_rank
-gives the argument and the dense fallbacks.
+variables is.  That is the paper's induction: the node (k, j), the middle
+map (j, k-2j) of the first k variables, is bijective when (k-1, j) and
+(k-1, j-1) are and c_k (k-2j) is invertible.  It ends in identities
+(2j = k) and in the 1x1 maps l^k: A_0 -> A_k (j = 0), the scalars
+k! c_1...c_k.  In characteristic 0 or above n with no zero coefficient
+every step and every base map is invertible, so the induction builds no
+matrix: recursive_middle_rank checks those hypotheses with one 1x1 map, and
+reaches every other spec through the block-sum embedding.
 """
 from __future__ import annotations
 
@@ -141,39 +140,26 @@ def _dense_fallback(spec: AlgebraSpec, form: LinearForm, i: int, reason: str, st
     return RankResult(mc.rank, mc.method, None, None, mc.notes + (reason,))
 
 
-def _bijective(coeffs: tuple, char: int, k: int, j: int, memo: dict, stats) -> bool:
-    """Whether the middle map (j, k-2j) of the first k square-free variables is bijective."""
-    if (k, j) not in memo:
-        if 2 * j == k:
-            found = True  # l^0, the identity
-        elif j == 0:
-            prefix = AlgebraSpec.quadratic(k, char)
-            found = check_map(prefix, LinearForm(coeffs[:k]), 0, k, "dense", stats).maximal
-        else:
-            found = _bijective(coeffs, char, k - 1, j, memo, stats) and _bijective(
-                coeffs, char, k - 1, j - 1, memo, stats
-            )
-        memo[k, j] = found
-    return memo[k, j]
-
-
 def recursive_middle_rank(
     spec: AlgebraSpec, form: LinearForm, i: int, stats: dict | None = None
 ) -> RankResult:
     """Rank of the middle map (i, m-2i) of any spec, m its socle degree.
 
-    Hypotheses: characteristic 0 or above m, and c_j nonzero for every
-    killed power a_j >= 2 (a variable killed at power 1 is zero).  The
-    induction (module docstring) then decides the middle map (i, m-2i) of
-    E = (each c_j repeated a_j - 1 times) on the square-free algebra on m
-    variables, building only 1x1 base maps; a square-free spec has E = form.
-    The block-sum embedding phi (embedding.py) carries the verdict over: phi
-    is a ring map with phi(form) = E; phi_i is injective, each row of
-    phi_matrix holding the one entry prod(c_k!) with c_k <= m < p; so
-    E^t o phi_i = phi o form^t injective makes form^t injective, hence
-    bijective as h_i = h_(m-i).  Otherwise, or when a base map is singular,
-    the rank is check_map's dense rank and the notes say why.  A stats dict
-    receives "peak_bits" from every map check_map builds.
+    Hypotheses: characteristic 0 or above m, and the socle map l^m: A_0 ->
+    A_m nonzero.  That 1x1 map is the scalar m!/prod((a_j-1)!) times
+    prod(c_j^(a_j-1)), so given the first hypothesis the second says c_j is
+    nonzero for every killed power a_j >= 2; it is the one map built, by
+    check_map's dense route.  The block-sum embedding phi (embedding.py)
+    sends the form to E = (each c_j repeated a_j - 1 times) on the
+    square-free algebra on m variables, where the induction (module
+    docstring) makes every middle map of E bijective, its base scalars being
+    k! e_1...e_k with k <= m.  phi is a ring map with phi(form) = E, and
+    phi_i is injective, each row of phi_matrix holding the one entry
+    prod(c_k!) with c_k <= m < p; so E^t o phi_i = phi o form^t injective
+    makes form^t injective, hence bijective as h_i = h_(m-i), and the rank
+    is dim(i).  Otherwise the rank is check_map's dense rank and the notes
+    say why.  A stats dict receives "peak_bits" from every map check_map
+    builds.
     """
     if form.nvars != spec.n:
         raise ValueError("form has the wrong number of coefficients")
@@ -185,12 +171,6 @@ def recursive_middle_rank(
         return _dense_fallback(
             spec, form, i, f"characteristic {char} <= socle degree {m}; structured path unavailable", stats
         )
-    expanded = tuple(c for c, a in zip(form.coefficients, spec.exponents) for _ in range(a - 1))
-    if any(spec.normalize_coeff(c) == 0 for c in expanded):
+    if not check_map(spec, form, 0, m, "dense", stats).maximal:
         return _dense_fallback(spec, form, i, "zero coefficient in the form; structured path unavailable", stats)
-    memo: dict[tuple[int, int], bool] = {}
-    if not _bijective(expanded, char, m, i, memo, stats):
-        # the walk stops at the first singular base map, so exactly one is in memo
-        k = next(k for (k, j), ok in memo.items() if j == 0 and not ok)
-        return _dense_fallback(spec, form, i, f"base map (0, {k}) of the first {k} variables singular", stats)
     return RankResult(spec.dim(i), "block-recursive", ((0, 0),) if i == 0 else None)

@@ -26,11 +26,11 @@ over F_p that is one elimination mod p; over Q it probes mod the one fixed
 prime exactmat.PROBE_PRIME (full modular rank certifies full rational rank)
 and falls back to exact fraction-free elimination only when the certificate
 fails, so the expensive path runs exactly when something genuinely
-degenerates.  Its block route, blockrec.recursive_middle_rank, runs the
-paper's induction on variables: it builds no matrix beyond the 1x1 base
-maps l^k: A_0 -> A_k, which it checks through the dense route, as it does
-every fallback; through the block-sum embedding it decides the middle maps
-of every spec.  The route follows from the input alone, so char_search
+degenerates.  Its block route, blockrec.recursive_middle_rank, is the
+paper's proof, the induction on variables carried to every spec by the
+block-sum embedding: it checks the proof's hypotheses and builds no matrix
+beyond the 1x1 socle map l^m: A_0 -> A_m, which it checks through the
+dense route, as it does every fallback.  The route follows from the input alone, so char_search
 takes it for the middle maps whenever p exceeds the socle degree m.
 """
 from __future__ import annotations
@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import comb, prod
 from numbers import Rational
 from typing import Iterable
 
@@ -68,7 +68,7 @@ class LinearForm:
     def __post_init__(self) -> None:
         if not isinstance(self.coefficients, tuple):
             object.__setattr__(self, "coefficients", tuple(self.coefficients))
-        # int first: the block route makes a form per base map, and an ABC check is slow
+        # int first: an isinstance check against the Rational ABC is slow
         if not all(type(c) is int or isinstance(c, Rational) for c in self.coefficients):
             raise TypeError(f"form coefficients must be exact rationals (int or Fraction): {self.coefficients}")
 
@@ -158,14 +158,16 @@ def build_matrix(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> Multipl
     rational = char == 0 and any(isinstance(c, Fraction) for c in coeffs)
     ncols = len(graded_basis(spec, i))
     nrows = len(basis_positions(spec, i + t))
-    fact = factorial(t)
     picked, values = [], []
     for j, w in enumerate(graded_basis(spec, t)):
-        c = fact
+        # the multinomial t!/prod(wk!) as a product of binomials, so that a
+        # high power of one variable costs no large factorial
+        c, left = 1, t
         val = 1
         for coeff, wk in zip(coeffs, w.exponents):
             if wk:
-                c //= factorial(wk)
+                c *= comb(left, wk)
+                left -= wk
                 val *= coeff**wk
         val = c * val
         if char:
@@ -281,14 +283,15 @@ def check_map(
 
     This is the one routine that builds a map and ranks it.  method "block"
     takes the recursive rank of blockrec, which applies to the middle maps
-    (i, m-2i) of every spec and checks its 1x1 base maps here; "dense"
+    (i, m-2i) of every spec and checks its 1x1 socle map here; "dense"
     builds the matrix and ranks it with exactmat.certified_rank, which
     eliminates F_p matrices mod p and certifies integer and rational ones
     mod PROBE_PRIME; "auto" is block exactly for the middle maps.
     rows and cols come from spec.dim on both routes.  A stats dict receives
     "peak_bits", the largest entry bit size of any matrix built.
     """
-    middle = (i, t) in middle_pairs(spec.socle_degree)
+    # (i, t) in middle_pairs(m), without listing the m/2 pairs
+    middle = i >= 0 and t >= 1 and 2 * i + t == spec.socle_degree
     if method == "auto":
         method = "block" if middle else "dense"
     if method not in ("dense", "block"):

@@ -222,12 +222,12 @@ def test_singular_base_map_falls_back_to_the_dense_check(monkeypatch, char):
     spec = AlgebraSpec.quadratic(6, char)
     form = LinearForm((1, 2, -1, 3, 1, -2))
     rr = recursive_middle_rank(spec, form, 2)
-    # (6, 2) -> (5, 2) -> (4, 1) -> (3, 1) -> (2, 0): the first leaf is l^2 on 2 variables
+    # the one base map the route builds is the socle map l^6: A_0 -> A_6
     assert [(s.n, f.coefficients, i, t) for s, f, i, t in calls] == [
-        (2, (1, 2), 0, 2),
+        (6, form.coefficients, 0, 6),
         (6, form.coefficients, 2, 2),
     ]
-    assert rr.notes == ("base map (0, 2) of the first 2 variables singular",)
+    assert rr.notes == ("zero coefficient in the form; structured path unavailable",)
     mat = build_matrix(spec, form, 2, 2).matrix
     dense = rank_mod_p(mat, char).rank if char else rank_fraction_free(mat).rank
     assert rr.rank == dense == comb(6, 2)
@@ -341,13 +341,27 @@ def test_block_route_builds_only_base_maps(monkeypatch, char, exponents):
         (i, spec.dim(i), "block-recursive") for i in range((m + 1) // 2)
     ]
     assert sorted(per_map) == list(range((m + 1) // 2))
-    assert all(1 <= count <= m for count in per_map.values()), per_map
+    # one base map per middle map: the socle map l^m: A_0 -> A_m
+    assert set(per_map.values()) == {1}, per_map
+
+
+@pytest.mark.parametrize("char", [0, 7, 1009])
+def test_large_killed_power_needs_no_deep_recursion(char):
+    # socle degree 1000, at the default recursion limit; characteristic 7
+    # falls back to the dense 1x1 maps, the others take the route
+    spec = AlgebraSpec(1, (1001,), char)
+    report = slp_check(spec, LinearForm((3,)))
+    assert report.slp
+    assert [(c.i, c.t, c.rank) for c in report.maps] == [(i, 1000 - 2 * i, 1) for i in range(500)]
+    route = "modular" if char == 7 else "block-recursive"
+    assert {c.method for c in report.maps} == {route}
 
 
 def test_recursive_rank_stats():
     stats = {}
     recursive_middle_rank(AlgebraSpec.quadratic(6), LinearForm.ones(6), 2, stats=stats)
-    assert stats == {"peak_bits": 5}
+    # the socle scalar 6! = 720
+    assert stats == {"peak_bits": 10}
 
 
 def test_recursive_rank_base_case():

@@ -171,9 +171,9 @@ def test_bench(capsys, tmp_path):
     assert {r["method"] for r in records} == {"dense", "block"}
     for r in records:
         assert set(r) == {"n", "i", "t", "rows", "cols", "method", "rank", "peak_bits", "ms"}
-    # dense: bit size of t!; block: the largest base scalar k! c_1...c_k the recursion checks
+    # dense: bit size of t!; block: the socle scalar 5! the route checks for every map
     assert [(r["method"], r["peak_bits"]) for r in records] == [
-        ("dense", 7), ("block", 7), ("dense", 3), ("block", 5), ("dense", 1), ("block", 3)
+        ("dense", 7), ("block", 7), ("dense", 3), ("block", 7), ("dense", 1), ("block", 7)
     ]
 
 
