@@ -16,7 +16,8 @@ The degree-j matrix has a closed form.  A square-free target monomial v
 meeting block k in c_k variables occurs only in the image of y^c, and there
 with coefficient prod(c_k!), one for each ordering of v's variables inside
 every block; phi_matrix places these values through the source's
-mixed-radix code table and multiplies no polynomials.  Ranks go through
+mixed-radix code table and multiplies no polynomials.  The values are at
+most m!, so for m <= 20 the matrix is int64 from the start.  Ranks go through
 exactmat.certified_rank and its one probe prime.
 """
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .exactmat import GF, ZZ, ExactMatrix, certified_rank, mat_mul
+from .exactmat import GF, INT64_BOUND, ZZ, ExactMatrix, certified_rank, mat_mul
 from .lefschetz import LefschetzReport, LinearForm, _position_codes, _radix, build_matrix, slp_check
 from .monomials import Monomial
 from .quotient import AlgebraSpec, AlgebraElement, graded_basis, hilbert_vector, multiply
@@ -126,8 +127,11 @@ def phi_matrix(es: EmbeddingSpec, degree: int) -> ExactMatrix:
     counts = np.add.reduceat(exps, es.offsets[:-1], axis=1)
     radix = _radix(source)
     cols = np.searchsorted(columns, counts.astype(radix.dtype) @ radix)
-    fact = np.array([factorial(k) for k in range(max(es.powers) + 1)], dtype=object)
-    out = np.zeros((len(target), len(columns)), dtype=object)
+    # every entry prod(c_k!) is at most (sum c_k)! <= m!, so the matrix is
+    # int64 whenever m! < INT64_BOUND, that is for m <= 20
+    dtype = np.int64 if factorial(es.m) < INT64_BOUND else object
+    fact = np.array([factorial(k) for k in range(max(es.powers) + 1)], dtype=dtype)
+    out = np.zeros((len(target), len(columns)), dtype=dtype)
     out[np.arange(len(target)), cols] = fact[counts].prod(axis=1)
     char = es.characteristic
     return ExactMatrix.from_rows(out, GF if char else ZZ, char or None)

@@ -31,8 +31,11 @@ the probe certifies every map of an integer form whose coefficients are all
 nonzero mod it.  Rank deficits are always re-established by the exact
 integer elimination.
 
-Products and scalings multiply the stored arrays as object arrays of
-Python scalars and never build `entries`.
+Products of two int64 matrices stay in int64 whenever max|a| * max|b| *
+a.cols < 2^62, which bounds every partial sum; embedding.phi_matrix is
+int64 for m <= 20, so the embedding's small products take that path.  Other
+products and all scalings multiply the stored arrays as object arrays of
+Python scalars.  Neither builds `entries`.
 """
 from __future__ import annotations
 
@@ -85,7 +88,9 @@ def _from_scalars(flat: list, shape: tuple[int, int], domain: str, modulus: int 
     """Stored form of row-major Python scalars in a checked domain."""
     if domain == QQ:
         return np.array([e if isinstance(e, Fraction) else Fraction(e) for e in flat], dtype=object).reshape(shape)
-    if any(isinstance(e, Fraction) for e in flat):
+    # the type test first: an isinstance check against Fraction goes through
+    # the numbers ABCs and costs about 1 us per entry
+    if not all(type(e) is int for e in flat) and any(isinstance(e, Fraction) for e in flat):
         raise TypeError("fractional entry in an integer matrix")
     if domain == GF:
         flat = [int(e) % modulus for e in flat]
@@ -301,7 +306,16 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     _same_domain(a, b)
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    return ExactMatrix.from_rows(a.array.astype(object) @ b.array.astype(object), a.domain, a.modulus)
+    x, y = a.array, b.array
+    if x.dtype == np.int64 and y.dtype == np.int64:
+        # every partial sum of a row-by-column product is at most
+        # max|x| * max|y| * a.cols in absolute value, so below that bound
+        # the int64 product is exact (stored entries are below 2^62, so
+        # np.abs cannot overflow)
+        bound = int(np.abs(x).max(initial=0)) * int(np.abs(y).max(initial=0)) * a.cols
+        if bound < INT64_BOUND:
+            return ExactMatrix.from_rows(x @ y, a.domain, a.modulus)
+    return ExactMatrix.from_rows(x.astype(object) @ y.astype(object), a.domain, a.modulus)
 
 
 def scale(a: ExactMatrix, c: Scalar) -> ExactMatrix:
@@ -415,6 +429,8 @@ def _echelon_mod_p_numpy(rowdata, p: int) -> tuple[int, tuple, int]:
     for c in range(ncols):
         if r == nrows:
             break
+        # one scan per column: after the swap, row pr holds the old row r,
+        # which is zero in column c, so the rows to eliminate are nz[1:] + r
         nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
             continue
@@ -427,9 +443,8 @@ def _echelon_mod_p_numpy(rowdata, p: int) -> tuple[int, tuple, int]:
         det = det * piv % p
         if piv != 1:
             a[r, c:] = (a[r, c:] * pow(piv, -1, p)) % p
-        nzb = np.flatnonzero(a[r + 1 :, c])
-        if nzb.size:
-            idx = nzb + (r + 1)
+        if nz.size > 1:
+            idx = nz[1:] + r
             a[idx, c:] = (a[idx, c:] - np.outer(a[idx, c], a[r, c:])) % p
         pivots.append((ids[r], c))
         r += 1

@@ -128,7 +128,7 @@ def _radix(exponents: tuple[int, ...]) -> np.ndarray:
     return np.array([prod(exponents[:k]) for k in range(len(exponents))], dtype=dtype)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=None)
 def _position_codes(exponents: tuple[int, ...], degree: int) -> np.ndarray:
     """Mixed-radix codes of graded_basis(degree) for these killed powers.
 

@@ -91,33 +91,48 @@ class AlgebraSpec:
 
 
 def _bounded_exponents(bounds: tuple[int, ...], t: int) -> Iterator[tuple[int, ...]]:
-    # last exponent ascending outermost: yields decreasing revlex order;
-    # room[k] = sum(d - 1) over the first k variables, the most they can hold,
-    # so an exponent leaving more than that for the others is skipped
+    # decreasing revlex order: the reversed exponent tuples ascend, the last
+    # exponent being the most significant digit.  room[k] = sum(d - 1) over
+    # the first k variables, the most they can hold, so exponent e_k is at
+    # least what the first k variables cannot take.  An odometer, not a
+    # recursion, so that the depth does not grow with the variable count.
+    n = len(bounds)
     room = list(accumulate((d - 1 for d in bounds), initial=0))
-
-    def first(k: int, t: int) -> Iterator[tuple[int, ...]]:
-        # exponents of the first k variables with total t, 0 <= t <= room[k]
-        if k == 1:
-            yield (t,)
+    if not 0 <= t <= room[-1]:
+        return
+    e = [0] * n
+    k, left = n, t  # fill e_0..e_{k-1}, of total left, with the least tail
+    while True:
+        for j in range(k - 1, 0, -1):
+            e[j] = max(0, left - room[j])
+            left -= e[j]
+        e[0] = left
+        yield tuple(e)
+        # the lowest digit k >= 1 below its bound with a unit to take from
+        # the digits below it
+        below, k = e[0], 1
+        while k < n and (not below or e[k] == bounds[k] - 1):
+            below += e[k]
+            k += 1
+        if k == n:
             return
-        for e in range(max(0, t - room[k - 1]), min(bounds[k - 1] - 1, t) + 1):
-            for rest in first(k - 1, t - e):
-                yield rest + (e,)
+        e[k] += 1
+        left = below - 1
 
-    if 0 <= t <= room[-1]:
-        yield from first(len(bounds), t)
+
+@lru_cache(maxsize=None)
+def _listing(exponents: tuple[int, ...], t: int) -> tuple[Monomial, ...]:
+    return tuple(Monomial(e) for e in _bounded_exponents(exponents, t))
 
 
 @lru_cache(maxsize=None)
 def graded_basis(spec: AlgebraSpec, t: int) -> tuple[Monomial, ...]:
     """Standard monomials of degree t, in decreasing reverse-lexicographic order.
 
-    Out-of-range degrees give the empty tuple.
+    Out-of-range degrees give the empty tuple.  The listing depends on the
+    killed powers alone, so every characteristic shares one copy.
     """
-    if t < 0 or t > spec.socle_degree:
-        return ()
-    return tuple(Monomial(e) for e in _bounded_exponents(spec.exponents, t))
+    return _listing(spec.exponents, t)
 
 
 @lru_cache(maxsize=None)

@@ -13,6 +13,8 @@ from math import comb, factorial, prod
 import random
 import time
 
+import pytest
+
 from slpkit.blockrec import block_pivot_rank, decompose, recursive_middle_rank
 from slpkit.embedding import EmbeddingSpec, transfer_slp, verify_kernel_dims, verify_socle_image
 from slpkit.exactmat import (
@@ -193,6 +195,7 @@ def _compositions(total):
             yield (first,) + rest
 
 
+@pytest.mark.slow
 def test_acceptance_8_all_embeddings_up_to_eight():
     start = time.perf_counter()
     tuples = [powers for m in range(1, 9) for powers in _compositions(m)]

@@ -3,6 +3,7 @@ from itertools import product as iproduct
 from math import comb, factorial, prod
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -148,6 +149,41 @@ def test_phi_matrix_matches_brute_force_expansion():
     powers = (1,) * 70
     assert _position_codes(tuple(a + 1 for a in powers), 1).dtype == object
     assert phi_matrix(EmbeddingSpec.from_powers(powers), 1).to_rows() == oracles.reference_phi_matrix(powers, 1)
+
+
+def _phi_expansion(es, degree):
+    """Rows of the degree piece, read off phi_monomial of each source monomial."""
+    images = [phi_monomial(es, u.exponents) for u in graded_basis(es.source_spec, degree)]
+    return [[image.coefficient(v) for image in images] for v in graded_basis(es.target_spec, degree)]
+
+
+@pytest.mark.parametrize(
+    "powers,char,degree,built",
+    [
+        ((10, 10), 0, 20, np.int64),
+        ((6, 7, 7), 0, 19, np.int64),
+        ((5, 7, 8), 0, 3, np.int64),
+        ((1,) * 20, 0, 2, np.int64),
+        ((2, 1, 3), 5, 4, np.int64),
+        ((6, 7, 7), 7, 18, np.int64),
+        # m = 21: 21! > 2^62, so the build stays in Python ints
+        ((10, 11), 0, 21, object),
+    ],
+)
+def test_phi_matrix_is_built_in_int64_up_to_m_20(from_rows_dtypes, powers, char, degree, built):
+    es = EmbeddingSpec.from_powers(powers, char)
+    got = phi_matrix(es, degree)
+    assert from_rows_dtypes == [np.dtype(built)]
+    assert got.to_rows() == _phi_expansion(es, degree)
+
+
+def test_phi_matrix_socle_entry_at_the_int64_edge(from_rows_dtypes):
+    # the largest entry of any m: the socle column of a single block, m!
+    top = phi_matrix(EmbeddingSpec.from_powers((20,)), 20)
+    assert top.array.dtype == np.int64 and top.to_rows() == [[factorial(20)]]
+    over = phi_matrix(EmbeddingSpec.from_powers((21,)), 21)
+    assert over.array.dtype == object and over.to_rows() == [[factorial(21)]]
+    assert from_rows_dtypes == [np.dtype(np.int64), np.dtype(object)]
 
 
 def test_kernel_dims_certify_injectivity():

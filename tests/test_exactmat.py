@@ -173,6 +173,36 @@ def test_numpy_and_object_modular_paths_agree():
             assert oracles.reference_echelon_mod_p(zero, p) == (0, (), 1)
 
 
+def _sparse_rows(rng, nrows, ncols, p):
+    """Mostly zeros, so pivots sit below zero rows with nonzeros under them;
+    some columns are zeroed and some rows repeat another."""
+    rows = [[rng.randrange(1, p) if rng.random() < 0.3 else 0 for _ in range(ncols)] for _ in range(nrows)]
+    for c in rng.sample(range(ncols), rng.randint(0, ncols // 3)):
+        for row in rows:
+            row[c] = 0
+    for _ in range(rng.randint(0, nrows // 2)):
+        rows[rng.randrange(nrows)] = list(rows[rng.randrange(nrows)])
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, PROBE_PRIME])
+def test_sparse_echelon_mod_p_matches_oracles(p):
+    rng = random.Random(1013 + p)
+    for trial in range(120):
+        k = rng.randint(1, 9)
+        nrows, ncols = (k, k) if trial % 2 else (rng.randint(1, 9), rng.randint(1, 9))
+        rows = _sparse_rows(rng, nrows, ncols, p)
+        m = ExactMatrix.from_rows(rows, GF, p)
+        rank_, pivots, det = oracles.reference_echelon_mod_p(rows, p)
+        assert _echelon_mod_p_numpy(np.array(rows, dtype=np.int64), p) == (rank_, pivots, det)
+        rr = rank_mod_p(m, p)
+        assert (rr.rank, rr.pivots) == (rank_, pivots)
+        assert rr.rank == oracles.mod_rank(rows, p)
+        assert rank_mod_p(ExactMatrix.from_rows(rows), p).rank == rr.rank
+        if nrows == ncols:
+            assert determinant(m) == int(oracles.gauss_det(rows)) % p
+
+
 def test_large_prime_uses_object_path():
     m = ExactMatrix.from_rows(GOLDEN)
     for p in (next_prime(2**31), next_prime(2**64)):
@@ -270,6 +300,47 @@ def test_mat_mul_matches_triple_loop():
                 small = all(-(2**62) < x < 2**62 for row in expect for x in row)
                 assert got.array.dtype == (np.int64 if small else object)
                 assert all(type(x) is int for x in got.entries)
+
+
+@pytest.mark.parametrize(
+    "a,b,path",
+    [
+        # max|a| * max|b| * cols = 2^62 - 2^31: every partial sum fits
+        ([[2**31 - 1, -(2**31 - 1)], [3, 2**31 - 1]], [[2**30, 1], [-(2**30), 2**30]], np.int64),
+        # 2^62 + 2^31: the bound fails, though this product's sums stay small
+        ([[2**31 + 1, -(2**31 + 1)]], [[2**30], [2**30]], object),
+        # 2^62 + 2^31 again, and the product itself reaches 2^62
+        ([[2**31 + 1, 2**31 + 1]], [[2**30], [2**30]], object),
+    ],
+)
+def test_mat_mul_int64_path_sits_below_its_bound(from_rows_dtypes, a, b, path):
+    ma, mb = ExactMatrix.from_rows(a), ExactMatrix.from_rows(b)
+    assert ma.array.dtype == mb.array.dtype == np.int64
+    got = mat_mul(ma, mb)
+    assert from_rows_dtypes == [np.dtype(path)]
+    want = [[sum(a[r][j] * b[j][c] for j in range(len(b))) for c in range(len(b[0]))] for r in range(len(a))]
+    assert got.to_rows() == want
+    assert all(type(x) is int for x in got.entries)
+
+
+def test_mat_mul_int64_path_over_the_probe_prime(from_rows_dtypes):
+    p = PROBE_PRIME
+    # (p - 1)^2 < 2^62 with one column, 2 (p - 1)^2 > 2^62 with two
+    a1, b1 = ExactMatrix.from_rows([[p - 1]], GF, p), ExactMatrix.from_rows([[p - 2]], GF, p)
+    a2, b2 = ExactMatrix.from_rows([[p - 1, p - 1]], GF, p), ExactMatrix.from_rows([[p - 1], [p - 2]], GF, p)
+    del from_rows_dtypes[:]
+    one, two = mat_mul(a1, b1), mat_mul(a2, b2)
+    assert from_rows_dtypes == [np.dtype(np.int64), np.dtype(object)]
+    assert one.to_rows() == [[(p - 1) * (p - 2) % p]]
+    assert two.to_rows() == [[((p - 1) ** 2 + (p - 1) * (p - 2)) % p]]
+
+
+def test_object_array_of_ints_with_one_fraction_is_refused():
+    for value in (Fraction(1, 2), Fraction(4, 2)):
+        arr = np.array([[1, 2, 3], [4, value, 6]], dtype=object)
+        for domain, modulus in ((ZZ, None), (GF, 7), (GF, next_prime(2**64))):
+            with pytest.raises(TypeError):
+                ExactMatrix.from_rows(arr, domain, modulus)
 
 
 def test_block_assemble():

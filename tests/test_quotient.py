@@ -7,6 +7,7 @@ import random
 import pytest
 
 import oracles
+from slpkit.lefschetz import LinearForm, slp_check
 from slpkit.monomials import Monomial, enumerate_squarefree
 from slpkit.quotient import (
     AlgebraElement,
@@ -58,6 +59,42 @@ def test_top_degrees_of_a_large_box_are_listed_without_a_full_walk():
     below = graded_basis(spec, 39)
     assert len(below) == 40
     assert [m.exponents.index(0) for m in below] == list(range(39, -1, -1))
+
+
+def _recursive_listing(bounds, t):
+    """The listing as a recursion on the variable count: the last exponent
+    ascends outermost, and an exponent that leaves the variables before it
+    more than sum(d - 1) over them is skipped."""
+    if len(bounds) == 1:
+        return [(t,)] if 0 <= t < bounds[0] else []
+    before = sum(d - 1 for d in bounds[:-1])
+    return [
+        rest + (e,)
+        for e in range(max(0, t - before), min(bounds[-1] - 1, t) + 1)
+        for rest in _recursive_listing(bounds[:-1], t - e)
+    ]
+
+
+@pytest.mark.parametrize("bounds", [(1,), (4,), (2, 3), (3, 1, 4), (1, 2, 1, 3, 2), (3, 3, 4, 4), (2,) * 7, (5, 1, 1, 5)])
+def test_listing_keeps_the_recursive_order(bounds):
+    spec = AlgebraSpec(len(bounds), bounds)
+    for t in range(-1, spec.socle_degree + 2):
+        assert [m.exponents for m in graded_basis(spec, t)] == _recursive_listing(bounds, t)
+
+
+def test_listing_is_shared_across_characteristics():
+    listings = [graded_basis(AlgebraSpec(3, (3, 2, 4), p), 3) for p in (0, 2, 3, 5)]
+    assert all(listing is listings[0] for listing in listings)
+
+
+def test_many_variables_need_no_deep_recursion():
+    # one generator frame per variable used to overflow the interpreter stack
+    n = 1001
+    spec = AlgebraSpec(n, (1,) * 1000 + (3,))
+    assert [m.exponents for m in graded_basis(spec, 2)] == [(0,) * 1000 + (2,)]
+    report = slp_check(spec, LinearForm.ones(n))
+    assert report.slp
+    assert [(c.i, c.t, c.rank) for c in report.maps] == [(0, 2, 1)]
 
 
 def test_basis_positions_are_consistent():
