@@ -22,7 +22,8 @@ reaches every other spec through the block-sum embedding.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 from .exactmat import (
     ExactMatrix,
@@ -34,7 +35,7 @@ from .exactmat import (
     rank_mod_p,  # unused; perfbench/tests/test_tracing.py expects this binding
     scale,
 )
-from .lefschetz import LinearForm, build_matrix, check_map
+from .lefschetz import LinearForm, MapCheck, build_matrix, check_map
 from .quotient import AlgebraSpec
 
 
@@ -104,14 +105,12 @@ def decompose(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> BlockDecom
     return BlockDecomposition(spec, form, i, t, tl, bl, br, scalar)
 
 
-def block_pivot_rank(
-    a: ExactMatrix, b: ExactMatrix, pivot: ExactMatrix, check: bool = False
-) -> RankResult:
+def block_pivot_rank(a: ExactMatrix, b: ExactMatrix, pivot: ExactMatrix) -> RankResult:
     """Rank of [[A*P, 0], [P, P*B]] as size(P) + rank(A*P*B).
 
-    P must be square and nonsingular (verified by determinant).  With
-    check=True the assembled matrix is also eliminated directly and the two
-    answers are compared.
+    P must be square and nonsingular (verified by determinant).  The
+    assembled matrix is also eliminated directly, and a different answer
+    raises RuntimeError.
     """
     if pivot.rows != pivot.cols:
         raise ValueError("pivot block must be square")
@@ -119,31 +118,22 @@ def block_pivot_rank(
         raise ValueError("inner dimensions do not match the pivot block")
     if determinant(pivot) == 0:
         raise ValueError("pivot block is singular")
-    apb = mat_mul(mat_mul(a, pivot), b)
-    inner = certified_rank(apb)
+    ap = mat_mul(a, pivot)
+    inner = certified_rank(mat_mul(ap, b))
     result = RankResult(pivot.rows + inner.rank, "block-recursive")
-    if check:
-        assembled = block_assemble(
-            mat_mul(a, pivot),
-            ExactMatrix.zeros(a.rows, b.cols, a.domain, a.modulus),
-            pivot,
-            mat_mul(pivot, b),
-        )
-        direct = certified_rank(assembled)
-        if direct.rank != result.rank:
-            raise RuntimeError("block rank identity violated by direct elimination")
+    assembled = block_assemble(
+        ap,
+        ExactMatrix.zeros(a.rows, b.cols, a.domain, a.modulus),
+        pivot,
+        mat_mul(pivot, b),
+    )
+    if certified_rank(assembled).rank != result.rank:
+        raise RuntimeError("block rank identity violated by direct elimination")
     return result
 
 
-def _dense_fallback(spec: AlgebraSpec, form: LinearForm, i: int, reason: str, stats) -> RankResult:
-    mc = check_map(spec, form, i, spec.socle_degree - 2 * i, "dense", stats)
-    return RankResult(mc.rank, mc.method, None, None, mc.notes + (reason,))
-
-
-def recursive_middle_rank(
-    spec: AlgebraSpec, form: LinearForm, i: int, stats: dict | None = None
-) -> RankResult:
-    """Rank of the middle map (i, m-2i) of any spec, m its socle degree.
+def recursive_middle_rank(spec: AlgebraSpec, form: LinearForm, i: int) -> MapCheck:
+    """Check of the middle map (i, m-2i) of any spec, m its socle degree.
 
     Hypotheses: characteristic 0 or above m, and the socle map l^m: A_0 ->
     A_m nonzero.  That 1x1 map is the scalar m!/prod((a_j-1)!) times
@@ -156,21 +146,27 @@ def recursive_middle_rank(
     k! e_1...e_k with k <= m.  phi is a ring map with phi(form) = E, and
     phi_i is injective, each row of phi_matrix holding the one entry
     prod(c_k!) with c_k <= m < p; so E^t o phi_i = phi o form^t injective
-    makes form^t injective, hence bijective as h_i = h_(m-i), and the rank
-    is dim(i).  Otherwise the rank is check_map's dense rank and the notes
-    say why.  A stats dict receives "peak_bits" from every map check_map
-    builds.
+    makes form^t injective, hence bijective as h_i = h_(m-i).  Under the
+    hypotheses the answer is rank dim(i) with method "block-recursive", no
+    notes and the socle map's peak_bits.  Otherwise it is check_map's dense
+    answer, with a note that says why.  Either way ms times the whole call.
     """
     if form.nvars != spec.n:
         raise ValueError("form has the wrong number of coefficients")
     m = spec.socle_degree
     if i < 0 or 2 * i >= m:
         raise ValueError("source degree must satisfy 0 <= i < m/2")
+    t = m - 2 * i
+    start = time.perf_counter()
     char = spec.characteristic
     if char and char <= m:
-        return _dense_fallback(
-            spec, form, i, f"characteristic {char} <= socle degree {m}; structured path unavailable", stats
-        )
-    if not check_map(spec, form, 0, m, "dense", stats).maximal:
-        return _dense_fallback(spec, form, i, "zero coefficient in the form; structured path unavailable", stats)
-    return RankResult(spec.dim(i), "block-recursive", ((0, 0),) if i == 0 else None)
+        reason = f"characteristic {char} <= socle degree {m}; structured path unavailable"
+    else:
+        socle = check_map(spec, form, 0, m, "dense")
+        if socle.maximal:
+            d = spec.dim(i)
+            ms = (time.perf_counter() - start) * 1000.0
+            return MapCheck(i, t, d, d, d, True, "block-recursive", ms, peak_bits=socle.peak_bits)
+        reason = "zero coefficient in the form; structured path unavailable"
+    dense = check_map(spec, form, i, t, "dense")
+    return replace(dense, ms=(time.perf_counter() - start) * 1000.0, notes=(reason,))

@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Human-readable tables go to stdout; --out writes the canonical JSON (or CSV
-for raw matrices).  JSON output is byte-identical across runs with the same
-inputs except for fields under "timing" and per-map "ms".  Exit codes for
-the slp command: 0 the property holds, 1 it fails, 2 usage or input error.
+Human-readable tables go to stdout; --out writes the canonical JSON, or CSV
+for hilbert and matrix under --format csv.  JSON output is byte-identical
+across runs with the same inputs except for fields under "timing" and
+per-map "ms".  Exit codes for the slp command: 0 the property holds, 1 it
+fails, 2 usage or input error.
 """
 from __future__ import annotations
 
@@ -55,9 +56,11 @@ def _add_form_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--form", type=_parse_int_list, metavar="C1,C2,...", help="form coefficients (default: all ones)")
 
 
-def _add_output_flags(p: argparse.ArgumentParser, default_format: str = "json") -> None:
+def _add_output_flags(p: argparse.ArgumentParser, default_format: str | None = None) -> None:
+    """--out, plus --format for the commands with a CSV form (given a default)."""
     p.add_argument("--out", metavar="PATH", help="write machine output to PATH")
-    p.add_argument("--format", choices=("json", "csv"), default=default_format)
+    if default_format is not None:
+        p.add_argument("--format", choices=("json", "csv"), default=default_format)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilbert", help="graded dimensions of the algebra")
     _add_spec_flags(p)
-    _add_output_flags(p)
+    _add_output_flags(p, default_format="json")
 
     p = sub.add_parser("matrix", help="one multiplication matrix")
     _add_spec_flags(p)
@@ -133,10 +136,9 @@ def _form_from_args(args, n: int) -> LinearForm:
 
 
 def _emit(args, payload: dict, csv_text: str | None = None) -> None:
+    """Write payload as JSON to --out, or csv_text (hilbert, matrix) under --format csv."""
     if args.out:
-        if args.format == "csv":
-            if csv_text is None:
-                raise ValueError("CSV output is not defined for this command")
+        if csv_text is not None and args.format == "csv":
             text = csv_text
         else:
             text = json.dumps(payload, indent=2) + "\n"
@@ -157,11 +159,9 @@ def _cmd_matrix(args) -> int:
     spec = _spec_from_args(args)
     form = _form_from_args(args, spec.n)
     mm = build_matrix(spec, form, args.i, args.t)
-    csv_text = mm.matrix.to_csv() if mm.matrix.domain != "QQ" else None
-    if csv_text is not None:
-        sys.stdout.write(csv_text)
-    else:
-        print(json.dumps(mm.matrix.to_json_dict()))
+    # CLI forms are integers, so the matrix is over ZZ or F_p
+    csv_text = mm.matrix.to_csv()
+    sys.stdout.write(csv_text)
     payload = {
         "spec": spec.to_json_dict(),
         "form": form.to_json(),
@@ -283,9 +283,7 @@ def _cmd_bench(args) -> int:
     ranks: dict[tuple[int, int], set[int]] = {}
     for i, t in middle_pairs(spec.socle_degree):
         for method in methods:
-            stats: dict = {}
-            c = check_map(spec, form, i, t, method, stats=stats)
-            peak_bits = stats.get("peak_bits", 0)
+            c = check_map(spec, form, i, t, method)
             ranks.setdefault((i, t), set()).add(c.rank)
             records.append(
                 {
@@ -296,13 +294,13 @@ def _cmd_bench(args) -> int:
                     "cols": c.cols,
                     "method": method,
                     "rank": c.rank,
-                    "peak_bits": peak_bits,
+                    "peak_bits": c.peak_bits,
                     "ms": round(c.ms, 3),
                 }
             )
             print(
                 f"n={spec.n} i={i} t={t} {c.rows}x{c.cols} {method:<5s}"
-                f" rank={c.rank} peak_bits={peak_bits} {c.ms:.2f} ms"
+                f" rank={c.rank} peak_bits={c.peak_bits} {c.ms:.2f} ms"
             )
     disagreements = {k: v for k, v in ranks.items() if len(v) > 1}
     if disagreements:
@@ -359,7 +357,7 @@ def _cmd_selftest(args) -> int:
         a = ExactMatrix.from_rows([[rng.randrange(p) for _ in range(ndim)] for _ in range(mdim)], "Fp", p)
         b = ExactMatrix.from_rows([[rng.randrange(p) for _ in range(pdim)] for _ in range(ndim)], "Fp", p)
         try:
-            block_pivot_rank(a, b, pivot, check=True)
+            block_pivot_rank(a, b, pivot)
         except RuntimeError:
             ok = False
             break

@@ -190,15 +190,12 @@ class KernelDimsRecord:
         return all(d.ok for d in self.degrees)
 
 
-def verify_kernel_dims(es: EmbeddingSpec, up_to_degree: int | None = None) -> KernelDimsRecord:
+def verify_kernel_dims(es: EmbeddingSpec) -> KernelDimsRecord:
     """Certify injectivity degree by degree: rank == source dimension."""
-    top = es.m if up_to_degree is None else up_to_degree
-    hv = hilbert_vector(es.source_spec)
     records = []
-    for j in range(top + 1):
-        dim_src = hv[j] if j <= es.m else 0
-        mat = phi_matrix(es, j)
-        rr = certified_rank(mat)
+    # the source's socle degree is m, so hv lists degrees 0..m
+    for j, dim_src in enumerate(hilbert_vector(es.source_spec)):
+        rr = certified_rank(phi_matrix(es, j))
         records.append(
             DegreeRankRecord(
                 degree=j,

@@ -266,19 +266,19 @@ class ExactMatrix:
 
 @dataclass(frozen=True)
 class RankResult:
-    """Rank plus how it was established.
+    """Rank of one matrix plus the elimination that established it.
 
+    method: "modular" or "fraction-free" (or "block-recursive" from
+    blockrec.block_pivot_rank).
     pivots: (row, column) pairs using original row indices, when tracked.
     pivot_minor_det: fraction-free path only; determinant (up to sign) of the
     square submatrix on the pivot rows/columns.
-    notes: recorded anomalies such as fallbacks from the structured path.
     """
 
     rank: int
     method: str
     pivots: tuple[tuple[int, int], ...] | None = None
     pivot_minor_det: int | None = None
-    notes: tuple[str, ...] = ()
 
 
 def peak_bits(m: ExactMatrix) -> int:

@@ -30,8 +30,9 @@ degenerates.  Its block route, blockrec.recursive_middle_rank, is the
 paper's proof, the induction on variables carried to every spec by the
 block-sum embedding: it checks the proof's hypotheses and builds no matrix
 beyond the 1x1 socle map l^m: A_0 -> A_m, which it checks through the
-dense route, as it does every fallback.  The route follows from the input alone, so char_search
-takes it for the middle maps whenever p exceeds the socle degree m.
+dense route, as it does every fallback.  Both routes answer with a
+MapCheck.  The route follows from the input alone, so char_search takes
+it for the middle maps whenever p exceeds the socle degree m.
 """
 from __future__ import annotations
 
@@ -205,7 +206,13 @@ def build_matrix(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> Multipl
 
 @dataclass(frozen=True)
 class MapCheck:
-    """One (i, t) rank check; notes carry RankResult.notes (fallback reasons)."""
+    """One (i, t) rank check: the answer of both routes of check_map.
+
+    method is the ranking that decided it ("block-recursive" for the proof
+    route, else certified_rank's method); notes say why the proof route
+    fell back to the dense map; peak_bits is the largest entry bit size of
+    the matrix that was built (the 1x1 socle map on the proof route).
+    """
 
     i: int
     t: int
@@ -216,6 +223,7 @@ class MapCheck:
     method: str
     ms: float
     notes: tuple[str, ...] = ()
+    peak_bits: int = 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -271,24 +279,17 @@ def full_pairs(socle_degree: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, t) for i in range(m) for t in range(1, m - i + 1))
 
 
-def check_map(
-    spec: AlgebraSpec,
-    form: LinearForm,
-    i: int,
-    t: int,
-    method: str = "auto",
-    stats: dict | None = None,
-) -> MapCheck:
+def check_map(spec: AlgebraSpec, form: LinearForm, i: int, t: int, method: str = "auto") -> MapCheck:
     """Rank check of multiplication by form^t from degree i.
 
     This is the one routine that builds a map and ranks it.  method "block"
-    takes the recursive rank of blockrec, which applies to the middle maps
+    takes blockrec.recursive_middle_rank, which applies to the middle maps
     (i, m-2i) of every spec and checks its 1x1 socle map here; "dense"
     builds the matrix and ranks it with exactmat.certified_rank, which
     eliminates F_p matrices mod p and certifies integer and rational ones
     mod PROBE_PRIME; "auto" is block exactly for the middle maps.
-    rows and cols come from spec.dim on both routes.  A stats dict receives
-    "peak_bits", the largest entry bit size of any matrix built.
+    rows and cols come from spec.dim on both routes, and ms times the whole
+    check, on the block route a fallback's socle check included.
     """
     # (i, t) in middle_pairs(m), without listing the m/2 pairs
     middle = i >= 0 and t >= 1 and 2 * i + t == spec.socle_degree
@@ -299,20 +300,17 @@ def check_map(
     if method == "block" and not middle:
         raise ValueError("block method applies to middle maps only")
     _refuse_oversized(spec, i, t)
-    nrows, ncols = spec.dim(i + t), spec.dim(i)
-    start = time.perf_counter()
     if method == "block":
         from .blockrec import recursive_middle_rank
 
-        rr = recursive_middle_rank(spec, form, i, stats=stats)
-    else:
-        mat = build_matrix(spec, form, i, t).matrix
-        if stats is not None:
-            stats["peak_bits"] = max(stats.get("peak_bits", 0), peak_bits(mat))
-        rr = certified_rank(mat)
+        return recursive_middle_rank(spec, form, i)
+    nrows, ncols = spec.dim(i + t), spec.dim(i)
+    start = time.perf_counter()
+    mat = build_matrix(spec, form, i, t).matrix
+    rr = certified_rank(mat)
     ms = (time.perf_counter() - start) * 1000.0
     maximal = rr.rank == min(nrows, ncols)
-    return MapCheck(i, t, nrows, ncols, rr.rank, maximal, rr.method, ms, rr.notes)
+    return MapCheck(i, t, nrows, ncols, rr.rank, maximal, rr.method, ms, peak_bits=peak_bits(mat))
 
 
 def slp_check(

@@ -310,3 +310,39 @@ def tensor_deficit_rank(live, dead, i, t):
         return len(brute_standard_monomials(bounds, d)) if d >= 0 else 0
 
     return sum(h(dead, j) * min(h(live, i - j), h(live, i - j + t)) for j in range(i + 1))
+
+
+def wilson_rank(n, i, t, p):
+    """Rank of multiplication by (x1+...+xn)^t from degree i of the square-free
+    algebra on n variables, over F_p (p = 0 means over Q).
+
+    The map is t! times the inclusion matrix of i-subsets in (i+t)-subsets.
+    Wilson's diagonal form of that matrix (Europ. J. Combin. 11, 1990) gives
+    its rank mod p once i <= n-(i+t), which transposing to complements
+    arranges.  A negative i leaves the sum empty.
+    """
+    def binom(a, b):
+        return comb(a, b) if 0 <= b <= a else 0
+
+    k = i + t
+    if k > n or (p and p <= t):
+        return 0
+    if i > n - k:
+        i, k = n - k, n - i
+    return sum(
+        binom(n, j) - binom(n, j - 1)
+        for j in range(i + 1)
+        if p == 0 or binom(k - j, i - j) % p
+    )
+
+
+def tensor_wilson_rank(n, zeros, i, t, p):
+    """wilson_rank for a form with `zeros` zero and n - zeros unit coefficients.
+
+    The algebra is the square-free algebra on the zero variables tensor the
+    one on the others, and the form acts on the second factor alone, where
+    scaling each variable by its coefficient (+-1) makes it the all-ones
+    form.  Degree i is the sum over j of C(zeros, j) copies of degree i-j of
+    the second factor.
+    """
+    return sum(comb(zeros, j) * wilson_rank(n - zeros, i - j, t, p) for j in range(zeros + 1))

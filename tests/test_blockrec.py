@@ -101,7 +101,7 @@ def test_block_pivot_rank_on_a_structured_instance():
     pivot = build_matrix(rspec, rform, 1, 2).matrix
     a = build_matrix(rspec, rform, 3, 1).matrix
     b = build_matrix(rspec, rform, 0, 1).matrix
-    rr = block_pivot_rank(a, b, pivot, check=True)
+    rr = block_pivot_rank(a, b, pivot)
     assert rr.rank == 4 + 1
     assembled = block_assemble(
         mat_mul(a, pivot),
@@ -125,7 +125,7 @@ def test_block_pivot_rank_random_trials():
                 break
         a = ExactMatrix.from_rows([[rng.randrange(p) for _ in range(ndim)] for _ in range(mdim)], GF, p)
         b = ExactMatrix.from_rows([[rng.randrange(p) for _ in range(pdim)] for _ in range(ndim)], GF, p)
-        block_pivot_rank(a, b, pivot, check=True)
+        block_pivot_rank(a, b, pivot)
 
 
 def test_block_pivot_rank_integer_trials():
@@ -142,7 +142,7 @@ def test_block_pivot_rank_integer_trials():
         mdim, pdim = rng.randint(1, 4), rng.randint(1, 4)
         a = ExactMatrix.from_rows([[rng.randint(-4, 4) for _ in range(ndim)] for _ in range(mdim)])
         b = ExactMatrix.from_rows([[rng.randint(-4, 4) for _ in range(pdim)] for _ in range(ndim)])
-        block_pivot_rank(a, b, pivot, check=True)
+        block_pivot_rank(a, b, pivot)
 
 
 def test_block_pivot_rank_validation():
@@ -234,6 +234,22 @@ def test_singular_base_map_falls_back_to_the_dense_check(monkeypatch, char):
     assert rr.method == "modular"
 
 
+def test_fallback_ms_covers_the_socle_check(monkeypatch):
+    real = slpkit.blockrec.check_map
+    inner = []
+
+    def recording(*args):
+        mc = real(*args)
+        inner.append(mc.ms)
+        return mc
+
+    monkeypatch.setattr(slpkit.blockrec, "check_map", recording)
+    rr = recursive_middle_rank(AlgebraSpec.quadratic(6), LinearForm((1, 2, 0, 3, 1, 1)), 2)
+    # the socle check, then the dense map it fell back to
+    assert len(inner) == 2 and rr.notes
+    assert rr.ms >= sum(inner)
+
+
 def _random_form(rng, n, char):
     """Nonzero coefficients; Fractions in characteristic 0, residues beyond p otherwise."""
     if char == 0:
@@ -323,9 +339,9 @@ def test_block_route_builds_only_base_maps(monkeypatch, char, exponents):
         leaves.append(args[:4])
         return real_check(*args)
 
-    def counting_rank(spec, form, i, stats=None):
+    def counting_rank(spec, form, i):
         leaves.clear()
-        rr = real_rank(spec, form, i, stats=stats)
+        rr = real_rank(spec, form, i)
         per_map[i] = len(leaves)
         return rr
 
@@ -358,16 +374,15 @@ def test_large_killed_power_needs_no_deep_recursion(char):
 
 
 def test_recursive_rank_stats():
-    stats = {}
-    recursive_middle_rank(AlgebraSpec.quadratic(6), LinearForm.ones(6), 2, stats=stats)
+    rr = recursive_middle_rank(AlgebraSpec.quadratic(6), LinearForm.ones(6), 2)
     # the socle scalar 6! = 720
-    assert stats == {"peak_bits": 10}
+    assert rr.peak_bits == 10
 
 
 def test_recursive_rank_base_case():
     spec = AlgebraSpec.quadratic(3)
     rr = recursive_middle_rank(spec, LinearForm.ones(3), 0)
-    assert rr.rank == 1 and rr.pivots == ((0, 0),)
+    assert rr.rank == 1
     spec7 = AlgebraSpec.quadratic(3, 7)
     assert recursive_middle_rank(spec7, LinearForm.ones(3), 0).rank == 1
 

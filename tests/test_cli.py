@@ -1,5 +1,7 @@
 """End-to-end command tests driven through main(argv)."""
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -240,3 +242,57 @@ def test_input_errors_exit_two(capsys):
     assert code == 2
     code, _, err = run(capsys, "bench", "--quadratic", "3", "--methods", ",")
     assert code == 2 and "--methods must name" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank", "--quadratic", "3", "--i", "0", "--t", "3"],
+        ["slp", "--quadratic", "3"],
+        ["char-search", "--quadratic", "3", "--primes", "2..5"],
+        ["embed-verify", "--exponents", "3,3"],
+        ["bench", "--quadratic", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_format_is_refused_before_any_work(capsys, tmp_path, argv):
+    # only hilbert and matrix have a CSV form
+    path = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "csv", "--out", str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, note",
+    [
+        (["--char", "3"], "characteristic 3 <= socle degree 4"),
+        (["--form", "1,1,1,0"], "zero coefficient in the form"),
+    ],
+    ids=["char", "zero"],
+)
+def test_rank_json_carries_the_fallback_note(capsys, tmp_path, flags, note):
+    path = tmp_path / "r.json"
+    code, _, _ = run(capsys, "rank", "--quadratic", "4", *flags, "--i", "1", "--t", "2", "--out", str(path))
+    assert code == 0
+    payload = json.loads(path.read_text())
+    assert payload["method"] != "block-recursive"
+    assert len(payload["notes"]) == 1 and payload["notes"][0].startswith(note)
+
+
+def _readme_command_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("slpkit ")]
+
+
+def test_readme_command_lines_exit_as_documented(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_command_lines()
+    assert lines, "no slpkit lines in README's Command line block"
+    for line in lines:
+        command, _, comment = line.partition("#")
+        code, _, err = run(capsys, *shlex.split(command)[1:])
+        assert code == (1 if "exit 1" in comment else 0), (line, err)

@@ -350,8 +350,8 @@ def test_char_search_takes_the_block_route_above_n(monkeypatch):
     real = slpkit.blockrec.recursive_middle_rank
     structured = []
 
-    def counting(spec, form, i, stats=None):
-        rr = real(spec, form, i, stats=stats)
+    def counting(spec, form, i):
+        rr = real(spec, form, i)
         if rr.method == "block-recursive":
             structured.append((spec.n, spec.characteristic, i))
         return rr
@@ -463,9 +463,36 @@ def test_check_map_picks_block_only_for_middle_maps():
             check_map(bad_spec, LinearForm.ones(bad_spec.n), i, t, "block")
     with pytest.raises(ValueError):
         check_map(spec, form, 1, 3, "magic")
-    stats = {}
-    c = check_map(spec, LinearForm((1, 1, 1, 1, 1000)), 0, 5, "dense", stats=stats)
-    assert c.rank == 1 and stats["peak_bits"] == (120 * 1000).bit_length()
+    c = check_map(spec, LinearForm((1, 1, 1, 1, 1000)), 0, 5, "dense")
+    assert c.rank == 1 and c.peak_bits == (120 * 1000).bit_length()
+
+
+@pytest.mark.parametrize(
+    "ns, primes",
+    [
+        pytest.param(range(1, 12), (2, 3, 5, 7, 11, 13), id="n<=11"),
+        pytest.param((12,), (5, 11, 13), id="n=12", marks=pytest.mark.slow),
+    ],
+)
+def test_middle_ranks_mod_p_match_wilson(ns, primes):
+    # +-1 forms with up to two zero coefficients: the proof route for p > n
+    # without zeros, the dense fallback otherwise, and the dense route itself
+    rng = random.Random(1990)
+    for n in ns:
+        for p in primes:
+            spec = AlgebraSpec.quadratic(n, p)
+            for zeros in range(min(2, n - 1) + 1):
+                coeffs = [rng.choice((-1, 1)) for _ in range(n)]
+                for k in rng.sample(range(n), zeros):
+                    coeffs[k] = 0
+                form = LinearForm(tuple(coeffs))
+                for i, t in middle_pairs(n):
+                    want = oracles.tensor_wilson_rank(n, zeros, i, t, p)
+                    for method in ("auto", "dense"):
+                        c = check_map(spec, form, i, t, method)
+                        assert c.rank == want, (n, p, form, i, method)
+                        proof = method == "auto" and p > n and not zeros
+                        assert (c.method == "block-recursive") == proof, (n, p, form, i, method)
 
 
 def test_char_probe_is_plain_data():
