@@ -2,62 +2,62 @@
 Graded bases and where a monomial sits
 ======================================
 
-The square-free monomials of one degree are listed in a fixed order, and for
-that order the position of any monomial is a closed-form sum of binomials, so
-rows and columns of every matrix in the package can be located without
-scanning the listing.
+Each graded piece of the algebra has one fixed listing of its standard
+monomials.  Rows and columns of every matrix in the package follow it, and
+the block matrices of the paper's induction are built on how it splits over
+the last variable.
 """
 from math import comb
 
-from slpkit import (
-    Monomial,
-    enumerate_squarefree,
-    revlex_compare,
-    squarefree_rank,
-    squarefree_unrank,
-)
+from slpkit import AlgebraSpec, basis_positions, graded_basis
 
 ###############################################################################
-# Degree 2 in four variables.  The first element is always x1*x2, the last
-# always involves the last variable.
+# Degree 2 in four square-free variables.  The first element is x1*x2, the
+# last always involves the last variable.
 
-listing = enumerate_squarefree(4, 2)
+spec = AlgebraSpec.quadratic(4)
+listing = graded_basis(spec, 2)
 for k, m in enumerate(listing):
     print(f"position {k}: {m}")
 
 ###############################################################################
-# The listing is decreasing: each element compares as "later" against its
-# predecessor.
+# The order is decreasing reverse-lexicographic: sorting ascending by the
+# reversed exponent tuple gives the listing back, for any killed powers.
 
-u, v = listing[0], listing[1]
-print(f"compare({u}, {v}) = {revlex_compare(u, v)}")
-
-###############################################################################
-# Positions come from the combinatorial number system.  rank and unrank are
-# mutually inverse, with no search involved.
-
-m = Monomial((0, 1, 0, 1))
-where = squarefree_rank(m)
-print(f"{m} lives at degree {where.degree}, position {where.position}")
-print(f"unrank gives back: {squarefree_unrank(4, where.degree, where.position)}")
+mixed = AlgebraSpec(3, (3, 2, 4))
+for t in range(mixed.socle_degree + 1):
+    basis = graded_basis(mixed, t)
+    assert list(basis) == sorted(basis, key=lambda m: m.exponents[::-1])
+print(f"degree 3 of killed powers {mixed.exponents}: {', '.join(str(m) for m in graded_basis(mixed, 3))}")
 
 ###############################################################################
-# Counting sanity: the degree-t listing in n variables has C(n, t) elements.
+# basis_positions reads a monomial's row or column off the listing.
+
+positions = basis_positions(spec, 2)
+m = listing[4]
+print(f"{m} lives at position {positions[m]} of degree {m.degree}")
+
+###############################################################################
+# Counting sanity: the degree-t listing in n square-free variables has
+# C(n, t) elements.
 
 for n in range(1, 7):
-    sizes = [len(enumerate_squarefree(n, t)) for t in range(n + 1)]
+    sizes = [len(graded_basis(AlgebraSpec.quadratic(n), t)) for t in range(n + 1)]
     assert sizes == [comb(n, t) for t in range(n + 1)]
     print(f"n={n}: {sizes}")
 
 ###############################################################################
 # The listing splits over the last variable: first every monomial without it,
-# then the previous degree's listing times that variable.  The block matrices
-# in the package are built on exactly this split.
+# in the order of the listing on the first n-1 variables, then that variable
+# times the previous degree's listing.  blockrec.decompose builds its blocks
+# on exactly this split.
 
 n, t = 5, 3
-listing = enumerate_squarefree(n, t)
-without = [m for m in listing if m.exponents[-1] == 0]
-with_last = [m for m in listing if m.exponents[-1] == 1]
+listing = graded_basis(AlgebraSpec.quadratic(n), t)
+without = [m.exponents[:-1] for m in listing if m.exponents[-1] == 0]
+with_last = [m.exponents[:-1] for m in listing if m.exponents[-1] == 1]
+restricted = AlgebraSpec.quadratic(n - 1)
 print(f"degree {t} in {n} variables: {len(without)} without x{n}, {len(with_last)} with")
-assert len(without) == comb(n - 1, t)
-assert len(with_last) == comb(n - 1, t - 1)
+assert without == [m.exponents for m in graded_basis(restricted, t)]
+assert with_last == [m.exponents for m in graded_basis(restricted, t - 1)]
+assert [m.exponents[-1] for m in listing] == [0] * len(without) + [1] * len(with_last)

@@ -5,15 +5,7 @@ verdicts over Q and F_p, and the paper's proof as a rank route: induction
 on square-free algebras, which reaches every other monomial complete
 intersection through its embedding into a square-free one.
 """
-from .monomials import (
-    BasisIndex,
-    Monomial,
-    enumerate_squarefree,
-    revlex_compare,
-    revlex_sort_key,
-    squarefree_rank,
-    squarefree_unrank,
-)
+from .monomials import Monomial
 from .quotient import (
     AlgebraElement,
     AlgebraSpec,
@@ -22,7 +14,6 @@ from .quotient import (
     graded_basis,
     hilbert_vector,
     multiply,
-    reduce,
 )
 from .exactmat import (
     GF,
@@ -53,7 +44,6 @@ from .lefschetz import (
 )
 from .blockrec import (
     BlockDecomposition,
-    block_pivot_rank,
     decompose,
     recursive_middle_rank,
 )
@@ -77,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraElement",
     "AlgebraSpec",
-    "BasisIndex",
     "BlockDecomposition",
     "CharProbe",
     "DegreeRankRecord",
@@ -99,14 +88,12 @@ __all__ = [
     "ZZ",
     "basis_positions",
     "block_assemble",
-    "block_pivot_rank",
     "build_matrix",
     "certified_rank",
     "char_search",
     "check_map",
     "decompose",
     "determinant",
-    "enumerate_squarefree",
     "full_pairs",
     "graded_basis",
     "hilbert_vector",
@@ -119,13 +106,8 @@ __all__ = [
     "rank_fraction_free",
     "rank_mod_p",
     "recursive_middle_rank",
-    "reduce",
-    "revlex_compare",
-    "revlex_sort_key",
     "scale",
     "slp_check",
-    "squarefree_rank",
-    "squarefree_unrank",
     "transfer_slp",
     "verify_kernel_dims",
     "verify_socle_image",

@@ -27,11 +27,8 @@ from dataclasses import dataclass, replace
 
 from .exactmat import (
     ExactMatrix,
-    RankResult,
     block_assemble,
-    certified_rank,
-    determinant,
-    mat_mul,
+    certified_rank,  # unused; perfbench/tests/test_tracing.py expects this binding
     rank_mod_p,  # unused; perfbench/tests/test_tracing.py expects this binding
     scale,
 )
@@ -63,18 +60,6 @@ class BlockDecomposition:
     def assemble(self) -> ExactMatrix:
         return block_assemble(self.top_left, self.zero_block(), self.bottom_left, self.bottom_right)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_json_dict(),
-            "form": self.form.to_json(),
-            "i": self.source_degree,
-            "t": self.power,
-            "tl": self.top_left.to_json_dict(),
-            "bl_scalar": str(self.bottom_left_scalar),
-            "bl": self.bottom_left.to_json_dict(),
-            "br": self.bottom_right.to_json_dict(),
-        }
-
 
 def decompose(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> BlockDecomposition:
     """Split the (i, t) multiplication matrix over the last variable.
@@ -103,33 +88,6 @@ def decompose(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> BlockDecom
     bl = scale(raw_bl, scalar)
     br = build_matrix(rspec, rform, i - 1, t).matrix
     return BlockDecomposition(spec, form, i, t, tl, bl, br, scalar)
-
-
-def block_pivot_rank(a: ExactMatrix, b: ExactMatrix, pivot: ExactMatrix) -> RankResult:
-    """Rank of [[A*P, 0], [P, P*B]] as size(P) + rank(A*P*B).
-
-    P must be square and nonsingular (verified by determinant).  The
-    assembled matrix is also eliminated directly, and a different answer
-    raises RuntimeError.
-    """
-    if pivot.rows != pivot.cols:
-        raise ValueError("pivot block must be square")
-    if a.cols != pivot.rows or b.rows != pivot.rows:
-        raise ValueError("inner dimensions do not match the pivot block")
-    if determinant(pivot) == 0:
-        raise ValueError("pivot block is singular")
-    ap = mat_mul(a, pivot)
-    inner = certified_rank(mat_mul(ap, b))
-    result = RankResult(pivot.rows + inner.rank, "block-recursive")
-    assembled = block_assemble(
-        ap,
-        ExactMatrix.zeros(a.rows, b.cols, a.domain, a.modulus),
-        pivot,
-        mat_mul(pivot, b),
-    )
-    if certified_rank(assembled).rank != result.rank:
-        raise RuntimeError("block rank identity violated by direct elimination")
-    return result
 
 
 def recursive_middle_rank(spec: AlgebraSpec, form: LinearForm, i: int) -> MapCheck:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import lcm
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -226,18 +226,6 @@ class ExactMatrix:
             raise ValueError("CSV export is defined for integer entries only")
         return "\n".join(",".join(str(e) for e in row) for row in self.to_rows()) + "\n"
 
-    @classmethod
-    def from_csv(cls, text: str, domain: str = ZZ, modulus: int | None = None) -> "ExactMatrix":
-        rows = []
-        for line in text.strip().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([int(tok) for tok in line.split(",")])
-        if not rows:
-            return cls.zeros(0, 0, domain, modulus)
-        return cls.from_rows(rows, domain, modulus)
-
     def to_json_dict(self) -> dict:
         if self.domain == QQ:
             entry_rows = [[str(e) for e in row] for row in self.to_rows()]
@@ -248,28 +236,12 @@ class ExactMatrix:
             data["modulus"] = self.modulus
         return data
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "ExactMatrix":
-        domain = data.get("domain", ZZ)
-        raw = data["entries"]
-        if domain == QQ:
-            rows = [[Fraction(e) for e in row] for row in raw]
-        else:
-            rows = [[int(e) for e in row] for row in raw]
-        if not rows:
-            return cls.zeros(int(data["rows"]), int(data["cols"]), domain, data.get("modulus"))
-        m = cls.from_rows(rows, domain, data.get("modulus"))
-        if m.rows != int(data["rows"]) or m.cols != int(data["cols"]):
-            raise ValueError("declared dimensions do not match the entries")
-        return m
-
 
 @dataclass(frozen=True)
 class RankResult:
     """Rank of one matrix plus the elimination that established it.
 
-    method: "modular" or "fraction-free" (or "block-recursive" from
-    blockrec.block_pivot_rank).
+    method: "modular" or "fraction-free".
     pivots: (row, column) pairs using original row indices, when tracked.
     pivot_minor_det: fraction-free path only; determinant (up to sign) of the
     square submatrix on the pivot rows/columns.

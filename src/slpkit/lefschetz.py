@@ -212,6 +212,8 @@ class MapCheck:
     route, else certified_rank's method); notes say why the proof route
     fell back to the dense map; peak_bits is the largest entry bit size of
     the matrix that was built (the 1x1 socle map on the proof route).
+    to_json_dict is the one JSON shape of a check, which the CLI's slp, rank
+    and bench commands write.
     """
 
     i: int
@@ -235,6 +237,8 @@ class MapCheck:
             "maximal": self.maximal,
             "method": self.method,
             "ms": round(self.ms, 3),
+            "notes": list(self.notes),
+            "peak_bits": self.peak_bits,
         }
 
 

@@ -1,15 +1,11 @@
-"""Exponent-vector monomials and their reverse-lexicographic book-keeping.
+"""Exponent-vector monomials.
 
-Graded bases are listed in decreasing reverse-lexicographic order with
-x1 > x2 > ... > xn.  For square-free monomials that listing coincides with
-increasing colexicographic order on support sets, which makes positions
-computable in closed form through the combinatorial number system.
+Graded bases (quotient.graded_basis) list them in decreasing
+reverse-lexicographic order with x1 > x2 > ... > xn.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
-from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -32,18 +28,6 @@ class Monomial:
     def degree(self) -> int:
         return sum(self.exponents)
 
-    def is_squarefree(self) -> bool:
-        return all(e <= 1 for e in self.exponents)
-
-    def support(self) -> tuple[int, ...]:
-        """0-based indices of the variables that occur."""
-        return tuple(k for k, e in enumerate(self.exponents) if e)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if self.nvars != other.nvars:
-            raise ValueError("monomials live in different variable counts")
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
     @classmethod
     def constant(cls, nvars: int) -> "Monomial":
         return cls((0,) * nvars)
@@ -54,20 +38,6 @@ class Monomial:
             raise ValueError("variable index out of range")
         return cls(tuple(1 if j == k else 0 for j in range(nvars)))
 
-    @classmethod
-    def from_support(cls, nvars: int, support: Iterable[int]) -> "Monomial":
-        exps = [0] * nvars
-        for k in support:
-            exps[k] += 1
-        return cls(tuple(exps))
-
-    def to_json(self) -> list[int]:
-        return list(self.exponents)
-
-    @classmethod
-    def from_json(cls, data: Iterable[int]) -> "Monomial":
-        return cls(tuple(int(e) for e in data))
-
     def __str__(self) -> str:
         parts = []
         for k, e in enumerate(self.exponents):
@@ -76,86 +46,3 @@ class Monomial:
             elif e > 1:
                 parts.append(f"x{k + 1}^{e}")
         return "*".join(parts) if parts else "1"
-
-
-@dataclass(frozen=True)
-class BasisIndex:
-    """Location of a monomial inside one graded basis listing."""
-
-    degree: int
-    position: int
-
-    def __post_init__(self) -> None:
-        if self.degree < 0 or self.position < 0:
-            raise ValueError("degree and position must be non-negative")
-
-
-def revlex_sort_key(m: Monomial) -> tuple[int, ...]:
-    """Sorting ascending by this key lists one graded piece in decreasing order."""
-    return tuple(reversed(m.exponents))
-
-
-def revlex_compare(u: Monomial, v: Monomial) -> int:
-    """Three-way comparison: +1 when u precedes v in the decreasing listing.
-
-    Within one degree, u is greater exactly when the last non-zero entry of
-    exponents(u) - exponents(v) is negative.  Across degrees the graded
-    extension applies (higher degree is greater).
-    """
-    if u.nvars != v.nvars:
-        raise ValueError("monomials live in different variable counts")
-    if u.degree != v.degree:
-        return 1 if u.degree > v.degree else -1
-    for a, b in zip(reversed(u.exponents), reversed(v.exponents)):
-        if a != b:
-            return 1 if a < b else -1
-    return 0
-
-
-def _colex_supports(n: int, t: int) -> Iterator[tuple[int, ...]]:
-    # colex-increasing t-subsets of {0..n-1}
-    if t == 0:
-        yield ()
-        return
-    for top in range(t - 1, n):
-        for rest in _colex_supports(top, t - 1):
-            yield rest + (top,)
-
-
-def enumerate_squarefree(n: int, t: int) -> tuple[Monomial, ...]:
-    """All square-free monomials of degree t in n variables, decreasing revlex.
-
-    Element 0 is x1*...*xt; t > n (or t < 0) yields the empty tuple.
-    """
-    if n < 0:
-        raise ValueError("variable count must be non-negative")
-    if t < 0 or t > n:
-        return ()
-    return tuple(Monomial.from_support(n, s) for s in _colex_supports(n, t))
-
-
-def squarefree_rank(m: Monomial) -> BasisIndex:
-    """Position of a square-free monomial in its graded listing, in closed form."""
-    if not m.is_squarefree():
-        raise ValueError("monomial is not square-free")
-    support = m.support()
-    position = sum(comb(c, j) for j, c in enumerate(support, start=1))
-    return BasisIndex(degree=len(support), position=position)
-
-
-def squarefree_unrank(n: int, t: int, position: int) -> Monomial:
-    """Inverse of squarefree_rank for the degree-t listing in n variables."""
-    if t < 0 or t > n:
-        raise ValueError("degree out of range")
-    if not 0 <= position < comb(n, t):
-        raise ValueError("position out of range")
-    support = []
-    r = position
-    for j in range(t, 0, -1):
-        c = j - 1
-        while comb(c + 1, j) <= r:
-            c += 1
-        support.append(c)
-        r -= comb(c, j)
-    support.reverse()
-    return Monomial.from_support(n, support)

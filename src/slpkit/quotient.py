@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, Union
 
 from ._primes import is_prime
 from .monomials import Monomial
@@ -81,14 +81,6 @@ class AlgebraSpec:
             "characteristic": self.characteristic,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "AlgebraSpec":
-        return cls(
-            int(data["n"]),
-            tuple(int(d) for d in data["exponents"]),
-            int(data.get("characteristic", 0)),
-        )
-
 
 def _bounded_exponents(bounds: tuple[int, ...], t: int) -> Iterator[tuple[int, ...]]:
     # decreasing revlex order: the reversed exponent tuples ascend, the last
@@ -141,15 +133,6 @@ def basis_positions(spec: AlgebraSpec, t: int) -> Mapping[Monomial, int]:
     return {m: k for k, m in enumerate(graded_basis(spec, t))}
 
 
-def reduce(spec: AlgebraSpec, m: Monomial) -> Optional[Monomial]:
-    """Image of a monomial in the quotient: itself, or None when it dies."""
-    if m.nvars != spec.n:
-        raise ValueError("monomial has the wrong number of variables")
-    if all(e < d for e, d in zip(m.exponents, spec.exponents)):
-        return m
-    return None
-
-
 @dataclass(frozen=True, eq=True)
 class AlgebraElement:
     """Sparse element: reduced monomials mapped to non-zero coefficients."""
@@ -164,7 +147,7 @@ class AlgebraElement:
                 m = Monomial(tuple(m))
             if m.nvars != self.spec.n:
                 raise ValueError("term has the wrong number of variables")
-            if reduce(self.spec, m) is None:
+            if any(e >= d for e, d in zip(m.exponents, self.spec.exponents)):
                 raise ValueError(f"term {m} does not survive reduction")
             c = self.spec.normalize_coeff(c)
             if c:
@@ -178,10 +161,6 @@ class AlgebraElement:
     @classmethod
     def one(cls, spec: AlgebraSpec) -> "AlgebraElement":
         return cls(spec, {Monomial.constant(spec.n): 1})
-
-    @classmethod
-    def monomial(cls, spec: AlgebraSpec, m: Monomial, coeff: Coeff = 1) -> "AlgebraElement":
-        return cls(spec, {m: coeff})
 
     @classmethod
     def linear(cls, spec: AlgebraSpec, coefficients) -> "AlgebraElement":

@@ -15,11 +15,13 @@ import time
 
 import pytest
 
-from slpkit.blockrec import block_pivot_rank, decompose, recursive_middle_rank
+from slpkit.blockrec import decompose, recursive_middle_rank
 from slpkit.embedding import EmbeddingSpec, transfer_slp, verify_kernel_dims, verify_socle_image
 from slpkit.exactmat import (
     ExactMatrix,
     GF,
+    block_assemble,
+    certified_rank,
     determinant,
     mat_mul,
     rank_fraction_free,
@@ -130,9 +132,10 @@ def test_acceptance_5_pivot_block_identity_trials():
                 break
         a = ExactMatrix.from_rows([[rng.randrange(p) for _ in range(ndim)] for _ in range(adim)], GF, p)
         b = ExactMatrix.from_rows([[rng.randrange(p) for _ in range(bdim)] for _ in range(ndim)], GF, p)
-        try:
-            block_pivot_rank(a, b, pivot)
-        except RuntimeError:
+        # rank [[AP, 0], [P, PB]] = size(P) + rank(APB) for nonsingular P
+        ap = mat_mul(a, pivot)
+        assembled = block_assemble(ap, ExactMatrix.zeros(adim, bdim, GF, p), pivot, mat_mul(pivot, b))
+        if certified_rank(assembled).rank != ndim + certified_rank(mat_mul(ap, b)).rank:
             violations += 1
     _verdict(
         5,

@@ -10,12 +10,7 @@ import pytest
 import slpkit.blockrec
 
 from slpkit.exactmat import ExactMatrix, GF, block_assemble, mat_mul, rank_fraction_free, rank_mod_p
-from slpkit.blockrec import (
-    BlockDecomposition,
-    block_pivot_rank,
-    decompose,
-    recursive_middle_rank,
-)
+from slpkit.blockrec import decompose, recursive_middle_rank
 import slpkit.lefschetz
 from slpkit.lefschetz import LinearForm, build_matrix, check_map, middle_pairs, slp_check
 from slpkit.quotient import AlgebraSpec
@@ -74,14 +69,6 @@ def test_decompose_scalar_carries_coefficient_and_power():
     assert dec.bottom_left.to_rows() == [[-9 * e for e in row] for row in raw.to_rows()]
 
 
-def test_decompose_json_dict():
-    dec = decompose(AlgebraSpec.quadratic(4), LinearForm.ones(4), 1, 2)
-    data = dec.to_json_dict()
-    assert set(data) == {"spec", "form", "i", "t", "tl", "bl_scalar", "bl", "br"}
-    assert data["bl_scalar"] == "2"
-    assert isinstance(dec, BlockDecomposition)
-
-
 def test_decompose_validation():
     quad = AlgebraSpec.quadratic(4)
     with pytest.raises(ValueError):
@@ -93,7 +80,7 @@ def test_decompose_validation():
             decompose(quad, LinearForm.ones(4), bad_i, bad_t)
 
 
-def test_block_pivot_rank_on_a_structured_instance():
+def test_pivot_block_identity_on_a_structured_instance():
     # blocks produced by an actual middle map: P square, A*P and P*B the
     # factored off-diagonal products, expected rank = size(P) + rank(A*P*B)
     rspec = AlgebraSpec.quadratic(4)
@@ -101,60 +88,11 @@ def test_block_pivot_rank_on_a_structured_instance():
     pivot = build_matrix(rspec, rform, 1, 2).matrix
     a = build_matrix(rspec, rform, 3, 1).matrix
     b = build_matrix(rspec, rform, 0, 1).matrix
-    rr = block_pivot_rank(a, b, pivot)
-    assert rr.rank == 4 + 1
-    assembled = block_assemble(
-        mat_mul(a, pivot),
-        ExactMatrix.zeros(a.rows, b.cols),
-        pivot,
-        mat_mul(pivot, b),
-    )
-    assert rank_fraction_free(assembled).rank == rr.rank
-
-
-def test_block_pivot_rank_random_trials():
-    rng = random.Random(2718)
-    p = 101
-    for _ in range(100):
-        mdim, ndim, pdim = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
-        while True:
-            pivot = ExactMatrix.from_rows(
-                [[rng.randrange(p) for _ in range(ndim)] for _ in range(ndim)], GF, p
-            )
-            if rank_mod_p(pivot, p).rank == ndim:
-                break
-        a = ExactMatrix.from_rows([[rng.randrange(p) for _ in range(ndim)] for _ in range(mdim)], GF, p)
-        b = ExactMatrix.from_rows([[rng.randrange(p) for _ in range(pdim)] for _ in range(ndim)], GF, p)
-        block_pivot_rank(a, b, pivot)
-
-
-def test_block_pivot_rank_integer_trials():
-    rng = random.Random(1414)
-    trials = 0
-    while trials < 40:
-        ndim = rng.randint(1, 4)
-        pivot = ExactMatrix.from_rows(
-            [[rng.randint(-4, 4) for _ in range(ndim)] for _ in range(ndim)]
-        )
-        if rank_fraction_free(pivot).rank < ndim:
-            continue
-        trials += 1
-        mdim, pdim = rng.randint(1, 4), rng.randint(1, 4)
-        a = ExactMatrix.from_rows([[rng.randint(-4, 4) for _ in range(ndim)] for _ in range(mdim)])
-        b = ExactMatrix.from_rows([[rng.randint(-4, 4) for _ in range(pdim)] for _ in range(ndim)])
-        block_pivot_rank(a, b, pivot)
-
-
-def test_block_pivot_rank_validation():
-    eye = ExactMatrix.identity(2)
-    with pytest.raises(ValueError):
-        block_pivot_rank(eye, eye, ExactMatrix.zeros(2, 3))
-    with pytest.raises(ValueError):
-        block_pivot_rank(ExactMatrix.zeros(2, 3), eye, eye)
-    with pytest.raises(ValueError):
-        block_pivot_rank(eye, ExactMatrix.zeros(3, 2), eye)
-    with pytest.raises(ValueError):
-        block_pivot_rank(eye, eye, ExactMatrix.zeros(2, 2))
+    ap = mat_mul(a, pivot)
+    assert rank_fraction_free(pivot).rank == 4
+    assert rank_fraction_free(mat_mul(ap, b)).rank == 1
+    assembled = block_assemble(ap, ExactMatrix.zeros(a.rows, b.cols), pivot, mat_mul(pivot, b))
+    assert rank_fraction_free(assembled).rank == 4 + 1
 
 
 def test_recursive_rank_matches_dense_sweep():

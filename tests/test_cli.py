@@ -8,6 +8,9 @@ import pytest
 from slpkit.cli import main
 
 
+MAP_KEYS = {"i", "t", "rows", "cols", "rank", "maximal", "method", "ms", "notes", "peak_bits"}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -73,6 +76,7 @@ def test_rank_block_method(capsys, tmp_path):
     assert code == 0
     assert out.startswith("rank 6 of 6x6")
     payload = json.loads(path.read_text())
+    assert set(payload) == {"spec", "form"} | MAP_KEYS
     assert payload["rank"] == 6 and payload["maximal"] is True
     assert payload["method"] == "block-recursive"
     assert payload["notes"] == []
@@ -99,18 +103,26 @@ def test_slp_holds_exit_zero(capsys, tmp_path):
         "mode": "middle",
         "method": "block",
         "maps": [
-            {"i": 0, "t": 4, "rows": 1, "cols": 1, "rank": 1, "maximal": True, "method": "block-recursive"},
-            {"i": 1, "t": 2, "rows": 4, "cols": 4, "rank": 4, "maximal": True, "method": "block-recursive"},
+            {"i": 0, "t": 4, "rows": 1, "cols": 1, "rank": 1, "maximal": True, "method": "block-recursive",
+             "notes": [], "peak_bits": 5},
+            {"i": 1, "t": 2, "rows": 4, "cols": 4, "rank": 4, "maximal": True, "method": "block-recursive",
+             "notes": [], "peak_bits": 5},
         ],
         "slp": True,
     }
 
 
-def test_slp_fails_exit_one(capsys):
+def test_slp_fails_exit_one(capsys, tmp_path):
     code, out, _ = run(capsys, "slp", "--quadratic", "3", "--char", "2")
     assert code == 1
     assert "SLP fails" in out
     assert out.count("FAIL") == 2
+    path = tmp_path / "slp.json"
+    code, _, _ = run(capsys, "slp", "--quadratic", "4", "--char", "3", "--out", str(path))
+    assert code == 1
+    maps = json.loads(path.read_text())["maps"]
+    assert all(set(m) == MAP_KEYS for m in maps)
+    assert [m["notes"] for m in maps] == [["characteristic 3 <= socle degree 4; structured path unavailable"]] * 2
 
 
 def test_slp_json_is_stable_across_runs(capsys, tmp_path):
@@ -170,11 +182,11 @@ def test_bench(capsys, tmp_path):
     payload = json.loads(path.read_text())
     records = payload["records"]
     assert len(records) == 6
-    assert {r["method"] for r in records} == {"dense", "block"}
+    assert {r["route"] for r in records} == {"dense", "block"}
     for r in records:
-        assert set(r) == {"n", "i", "t", "rows", "cols", "method", "rank", "peak_bits", "ms"}
+        assert set(r) == {"route"} | MAP_KEYS
     # dense: bit size of t!; block: the socle scalar 5! the route checks for every map
-    assert [(r["method"], r["peak_bits"]) for r in records] == [
+    assert [(r["route"], r["peak_bits"]) for r in records] == [
         ("dense", 7), ("block", 7), ("dense", 3), ("block", 7), ("dense", 1), ("block", 7)
     ]
 
@@ -195,7 +207,7 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     lines = out.strip().splitlines()
-    assert len(lines) == 9
+    assert len(lines) == 8
     assert all(line.startswith("PASS") for line in lines)
     assert "PASS: block and dense middle ranks agree over F_5 through six variables" in lines
 
@@ -214,9 +226,10 @@ def test_usage_errors_exit_two(capsys):
 
 
 def test_bench_has_no_seed_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "--quadratic", "3", "--seed", "1"])
-    assert exc.value.code == 2
+    for argv in (["bench", "--quadratic", "3", "--seed", "1"], ["selftest", "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     capsys.readouterr()
 
 

@@ -382,7 +382,7 @@ def test_report_json_shape():
     assert data["characteristic"] == 2
     assert [tuple((d["i"], d["t"])) for d in data["maps"]] == [(0, 3), (1, 1)]
     for d in data["maps"]:
-        assert set(d) == {"i", "t", "rows", "cols", "rank", "maximal", "method", "ms"}
+        assert set(d) == {"i", "t", "rows", "cols", "rank", "maximal", "method", "ms", "notes", "peak_bits"}
 
 
 def test_dense_check_map_methods():

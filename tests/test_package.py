@@ -1,5 +1,19 @@
 """The package namespace: every exported name resolves and is listed once."""
+import ast
+from pathlib import Path
+
 import slpkit
+
+SRC = Path(slpkit.__file__).resolve().parent
+
+# bindings no module uses, kept because perfbench/tests/test_tracing.py
+# checks that the tracer patches them
+PINNED_IMPORTS = {
+    ("blockrec", "certified_rank"),
+    ("blockrec", "rank_mod_p"),
+    ("cli", "rank_mod_p"),
+    ("lefschetz", "rank_mod_p"),
+}
 
 
 def test_every_export_resolves_once():
@@ -7,5 +21,39 @@ def test_every_export_resolves_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(slpkit, name)]
     assert missing == []
-    for gone in ("rank", "max_rank_check"):
+    for gone in (
+        "rank",
+        "max_rank_check",
+        "BasisIndex",
+        "block_pivot_rank",
+        "enumerate_squarefree",
+        "reduce",
+        "revlex_compare",
+        "revlex_sort_key",
+        "squarefree_rank",
+        "squarefree_unrank",
+    ):
         assert gone not in names and not hasattr(slpkit, gone)
+
+
+def _unused_imports(tree):
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.add((alias.asname or alias.name).split(".")[0])
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    unused = {
+        (path.stem, name)
+        for path in modules
+        for name in _unused_imports(ast.parse(path.read_text()))
+    }
+    assert unused == PINNED_IMPORTS

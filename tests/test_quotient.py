@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from slpkit.lefschetz import LinearForm, slp_check
-from slpkit.monomials import Monomial, enumerate_squarefree
+from slpkit.monomials import Monomial
 from slpkit.quotient import (
     AlgebraElement,
     AlgebraSpec,
@@ -17,7 +17,6 @@ from slpkit.quotient import (
     basis_positions,
     hilbert_vector,
     multiply,
-    reduce,
 )
 
 
@@ -30,7 +29,8 @@ def test_quadratic_basis_matches_squarefree_listing():
     for n in range(1, 8):
         spec = AlgebraSpec.quadratic(n)
         for t in range(-1, n + 2):
-            assert graded_basis(spec, t) == enumerate_squarefree(n, t)
+            got = [m.exponents for m in graded_basis(spec, t)]
+            assert got == oracles.brute_standard_monomials((2,) * n, t)
 
 
 @pytest.mark.parametrize("bounds", [(3, 4, 2), (2, 3), (5,), (3, 3, 3), (2, 2, 2, 2), (4, 2, 3)])
@@ -142,15 +142,18 @@ def test_hilbert_sweep_properties():
 
 
 def test_reduce():
+    # an element holds only monomials that survive x_k^d_k = 0
     spec = AlgebraSpec.quadratic(3)
-    assert reduce(spec, Monomial((1, 1, 0))) == Monomial((1, 1, 0))
-    assert reduce(spec, Monomial((2, 0, 0))) is None
-    mixed = AlgebraSpec(2, (3, 2))
-    assert reduce(mixed, Monomial((2, 1))) == Monomial((2, 1))
-    assert reduce(mixed, Monomial((3, 0))) is None
-    assert reduce(mixed, Monomial((0, 2))) is None
+    assert AlgebraElement(spec, {Monomial((1, 1, 0)): 1}).terms == {Monomial((1, 1, 0)): 1}
     with pytest.raises(ValueError):
-        reduce(spec, Monomial((1, 0)))
+        AlgebraElement(spec, {Monomial((2, 0, 0)): 1})
+    mixed = AlgebraSpec(2, (3, 2))
+    assert AlgebraElement(mixed, {Monomial((2, 1)): 1}).terms == {Monomial((2, 1)): 1}
+    for dead in ((3, 0), (0, 2)):
+        with pytest.raises(ValueError):
+            AlgebraElement(mixed, {Monomial(dead): 1})
+    with pytest.raises(ValueError):
+        AlgebraElement(spec, {Monomial((1, 0)): 1})
 
 
 def test_element_construction_and_cleanup():
@@ -295,6 +298,6 @@ def test_hilbert_vector_validation():
 
 def test_spec_json_roundtrip():
     spec = AlgebraSpec(3, (3, 2, 4), 7)
-    assert AlgebraSpec.from_json_dict(spec.to_json_dict()) == spec
-    plain = AlgebraSpec.quadratic(4)
-    assert AlgebraSpec.from_json_dict({"n": 4, "exponents": [2, 2, 2, 2]}) == plain
+    data = spec.to_json_dict()
+    assert data == {"n": 3, "exponents": [3, 2, 4], "characteristic": 7}
+    assert AlgebraSpec(data["n"], tuple(data["exponents"]), data["characteristic"]) == spec
