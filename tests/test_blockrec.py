@@ -95,6 +95,25 @@ def test_pivot_block_identity_on_a_structured_instance():
     assert rank_fraction_free(assembled).rank == 4 + 1
 
 
+def test_block_pivot_rank_random_trials():
+    # rank [[AP, 0], [P, PB]] = size(P) + rank(APB) for nonsingular P over F_101
+    rng = random.Random(2718)
+    p = 101
+    for _ in range(100):
+        mdim, ndim, pdim = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        while True:
+            pivot = ExactMatrix.from_rows(
+                [[rng.randrange(p) for _ in range(ndim)] for _ in range(ndim)], GF, p
+            )
+            if rank_mod_p(pivot, p).rank == ndim:
+                break
+        a = ExactMatrix.from_rows([[rng.randrange(p) for _ in range(ndim)] for _ in range(mdim)], GF, p)
+        b = ExactMatrix.from_rows([[rng.randrange(p) for _ in range(pdim)] for _ in range(ndim)], GF, p)
+        ap = mat_mul(a, pivot)
+        assembled = block_assemble(ap, ExactMatrix.zeros(mdim, pdim, GF, p), pivot, mat_mul(pivot, b))
+        assert rank_mod_p(assembled, p).rank == ndim + rank_mod_p(mat_mul(ap, b), p).rank
+
+
 def test_recursive_rank_matches_dense_sweep():
     for n in range(1, 9):
         spec = AlgebraSpec.quadratic(n)

@@ -46,6 +46,14 @@ def test_counts_match_binomials():
             assert len(quadratic_listing(n, t)) == (comb(n, t) if 0 <= t <= n else 0)
 
 
+def test_listing_matches_brute_force_enumeration():
+    # AlgebraSpec needs at least one variable, so the listing starts at n = 1
+    for n in range(1, 10):
+        for t in range(n + 1):
+            got = [m.exponents for m in quadratic_listing(n, t)]
+            assert got == oracles.brute_standard_monomials((2,) * n, t)
+
+
 def test_listing_is_strictly_decreasing():
     for n in range(1, 7):
         for t in range(n + 1):
