@@ -3,8 +3,8 @@
 Human-readable tables go to stdout; --out writes the canonical JSON, or CSV
 for hilbert and matrix under --format csv.  JSON output is byte-identical
 across runs with the same inputs except for fields under "timing" and
-per-map "ms".  Exit codes for the slp command: 0 the property holds, 1 it
-fails, 2 usage or input error.
+per-map "ms".  Exit codes: 0 the property or check holds, 1 it fails (slp,
+embed-verify, bench), 2 usage or input error.
 """
 from __future__ import annotations
 
@@ -88,31 +88,29 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_form_flag(p)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--method", choices=("dense", "block", "auto"), default="auto")
+    p.add_argument("--method", choices=("auto", "dense"), default="auto")
     _add_output_flags(p)
 
     p = sub.add_parser("slp", help="strong Lefschetz verdict (exit 0 holds, 1 fails)")
     _add_spec_flags(p)
     _add_form_flag(p)
     p.add_argument("--mode", choices=("middle", "full"), default="middle")
-    p.add_argument("--method", choices=("dense", "block", "auto"), default="auto")
+    p.add_argument("--method", choices=("auto", "dense"), default="auto")
     _add_output_flags(p)
 
     p = sub.add_parser("char-search", help="probe the same form over a range of prime fields")
     _add_spec_flags(p)
     _add_form_flag(p)
     p.add_argument("--primes", type=_parse_prime_range, required=True, metavar="LO..HI")
-    p.add_argument("--mode", choices=("middle", "full"), default="middle")
     _add_output_flags(p)
 
     p = sub.add_parser("embed-verify", help="verify the quadratic embedding of the algebra")
     _add_spec_flags(p)
     _add_output_flags(p)
 
-    p = sub.add_parser("bench", help="compare rank methods on the middle maps")
+    p = sub.add_parser("bench", help="compare the dense and auto routes on the middle maps")
     _add_spec_flags(p)
     _add_form_flag(p)
-    p.add_argument("--methods", default="dense,block", metavar="M1,M2")
     _add_output_flags(p)
 
     sub.add_parser("selftest", help="quick internal checks (exit 0 all pass)")
@@ -206,7 +204,7 @@ def _cmd_char_search(args) -> int:
     form = _form_from_args(args, spec.n)
     lo, hi = args.primes
     primes = primes_in_range(lo, hi)
-    probes = char_search(spec, form, primes, mode=args.mode)
+    probes = char_search(spec, form, primes)
     for pr in probes:
         if pr.slp:
             print(f"p={pr.prime}: holds")
@@ -264,23 +262,23 @@ def _cmd_embed_verify(args) -> int:
 def _cmd_bench(args) -> int:
     spec = _spec_from_args(args)
     form = _form_from_args(args, spec.n)
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    if not methods or not set(methods) <= {"dense", "block"}:
-        raise ValueError(f"--methods must name dense and/or block, got {args.methods!r}")
     records = []
-    ranks: dict[tuple[int, int], set[int]] = {}
+    disagreements = []
     for i, t in middle_pairs(spec.socle_degree):
-        for method in methods:
-            c = check_map(spec, form, i, t, method)
-            ranks.setdefault((i, t), set()).add(c.rank)
-            records.append({"route": method, **c.to_json_dict()})
+        ranks = {}
+        for route in ("dense", "auto"):
+            c = check_map(spec, form, i, t, route)
+            ranks[route] = c.rank
+            records.append({"route": route, **c.to_json_dict()})
             print(
-                f"n={spec.n} i={i} t={t} {c.rows}x{c.cols} {method:<5s}"
+                f"n={spec.n} i={i} t={t} {c.rows}x{c.cols} {route:<5s}"
                 f" rank={c.rank} peak_bits={c.peak_bits} {c.ms:.2f} ms"
             )
-    disagreements = {k: v for k, v in ranks.items() if len(v) > 1}
+        if ranks["dense"] != ranks["auto"]:
+            disagreements.append(f"(i={i}, t={t}) dense {ranks['dense']}, auto {ranks['auto']}")
     if disagreements:
-        raise RuntimeError(f"rank methods disagree: {disagreements}")
+        print(f"error: routes disagree at {'; '.join(disagreements)}", file=sys.stderr)
+        return 1
     print("all methods agree on every rank")
     _emit(args, {"spec": spec.to_json_dict(), "form": form.to_json(), "records": records})
     return 0
@@ -299,7 +297,7 @@ def _cmd_selftest(args) -> int:
     for n in range(1, 7):
         qs = AlgebraSpec.quadratic(n)
         ok = ok and slp_check(qs, LinearForm.ones(n), method="dense").slp
-        ok = ok and slp_check(qs, LinearForm.ones(n), method="block").slp
+        ok = ok and slp_check(qs, LinearForm.ones(n)).slp
     checks.append(("square-free sweep holds through six variables", ok))
 
     # over F_5 the recursion runs for n < 5 and falls back to the dense map for n >= 5
@@ -307,10 +305,10 @@ def _cmd_selftest(args) -> int:
     for n in range(1, 7):
         qs = AlgebraSpec.quadratic(n, 5)
         ranks = [
-            [c.rank for c in slp_check(qs, LinearForm.ones(n), method=m).maps] for m in ("dense", "block")
+            [c.rank for c in slp_check(qs, LinearForm.ones(n), method=m).maps] for m in ("dense", "auto")
         ]
         ok = ok and ranks[0] == ranks[1]
-    checks.append(("block and dense middle ranks agree over F_5 through six variables", ok))
+    checks.append(("auto and dense middle ranks agree over F_5 through six variables", ok))
 
     char2 = slp_check(AlgebraSpec.quadratic(3, 2), LinearForm.ones(3))
     checks.append(("three variables fail in characteristic two", not char2.slp))

@@ -26,13 +26,14 @@ over F_p that is one elimination mod p; over Q it probes mod the one fixed
 prime exactmat.PROBE_PRIME (full modular rank certifies full rational rank)
 and falls back to exact fraction-free elimination only when the certificate
 fails, so the expensive path runs exactly when something genuinely
-degenerates.  Its block route, blockrec.recursive_middle_rank, is the
+degenerates.  Its proof route, blockrec.recursive_middle_rank, is the
 paper's proof, the induction on variables carried to every spec by the
 block-sum embedding: it checks the proof's hypotheses and builds no matrix
 beyond the 1x1 socle map l^m: A_0 -> A_m, which it checks through the
 dense route, as it does every fallback.  Both routes answer with a
-MapCheck.  The route follows from the input alone, so char_search takes
-it for the middle maps whenever p exceeds the socle degree m.
+MapCheck.  The route follows from the input alone: method "auto" takes
+the proof route exactly for the middle maps, and "dense", the oracle,
+never does.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
-from numbers import Rational
+from numbers import Integral, Rational
 from typing import Iterable
 
 import numpy as np
@@ -67,11 +68,17 @@ class LinearForm:
     coefficients: tuple
 
     def __post_init__(self) -> None:
-        if not isinstance(self.coefficients, tuple):
-            object.__setattr__(self, "coefficients", tuple(self.coefficients))
+        coeffs = self.coefficients
+        if not isinstance(coeffs, tuple):
+            coeffs = tuple(coeffs)
         # int first: an isinstance check against the Rational ABC is slow
-        if not all(type(c) is int or isinstance(c, Rational) for c in self.coefficients):
-            raise TypeError(f"form coefficients must be exact rationals (int or Fraction): {self.coefficients}")
+        if not all(type(c) is int for c in coeffs):
+            if not all(isinstance(c, Rational) for c in coeffs):
+                raise TypeError(f"form coefficients must be exact rationals (int or Fraction): {coeffs}")
+            # numpy integers are Rational too, but their powers in build_matrix would wrap
+            coeffs = tuple(int(c) if isinstance(c, Integral) else c for c in coeffs)
+        if coeffs is not self.coefficients:
+            object.__setattr__(self, "coefficients", coeffs)
 
     @property
     def nvars(self) -> int:
@@ -286,25 +293,20 @@ def full_pairs(socle_degree: int) -> tuple[tuple[int, int], ...]:
 def check_map(spec: AlgebraSpec, form: LinearForm, i: int, t: int, method: str = "auto") -> MapCheck:
     """Rank check of multiplication by form^t from degree i.
 
-    This is the one routine that builds a map and ranks it.  method "block"
-    takes blockrec.recursive_middle_rank, which applies to the middle maps
-    (i, m-2i) of every spec and checks its 1x1 socle map here; "dense"
-    builds the matrix and ranks it with exactmat.certified_rank, which
-    eliminates F_p matrices mod p and certifies integer and rational ones
-    mod PROBE_PRIME; "auto" is block exactly for the middle maps.
+    This is the one routine that builds a map and ranks it.  method "auto"
+    takes the proof route, blockrec.recursive_middle_rank, exactly for the
+    middle maps (i, m-2i) of every spec, and the dense route otherwise;
+    "dense" always builds the matrix and ranks it with
+    exactmat.certified_rank, which eliminates F_p matrices mod p and
+    certifies integer and rational ones mod PROBE_PRIME.
     rows and cols come from spec.dim on both routes, and ms times the whole
-    check, on the block route a fallback's socle check included.
+    check, on the proof route a fallback's socle check included.
     """
-    # (i, t) in middle_pairs(m), without listing the m/2 pairs
-    middle = i >= 0 and t >= 1 and 2 * i + t == spec.socle_degree
-    if method == "auto":
-        method = "block" if middle else "dense"
-    if method not in ("dense", "block"):
+    if method not in ("auto", "dense"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "block" and not middle:
-        raise ValueError("block method applies to middle maps only")
     _refuse_oversized(spec, i, t)
-    if method == "block":
+    # (i, t) in middle_pairs(m), without listing the m/2 pairs
+    if method == "auto" and i >= 0 and t >= 1 and 2 * i + t == spec.socle_degree:
         from .blockrec import recursive_middle_rank
 
         return recursive_middle_rank(spec, form, i)
@@ -327,23 +329,19 @@ def slp_check(
 
     mode "middle" checks the square maps (i, m-2i), which decide the whole
     property for every spec in every characteristic (module docstring);
-    "full" checks every power.  method "block" routes the middle maps
-    through the recursive rank computation and "dense" builds each matrix
-    outright; "auto" is block in middle mode and dense in full mode, so full
-    mode stays independent of the recursion.
+    "full" checks every power.  method "auto" takes the proof route for the
+    middle maps and "dense" builds each matrix outright; full mode always
+    runs dense, so it stays independent of the proof.
     Every map's size is checked before any is built.
     """
     if form.nvars != spec.n:
         raise ValueError("form has the wrong number of coefficients")
     if mode not in ("middle", "full"):
         raise ValueError(f"unknown mode {mode!r}")
-    if method == "auto":
-        method = "block" if mode == "middle" else "dense"
-    if method not in ("dense", "block"):
+    if method not in ("auto", "dense"):
         raise ValueError(f"unknown method {method!r}")
-    # for m = 1 the one full pair (0, 1) is also a middle map
-    if method == "block" and mode == "full":
-        raise ValueError("block method computes middle maps only")
+    if mode == "full":
+        method = "dense"
     m = spec.socle_degree
     pairs = middle_pairs(m) if mode == "middle" else full_pairs(m)
     for i, t in pairs:
@@ -375,9 +373,8 @@ def char_search(
     spec: AlgebraSpec,
     form: LinearForm,
     primes: Iterable[int],
-    mode: str = "middle",
 ) -> tuple[CharProbe, ...]:
-    """Probe one coefficient pattern over prime fields (block route for middle maps above the socle degree)."""
+    """Probe one coefficient pattern's middle maps over prime fields (proof route above the socle degree)."""
     for c in form.coefficients:
         if not isinstance(c, int):
             raise TypeError("characteristic search expects integer coefficients")
@@ -386,6 +383,6 @@ def char_search(
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         pspec = replace(spec, characteristic=p)
-        report = slp_check(pspec, form, mode=mode)
+        report = slp_check(pspec, form)
         probes.append(CharProbe(p, report.slp, report.failures))
     return tuple(probes)

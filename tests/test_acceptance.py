@@ -68,7 +68,7 @@ def test_acceptance_2_quadratic_sweep_both_methods():
     for n in range(1, 11):
         spec = AlgebraSpec.quadratic(n)
         form = LinearForm.ones(n)
-        for method in ("dense", "block"):
+        for method in ("dense", "auto"):
             report = slp_check(spec, form, method=method)
             ok = ok and report.slp and not report.failures
     _verdict(

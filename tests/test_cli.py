@@ -1,11 +1,13 @@
 """End-to-end command tests driven through main(argv)."""
 import json
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from slpkit.cli import main
+from slpkit.lefschetz import check_map, full_pairs
 
 
 MAP_KEYS = {"i", "t", "rows", "cols", "rank", "maximal", "method", "ms", "notes", "peak_bits"}
@@ -101,7 +103,7 @@ def test_slp_holds_exit_zero(capsys, tmp_path):
         "form": [1, 1, 1, 1],
         "characteristic": 0,
         "mode": "middle",
-        "method": "block",
+        "method": "auto",
         "maps": [
             {"i": 0, "t": 4, "rows": 1, "cols": 1, "rank": 1, "maximal": True, "method": "block-recursive",
              "notes": [], "peak_bits": 5},
@@ -110,6 +112,16 @@ def test_slp_holds_exit_zero(capsys, tmp_path):
         ],
         "slp": True,
     }
+
+
+def test_slp_full_mode_lists_every_failing_pair(capsys, tmp_path):
+    path = tmp_path / "f.json"
+    code, _, _ = run(capsys, "slp", "--quadratic", "3", "--char", "2", "--mode", "full", "--out", str(path))
+    assert code == 1
+    payload = json.loads(path.read_text())
+    assert (payload["mode"], payload["method"]) == ("full", "dense")
+    assert [(c["i"], c["t"]) for c in payload["maps"]] == list(full_pairs(3))
+    assert [(c["i"], c["t"]) for c in payload["maps"] if not c["maximal"]] == [(0, 2), (0, 3), (1, 1), (1, 2)]
 
 
 def test_slp_fails_exit_one(capsys, tmp_path):
@@ -182,19 +194,32 @@ def test_bench(capsys, tmp_path):
     payload = json.loads(path.read_text())
     records = payload["records"]
     assert len(records) == 6
-    assert {r["route"] for r in records} == {"dense", "block"}
+    assert {r["route"] for r in records} == {"dense", "auto"}
     for r in records:
         assert set(r) == {"route"} | MAP_KEYS
-    # dense: bit size of t!; block: the socle scalar 5! the route checks for every map
+    # dense: bit size of t!; auto: the socle scalar 5! the proof route checks for every map
     assert [(r["route"], r["peak_bits"]) for r in records] == [
-        ("dense", 7), ("block", 7), ("dense", 3), ("block", 7), ("dense", 1), ("block", 7)
+        ("dense", 7), ("auto", 7), ("dense", 3), ("auto", 7), ("dense", 1), ("auto", 7)
     ]
+
+
+def test_bench_route_disagreement_exits_one(capsys, monkeypatch):
+    import slpkit.cli
+
+    def off_by_one_auto(spec, form, i, t, method="auto"):
+        c = check_map(spec, form, i, t, method)
+        return replace(c, rank=c.rank - 1) if method == "auto" else c
+
+    monkeypatch.setattr(slpkit.cli, "check_map", off_by_one_auto)
+    code, _, err = run(capsys, "bench", "--quadratic", "3")
+    assert code == 1
+    assert err == "error: routes disagree at (i=0, t=3) dense 1, auto 0; (i=1, t=1) dense 3, auto 2\n"
 
 
 def test_rank_block_on_a_general_spec(capsys, tmp_path):
     path = tmp_path / "rank.json"
     code, out, _ = run(
-        capsys, "rank", "--exponents", "3,4", "--i", "1", "--t", "3", "--method", "block", "--out", str(path)
+        capsys, "rank", "--exponents", "3,4", "--i", "1", "--t", "3", "--out", str(path)
     )
     assert code == 0 and "block-recursive" in out
     payload = json.loads(path.read_text())
@@ -209,7 +234,7 @@ def test_selftest(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 8
     assert all(line.startswith("PASS") for line in lines)
-    assert "PASS: block and dense middle ranks agree over F_5 through six variables" in lines
+    assert "PASS: auto and dense middle ranks agree over F_5 through six variables" in lines
 
 
 def test_usage_errors_exit_two(capsys):
@@ -253,8 +278,8 @@ def test_input_errors_exit_two(capsys):
     assert code == 2
     code, _, err = run(capsys, "embed-verify", "--exponents", "1,2")
     assert code == 2
-    code, _, err = run(capsys, "bench", "--quadratic", "3", "--methods", ",")
-    assert code == 2 and "--methods must name" in err
+    code, _, err = run(capsys, "bench", "--quadratic", "3", "--form", "1,1")
+    assert code == 2 and "form coefficient count" in err
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,9 @@
 from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial, prod
+import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ import oracles
 import slpkit.blockrec
 import slpkit.exactmat
 from slpkit._primes import next_prime
+from slpkit.cli import main
 from slpkit.exactmat import ExactMatrix, GF, QQ, ZZ, mat_mul, rank_mod_p
 from slpkit.lefschetz import (
     CharProbe,
@@ -191,7 +194,7 @@ def test_oversized_maps_are_refused_before_any_listing(monkeypatch):
         build_matrix(spec, LinearForm.ones(30), 14, 2)
     with pytest.raises(ValueError, match=r"\(i=14, t=2\) map is 145422675x145422675"):
         check_map(spec, LinearForm.ones(30), 14, 2)
-    for method in ("block", "dense"):
+    for method in ("auto", "dense"):
         with pytest.raises(ValueError, match="limit"):
             slp_check(spec, LinearForm.ones(30), method=method)
     with pytest.raises(ValueError, match="limit"):
@@ -238,7 +241,7 @@ def test_pair_generators():
 def test_slp_holds_for_quadratic_sweep():
     for n in range(1, 9):
         spec = AlgebraSpec.quadratic(n)
-        for method in ("dense", "block"):
+        for method in ("dense", "auto"):
             report = slp_check(spec, LinearForm.ones(n), method=method)
             assert report.slp and report.failures == ()
             assert report.mode == "middle" and report.method == method
@@ -263,7 +266,7 @@ def test_slp_small_characteristic_failures():
 def test_slp_general_spec_full_mode():
     spec = AlgebraSpec(2, (3, 4))
     report = slp_check(spec, LinearForm.ones(2))
-    assert report.mode == "middle" and report.method == "block"
+    assert report.mode == "middle" and report.method == "auto"
     assert report.slp
     assert [(c.i, c.t) for c in report.maps] == [(0, 5), (1, 3), (2, 1)]
     full = slp_check(spec, LinearForm.ones(2), mode="full")
@@ -430,24 +433,55 @@ def test_linear_form_refuses_inexact_coefficients(inexact):
     assert LinearForm((True, np.int64(2), Fraction(1, 2))).nvars == 3
 
 
-def test_mode_method_validation():
+def test_numpy_integer_coefficients_act_as_ints():
+    # kept as np.int64, c**t and the multinomial would wrap in int64
+    form = LinearForm((np.int64(2), True))
+    assert [type(c) for c in form.coefficients] == [int, int] and form.coefficients == (2, 1)
+    assert json.dumps(form.to_json()) == "[2, 1]"
+    spec = AlgebraSpec(1, (70,))
+    c = check_map(spec, LinearForm((np.int64(2),)), 0, 64)
+    assert c.rank == 1
+    assert replace(c, ms=0) == replace(check_map(spec, LinearForm((2,)), 0, 64), ms=0)
+    assert slp_check(spec, LinearForm((np.int64(2),))).slp
+    spec = AlgebraSpec(2, (40, 40))
+    got, want = slp_check(spec, LinearForm((np.int64(3), 1))), slp_check(spec, LinearForm((3, 1)))
+    assert got.slp == want.slp
+    assert [replace(c, ms=0) for c in got.maps] == [replace(c, ms=0) for c in want.maps]
+    primes = (2, 3, 83)
+    assert char_search(spec, LinearForm((np.int64(3), 1)), primes) == char_search(spec, LinearForm((3, 1)), primes)
+
+
+def test_mode_method_validation(capsys):
     spec = AlgebraSpec.quadratic(3)
     form = LinearForm.ones(3)
     with pytest.raises(ValueError):
         slp_check(spec, form, mode="sideways")
     with pytest.raises(ValueError):
         slp_check(spec, form, method="magic")
-    with pytest.raises(ValueError):
-        slp_check(spec, form, mode="full", method="block")
-    # (0, 1) is the one full pair and a middle map, yet full mode refuses block
-    with pytest.raises(ValueError):
-        slp_check(AlgebraSpec.quadratic(1), LinearForm.ones(1), mode="full", method="block")
+    # "block" is no method: "auto" already takes the proof route for every middle map
+    for mode in ("middle", "full"):
+        with pytest.raises(ValueError, match="unknown method"):
+            slp_check(spec, form, mode=mode, method="block")
+    with pytest.raises(ValueError, match="unknown method"):
+        check_map(spec, form, 0, 3, "block")
     with pytest.raises(ValueError):
         slp_check(spec, form, mode="auto")
-    with pytest.raises(ValueError):
-        slp_check(AlgebraSpec(2, (3, 3)), LinearForm.ones(2), mode="full", method="block")
+    # full mode runs dense even for quadratic(1), whose one full pair is a middle map
+    full = slp_check(AlgebraSpec.quadratic(1), LinearForm.ones(1), mode="full")
+    assert full.method == "dense" and [c.method for c in full.maps] == ["modular"]
     with pytest.raises(ValueError):
         slp_check(spec, LinearForm.ones(4))
+    with pytest.raises(TypeError):
+        char_search(spec, form, (5,), mode="full")
+    for argv in (
+        ["rank", "--quadratic", "3", "--i", "0", "--t", "3", "--method", "block"],
+        ["bench", "--quadratic", "3", "--methods", "dense"],
+        ["char-search", "--quadratic", "3", "--primes", "2..5", "--mode", "full"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_check_map_picks_block_only_for_middle_maps():
@@ -458,9 +492,9 @@ def test_check_map_picks_block_only_for_middle_maps():
     general = AlgebraSpec(2, (3, 3))
     assert check_map(general, LinearForm.ones(2), 1, 2).method == "block-recursive"
     assert check_map(general, LinearForm.ones(2), 1, 1).method == "modular"
-    for bad_spec, i, t in ((spec, 1, 2), (spec, -1, 7), (general, 1, 1)):
-        with pytest.raises(ValueError):
-            check_map(bad_spec, LinearForm.ones(bad_spec.n), i, t, "block")
+    # 2i + t == m, but i < 0: not a middle map, so the dense route refuses the degrees
+    with pytest.raises(ValueError, match="out of range"):
+        check_map(spec, form, -1, 7)
     with pytest.raises(ValueError):
         check_map(spec, form, 1, 3, "magic")
     c = check_map(spec, LinearForm((1, 1, 1, 1, 1000)), 0, 5, "dense")
