@@ -10,7 +10,7 @@ verdicts between source and target.
 """
 from slpkit import (
     EmbeddingSpec,
-    phi,
+    phi_monomial,
     phi_matrix,
     transfer_slp,
     verify_kernel_dims,
@@ -23,7 +23,7 @@ from slpkit import (
 es = EmbeddingSpec.from_powers((2, 2))
 print("source killed powers:", es.source_spec.exponents)
 print("target variables:", es.m)
-img = phi(es, {(1, 0): 1})
+img = phi_monomial(es, (1, 0))
 print("image of y1:", img)
 
 ###############################################################################

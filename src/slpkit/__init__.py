@@ -54,7 +54,6 @@ from .embedding import (
     KernelDimsRecord,
     SocleImageRecord,
     TransferRecord,
-    phi,
     phi_matrix,
     phi_monomial,
     transfer_slp,
@@ -100,7 +99,6 @@ __all__ = [
     "mat_mul",
     "middle_pairs",
     "multiply",
-    "phi",
     "phi_matrix",
     "phi_monomial",
     "rank_fraction_free",

@@ -33,14 +33,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def next_prime(n: int) -> int:
-    """Smallest prime strictly greater than n."""
-    k = max(n + 1, 2)
-    while not is_prime(k):
-        k += 1
-    return k
-
-
 def primes_in_range(lo: int, hi: int) -> tuple[int, ...]:
     """All primes p with lo <= p <= hi."""
     return tuple(p for p in range(max(lo, 2), hi + 1) if is_prime(p))

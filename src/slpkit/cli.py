@@ -42,9 +42,12 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 def _parse_prime_range(text: str) -> tuple[int, int]:
     try:
         lo, hi = text.split("..")
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected LO..HI, got {text!r}")
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"reversed prime range {text!r}: LO must not exceed HI")
+    return lo, hi
 
 
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
@@ -204,6 +207,8 @@ def _cmd_char_search(args) -> int:
     form = _form_from_args(args, spec.n)
     lo, hi = args.primes
     primes = primes_in_range(lo, hi)
+    if not primes:
+        raise ValueError(f"no prime in {lo}..{hi}")
     probes = char_search(spec, form, primes)
     for pr in probes:
         if pr.slp:
@@ -279,7 +284,7 @@ def _cmd_bench(args) -> int:
     if disagreements:
         print(f"error: routes disagree at {'; '.join(disagreements)}", file=sys.stderr)
         return 1
-    print("all methods agree on every rank")
+    print("dense and auto agree on every rank")
     _emit(args, {"spec": spec.to_json_dict(), "form": form.to_json(), "records": records})
     return 0
 

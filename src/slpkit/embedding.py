@@ -25,14 +25,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, factorial, prod
-from typing import Mapping, Union
 
 import numpy as np
 
 from .exactmat import GF, INT64_BOUND, ZZ, ExactMatrix, certified_rank, mat_mul
 from .lefschetz import LefschetzReport, LinearForm, _position_codes, _radix, build_matrix, slp_check
 from .monomials import Monomial
-from .quotient import AlgebraSpec, AlgebraElement, graded_basis, hilbert_vector, multiply
+from .quotient import AlgebraSpec, AlgebraElement, _plain_ints, graded_basis, hilbert_vector, multiply
 
 
 @dataclass(frozen=True)
@@ -43,8 +42,9 @@ class EmbeddingSpec:
     characteristic: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.powers, tuple):
-            object.__setattr__(self, "powers", tuple(self.powers))
+        char, *powers = _plain_ints((self.characteristic, *self.powers))
+        object.__setattr__(self, "powers", tuple(powers))
+        object.__setattr__(self, "characteristic", char)
         if not self.powers:
             raise ValueError("need at least one variable")
         if any(not isinstance(a, int) or a < 1 for a in self.powers):
@@ -96,21 +96,6 @@ def phi_monomial(es: EmbeddingSpec, exponents: tuple[int, ...]) -> AlgebraElemen
             out = multiply(out, _block_sum(es, j).power(e))
             if out.is_zero:
                 break
-    return out
-
-
-def phi(es: EmbeddingSpec, f: Union[AlgebraElement, Mapping]) -> AlgebraElement:
-    """Image of a source polynomial (reduced or not) in the target algebra."""
-    if isinstance(f, AlgebraElement):
-        items = [(m.exponents, c) for m, c in f.terms.items()]
-    else:
-        items = []
-        for key, c in f.items():
-            exps = key.exponents if isinstance(key, Monomial) else tuple(key)
-            items.append((exps, c))
-    out = AlgebraElement.zero(es.target_spec)
-    for exps, c in items:
-        out = out + phi_monomial(es, exps).scale(c)
     return out
 
 
@@ -236,7 +221,7 @@ class TransferRecord:
 def transfer_slp(es: EmbeddingSpec) -> TransferRecord:
     """Decide SLP for the sum of source variables along both routes.
 
-    Route one is the dense check on the source algebra (the block route is
+    Route one is the dense check on the source algebra (the proof route is
     this embedding argument).  Route two pushes each source graded piece into
     the quadratic algebra and asks the target middle map to stay injective on
     the image; source pieces in complementary degrees have equal dimension,

@@ -43,7 +43,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import lcm
-from typing import Sequence, Union
+from numbers import Integral, Rational
+from typing import Union
 
 import numpy as np
 
@@ -73,45 +74,44 @@ def _check_domain(domain: str, modulus: int | None) -> None:
         raise ValueError(f"unknown domain {domain!r}")
 
 
-def _integer_array(flat: list, shape: tuple[int, int]) -> np.ndarray:
-    """Integers as int64 when all are below INT64_BOUND, else as Python ints."""
-    try:
-        a = np.array(flat, dtype=np.int64)
-    except OverflowError:
-        a = None
-    if a is not None and (not a.size or (-INT64_BOUND < a.min() and a.max() < INT64_BOUND)):
-        return a.reshape(shape)
-    return np.array([int(e) for e in flat], dtype=object).reshape(shape)
-
-
-def _from_scalars(flat: list, shape: tuple[int, int], domain: str, modulus: int | None) -> np.ndarray:
-    """Stored form of row-major Python scalars in a checked domain."""
+def _normalise(rows, domain: str, modulus: int | None) -> np.ndarray:
+    """Stored form of a list of rows or a 2-D ndarray, always a new array; TypeError for inexact entries."""
+    _check_domain(domain, modulus)
+    if isinstance(rows, np.ndarray):
+        if rows.ndim != 2:
+            raise ValueError("matrix arrays must be 2-D")
+        if rows.dtype.kind not in "iuO":
+            raise TypeError(f"matrix arrays need an integer or object dtype, not {rows.dtype}")
+        if rows.dtype.kind != "O" and rows.dtype != np.uint64 and domain != QQ and (modulus or 0) < INT64_BOUND:
+            a = rows.astype(np.int64)  # a copy: the matrix never shares the caller's buffer
+            if domain == GF:
+                a %= modulus
+            elif a.size and not (-INT64_BOUND < a.min() and a.max() < INT64_BOUND):
+                a = a.astype(object)
+            return a
+        shape, flat = rows.shape, rows.ravel().tolist()
+    else:
+        shape = (len(rows), len(rows[0]) if len(rows) else 0)
+        if any(len(r) != shape[1] for r in rows):
+            raise ValueError("ragged rows")
+        flat = [e for r in rows for e in r]
+    kinds, kind = ((int, Fraction), Rational) if domain == QQ else ((int,), Integral)
+    # the type test first: an isinstance check against the numbers ABCs costs about 1 us per entry
+    if not all(type(e) in kinds for e in flat):
+        bad = [e for e in flat if not isinstance(e, kind)]
+        if bad:
+            raise TypeError(f"matrix entry {bad[0]!r} is not exact in {domain}")
+        flat = [int(e) if isinstance(e, Integral) else e for e in flat]  # numpy ints, bools
     if domain == QQ:
-        return np.array([e if isinstance(e, Fraction) else Fraction(e) for e in flat], dtype=object).reshape(shape)
-    # the type test first: an isinstance check against Fraction goes through
-    # the numbers ABCs and costs about 1 us per entry
-    if not all(type(e) is int for e in flat) and any(isinstance(e, Fraction) for e in flat):
-        raise TypeError("fractional entry in an integer matrix")
+        return np.array([Fraction(e) if type(e) is int else e for e in flat], dtype=object).reshape(shape)
     if domain == GF:
-        flat = [int(e) % modulus for e in flat]
-    return _integer_array(flat, shape)
-
-
-def _from_array(a: np.ndarray, domain: str, modulus: int | None) -> np.ndarray:
-    """Stored form of a 2-D integer or object array in a checked domain."""
-    if domain == QQ or a.dtype.kind == "O" or a.dtype == np.uint64 or (domain == GF and modulus >= INT64_BOUND):
-        return _from_scalars(a.ravel().tolist(), a.shape, domain, modulus)
-    a = a.astype(np.int64)  # a copy: the matrix never shares the caller's buffer
-    if domain == GF:
-        a %= modulus
-        return a
-    if a.size and not (-INT64_BOUND < a.min() and a.max() < INT64_BOUND):
-        return _integer_array(a.ravel().tolist(), a.shape)
-    return a
+        flat = [e % modulus for e in flat]
+    small = all(-INT64_BOUND < e < INT64_BOUND for e in flat)
+    return np.array(flat, dtype=np.int64 if small else object).reshape(shape)
 
 
 class ExactMatrix:
-    """Immutable dense matrix over one coefficient domain.
+    """Immutable dense matrix over one coefficient domain, built by from_rows.
 
     `array` is the read-only 2-D storage described in the module docstring;
     `entries` is the row-major tuple of Python ints or Fractions, built on
@@ -120,23 +120,8 @@ class ExactMatrix:
 
     __slots__ = ("rows", "cols", "domain", "modulus", "array", "_entries")
 
-    def __init__(
-        self,
-        rows: int,
-        cols: int,
-        entries: Sequence[Scalar],
-        domain: str = ZZ,
-        modulus: int | None = None,
-    ) -> None:
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be non-negative")
-        flat = list(entries)
-        if len(flat) != rows * cols:
-            raise ValueError("entry count does not match dimensions")
-        _check_domain(domain, modulus)
-        self._set(_from_scalars(flat, (rows, cols), domain, modulus), domain, modulus)
-
-    def _set(self, array: np.ndarray, domain: str, modulus: int | None) -> None:
+    def __init__(self, array: np.ndarray, domain: str, modulus: int | None) -> None:
+        # private: array is already in stored form and owned by the new matrix
         array.flags.writeable = False
         setter = object.__setattr__
         setter(self, "rows", array.shape[0])
@@ -147,11 +132,13 @@ class ExactMatrix:
         setter(self, "_entries", None)
 
     @classmethod
-    def _stored(cls, array: np.ndarray, domain: str, modulus: int | None) -> "ExactMatrix":
-        # array is already in canonical form and owned by the new matrix
-        m = object.__new__(cls)
-        m._set(array, domain, modulus)
-        return m
+    def from_rows(cls, rows, domain: str = ZZ, modulus: int | None = None) -> "ExactMatrix":
+        """Matrix from a list of rows or a 2-D integer or object ndarray.
+
+        Entries must be exact: integers, and Fractions over QQ; a float,
+        Decimal or string raises TypeError rather than being truncated.
+        """
+        return cls(_normalise(rows, domain, modulus), domain, modulus)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -178,48 +165,17 @@ class ExactMatrix:
         return hash((self.rows, self.cols, self.domain, self.modulus, self.entries))
 
     def __repr__(self) -> str:
-        return (
-            f"ExactMatrix(rows={self.rows}, cols={self.cols}, entries={self.entries!r}, "
-            f"domain={self.domain!r}, modulus={self.modulus!r})"
-        )
-
-    @classmethod
-    def from_rows(
-        cls,
-        rows: Sequence[Sequence[Scalar]] | np.ndarray,
-        domain: str = ZZ,
-        modulus: int | None = None,
-    ) -> "ExactMatrix":
-        """Matrix from a list of rows or from a 2-D integer or object ndarray."""
-        if isinstance(rows, np.ndarray):
-            if rows.ndim != 2:
-                raise ValueError("matrix arrays must be 2-D")
-            if rows.dtype.kind not in "iuO":
-                raise TypeError(f"matrix arrays need an integer or object dtype, not {rows.dtype}")
-            _check_domain(domain, modulus)
-            return cls._stored(_from_array(rows, domain, modulus), domain, modulus)
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        return cls(nrows, ncols, [e for r in rows for e in r], domain, modulus)
+        return f"ExactMatrix.from_rows({self.to_rows()!r}, {self.domain!r}, {self.modulus!r})"
 
     @classmethod
     def zeros(cls, rows: int, cols: int, domain: str = ZZ, modulus: int | None = None) -> "ExactMatrix":
         return cls.from_rows(np.zeros((rows, cols), dtype=np.int64), domain, modulus)
-
-    @classmethod
-    def identity(cls, k: int, domain: str = ZZ, modulus: int | None = None) -> "ExactMatrix":
-        return cls.from_rows(np.eye(k, dtype=np.int64), domain, modulus)
 
     def entry(self, r: int, c: int) -> Scalar:
         return self.array.item(r, c)
 
     def to_rows(self) -> list[list]:
         return self.array.tolist()
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix._stored(self.array.T.copy(), self.domain, self.modulus)
 
     def to_csv(self) -> str:
         if self.domain == QQ:

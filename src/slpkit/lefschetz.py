@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
-from numbers import Integral, Rational
+from numbers import Rational
 from typing import Iterable
 
 import numpy as np
@@ -58,7 +58,7 @@ from .exactmat import (
     peak_bits,
     rank_mod_p,  # unused; perfbench/tests/test_tracing.py expects this binding
 )
-from .quotient import AlgebraSpec, AlgebraElement, basis_positions, graded_basis
+from .quotient import AlgebraSpec, _plain_ints, basis_positions, graded_basis
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ class LinearForm:
             if not all(isinstance(c, Rational) for c in coeffs):
                 raise TypeError(f"form coefficients must be exact rationals (int or Fraction): {coeffs}")
             # numpy integers are Rational too, but their powers in build_matrix would wrap
-            coeffs = tuple(int(c) if isinstance(c, Integral) else c for c in coeffs)
+            coeffs = _plain_ints(coeffs)
         if coeffs is not self.coefficients:
             object.__setattr__(self, "coefficients", coeffs)
 
@@ -92,9 +92,6 @@ class LinearForm:
         if self.nvars < 2:
             raise ValueError("cannot restrict a one-variable form")
         return LinearForm(self.coefficients[:-1])
-
-    def element(self, spec: AlgebraSpec) -> AlgebraElement:
-        return AlgebraElement.linear(spec, self.coefficients)
 
     def to_json(self) -> list:
         return [str(c) if isinstance(c, Fraction) else c for c in self.coefficients]

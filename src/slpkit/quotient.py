@@ -11,12 +11,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from numbers import Integral, Rational
 from typing import Iterator, Mapping, Union
 
 from ._primes import is_prime
 from .monomials import Monomial
 
 Coeff = Union[int, Fraction]
+
+
+def _plain_ints(values: tuple) -> tuple:
+    """values with every integer (numpy integers and bools too) as a Python int; others as given."""
+    if all(type(v) is int for v in values):
+        return values
+    return tuple(int(v) if isinstance(v, Integral) else v for v in values)
 
 
 @dataclass(frozen=True)
@@ -28,15 +36,18 @@ class AlgebraSpec:
     characteristic: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.exponents, tuple):
-            object.__setattr__(self, "exponents", tuple(self.exponents))
-        if self.n < 1:
+        # plain ints, so that specs hash, compare and serialize as the ints they mean
+        n, char, *exponents = _plain_ints((self.n, self.characteristic, *self.exponents))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "exponents", tuple(exponents))
+        object.__setattr__(self, "characteristic", char)
+        if not isinstance(self.n, int) or self.n < 1:
             raise ValueError("need at least one variable")
         if len(self.exponents) != self.n:
             raise ValueError("exponent tuple length must equal the variable count")
         if any(not isinstance(d, int) or d < 1 for d in self.exponents):
             raise ValueError("killed powers must be integers >= 1")
-        if self.characteristic != 0 and not is_prime(self.characteristic):
+        if not isinstance(char, int) or char != 0 and not is_prime(char):
             raise ValueError("characteristic must be 0 or a prime")
 
     @classmethod
@@ -59,7 +70,12 @@ class AlgebraSpec:
         return AlgebraSpec(self.n - 1, self.exponents[:-1], self.characteristic)
 
     def normalize_coeff(self, c: Coeff) -> Coeff:
-        """Bring a scalar into the coefficient domain."""
+        """Bring an exact scalar into the coefficient domain; TypeError for any other."""
+        if type(c) is not int:
+            if isinstance(c, Integral):
+                c = int(c)
+            elif not isinstance(c, Rational):
+                raise TypeError(f"coefficient {c!r} is not an exact rational (int or Fraction)")
         p = self.characteristic
         if p == 0:
             return c
@@ -155,46 +171,12 @@ class AlgebraElement:
         object.__setattr__(self, "terms", cleaned)
 
     @classmethod
-    def zero(cls, spec: AlgebraSpec) -> "AlgebraElement":
-        return cls(spec, {})
-
-    @classmethod
     def one(cls, spec: AlgebraSpec) -> "AlgebraElement":
         return cls(spec, {Monomial.constant(spec.n): 1})
-
-    @classmethod
-    def linear(cls, spec: AlgebraSpec, coefficients) -> "AlgebraElement":
-        coeffs = tuple(coefficients)
-        if len(coeffs) != spec.n:
-            raise ValueError("coefficient tuple length must equal the variable count")
-        return cls(spec, {Monomial.variable(spec.n, k): c for k, c in enumerate(coeffs) if c})
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, m: Monomial) -> Coeff:
-        return self.terms.get(m, 0)
-
-    def scale(self, c: Coeff) -> "AlgebraElement":
-        return AlgebraElement(self.spec, {m: v * c for m, v in self.terms.items()})
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if self.spec != other.spec:
-            raise ValueError("elements live in different algebras")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return AlgebraElement(self.spec, out)
-
-    def __neg__(self) -> "AlgebraElement":
-        return self.scale(-1)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
-
-    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return multiply(self, other)
 
     def power(self, k: int) -> "AlgebraElement":
         """self^k, multiplying by self one factor at a time.

@@ -8,6 +8,8 @@ from fractions import Fraction
 from itertools import islice, product
 from math import comb, factorial
 
+from slpkit._primes import is_prime
+
 
 def gauss_rank(rows):
     """Row-reduce a copy over Fraction and count the pivots."""
@@ -346,3 +348,15 @@ def tensor_wilson_rank(n, zeros, i, t, p):
     the second factor.
     """
     return sum(comb(zeros, j) * wilson_rank(n - zeros, i - j, t, p) for j in range(zeros + 1))
+
+
+def next_prime(n):
+    """Smallest prime strictly greater than n: moduli just past a storage bound.
+
+    Trial division cannot reach 2^64, so this walks up with the package's
+    deterministic Miller-Rabin test.
+    """
+    k = max(n + 1, 2)
+    while not is_prime(k):
+        k += 1
+    return k

@@ -190,7 +190,7 @@ def test_bench(capsys, tmp_path):
     path = tmp_path / "bench.json"
     code, out, _ = run(capsys, "bench", "--quadratic", "5", "--out", str(path))
     assert code == 0
-    assert "all methods agree on every rank" in out
+    assert "dense and auto agree on every rank" in out
     payload = json.loads(path.read_text())
     records = payload["records"]
     assert len(records) == 6
@@ -225,7 +225,7 @@ def test_rank_block_on_a_general_spec(capsys, tmp_path):
     payload = json.loads(path.read_text())
     assert (payload["rank"], payload["method"], payload["notes"]) == (2, "block-recursive", [])
     code, out, _ = run(capsys, "bench", "--exponents", "3,3")
-    assert code == 0 and "all methods agree on every rank" in out
+    assert code == 0 and "dense and auto agree on every rank" in out
 
 
 def test_selftest(capsys):
@@ -248,6 +248,18 @@ def test_usage_errors_exit_two(capsys):
         main(["no-such-command"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_empty_prime_ranges_exit_two(capsys):
+    # a reversed range is a usage error; a range without a prime is an input error
+    with pytest.raises(SystemExit) as exc:
+        main(["char-search", "--quadratic", "3", "--primes", "7..2"])
+    assert exc.value.code == 2
+    assert "reversed prime range" in capsys.readouterr().err
+    code, out, err = run(capsys, "char-search", "--quadratic", "3", "--primes", "24..28")
+    assert code == 2 and out == "" and err == "error: no prime in 24..28\n"
+    code, out, _ = run(capsys, "char-search", "--quadratic", "3", "--primes", "23..23")
+    assert code == 0 and out == "p=23: holds\n"
 
 
 def test_bench_has_no_seed_flag(capsys):

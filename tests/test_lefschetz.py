@@ -13,9 +13,9 @@ import numpy as np
 import oracles
 import slpkit.blockrec
 import slpkit.exactmat
-from slpkit._primes import next_prime
+from oracles import next_prime
 from slpkit.cli import main
-from slpkit.exactmat import ExactMatrix, GF, QQ, ZZ, mat_mul, rank_mod_p
+from slpkit.exactmat import GF, QQ, ZZ, mat_mul, rank_mod_p
 from slpkit.lefschetz import (
     CharProbe,
     LinearForm,
@@ -156,7 +156,7 @@ def test_power_zero_gives_identity():
         for i in range(spec.socle_degree + 1):
             mm = build_matrix(spec, LinearForm.ones(spec.n), i, 0)
             k = spec.dim(i)
-            assert mm.matrix.to_rows() == ExactMatrix.identity(k).to_rows()
+            assert mm.matrix.to_rows() == np.eye(k, dtype=np.int64).tolist()
 
 
 def test_fraction_coefficients_build_rational_matrices():
@@ -418,9 +418,6 @@ def test_linear_form_helpers():
     assert form.to_json() == [1, -2, "1/3"]
     assert form.restricted() == LinearForm((1, -2))
     assert LinearForm.ones(2) == LinearForm((1, 1))
-    spec = AlgebraSpec.quadratic(3)
-    el = LinearForm((1, 0, 2)).element(spec)
-    assert {str(m): c for m, c in el.terms.items()} == {"x1": 1, "x3": 2}
     with pytest.raises(ValueError):
         LinearForm((1,)).restricted()
 

@@ -3,6 +3,8 @@ import ast
 from pathlib import Path
 
 import slpkit
+import slpkit._primes
+import slpkit.embedding
 
 SRC = Path(slpkit.__file__).resolve().parent
 
@@ -32,8 +34,25 @@ def test_every_export_resolves_once():
         "revlex_sort_key",
         "squarefree_rank",
         "squarefree_unrank",
+        "phi",
     ):
         assert gone not in names and not hasattr(slpkit, gone)
+    for owner, gone in (
+        (slpkit.ExactMatrix, "transpose"),
+        (slpkit.ExactMatrix, "identity"),
+        (slpkit.AlgebraElement, "zero"),
+        (slpkit.AlgebraElement, "linear"),
+        (slpkit.AlgebraElement, "coefficient"),
+        (slpkit.AlgebraElement, "scale"),
+        (slpkit.AlgebraElement, "__add__"),
+        (slpkit.AlgebraElement, "__neg__"),
+        (slpkit.AlgebraElement, "__sub__"),
+        (slpkit.AlgebraElement, "__mul__"),
+        (slpkit.LinearForm, "element"),
+        (slpkit.embedding, "phi"),
+        (slpkit._primes, "next_prime"),
+    ):
+        assert not hasattr(owner, gone), (owner, gone)
 
 
 def _unused_imports(tree):

@@ -1,12 +1,16 @@
 """Quotient algebras: graded bases, reduction, products, Hilbert vectors."""
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product as iproduct
 from math import prod
+import json
 import random
 
+import numpy as np
 import pytest
 
 import oracles
+from slpkit.embedding import EmbeddingSpec
 from slpkit.lefschetz import LinearForm, slp_check
 from slpkit.monomials import Monomial
 from slpkit.quotient import (
@@ -160,22 +164,32 @@ def test_element_construction_and_cleanup():
     spec = AlgebraSpec.quadratic(2)
     f = AlgebraElement(spec, {Monomial((1, 0)): 3, Monomial((0, 1)): 0})
     assert f.terms == {Monomial((1, 0)): 3}
-    assert AlgebraElement.zero(spec).is_zero
+    assert AlgebraElement(spec, {}).is_zero
     assert str(AlgebraElement.one(spec)) == "1"
-    lin = AlgebraElement.linear(spec, (2, -1))
-    assert lin.coefficient(Monomial((0, 1))) == -1
+    lin = AlgebraElement(spec, {(1, 0): 2, (0, 1): -1})
+    assert lin.terms == {Monomial((1, 0)): 2, Monomial((0, 1)): -1}
+    assert str(lin) == "2*x1 + -1*x2"
     with pytest.raises(ValueError):
         AlgebraElement(spec, {Monomial((2, 0)): 1})
     with pytest.raises(ValueError):
         AlgebraElement(spec, {Monomial((1, 0, 0)): 1})
-    with pytest.raises(ValueError):
-        AlgebraElement.linear(spec, (1, 2, 3))
+
+
+@pytest.mark.parametrize("inexact", [1.5, 2.0, Decimal("2"), "1"], ids=["float-1.5", "float-2.0", "Decimal", "str"])
+@pytest.mark.parametrize("char", [0, 5])
+def test_element_refuses_inexact_coefficients(inexact, char):
+    spec = AlgebraSpec.quadratic(2, char)
+    with pytest.raises(TypeError):
+        AlgebraElement(spec, {(1, 0): inexact})
+    exact = AlgebraElement(spec, {(1, 0): np.int64(7), (0, 1): True})
+    assert exact.terms == {Monomial((1, 0)): 7 % (char or 8), Monomial((0, 1)): 1}
+    assert all(type(c) is int for c in exact.terms.values())
 
 
 def test_square_of_a_sum_is_twice_the_product():
     spec = AlgebraSpec.quadratic(2)
-    f = AlgebraElement.linear(spec, (1, 1))
-    sq = f * f
+    f = AlgebraElement(spec, {(1, 0): 1, (0, 1): 1})
+    sq = multiply(f, f)
     assert sq == AlgebraElement(spec, {Monomial((1, 1)): 2})
     assert f.power(2) == sq
     assert f.power(3).is_zero
@@ -218,26 +232,32 @@ def test_multiply_matches_naive_oracle(bounds, char):
         assert {m.exponents: c for m, c in got.terms.items()} == want
 
 
+def _sum(f, g):
+    terms = dict(f.terms)
+    for m, c in g.terms.items():
+        terms[m] = terms.get(m, 0) + c
+    return AlgebraElement(f.spec, terms)
+
+
 def test_multiply_laws():
     rng = random.Random(7)
     spec = AlgebraSpec(2, (3, 4))
+    one = AlgebraElement.one(spec)
     for _ in range(15):
         f = _random_element(rng, spec)
         g = _random_element(rng, spec)
         h = _random_element(rng, spec)
-        assert f * g == g * f
-        assert (f * g) * h == f * (g * h)
-        assert f * (g + h) == f * g + f * h
-        assert f - f == AlgebraElement.zero(spec)
-        assert -(-f) == f
-        assert f.scale(3) == f + f + f
+        assert multiply(f, g) == multiply(g, f)
+        assert multiply(multiply(f, g), h) == multiply(f, multiply(g, h))
+        assert multiply(f, _sum(g, h)) == _sum(multiply(f, g), multiply(f, h))
+        assert multiply(one, f) == f
 
 
 def test_char_p_coefficients_are_residues():
     spec = AlgebraSpec.quadratic(2, 5)
-    f = AlgebraElement.linear(spec, (6, -1))
+    f = AlgebraElement(spec, {(1, 0): 6, (0, 1): -1})
     assert f.terms == {Monomial((1, 0)): 1, Monomial((0, 1)): 4}
-    g = AlgebraElement.linear(spec, (5, 5))
+    g = AlgebraElement(spec, {(1, 0): 5, (0, 1): 5})
     assert g.is_zero
 
 
@@ -264,6 +284,10 @@ def test_normalize_coeff():
         spec.normalize_coeff(Fraction(1, 2))
     spec0 = AlgebraSpec.quadratic(2)
     assert spec0.normalize_coeff(Fraction(1, 2)) == Fraction(1, 2)
+    for inexact in (0.5, 2.0, Decimal("2")):
+        for s in (spec, spec0):
+            with pytest.raises(TypeError):
+                s.normalize_coeff(inexact)
 
 
 def test_spec_validation():
@@ -294,6 +318,23 @@ def test_hilbert_vector_validation():
         HilbertVector((2, 2))
     with pytest.raises(ValueError):
         HilbertVector(())
+
+
+def test_spec_stores_plain_ints():
+    spec = AlgebraSpec(np.int64(2), (np.int64(3), True), np.int64(5))
+    assert spec == AlgebraSpec(2, (3, 1), 5)
+    assert [type(v) for v in (spec.n, *spec.exponents, spec.characteristic)] == [int] * 4
+    assert json.dumps(spec.to_json_dict()) == '{"n": 2, "exponents": [3, 1], "characteristic": 5}'
+    assert json.dumps(AlgebraSpec(2, (2, 2), np.int64(5)).to_json_dict()).endswith('"characteristic": 5}')
+    assert AlgebraSpec.quadratic(np.int64(3)).exponents == (2, 2, 2)
+    es = EmbeddingSpec.from_powers((np.int64(2), True), np.int8(3))
+    assert es.powers == (2, 1) and [type(a) for a in es.powers] == [int, int]
+    assert type(es.characteristic) is int
+    for bad in ((2.0, (2, 2)), (2, (2.0, 2)), (2, (2, 2), 5.0)):
+        with pytest.raises(ValueError):
+            AlgebraSpec(*bad)
+    with pytest.raises(ValueError):
+        EmbeddingSpec.from_powers((2.0,))
 
 
 def test_spec_json_roundtrip():
