@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from math import comb
 
 from ._primes import primes_in_range
 from .blockrec import decompose
@@ -329,6 +330,15 @@ def _cmd_selftest(args) -> int:
     checks.append(
         ("embedding of the (2,2) algebra verifies", socle.ok and socle.scalar == 4 and kern.all_ok and trans.agree)
     )
+
+    # zero coefficients on x5, x6 make A = B (x) C with l acting on B alone, so
+    # the dense maps are permuted direct sums and rank_fraction_free splits them
+    deficit = slp_check(AlgebraSpec.quadratic(6), LinearForm((1, 1, 1, 1, 0, 0)), method="dense")
+    closed = [
+        sum(comb(2, j) * min(comb(4, c.i - j), comb(4, c.i - j + c.t)) for j in range(min(c.i, 2) + 1))
+        for c in deficit.maps
+    ]
+    checks.append(("a deficit map ranks as the sum of its blocks", [c.rank for c in deficit.maps] == closed))
 
     dec = decompose(spec4, LinearForm.ones(4), 1, 2)
     checks.append(("block decomposition reassembles the matrix", dec.assemble() == mm.matrix))

@@ -23,7 +23,7 @@ exactmat.certified_rank and its one probe prime.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb, factorial, prod
 
 import numpy as np
@@ -40,6 +40,8 @@ class EmbeddingSpec:
 
     powers: tuple[int, ...]
     characteristic: int = 0
+    source_spec: AlgebraSpec = field(init=False, repr=False, compare=False)
+    target_spec: AlgebraSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         char, *powers = _plain_ints((self.characteristic, *self.powers))
@@ -49,6 +51,10 @@ class EmbeddingSpec:
             raise ValueError("need at least one variable")
         if any(not isinstance(a, int) or a < 1 for a in self.powers):
             raise ValueError("socle exponents must be integers >= 1")
+        # built once here, so a bad characteristic raises at construction
+        source = AlgebraSpec(self.n, tuple(a + 1 for a in self.powers), char)
+        object.__setattr__(self, "source_spec", source)
+        object.__setattr__(self, "target_spec", AlgebraSpec.quadratic(self.m, char))
 
     @classmethod
     def from_powers(cls, powers, characteristic: int = 0) -> "EmbeddingSpec":
@@ -71,14 +77,6 @@ class EmbeddingSpec:
     @property
     def offsets(self) -> tuple[int, ...]:
         return tuple(itertools.accumulate(self.powers, initial=0))
-
-    @property
-    def source_spec(self) -> AlgebraSpec:
-        return AlgebraSpec(self.n, tuple(a + 1 for a in self.powers), self.characteristic)
-
-    @property
-    def target_spec(self) -> AlgebraSpec:
-        return AlgebraSpec.quadratic(self.m, self.characteristic)
 
 
 def _block_sum(es: EmbeddingSpec, j: int) -> AlgebraElement:

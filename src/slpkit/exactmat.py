@@ -18,6 +18,13 @@ is exact up to the factor prev/stamp and is rescaled only when it meets a
 nonzero pivot-column entry or becomes the pivot row.  Both divisions this
 takes are exact, because the up-to-date entries are minors of the input.
 
+Before eliminating, rank_fraction_free splits the matrix into the connected
+components of its nonzero pattern, seen as a bipartite graph on rows and
+columns: a zero coefficient makes a multiplication map a permuted direct sum
+of copies of smaller maps, and each block is then eliminated on its own, so
+no row is rewritten over another block's columns.  A block equal to an
+earlier one (same shape, same entries in order) reuses that elimination.
+
 Rank and determinant over F_p come from one row reduction of the stored
 array, run by the same numpy steps on an int64 copy for p < 2^31 (products
 stay below 2^62) and on an object copy of Python ints for larger primes.
@@ -330,14 +337,62 @@ def _fraction_free_echelon(tails: list[list[int]]) -> tuple[int, tuple, int, int
     return r, tuple(pivots), sign, prev
 
 
+def _components(mask: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(rows, cols) index arrays of each connected component of mask's pattern.
+
+    Row r and column c are joined when mask[r, c]; a row or column with no
+    True entry lies in no component.  Each component grows from its first
+    free row by whole-frontier steps on the boolean array, so no Python loop
+    runs over the nonzero entries.
+    """
+    free = mask.any(axis=1)
+    out = []
+    while free.any():
+        rows = np.zeros(mask.shape[0], dtype=bool)
+        cols = np.zeros(mask.shape[1], dtype=bool)
+        frontier = np.zeros_like(rows)
+        frontier[np.argmax(free)] = True
+        while frontier.any():
+            rows |= frontier
+            new_cols = mask[frontier].any(axis=0) & ~cols
+            cols |= new_cols
+            frontier = mask[:, new_cols].any(axis=1) & ~rows
+        free &= ~rows
+        out.append((np.flatnonzero(rows), np.flatnonzero(cols)))
+    return out
+
+
 def rank_fraction_free(m: ExactMatrix) -> RankResult:
-    """Exact rank over the integers via fraction-free elimination."""
+    """Exact rank over the integers via fraction-free elimination.
+
+    The matrix is split into the connected components of its nonzero
+    pattern (a permuted direct sum of blocks), and each block is eliminated
+    on its own, so no row is rewritten over another block's columns.  A
+    block equal in shape and entries to an earlier one reuses its
+    elimination.  The rank is the sum of the blocks' ranks, the pivots are
+    the blocks' pivots in original indices, sorted by column, and the pivot
+    minor is a permuted block diagonal, so the product of the blocks' last
+    pivots is its determinant up to sign.
+    """
     if m.domain != ZZ:
         raise ValueError("fraction-free elimination expects an integer matrix")
-    if m.rows == 0 or m.cols == 0:
-        return RankResult(0, "fraction-free", ())
-    rank, pivots, _sign, last = _fraction_free_echelon(m.to_rows())
-    return RankResult(rank, "fraction-free", pivots, last if rank else None)
+    a = m.array
+    seen: dict = {}
+    rank, pivots, det = 0, [], 1
+    for rows, cols in _components(a != 0):
+        sub = a[np.ix_(rows, cols)]
+        # int64 blocks compare by their bytes; object blocks by value, as
+        # their bytes are pointers
+        key = (sub.shape, sub.tobytes() if sub.dtype != object else tuple(sub.ravel().tolist()))
+        if key not in seen:
+            r, local, _sign, last = _fraction_free_echelon(sub.tolist())
+            seen[key] = r, local, last
+        r, local, last = seen[key]
+        rank += r
+        pivots.extend((int(rows[i]), int(cols[j])) for i, j in local)
+        det *= last
+    pivots.sort(key=lambda rc: rc[1])
+    return RankResult(rank, "fraction-free", tuple(pivots), det if rank else None)
 
 
 def _echelon_mod_p_numpy(rowdata, p: int) -> tuple[int, tuple, int]:

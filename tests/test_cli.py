@@ -232,9 +232,10 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     lines = out.strip().splitlines()
-    assert len(lines) == 8
+    assert len(lines) == 9
     assert all(line.startswith("PASS") for line in lines)
     assert "PASS: auto and dense middle ranks agree over F_5 through six variables" in lines
+    assert "PASS: a deficit map ranks as the sum of its blocks" in lines
 
 
 def test_usage_errors_exit_two(capsys):

@@ -60,6 +60,29 @@ def test_validation():
         phi_monomial(EmbeddingSpec.from_powers((2, 2)), (1, 0, 0))
 
 
+@pytest.mark.parametrize("char", [4, 1, -3])
+def test_bad_characteristic_raises_at_construction(char):
+    with pytest.raises(ValueError, match="characteristic must be 0 or a prime"):
+        EmbeddingSpec.from_powers((2, 2), char)
+
+
+def test_specs_are_built_once_per_embedding(monkeypatch):
+    built = []
+    post_init = AlgebraSpec.__post_init__
+
+    def counting(spec):
+        built.append(spec)
+        post_init(spec)
+
+    monkeypatch.setattr(AlgebraSpec, "__post_init__", counting)
+    es = EmbeddingSpec.from_powers((2, 1, 3))
+    assert len(built) == 2
+    assert es.source_spec is es.source_spec and es.target_spec is es.target_spec
+    # the socle check reads target_spec once per source variable
+    assert verify_socle_image(es).ok
+    assert len(built) == 2
+
+
 def test_variable_images_are_block_sums():
     es = EmbeddingSpec.from_powers((2, 1))
     y1 = phi_monomial(es, (1, 0))

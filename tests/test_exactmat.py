@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+import slpkit.exactmat
 from oracles import next_prime
 from slpkit.exactmat import (
     GF,
@@ -650,3 +651,101 @@ def test_peak_bits_matches_entry_loop():
     assert ExactMatrix.from_rows([[2**62]]).array.dtype == object
     assert peak_bits(ExactMatrix.from_rows([[2**62]])) == 63
     assert peak_bits(ExactMatrix.from_rows([[Fraction(3, 1024)]], QQ)) == 11
+
+
+def _block(rng, h, w, big):
+    """A random h x w block, rank-deficient about half the time; entries above 2^62 when big."""
+    scale = 2**63 + 1 if big else 1
+    if rng.random() < 0.5 and min(h, w) > 1:
+        k = rng.randint(1, min(h, w) - 1)
+        left, right = random_matrix(rng, h, k, -3, 3), random_matrix(rng, k, w, -3, 3)
+        rows = [[sum(left[r][j] * right[j][c] for j in range(k)) for c in range(w)] for r in range(h)]
+    else:
+        rows = random_matrix(rng, h, w, -5, 5)
+    if not any(any(row) for row in rows):
+        rows[0][0] = 1
+    return [[e * scale for e in row] for row in rows]
+
+
+def _permuted_direct_sum(rng, big):
+    """Permuted block diagonal with repeated equal blocks, a same-shape
+    block with other entries, and zero rows and columns."""
+    base = _block(rng, rng.randint(1, 4), rng.randint(1, 4), big)
+    # equal copies built entry by entry, so object entries are distinct ints
+    copies = [[[int(str(e)) for e in row] for row in base] for _ in range(rng.randint(1, 3))]
+    if big:
+        assert copies[0][0][0] == base[0][0] and copies[0][0][0] is not base[0][0]
+    other = _block(rng, len(base), len(base[0]), big)
+    while other == base:
+        other = _block(rng, len(base), len(base[0]), big)
+    extra = [_block(rng, rng.randint(1, 4), rng.randint(1, 4), big) for _ in range(rng.randint(0, 2))]
+    blocks = [base, *copies, other, *extra]
+    rng.shuffle(blocks)
+    zero_rows, zero_cols = rng.randint(0, 2), rng.randint(0, 2)
+    nrows = sum(len(b) for b in blocks) + zero_rows
+    ncols = sum(len(b[0]) for b in blocks) + zero_cols
+    rows = [[0] * ncols for _ in range(nrows)]
+    r0 = c0 = 0
+    for b in blocks:
+        for r, row in enumerate(b):
+            rows[r0 + r][c0 : c0 + len(row)] = row
+        r0, c0 = r0 + len(b), c0 + len(b[0])
+    rperm, cperm = rng.sample(range(nrows), nrows), rng.sample(range(ncols), ncols)
+    return [[rows[r][c] for c in cperm] for r in rperm]
+
+
+def _distinct_components(rows):
+    """Submatrices of the connected components of the nonzero pattern, by a row walk."""
+    seen_rows, out = set(), set()
+    for start in range(len(rows)):
+        if start in seen_rows or not any(rows[start]):
+            continue
+        comp_rows, comp_cols, todo = {start}, set(), [start]
+        while todo:
+            r = todo.pop()
+            for c, e in enumerate(rows[r]):
+                if e and c not in comp_cols:
+                    comp_cols.add(c)
+                    for r2, row in enumerate(rows):
+                        if row[c] and r2 not in comp_rows:
+                            comp_rows.add(r2)
+                            todo.append(r2)
+        seen_rows |= comp_rows
+        out.add(tuple(tuple(rows[r][c] for c in sorted(comp_cols)) for r in sorted(comp_rows)))
+    return out
+
+
+@pytest.mark.parametrize("big", [False, True])
+def test_permuted_direct_sum_ranks_block_by_block(big, monkeypatch):
+    rng = random.Random(1013 + big)
+    calls = []
+    echelon = slpkit.exactmat._fraction_free_echelon
+
+    def recording(tails):
+        calls.append(tuple(map(tuple, tails)))
+        return echelon(tails)
+
+    monkeypatch.setattr(slpkit.exactmat, "_fraction_free_echelon", recording)
+    for _ in range(30):
+        rows = _permuted_direct_sum(rng, big)
+        m = ExactMatrix.from_rows(rows)
+        assert m.array.dtype == (object if big else np.int64)
+        calls.clear()
+        rr = rank_fraction_free(m)
+        # each distinct component is eliminated once, however often it repeats
+        assert sorted(calls) == sorted(_distinct_components(rows))
+        assert rr.rank == oracles.gauss_rank(rows)
+        assert [c for _r, c in rr.pivots] == sorted(c for _r, c in rr.pivots)
+        sub = [[rows[r][c] for (_pr, c) in rr.pivots] for (r, _pc) in rr.pivots]
+        assert rr.pivot_minor_det != 0
+        assert abs(rr.pivot_minor_det) == abs(oracles.gauss_det(sub))
+        rational = [[Fraction(e, 1 + k % 3) for e in row] for k, row in enumerate(rows)]
+        assert certified_rank(ExactMatrix.from_rows(rational, QQ)).rank == rr.rank
+
+
+def test_components_skip_zero_rows_and_columns():
+    # rows 0 and 3 meet through column 2; row 1 and column 1 are zero
+    mask = np.array([[1, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]) != 0
+    got = [(rows.tolist(), cols.tolist()) for rows, cols in slpkit.exactmat._components(mask)]
+    assert got == [([0, 3], [0, 2]), ([2], [3])]
+    assert slpkit.exactmat._components(np.zeros((3, 2), dtype=bool)) == []
