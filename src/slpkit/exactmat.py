@@ -13,10 +13,11 @@ to the row-swap sign.  The elimination is lazily scaled: a step with pivot
 piv after running pivot prev turns a row with a zero in the pivot column
 into piv/prev times itself, and these factors telescope, so such a row is
 left as stored.  Each row carries a stamp, the running pivot when it was
-last rewritten, and an offset, the column where its stored tail starts; it
-is exact up to the factor prev/stamp and is rescaled only when it meets a
-nonzero pivot-column entry or becomes the pivot row.  Both divisions this
-takes are exact, because the up-to-date entries are minors of the input.
+last rewritten; it is exact up to the factor prev/stamp and is rescaled only
+when it meets a nonzero pivot-column entry or becomes the pivot row.  Both
+divisions this takes are exact, because the up-to-date entries are minors
+of the input.  A rewritten row's entry in the pivot column is set to zero,
+so the reduced array is in echelon form and holds no stale minor.
 
 Before eliminating, rank_fraction_free splits the matrix into the connected
 components of its nonzero pattern, seen as a bipartite graph on rows and
@@ -25,9 +26,11 @@ of copies of smaller maps, and each block is then eliminated on its own, so
 no row is rewritten over another block's columns.  A block equal to an
 earlier one (same shape, same entries in order) reuses that elimination.
 
-Rank and determinant over F_p come from one row reduction of the stored
-array, run by the same numpy steps on an int64 copy for p < 2^31 (products
-stay below 2^62) and on an object copy of Python ints for larger primes.
+Both arithmetics run one row reduction, _echelon, on a copy of the stored
+array: the pivot rule, the row swaps and the pivot list are shared, and only
+the step that rewrites the rows below a pivot differs.  Over F_p the copy is
+int64 for p < 2^31 (products stay below 2^62) and Python ints for larger
+primes; over ZZ it is always Python ints, as int64 minors would overflow.
 
 A full rank mod one prime certifies full rank over Q (specialization can
 only lose rank), which is the cheap one-sided check behind certified_rank.
@@ -48,7 +51,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import lcm
 from numbers import Integral, Rational
 from typing import Union
@@ -269,74 +271,6 @@ def block_assemble(tl: ExactMatrix, tr: ExactMatrix, bl: ExactMatrix, br: ExactM
     return ExactMatrix.from_rows(whole, tl.domain, tl.modulus)
 
 
-def _fraction_free_echelon(tails: list[list[int]]) -> tuple[int, tuple, int, int]:
-    """One-step fraction-free elimination, lazily scaled; consumes its input rows.
-
-    Returns (rank, pivots, sign, last_pivot).  Pivot rows are reported with
-    their original indices; first non-zero entry in column order is the pivot
-    rule, so the run is deterministic.
-
-    Row i is stored as tails[i], whose first entry sits in column offs[i],
-    and is exact up to the factor prev / stamps[i]: stamps[i] is the running
-    pivot when the row was last rewritten and prev the running pivot now.
-    A step with pivot piv rewrites a row a with entry f in the pivot column
-    as (piv * a - f * b) // prev; with f = 0 that is a * piv / prev, and
-    these factors telescope, so a row that only meets zeros is never
-    touched.  A touched row becomes (piv * a - f * b) // stamps[i] in its
-    stored entries, and the pivot row is brought up to a * prev // stamps[i]
-    before use; both divisions are exact, as every up-to-date entry is a
-    minor of the input.
-    """
-    nrows = len(tails)
-    ncols = len(tails[0]) if nrows else 0
-    ids = list(range(nrows))
-    offs = [0] * nrows
-    stamps = [1] * nrows
-    pivots: list[tuple[int, int]] = []
-    prev = 1
-    sign = 1
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
-            break
-        pr = -1
-        for i in range(r, nrows):
-            if tails[i][col - offs[i]]:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        if pr != r:
-            tails[r], tails[pr] = tails[pr], tails[r]
-            offs[r], offs[pr] = offs[pr], offs[r]
-            stamps[r], stamps[pr] = stamps[pr], stamps[r]
-            ids[r], ids[pr] = ids[pr], ids[r]
-            sign = -sign
-        piv_row = tails[r]
-        k = col - offs[r]
-        if stamps[r] != prev:
-            s = stamps[r]
-            piv_row = [a * prev // s for a in islice(piv_row, k, None)]
-            k = 0
-        piv = piv_row[k]
-        for i in range(r + 1, nrows):
-            ti = tails[i]
-            j = col - offs[i]
-            f = ti[j]
-            if f:
-                s = stamps[i]
-                tails[i] = [
-                    (piv * a - f * b) // s
-                    for a, b in zip(islice(ti, j + 1, None), islice(piv_row, k + 1, None))
-                ]
-                offs[i] = col + 1
-                stamps[i] = piv
-        pivots.append((ids[r], col))
-        prev = piv
-        r += 1
-    return r, tuple(pivots), sign, prev
-
-
 def _components(mask: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """(rows, cols) index arrays of each connected component of mask's pattern.
 
@@ -385,7 +319,7 @@ def rank_fraction_free(m: ExactMatrix) -> RankResult:
         # their bytes are pointers
         key = (sub.shape, sub.tobytes() if sub.dtype != object else tuple(sub.ravel().tolist()))
         if key not in seen:
-            r, local, _sign, last = _fraction_free_echelon(sub.tolist())
+            r, local, _sign, last = _echelon(sub.astype(object), None)
             seen[key] = r, local, last
         r, local, last = seen[key]
         rank += r
@@ -395,25 +329,29 @@ def rank_fraction_free(m: ExactMatrix) -> RankResult:
     return RankResult(rank, "fraction-free", tuple(pivots), det if rank else None)
 
 
-def _echelon_mod_p_numpy(rowdata, p: int) -> tuple[int, tuple, int]:
-    """Row reduction over F_p of rows already reduced mod p, on a copy.
+def _echelon(a: np.ndarray, p: int | None) -> tuple[int, tuple, int, int]:
+    """Row reduction of the 2-D array a in place: mod the prime p, or over ZZ when p is None.
 
-    The copy is int64 for p < 2^31 and an object array of Python ints for
-    larger primes.  Returns (rank, pivots, det): det is the row-swap sign
-    times the product of the pivots mod p, the determinant when the input is
-    square and of full rank.
+    Returns (rank, pivots, sign, d).  The pivot is the first nonzero entry at
+    or below the current row, in column order; pivots are (original row,
+    column) pairs and sign is the row-swap sign.  Over F_p, a holds entries
+    reduced mod p (int64 only for p < 2^31) and d is the product of the
+    pivots mod p; over ZZ, a is an object array of Python ints and d is the
+    last pivot of the lazily scaled fraction-free elimination.  Either way
+    sign * d is the determinant of a square input of full rank.
     """
-    a = np.array(rowdata, dtype=np.int64 if p < 2**31 else object)
     nrows, ncols = a.shape
     ids = list(range(nrows))
     pivots: list[tuple[int, int]] = []
-    det = 1
+    # over ZZ, the running pivot when each row was last rewritten
+    stamps = np.ones(nrows, dtype=object) if p is None else None
+    sign = d = 1
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
         # one scan per column: after the swap, row pr holds the old row r,
-        # which is zero in column c, so the rows to eliminate are nz[1:] + r
+        # which is zero in column c, so the rows to rewrite are nz[1:] + r
         nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
             continue
@@ -421,39 +359,62 @@ def _echelon_mod_p_numpy(rowdata, p: int) -> tuple[int, tuple, int]:
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
             ids[r], ids[pr] = ids[pr], ids[r]
-            det = -det
-        piv = int(a[r, c])
-        det = det * piv % p
-        if piv != 1:
-            a[r, c:] = (a[r, c:] * pow(piv, -1, p)) % p
-        if nz.size > 1:
-            idx = nz[1:] + r
-            a[idx, c:] = (a[idx, c:] - np.outer(a[idx, c], a[r, c:])) % p
+            sign = -sign
+            if p is None:
+                stamps[[r, pr]] = stamps[[pr, r]]
+        idx = nz[1:] + r
+        if p is not None:
+            piv = int(a[r, c])
+            d = d * piv % p
+            if piv != 1:
+                a[r, c:] = (a[r, c:] * pow(piv, -1, p)) % p
+            if idx.size:
+                a[idx, c:] = (a[idx, c:] - np.outer(a[idx, c], a[r, c:])) % p
+        else:
+            if stamps[r] != d:
+                a[r, c:] = a[r, c:] * d // stamps[r]
+            piv = a[r, c]
+            if idx.size:
+                # (piv * a - f * b) // stamp, in place: one fewer array of
+                # double-length products is alive at the subtraction
+                t = a[idx, c + 1 :] * piv
+                t -= np.outer(a[idx, c], a[r, c + 1 :])
+                t //= stamps[idx][:, None]
+                a[idx, c + 1 :] = t
+                # store the zeros below the pivot: otherwise each rewritten
+                # row keeps a stale minor in column c until the array is freed
+                a[idx, c] = 0
+                stamps[idx] = piv
+            d = piv
         pivots.append((ids[r], c))
         r += 1
-    return r, tuple(pivots), det
+    return r, tuple(pivots), sign, d
 
 
-def _echelon_mod_p(m: ExactMatrix, p: int) -> tuple[int, tuple, int]:
-    """(rank, pivots, det) of m over F_p, eliminating its stored array."""
+def _echelon_mod_p(m: ExactMatrix, p: int) -> tuple[int, tuple, int, int]:
+    """_echelon of m over F_p, on one copy of its stored array."""
+    work = np.int64 if p < 2**31 else object
     if m.domain == GF:
         if m.modulus != p:
             raise ValueError("matrix already lives over a different prime field")
-        a = m.array
+        a = m.array.astype(work)
     elif m.domain == ZZ:
-        a = (m.array if p < INT64_BOUND else m.array.astype(object)) % p
+        if m.array.dtype == object:
+            # entries beyond int64 are reduced before an int64 copy could hold them
+            a = (m.array % p).astype(work, copy=False)
+        else:
+            a = m.array.astype(work)
+            a %= p
     else:
         raise ValueError("rank mod p expects an integer or F_p matrix")
-    if m.rows == 0 or m.cols == 0:
-        return 0, (), 1
-    return _echelon_mod_p_numpy(a, p)
+    return _echelon(a, p)
 
 
 def rank_mod_p(m: ExactMatrix, p: int) -> RankResult:
     """Rank over F_p; integer matrices are reduced mod p first."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    rank_, pivots, _det = _echelon_mod_p(m, p)
+    rank_, pivots, _sign, _d = _echelon_mod_p(m, p)
     return RankResult(rank_, "modular", pivots)
 
 
@@ -492,15 +453,11 @@ def determinant(m: ExactMatrix) -> Scalar:
     """Exact determinant; raises for non-square input."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    if m.rows == 0:
-        return 1 % m.modulus if m.domain == GF else (Fraction(1) if m.domain == QQ else 1)
-    if m.domain == GF:
-        rank_, _piv, det = _echelon_mod_p(m, m.modulus)
-        return det if rank_ == m.rows else 0
     if m.domain == QQ:
         mm, denom = _row_integerized(m)
         return Fraction(determinant(mm), denom)
-    rank_, _piv, sign, last = _fraction_free_echelon(m.to_rows())
+    p = m.modulus
+    rank_, _piv, sign, d = _echelon_mod_p(m, p) if p else _echelon(m.array.astype(object), None)
     if rank_ < m.rows:
         return 0
-    return sign * last
+    return sign * d % p if p else sign * d

@@ -29,8 +29,8 @@ from slpkit.exactmat import (
     peak_bits,
     rank_mod_p,
     scale,
-    _echelon_mod_p_numpy,
-    _fraction_free_echelon,
+    _echelon,
+    _echelon_mod_p,
 )
 from slpkit.lefschetz import LinearForm, build_matrix, middle_pairs
 from slpkit.quotient import AlgebraSpec
@@ -156,6 +156,12 @@ def _deficient_rows(rng, nrows, ncols, p):
     return rows
 
 
+def _oracle_form(result, p):
+    """An _echelon result over F_p as (rank, pivots, det), the form of oracles.reference_echelon_mod_p."""
+    rank_, pivots, sign, d = result
+    return rank_, pivots, sign * d % p
+
+
 def test_numpy_and_object_modular_paths_agree():
     # one echelon: int64 steps below 2^31, the same steps on Python ints above
     rng = random.Random(1008)
@@ -167,14 +173,17 @@ def test_numpy_and_object_modular_paths_agree():
             else:
                 rows = [[e % p for e in row] for row in random_matrix(rng, nrows, ncols, 0, 100)]
             want = oracles.reference_echelon_mod_p(rows, p)
-            assert _echelon_mod_p_numpy(np.array(rows, dtype=object), p) == want
+            assert _oracle_form(_echelon(np.array(rows, dtype=object), p), p) == want
             if p < 2**63:
-                assert _echelon_mod_p_numpy(np.array(rows, dtype=np.int64), p) == want
+                # int64 storage: _echelon_mod_p picks the dtype of the copy it eliminates
+                stored = ExactMatrix.from_rows(np.array(rows, dtype=np.int64), GF, p)
+                assert stored.array.dtype == np.int64
+                assert _oracle_form(_echelon_mod_p(stored, p), p) == want
             if trial % 2:
                 assert want[0] < min(nrows, ncols)
         for shape in ((1, 1), (3, 4), (5, 2)):
             zero = [[0] * shape[1] for _ in range(shape[0])]
-            assert _echelon_mod_p_numpy(np.array(zero, dtype=object), p) == (0, (), 1)
+            assert _oracle_form(_echelon(np.array(zero, dtype=object), p), p) == (0, (), 1)
             assert oracles.reference_echelon_mod_p(zero, p) == (0, (), 1)
 
 
@@ -199,7 +208,7 @@ def test_sparse_echelon_mod_p_matches_oracles(p):
         rows = _sparse_rows(rng, nrows, ncols, p)
         m = ExactMatrix.from_rows(rows, GF, p)
         rank_, pivots, det = oracles.reference_echelon_mod_p(rows, p)
-        assert _echelon_mod_p_numpy(np.array(rows, dtype=np.int64), p) == (rank_, pivots, det)
+        assert _oracle_form(_echelon(np.array(rows, dtype=np.int64), p), p) == (rank_, pivots, det)
         rr = rank_mod_p(m, p)
         assert (rr.rank, rr.pivots) == (rank_, pivots)
         assert rr.rank == oracles.mod_rank(rows, p)
@@ -513,10 +522,12 @@ def test_rank_property_against_oracle(rows):
 
 
 
-# entries for the elimination properties: mostly small, some of 2^64 and above
+# entries for the elimination properties: mostly small; some stored in int64
+# whose products overflow it (2^40 to 2^61), some of 2^64 and above
 _SMALL = st.integers(min_value=-9, max_value=9)
+_WIDE = st.integers(min_value=2**40, max_value=2**61) | st.integers(min_value=-(2**61), max_value=-(2**40))
 _HUGE = st.integers(min_value=2**64, max_value=2**80) | st.integers(min_value=-(2**80), max_value=-(2**64))
-_ENTRY = st.one_of(_SMALL, _SMALL, _SMALL, _HUGE)
+_ENTRY = st.one_of(_SMALL, _SMALL, _SMALL, _WIDE, _HUGE)
 
 
 def _shape(draw, square, least=1):
@@ -570,7 +581,7 @@ def _echelon_inputs(square=False):
 
 
 def _both_echelons(rows):
-    got = _fraction_free_echelon([list(row) for row in rows])
+    got = _echelon(np.array(rows, dtype=object), None)
     want = oracles.reference_fraction_free_echelon([list(row) for row in rows])
     return got, want
 
@@ -581,6 +592,52 @@ def test_lazy_echelon_matches_reference(rows):
     got, want = _both_echelons(rows)
     assert got == want
     assert got[0] == oracles.gauss_rank(rows)
+    # the same matrix from its stored form, int64 when every entry fits
+    rr = rank_fraction_free(ExactMatrix.from_rows(rows))
+    assert rr.rank == got[0]
+    if rr.rank:
+        sub = [[rows[r][c] for (_pr, c) in rr.pivots] for (r, _pc) in rr.pivots]
+        assert abs(rr.pivot_minor_det) == abs(oracles.gauss_det(sub))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_echelon_inputs())
+def test_fraction_free_echelon_leaves_echelon_form(rows):
+    # every rewritten row stores a zero in the pivot column, so no stale
+    # minor stays referenced in the array
+    a = np.array(rows, dtype=object)
+    rank_, pivots, _sign, _d = _echelon(a, None)
+    for k, (_r, c) in enumerate(pivots):
+        assert a[k, c] != 0
+        assert (a[k, :c] == 0).all() and (a[k + 1 :, c] == 0).all()
+    assert (a[rank_:] == 0).all()
+
+
+def test_int64_entries_whose_products_overflow():
+    # stored in int64, but every elimination step needs Python ints
+    m = ExactMatrix.from_rows([[2**61, 1], [1, 2**61]])
+    assert m.array.dtype == np.int64
+    assert determinant(m) == 2**122 - 1
+    v = [2**61 - 1, 2**61 - 3, -(2**60 + 7), 2**59 + 5]
+    rank_one = ExactMatrix.from_rows([[u * e for e in v] for u in (1, -1, 1, 2)])
+    assert rank_one.array.dtype == np.int64
+    assert rank_fraction_free(rank_one).rank == 1
+    assert certified_rank(rank_one).rank == 1
+    rank_two = ExactMatrix.from_rows([[2**61, 1], [1, 2**61], [2**61 + 1, 2**61 + 1]])
+    assert rank_two.array.dtype == np.int64
+    rr = rank_fraction_free(rank_two)
+    assert (rr.rank, rr.pivots, rr.pivot_minor_det) == (2, ((0, 0), (1, 1)), 2**122 - 1)
+    rng = random.Random(1014)
+    for p in (next_prime(2**31), 2**61 - 1):
+        for _ in range(20):
+            rows = random_matrix(rng, 5, 5, -(2**61), 2**61)
+            want = oracles.reference_echelon_mod_p([[e % p for e in row] for row in rows], p)
+            for domain, modulus in ((ZZ, None), (GF, p)):
+                stored = ExactMatrix.from_rows(rows, domain, modulus)
+                assert stored.array.dtype == np.int64
+                rr = rank_mod_p(stored, p)
+                assert (rr.rank, rr.pivots) == want[:2]
+            assert determinant(ExactMatrix.from_rows(rows, GF, p)) == (want[2] if want[0] == 5 else 0)
 
 
 def test_lazy_echelon_on_permuted_blocks_with_huge_entries():
@@ -719,13 +776,14 @@ def _distinct_components(rows):
 def test_permuted_direct_sum_ranks_block_by_block(big, monkeypatch):
     rng = random.Random(1013 + big)
     calls = []
-    echelon = slpkit.exactmat._fraction_free_echelon
+    echelon = slpkit.exactmat._echelon
 
-    def recording(tails):
-        calls.append(tuple(map(tuple, tails)))
-        return echelon(tails)
+    def recording(a, p):
+        if p is None:
+            calls.append(tuple(map(tuple, a.tolist())))
+        return echelon(a, p)
 
-    monkeypatch.setattr(slpkit.exactmat, "_fraction_free_echelon", recording)
+    monkeypatch.setattr(slpkit.exactmat, "_echelon", recording)
     for _ in range(30):
         rows = _permuted_direct_sum(rng, big)
         m = ExactMatrix.from_rows(rows)
