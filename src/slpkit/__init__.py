@@ -16,9 +16,6 @@ from .quotient import (
     multiply,
 )
 from .exactmat import (
-    GF,
-    QQ,
-    ZZ,
     ExactMatrix,
     RankResult,
     block_assemble,
@@ -72,7 +69,6 @@ __all__ = [
     "EmbeddedMapCheck",
     "EmbeddingSpec",
     "ExactMatrix",
-    "GF",
     "HilbertVector",
     "KernelDimsRecord",
     "LefschetzReport",
@@ -80,11 +76,9 @@ __all__ = [
     "MapCheck",
     "Monomial",
     "MultiplicationMatrix",
-    "QQ",
     "RankResult",
     "SocleImageRecord",
     "TransferRecord",
-    "ZZ",
     "basis_positions",
     "block_assemble",
     "build_matrix",

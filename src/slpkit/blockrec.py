@@ -32,7 +32,7 @@ from .exactmat import (
     rank_mod_p,  # unused; perfbench/tests/test_tracing.py expects this binding
     scale,
 )
-from .lefschetz import LinearForm, MapCheck, build_matrix, check_map
+from .lefschetz import LinearForm, MapCheck, _integer_coeffs, build_matrix, check_map
 from .quotient import AlgebraSpec
 
 
@@ -51,11 +51,11 @@ class BlockDecomposition:
     top_left: ExactMatrix
     bottom_left: ExactMatrix
     bottom_right: ExactMatrix
-    bottom_left_scalar: object
+    bottom_left_scalar: int
 
     def zero_block(self) -> ExactMatrix:
         tl, br = self.top_left, self.bottom_right
-        return ExactMatrix.zeros(tl.rows, br.cols, tl.domain, tl.modulus)
+        return ExactMatrix.zeros(tl.rows, br.cols, tl.modulus)
 
     def assemble(self) -> ExactMatrix:
         return block_assemble(self.top_left, self.zero_block(), self.bottom_left, self.bottom_right)
@@ -65,7 +65,8 @@ def decompose(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> BlockDecom
     """Split the (i, t) multiplication matrix over the last variable.
 
     Defined for quadratic specs with 1 <= i <= n-1 and 1 <= t <= n-i; the
-    assembled blocks equal the directly built matrix entry for entry.
+    assembled blocks equal the directly built matrix entry for entry.  As
+    in build_matrix, a coefficient that is not an integer raises TypeError.
     """
     if not spec.is_quadratic:
         raise ValueError("block decomposition is defined for quadratic specs only")
@@ -76,6 +77,7 @@ def decompose(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> BlockDecom
         raise ValueError("source degree must satisfy 1 <= i <= n-1")
     if not 1 <= t <= n - i:
         raise ValueError("power must satisfy 1 <= t <= n-i")
+    scalar = spec.normalize_coeff(_integer_coeffs(spec, form)[-1] * t)
     rspec = spec.restricted()
     rform = form.restricted()
     raw_bl = build_matrix(rspec, rform, i, t - 1).matrix
@@ -83,8 +85,7 @@ def decompose(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> BlockDecom
         tl = build_matrix(rspec, rform, i, t).matrix
     else:
         # target degree n has no square-free monomials in n-1 variables
-        tl = ExactMatrix.zeros(0, raw_bl.cols, raw_bl.domain, raw_bl.modulus)
-    scalar = spec.normalize_coeff(form.coefficients[-1] * t)
+        tl = ExactMatrix.zeros(0, raw_bl.cols, raw_bl.modulus)
     bl = scale(raw_bl, scalar)
     br = build_matrix(rspec, rform, i - 1, t).matrix
     return BlockDecomposition(spec, form, i, t, tl, bl, br, scalar)

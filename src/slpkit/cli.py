@@ -162,7 +162,7 @@ def _cmd_matrix(args) -> int:
     spec = _spec_from_args(args)
     form = _form_from_args(args, spec.n)
     mm = build_matrix(spec, form, args.i, args.t)
-    # CLI forms are integers, so the matrix is over ZZ or F_p
+    # every matrix is over ZZ or F_p, so its CSV is integers
     csv_text = mm.matrix.to_csv()
     sys.stdout.write(csv_text)
     payload = {

@@ -28,7 +28,7 @@ from math import comb, factorial, prod
 
 import numpy as np
 
-from .exactmat import GF, INT64_BOUND, ZZ, ExactMatrix, certified_rank, mat_mul
+from .exactmat import INT64_BOUND, ExactMatrix, certified_rank, mat_mul
 from .lefschetz import LefschetzReport, LinearForm, _position_codes, _radix, build_matrix, slp_check
 from .monomials import Monomial
 from .quotient import AlgebraSpec, AlgebraElement, _plain_ints, graded_basis, hilbert_vector, multiply
@@ -116,8 +116,7 @@ def phi_matrix(es: EmbeddingSpec, degree: int) -> ExactMatrix:
     fact = np.array([factorial(k) for k in range(max(es.powers) + 1)], dtype=dtype)
     out = np.zeros((len(target), len(columns)), dtype=dtype)
     out[np.arange(len(target)), cols] = fact[counts].prod(axis=1)
-    char = es.characteristic
-    return ExactMatrix.from_rows(out, GF if char else ZZ, char or None)
+    return ExactMatrix.from_rows(out, es.characteristic or None)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
-"""Dense exact matrices over ZZ, QQ and F_p: products, rank, determinant.
+"""Dense exact matrices over ZZ and F_p: products, rank, determinant.
 
-A matrix is a read-only 2-D numpy array.  Integer and F_p matrices are int64
-when every entry is below 2^62 in absolute value (so the sum or difference
-of two entries still fits) and object arrays of Python ints otherwise; QQ
-matrices are object arrays of Fractions.  The row-major tuple `entries` is
-built only when an exact path asks for Python scalars.
+A matrix is a read-only 2-D numpy array, over F_p when it carries a prime
+modulus and over ZZ when its modulus is None.  Entries are int64 when every
+one is below 2^62 in absolute value (so the sum or difference of two entries
+still fits) and object arrays of Python ints otherwise.  The row-major tuple
+`entries` is built only when an exact path asks for Python ints.  There is
+no rational domain: over Q a linear form and its integer multiple have the
+same ranks, so lefschetz.check_map clears a rational form's denominators
+before it builds a matrix.
 
 Rank over the integers uses fraction-free (one-step division) elimination, in
 which every intermediate entry is a minor of the input, so the arithmetic
@@ -45,23 +48,16 @@ Products of two int64 matrices stay in int64 whenever max|a| * max|b| *
 a.cols < 2^62, which bounds every partial sum; embedding.phi_matrix is
 int64 for m <= 20, so the embedding's small products take that path.  Other
 products and all scalings multiply the stored arrays as object arrays of
-Python scalars.  Neither builds `entries`.
+Python ints.  Neither builds `entries`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
-from numbers import Integral, Rational
-from typing import Union
+from numbers import Integral
 
 import numpy as np
 
 from ._primes import is_prime
-
-ZZ = "ZZ"
-QQ = "QQ"
-GF = "Fp"
 
 # the one probe prime of certified_rank: numpy-safe (p^2 < 2^63)
 PROBE_PRIME = 2**31 - 1
@@ -69,31 +65,22 @@ PROBE_PRIME = 2**31 - 1
 # integer entries strictly inside (-INT64_BOUND, INT64_BOUND) are stored as int64
 INT64_BOUND = 2**62
 
-Scalar = Union[int, Fraction]
 
-
-def _check_domain(domain: str, modulus: int | None) -> None:
-    if domain == GF:
-        if modulus is None or not is_prime(modulus):
-            raise ValueError("F_p matrices need a prime modulus")
-    elif domain in (ZZ, QQ):
-        if modulus is not None:
-            raise ValueError("modulus is only meaningful for F_p")
-    else:
-        raise ValueError(f"unknown domain {domain!r}")
-
-
-def _normalise(rows, domain: str, modulus: int | None) -> np.ndarray:
-    """Stored form of a list of rows or a 2-D ndarray, always a new array; TypeError for inexact entries."""
-    _check_domain(domain, modulus)
+def _normalise(rows, modulus: int | None) -> np.ndarray:
+    """Stored form of a list of rows or a 2-D ndarray, always a new array; TypeError for non-integer entries."""
+    if modulus is not None:
+        if type(modulus) is not int:
+            raise TypeError(f"modulus must be a prime int, or None over ZZ; got {modulus!r}")
+        if not is_prime(modulus):
+            raise ValueError(f"modulus {modulus} is not prime")
     if isinstance(rows, np.ndarray):
         if rows.ndim != 2:
             raise ValueError("matrix arrays must be 2-D")
         if rows.dtype.kind not in "iuO":
             raise TypeError(f"matrix arrays need an integer or object dtype, not {rows.dtype}")
-        if rows.dtype.kind != "O" and rows.dtype != np.uint64 and domain != QQ and (modulus or 0) < INT64_BOUND:
+        if rows.dtype.kind != "O" and rows.dtype != np.uint64 and (modulus or 0) < INT64_BOUND:
             a = rows.astype(np.int64)  # a copy: the matrix never shares the caller's buffer
-            if domain == GF:
+            if modulus:
                 a %= modulus
             elif a.size and not (-INT64_BOUND < a.min() and a.max() < INT64_BOUND):
                 a = a.astype(object)
@@ -104,56 +91,54 @@ def _normalise(rows, domain: str, modulus: int | None) -> np.ndarray:
         if any(len(r) != shape[1] for r in rows):
             raise ValueError("ragged rows")
         flat = [e for r in rows for e in r]
-    kinds, kind = ((int, Fraction), Rational) if domain == QQ else ((int,), Integral)
     # the type test first: an isinstance check against the numbers ABCs costs about 1 us per entry
-    if not all(type(e) in kinds for e in flat):
-        bad = [e for e in flat if not isinstance(e, kind)]
+    if not all(type(e) is int for e in flat):
+        bad = [e for e in flat if not isinstance(e, Integral)]
         if bad:
-            raise TypeError(f"matrix entry {bad[0]!r} is not exact in {domain}")
-        flat = [int(e) if isinstance(e, Integral) else e for e in flat]  # numpy ints, bools
-    if domain == QQ:
-        return np.array([Fraction(e) if type(e) is int else e for e in flat], dtype=object).reshape(shape)
-    if domain == GF:
+            raise TypeError(f"matrix entry {bad[0]!r} is not an integer")
+        flat = [int(e) for e in flat]  # numpy ints, bools
+    if modulus:
         flat = [e % modulus for e in flat]
     small = all(-INT64_BOUND < e < INT64_BOUND for e in flat)
     return np.array(flat, dtype=np.int64 if small else object).reshape(shape)
 
 
 class ExactMatrix:
-    """Immutable dense matrix over one coefficient domain, built by from_rows.
+    """Immutable dense matrix over ZZ (modulus None) or F_p (modulus p), built by from_rows.
 
     `array` is the read-only 2-D storage described in the module docstring;
-    `entries` is the row-major tuple of Python ints or Fractions, built on
-    first use and cached.
+    `entries` is the row-major tuple of Python ints, built on first use and
+    cached.
     """
 
-    __slots__ = ("rows", "cols", "domain", "modulus", "array", "_entries")
+    __slots__ = ("rows", "cols", "modulus", "array", "_entries")
 
-    def __init__(self, array: np.ndarray, domain: str, modulus: int | None) -> None:
+    def __init__(self, array: np.ndarray, modulus: int | None) -> None:
         # private: array is already in stored form and owned by the new matrix
         array.flags.writeable = False
         setter = object.__setattr__
         setter(self, "rows", array.shape[0])
         setter(self, "cols", array.shape[1])
-        setter(self, "domain", domain)
         setter(self, "modulus", modulus)
         setter(self, "array", array)
         setter(self, "_entries", None)
 
     @classmethod
-    def from_rows(cls, rows, domain: str = ZZ, modulus: int | None = None) -> "ExactMatrix":
-        """Matrix from a list of rows or a 2-D integer or object ndarray.
+    def from_rows(cls, rows, modulus: int | None = None) -> "ExactMatrix":
+        """Matrix over F_p for a prime modulus p, else over ZZ, from a list of rows or a 2-D ndarray.
 
-        Entries must be exact: integers, and Fractions over QQ; a float,
-        Decimal or string raises TypeError rather than being truncated.
+        Entries must be integers (numpy integers and bools included); a
+        rational, float, Decimal or string raises TypeError rather than being
+        truncated.  A modulus that is not an int raises TypeError, and one
+        that is not prime ValueError.
         """
-        return cls(_normalise(rows, domain, modulus), domain, modulus)
+        return cls(_normalise(rows, modulus), modulus)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
     def __reduce__(self):
-        return (ExactMatrix.from_rows, (self.array, self.domain, self.modulus))
+        return (ExactMatrix.from_rows, (self.array, self.modulus))
 
     @property
     def entries(self) -> tuple:
@@ -164,40 +149,35 @@ class ExactMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (
-            self.domain == other.domain
-            and self.modulus == other.modulus
-            and bool(np.array_equal(self.array, other.array))
-        )
+        return self.modulus == other.modulus and bool(np.array_equal(self.array, other.array))
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.domain, self.modulus, self.entries))
+        return hash((self.rows, self.cols, self.modulus, self.entries))
 
     def __repr__(self) -> str:
-        return f"ExactMatrix.from_rows({self.to_rows()!r}, {self.domain!r}, {self.modulus!r})"
+        if not self.rows:  # from_rows([]) would read back as 0x0
+            return f"ExactMatrix.zeros(0, {self.cols}, {self.modulus!r})"
+        return f"ExactMatrix.from_rows({self.to_rows()!r}, {self.modulus!r})"
 
     @classmethod
-    def zeros(cls, rows: int, cols: int, domain: str = ZZ, modulus: int | None = None) -> "ExactMatrix":
-        return cls.from_rows(np.zeros((rows, cols), dtype=np.int64), domain, modulus)
+    def zeros(cls, rows: int, cols: int, modulus: int | None = None) -> "ExactMatrix":
+        return cls.from_rows(np.zeros((rows, cols), dtype=np.int64), modulus)
 
-    def entry(self, r: int, c: int) -> Scalar:
+    def entry(self, r: int, c: int) -> int:
         return self.array.item(r, c)
 
-    def to_rows(self) -> list[list]:
+    def to_rows(self) -> list[list[int]]:
         return self.array.tolist()
 
     def to_csv(self) -> str:
-        if self.domain == QQ:
-            raise ValueError("CSV export is defined for integer entries only")
         return "\n".join(",".join(str(e) for e in row) for row in self.to_rows()) + "\n"
 
     def to_json_dict(self) -> dict:
-        if self.domain == QQ:
-            entry_rows = [[str(e) for e in row] for row in self.to_rows()]
+        data = {"rows": self.rows, "cols": self.cols, "entries": self.to_rows()}
+        if self.modulus is None:
+            data["domain"] = "ZZ"
         else:
-            entry_rows = self.to_rows()
-        data = {"rows": self.rows, "cols": self.cols, "entries": entry_rows, "domain": self.domain}
-        if self.domain == GF:
+            data["domain"] = "Fp"
             data["modulus"] = self.modulus
         return data
 
@@ -219,22 +199,14 @@ class RankResult:
 
 
 def peak_bits(m: ExactMatrix) -> int:
-    """Largest bit size of an entry (numerator or denominator for fractions)."""
+    """Largest bit size of an entry."""
     if m.array.dtype != object:
         return int(np.abs(m.array).max(initial=0)).bit_length()
-    best = 0
-    for e in m.array.flat:
-        if isinstance(e, int):
-            b = abs(e).bit_length()
-        else:
-            b = max(abs(e.numerator).bit_length(), e.denominator.bit_length())
-        if b > best:
-            best = b
-    return best
+    return max((abs(e).bit_length() for e in m.array.flat), default=0)
 
 
 def _same_domain(a: ExactMatrix, b: ExactMatrix) -> None:
-    if a.domain != b.domain or a.modulus != b.modulus:
+    if a.modulus != b.modulus:
         raise ValueError("matrices live in different coefficient domains")
 
 
@@ -251,12 +223,12 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         # np.abs cannot overflow)
         bound = int(np.abs(x).max(initial=0)) * int(np.abs(y).max(initial=0)) * a.cols
         if bound < INT64_BOUND:
-            return ExactMatrix.from_rows(x @ y, a.domain, a.modulus)
-    return ExactMatrix.from_rows(x.astype(object) @ y.astype(object), a.domain, a.modulus)
+            return ExactMatrix.from_rows(x @ y, a.modulus)
+    return ExactMatrix.from_rows(x.astype(object) @ y.astype(object), a.modulus)
 
 
-def scale(a: ExactMatrix, c: Scalar) -> ExactMatrix:
-    return ExactMatrix.from_rows(a.array.astype(object) * c, a.domain, a.modulus)
+def scale(a: ExactMatrix, c: int) -> ExactMatrix:
+    return ExactMatrix.from_rows(a.array.astype(object) * c, a.modulus)
 
 
 def block_assemble(tl: ExactMatrix, tr: ExactMatrix, bl: ExactMatrix, br: ExactMatrix) -> ExactMatrix:
@@ -268,7 +240,7 @@ def block_assemble(tl: ExactMatrix, tr: ExactMatrix, bl: ExactMatrix, br: ExactM
     if tl.cols != bl.cols or tr.cols != br.cols:
         raise ValueError("column counts of vertical neighbours differ")
     whole = np.block([[tl.array, tr.array], [bl.array, br.array]])
-    return ExactMatrix.from_rows(whole, tl.domain, tl.modulus)
+    return ExactMatrix.from_rows(whole, tl.modulus)
 
 
 def _components(mask: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -308,7 +280,7 @@ def rank_fraction_free(m: ExactMatrix) -> RankResult:
     minor is a permuted block diagonal, so the product of the blocks' last
     pivots is its determinant up to sign.
     """
-    if m.domain != ZZ:
+    if m.modulus is not None:
         raise ValueError("fraction-free elimination expects an integer matrix")
     a = m.array
     seen: dict = {}
@@ -394,19 +366,16 @@ def _echelon(a: np.ndarray, p: int | None) -> tuple[int, tuple, int, int]:
 def _echelon_mod_p(m: ExactMatrix, p: int) -> tuple[int, tuple, int, int]:
     """_echelon of m over F_p, on one copy of its stored array."""
     work = np.int64 if p < 2**31 else object
-    if m.domain == GF:
+    if m.modulus is not None:
         if m.modulus != p:
             raise ValueError("matrix already lives over a different prime field")
         a = m.array.astype(work)
-    elif m.domain == ZZ:
-        if m.array.dtype == object:
-            # entries beyond int64 are reduced before an int64 copy could hold them
-            a = (m.array % p).astype(work, copy=False)
-        else:
-            a = m.array.astype(work)
-            a %= p
+    elif m.array.dtype == object:
+        # entries beyond int64 are reduced before an int64 copy could hold them
+        a = (m.array % p).astype(work, copy=False)
     else:
-        raise ValueError("rank mod p expects an integer or F_p matrix")
+        a = m.array.astype(work)
+        a %= p
     return _echelon(a, p)
 
 
@@ -418,44 +387,29 @@ def rank_mod_p(m: ExactMatrix, p: int) -> RankResult:
     return RankResult(rank_, "modular", pivots)
 
 
-def _row_integerized(m: ExactMatrix) -> tuple[ExactMatrix, int]:
-    """Scale each row to integers; returns the matrix and the product of the multipliers."""
-    rows = []
-    denom = 1
-    for row in m.to_rows():
-        mult = lcm(*(e.denominator for e in row)) if row else 1
-        denom *= mult
-        rows.append([int(e * mult) for e in row])
-    return ExactMatrix.from_rows(np.array(rows, dtype=object).reshape(m.array.shape), ZZ), denom
-
-
 def certified_rank(m: ExactMatrix) -> RankResult:
     """Exact rank in the matrix's own domain, certified cheaply when full.
 
-    An F_p matrix is eliminated mod p.  Over ZZ and QQ (rows scaled to
-    integers) a single elimination mod PROBE_PRIME either certifies maximal
-    rank or the run falls through to the exact integer elimination; the
-    result is exact either way, only the cost is asymmetric.
+    An F_p matrix is eliminated mod p.  Over ZZ a single elimination mod
+    PROBE_PRIME either certifies maximal rank or the run falls through to
+    the exact integer elimination; the result is exact either way, only the
+    cost is asymmetric.
     """
-    if m.domain == GF:
+    if m.modulus:
         return rank_mod_p(m, m.modulus)
-    mm = _row_integerized(m)[0] if m.domain == QQ else m
-    want = min(mm.rows, mm.cols)
+    want = min(m.rows, m.cols)
     if want == 0:
         return RankResult(0, "modular", ())
-    rr = rank_mod_p(mm, PROBE_PRIME)
+    rr = rank_mod_p(m, PROBE_PRIME)
     if rr.rank == want:
         return rr
-    return rank_fraction_free(mm)
+    return rank_fraction_free(m)
 
 
-def determinant(m: ExactMatrix) -> Scalar:
+def determinant(m: ExactMatrix) -> int:
     """Exact determinant; raises for non-square input."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    if m.domain == QQ:
-        mm, denom = _row_integerized(m)
-        return Fraction(determinant(mm), denom)
     p = m.modulus
     rank_, _piv, sign, d = _echelon_mod_p(m, p) if p else _echelon(m.array.astype(object), None)
     if rank_ < m.rows:

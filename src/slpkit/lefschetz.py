@@ -26,14 +26,16 @@ over F_p that is one elimination mod p; over Q it probes mod the one fixed
 prime exactmat.PROBE_PRIME (full modular rank certifies full rational rank)
 and falls back to exact fraction-free elimination only when the certificate
 fails, so the expensive path runs exactly when something genuinely
-degenerates.  Its proof route, blockrec.recursive_middle_rank, is the
-paper's proof, the induction on variables carried to every spec by the
-block-sum embedding: it checks the proof's hypotheses and builds no matrix
-beyond the 1x1 socle map l^m: A_0 -> A_m, which it checks through the
-dense route, as it does every fallback.  Both routes answer with a
-MapCheck.  The route follows from the input alone: method "auto" takes
-the proof route exactly for the middle maps, and "dense", the oracle,
-never does.
+degenerates.  Over Q, scaling l by a nonzero constant c scales l^t by c^t
+and leaves every rank alone, so the dense route builds the map of the
+integer multiple of a rational form, and every matrix is over ZZ or F_p.
+Its proof route, blockrec.recursive_middle_rank, is the paper's proof, the
+induction on variables carried to every spec by the block-sum embedding: it
+checks the proof's hypotheses and builds no matrix beyond the 1x1 socle map
+l^m: A_0 -> A_m, which it checks through the dense route, as it does every
+fallback.  Both routes answer with a MapCheck.  The route follows from the
+input alone: method "auto" takes the proof route exactly for the middle
+maps, and "dense", the oracle, never does.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from math import comb, lcm, prod
 from numbers import Rational
 from typing import Iterable
 
@@ -49,10 +51,7 @@ import numpy as np
 
 from ._primes import is_prime
 from .exactmat import (
-    GF,
     INT64_BOUND,
-    QQ,
-    ZZ,
     ExactMatrix,
     certified_rank,
     peak_bits,
@@ -147,11 +146,24 @@ def _position_codes(exponents: tuple[int, ...], degree: int) -> np.ndarray:
     return np.array([m.exponents for m in basis], dtype=radix.dtype).reshape(-1, len(exponents)) @ radix
 
 
+def _integer_coeffs(spec: AlgebraSpec, form: LinearForm) -> list[int]:
+    """form's coefficients in spec's domain as ints; TypeError for one that is not an integer over Q."""
+    coeffs = [spec.normalize_coeff(c) for c in form.coefficients]
+    if not all(type(c) is int for c in coeffs):
+        if any(c.denominator != 1 for c in coeffs):
+            raise TypeError(f"matrices are built over ZZ; clear the denominators of {form.coefficients}")
+        coeffs = [c.numerator for c in coeffs]
+    return coeffs
+
+
 def build_matrix(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> MultiplicationMatrix:
     """Multiplication matrix of form^t from degree i, one value per increment pattern.
 
-    A map of more than MAX_MAP_CELLS cells raises ValueError before any
-    basis is listed.
+    The matrix is over F_p in characteristic p and over ZZ in characteristic
+    0, where a coefficient that is not an integer raises TypeError (a
+    Fraction with denominator 1 counts as its numerator); check_map builds
+    the integer multiple of a rational form instead.  A map of more than
+    MAX_MAP_CELLS cells raises ValueError before any basis is listed.
     """
     if form.nvars != spec.n:
         raise ValueError("form has the wrong number of coefficients")
@@ -159,8 +171,7 @@ def build_matrix(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> Multipl
         raise ValueError("degrees out of range for this algebra")
     _refuse_oversized(spec, i, t)
     char = spec.characteristic
-    coeffs = [spec.normalize_coeff(c) for c in form.coefficients]
-    rational = char == 0 and any(isinstance(c, Fraction) for c in coeffs)
+    coeffs = _integer_coeffs(spec, form)
     ncols = len(graded_basis(spec, i))
     nrows = len(basis_positions(spec, i + t))
     picked, values = [], []
@@ -180,10 +191,7 @@ def build_matrix(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> Multipl
         if val:
             picked.append(j)
             values.append(val)
-    if rational:
-        out = np.full((nrows, ncols), Fraction(0), dtype=object)
-        vals = np.array([Fraction(v) for v in values], dtype=object)
-    elif all(-INT64_BOUND < v < INT64_BOUND for v in values):
+    if all(-INT64_BOUND < v < INT64_BOUND for v in values):
         out = np.zeros((nrows, ncols), dtype=np.int64)
         vals = np.array(values, dtype=np.int64)
     else:
@@ -201,11 +209,7 @@ def build_matrix(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> Multipl
         rows = np.minimum(np.searchsorted(target, sums), nrows - 1)
         hit_w, hit_col = np.nonzero(target[rows] == sums)
         out[rows[hit_w, hit_col], hit_col] = vals[lo + hit_w]
-    if char:
-        matrix = ExactMatrix.from_rows(out, GF, char)
-    else:
-        matrix = ExactMatrix.from_rows(out, QQ if rational else ZZ)
-    return MultiplicationMatrix(spec, form, i, t, matrix)
+    return MultiplicationMatrix(spec, form, i, t, ExactMatrix.from_rows(out, char or None))
 
 
 @dataclass(frozen=True)
@@ -287,6 +291,15 @@ def full_pairs(socle_degree: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, t) for i in range(m) for t in range(1, m - i + 1))
 
 
+def _integral_multiple(form: LinearForm) -> LinearForm:
+    """form itself when its coefficients are ints, else its multiple by the lcm of their denominators."""
+    coeffs = form.coefficients
+    if all(type(c) is int for c in coeffs):
+        return form
+    d = lcm(*(c.denominator for c in coeffs))
+    return LinearForm(tuple(c.numerator * (d // c.denominator) for c in coeffs))
+
+
 def check_map(spec: AlgebraSpec, form: LinearForm, i: int, t: int, method: str = "auto") -> MapCheck:
     """Rank check of multiplication by form^t from degree i.
 
@@ -295,7 +308,9 @@ def check_map(spec: AlgebraSpec, form: LinearForm, i: int, t: int, method: str =
     middle maps (i, m-2i) of every spec, and the dense route otherwise;
     "dense" always builds the matrix and ranks it with
     exactmat.certified_rank, which eliminates F_p matrices mod p and
-    certifies integer and rational ones mod PROBE_PRIME.
+    certifies integer ones mod PROBE_PRIME.  Over Q the dense route builds
+    the map of the integer multiple of a rational form, which has the same
+    rank (module docstring), and peak_bits is that matrix's.
     rows and cols come from spec.dim on both routes, and ms times the whole
     check, on the proof route a fallback's socle check included.
     """
@@ -309,6 +324,8 @@ def check_map(spec: AlgebraSpec, form: LinearForm, i: int, t: int, method: str =
         return recursive_middle_rank(spec, form, i)
     nrows, ncols = spec.dim(i + t), spec.dim(i)
     start = time.perf_counter()
+    if spec.characteristic == 0:
+        form = _integral_multiple(form)
     mat = build_matrix(spec, form, i, t).matrix
     rr = certified_rank(mat)
     ms = (time.perf_counter() - start) * 1000.0

@@ -11,10 +11,10 @@ def from_rows_dtypes(monkeypatch):
     seen = []
     original = ExactMatrix.__dict__["from_rows"].__func__
 
-    def spy(cls, rows, *args):
+    def spy(cls, rows, *args, **kwargs):
         if isinstance(rows, np.ndarray):
             seen.append(rows.dtype)
-        return original(cls, rows, *args)
+        return original(cls, rows, *args, **kwargs)
 
     monkeypatch.setattr(ExactMatrix, "from_rows", classmethod(spy))
     return seen

@@ -19,7 +19,6 @@ from slpkit.blockrec import decompose, recursive_middle_rank
 from slpkit.embedding import EmbeddingSpec, transfer_slp, verify_kernel_dims, verify_socle_image
 from slpkit.exactmat import (
     ExactMatrix,
-    GF,
     block_assemble,
     certified_rank,
     determinant,
@@ -126,15 +125,15 @@ def test_acceptance_5_pivot_block_identity_trials():
         adim, ndim, bdim = rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 8)
         while True:
             pivot = ExactMatrix.from_rows(
-                [[rng.randrange(p) for _ in range(ndim)] for _ in range(ndim)], GF, p
+                [[rng.randrange(p) for _ in range(ndim)] for _ in range(ndim)], p
             )
             if rank_mod_p(pivot, p).rank == ndim:
                 break
-        a = ExactMatrix.from_rows([[rng.randrange(p) for _ in range(ndim)] for _ in range(adim)], GF, p)
-        b = ExactMatrix.from_rows([[rng.randrange(p) for _ in range(bdim)] for _ in range(ndim)], GF, p)
+        a = ExactMatrix.from_rows([[rng.randrange(p) for _ in range(ndim)] for _ in range(adim)], p)
+        b = ExactMatrix.from_rows([[rng.randrange(p) for _ in range(bdim)] for _ in range(ndim)], p)
         # rank [[AP, 0], [P, PB]] = size(P) + rank(APB) for nonsingular P
         ap = mat_mul(a, pivot)
-        assembled = block_assemble(ap, ExactMatrix.zeros(adim, bdim, GF, p), pivot, mat_mul(pivot, b))
+        assembled = block_assemble(ap, ExactMatrix.zeros(adim, bdim, p), pivot, mat_mul(pivot, b))
         if certified_rank(assembled).rank != ndim + certified_rank(mat_mul(ap, b)).rank:
             violations += 1
     _verdict(

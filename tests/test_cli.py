@@ -1,4 +1,5 @@
 """End-to-end command tests driven through main(argv)."""
+import doctest
 import json
 import shlex
 from dataclasses import replace
@@ -7,7 +8,11 @@ from pathlib import Path
 import pytest
 
 from slpkit.cli import main
-from slpkit.lefschetz import check_map, full_pairs
+from slpkit.exactmat import ExactMatrix
+from slpkit.lefschetz import LinearForm, build_matrix, check_map, full_pairs
+from slpkit.quotient import AlgebraSpec
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 MAP_KEYS = {"i", "t", "rows", "cols", "rank", "maximal", "method", "ms", "notes", "peak_bits"}
@@ -67,6 +72,26 @@ def test_matrix_json_payload(capsys, tmp_path):
     assert payload["matrix"]["entries"] == [[2, 2, 2, 0], [2, 2, 0, 2], [2, 0, 2, 2], [0, 2, 2, 2]]
     assert payload["spec"] == {"n": 4, "exponents": [2, 2, 2, 2], "characteristic": 0}
     assert payload["form"] == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "char, matrix",
+    [
+        ("0", {"rows": 2, "cols": 2, "entries": [[4, 4], [1, 4]], "domain": "ZZ"}),
+        ("3", {"rows": 2, "cols": 2, "entries": [[1, 1], [1, 1]], "domain": "Fp", "modulus": 3}),
+    ],
+    ids=["ZZ", "Fp"],
+)
+def test_matrix_json_keys_and_values_are_pinned(capsys, tmp_path, char, matrix):
+    path = tmp_path / "m.json"
+    argv = ("matrix", "--exponents", "3,3", "--form", "2,1", "--char", char, "--i", "1", "--t", "2")
+    code, _, _ = run(capsys, *argv, "--format", "json", "--out", str(path))
+    assert code == 0
+    payload = json.loads(path.read_text())
+    assert list(payload) == ["spec", "form", "i", "t", "matrix"]
+    assert list(payload["matrix"].items()) == list(matrix.items())
+    built = build_matrix(AlgebraSpec(2, (3, 3), int(char)), LinearForm((2, 1)), 1, 2).matrix
+    assert eval(repr(built), {"ExactMatrix": ExactMatrix}) == built
 
 
 def test_rank_block_method(capsys, tmp_path):
@@ -334,7 +359,7 @@ def test_rank_json_carries_the_fallback_note(capsys, tmp_path, flags, note):
 
 
 def _readme_command_lines():
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = README.read_text()
     block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     return [line for line in block.splitlines() if line.startswith("slpkit ")]
 
@@ -347,3 +372,15 @@ def test_readme_command_lines_exit_as_documented(capsys, tmp_path, monkeypatch):
         command, _, comment = line.partition("#")
         code, _, err = run(capsys, *shlex.split(command)[1:])
         assert code == (1 if "exit 1" in comment else 0), (line, err)
+
+
+def _readme_python_block():
+    return README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_python_block_passes_as_a_doctest():
+    test = doctest.DocTestParser().get_doctest(_readme_python_block(), {}, "README.md", "README.md", 0)
+    assert test.examples, "no examples in README's python block"
+    report = []
+    result = doctest.DocTestRunner().run(test, out=report.append)
+    assert result.failed == 0, "".join(report)

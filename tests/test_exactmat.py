@@ -16,10 +16,7 @@ import oracles
 import slpkit.exactmat
 from oracles import next_prime
 from slpkit.exactmat import (
-    GF,
-    QQ,
     PROBE_PRIME,
-    ZZ,
     ExactMatrix,
     block_assemble,
     certified_rank,
@@ -176,7 +173,7 @@ def test_numpy_and_object_modular_paths_agree():
             assert _oracle_form(_echelon(np.array(rows, dtype=object), p), p) == want
             if p < 2**63:
                 # int64 storage: _echelon_mod_p picks the dtype of the copy it eliminates
-                stored = ExactMatrix.from_rows(np.array(rows, dtype=np.int64), GF, p)
+                stored = ExactMatrix.from_rows(np.array(rows, dtype=np.int64), p)
                 assert stored.array.dtype == np.int64
                 assert _oracle_form(_echelon_mod_p(stored, p), p) == want
             if trial % 2:
@@ -206,7 +203,7 @@ def test_sparse_echelon_mod_p_matches_oracles(p):
         k = rng.randint(1, 9)
         nrows, ncols = (k, k) if trial % 2 else (rng.randint(1, 9), rng.randint(1, 9))
         rows = _sparse_rows(rng, nrows, ncols, p)
-        m = ExactMatrix.from_rows(rows, GF, p)
+        m = ExactMatrix.from_rows(rows, p)
         rank_, pivots, det = oracles.reference_echelon_mod_p(rows, p)
         assert _oracle_form(_echelon(np.array(rows, dtype=np.int64), p), p) == (rank_, pivots, det)
         rr = rank_mod_p(m, p)
@@ -237,23 +234,12 @@ def test_certified_rank_methods():
     assert rr.rank == 2
 
 
-def test_rational_matrices():
-    hilb = [[Fraction(1, r + c + 1) for c in range(3)] for r in range(3)]
-    m = ExactMatrix.from_rows(hilb, QQ)
-    assert m.domain == QQ
-    assert determinant(m) == Fraction(1, 2160)
-    assert certified_rank(m).rank == 3
-    singular = ExactMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]], QQ)
-    assert determinant(singular) == 0
-    assert certified_rank(singular).rank == 1
-
-
 def test_gf_matrices():
-    m = ExactMatrix.from_rows(GOLDEN, GF, 3)
+    m = ExactMatrix.from_rows(GOLDEN, 3)
     assert m.entries.count(2) == 12 and m.entries.count(0) == 4
     assert rank_mod_p(m, 3).rank == 3
     assert determinant(m) == 0
-    m5 = ExactMatrix.from_rows(GOLDEN, GF, 5)
+    m5 = ExactMatrix.from_rows(GOLDEN, 5)
     assert determinant(m5) == (-48) % 5
     assert rank_mod_p(m5, 5).rank == 4
 
@@ -263,8 +249,7 @@ def test_empty_and_degenerate_shapes():
     assert rank_fraction_free(ExactMatrix.zeros(5, 0)).rank == 0
     assert rank_mod_p(ExactMatrix.zeros(0, 0), 7).rank == 0
     assert determinant(ExactMatrix.zeros(0, 0)) == 1
-    assert determinant(ExactMatrix.zeros(0, 0, QQ)) == Fraction(1)
-    assert determinant(ExactMatrix.zeros(0, 0, GF, 7)) == 1
+    assert determinant(ExactMatrix.zeros(0, 0, 7)) == 1
     assert certified_rank(ExactMatrix.zeros(3, 0)).rank == 0
 
 
@@ -282,17 +267,15 @@ def test_identity_and_scale():
 def test_mat_mul_matches_triple_loop():
     """Products and scalings against Python loops, with the storage rule."""
     rng = random.Random(1009)
-    domains = ((ZZ, None), (QQ, None), (GF, 7), (GF, next_prime(2**62)))
+    moduli = (None, 7, PROBE_PRIME, next_prime(2**62))
     for trial in range(160):
-        domain, modulus = domains[trial % 4]
+        modulus = moduli[trial % 4]
         n, k, m = rng.randint(0, 4), rng.randint(0, 4) if trial % 5 else 0, rng.randint(0, 4)
         # a third of the trials have entries of 2^62 and above
         bound = 2**64 if trial % 3 == 0 else 9
         a = random_matrix(rng, n, k, -bound, bound)
         b = random_matrix(rng, k, m, -bound, bound)
-        if domain == QQ:
-            a = [[Fraction(x, rng.randint(1, 5)) for x in row] for row in a]
-        c = rng.choice((0, 3, -(2**63), Fraction(1, 3) if domain == QQ else 5))
+        c = rng.choice((0, 3, -(2**63), 5))
         want = [[sum((a[r][j] * b[j][col] for j in range(k)), 0) for col in range(m)] for r in range(n)]
         scaled = [[x * c for x in row] for row in a]
         if modulus:
@@ -300,20 +283,16 @@ def test_mat_mul_matches_triple_loop():
             scaled = [[x % modulus for x in row] for row in scaled]
 
         def make(rows, ncols):
-            return ExactMatrix.from_rows(np.array(rows, dtype=object).reshape(len(rows), ncols), domain, modulus)
+            return ExactMatrix.from_rows(np.array(rows, dtype=object).reshape(len(rows), ncols), modulus)
 
         ma, mb = make(a, k), make(b, m)
         for got, expect, ncols in ((mat_mul(ma, mb), want, m), (scale(ma, c), scaled, k)):
-            assert (got.rows, got.cols, got.domain, got.modulus) == (n, ncols, domain, modulus)
+            assert (got.rows, got.cols, got.modulus) == (n, ncols, modulus)
             assert got.to_rows() == expect
             assert got == make(expect, ncols)
-            if domain == QQ:
-                assert got.array.dtype == object
-                assert all(type(x) is Fraction for x in got.entries)
-            else:
-                small = all(-(2**62) < x < 2**62 for row in expect for x in row)
-                assert got.array.dtype == (np.int64 if small else object)
-                assert all(type(x) is int for x in got.entries)
+            small = all(-(2**62) < x < 2**62 for row in expect for x in row)
+            assert got.array.dtype == (np.int64 if small else object)
+            assert all(type(x) is int for x in got.entries)
 
 
 @pytest.mark.parametrize(
@@ -340,8 +319,8 @@ def test_mat_mul_int64_path_sits_below_its_bound(from_rows_dtypes, a, b, path):
 def test_mat_mul_int64_path_over_the_probe_prime(from_rows_dtypes):
     p = PROBE_PRIME
     # (p - 1)^2 < 2^62 with one column, 2 (p - 1)^2 > 2^62 with two
-    a1, b1 = ExactMatrix.from_rows([[p - 1]], GF, p), ExactMatrix.from_rows([[p - 2]], GF, p)
-    a2, b2 = ExactMatrix.from_rows([[p - 1, p - 1]], GF, p), ExactMatrix.from_rows([[p - 1], [p - 2]], GF, p)
+    a1, b1 = ExactMatrix.from_rows([[p - 1]], p), ExactMatrix.from_rows([[p - 2]], p)
+    a2, b2 = ExactMatrix.from_rows([[p - 1, p - 1]], p), ExactMatrix.from_rows([[p - 1], [p - 2]], p)
     del from_rows_dtypes[:]
     one, two = mat_mul(a1, b1), mat_mul(a2, b2)
     assert from_rows_dtypes == [np.dtype(np.int64), np.dtype(object)]
@@ -352,9 +331,9 @@ def test_mat_mul_int64_path_over_the_probe_prime(from_rows_dtypes):
 def test_object_array_of_ints_with_one_fraction_is_refused():
     for value in (Fraction(1, 2), Fraction(4, 2)):
         arr = np.array([[1, 2, 3], [4, value, 6]], dtype=object)
-        for domain, modulus in ((ZZ, None), (GF, 7), (GF, next_prime(2**64))):
+        for modulus in (None, 7, next_prime(2**64)):
             with pytest.raises(TypeError):
-                ExactMatrix.from_rows(arr, domain, modulus)
+                ExactMatrix.from_rows(arr, modulus)
 
 
 def test_block_assemble():
@@ -384,55 +363,80 @@ def test_csv_roundtrip():
     # the CSV that `slpkit matrix` writes reads back into the same entries
     m = ExactMatrix.from_rows(GOLDEN)
     assert m.to_csv().splitlines()[0] == "2,2,2,0"
-    gf = ExactMatrix.from_rows([[1, 2], [3, 4]], GF, 5)
+    gf = ExactMatrix.from_rows([[1, 2], [3, 4]], 5)
     for mat in (m, gf, ExactMatrix.from_rows([[-3, 2**70]])):
         back = list(csv.reader(io.StringIO(mat.to_csv())))
         assert [[int(e) for e in row] for row in back] == mat.to_rows()
-    with pytest.raises(ValueError):
-        ExactMatrix.from_rows([[Fraction(1, 2)]], QQ).to_csv()
 
 
 def test_json_roundtrip():
     for m in (
         ExactMatrix.from_rows(GOLDEN),
-        ExactMatrix.from_rows(GOLDEN, GF, 7),
-        ExactMatrix.from_rows([[Fraction(1, 2), Fraction(-3)]], QQ),
+        ExactMatrix.from_rows(GOLDEN, 7),
         ExactMatrix.zeros(0, 3),
     ):
         data = json.loads(json.dumps(m.to_json_dict()))
-        assert (data["rows"], data["cols"], data["domain"]) == (m.rows, m.cols, m.domain)
+        assert (data["rows"], data["cols"], data["domain"]) == (m.rows, m.cols, "Fp" if m.modulus else "ZZ")
         assert data.get("modulus") == m.modulus
-        parse = Fraction if m.domain == QQ else int
-        assert [[parse(e) for e in row] for row in data["entries"]] == m.to_rows()
+        assert data["entries"] == m.to_rows()
+
+
+def test_repr_evaluates_back_to_the_matrix():
+    for m in (
+        ExactMatrix.from_rows(GOLDEN),
+        ExactMatrix.from_rows(GOLDEN, 7),
+        ExactMatrix.from_rows([[-3, 2**70]]),
+        ExactMatrix.from_rows([[2**64 + 1]], next_prime(2**64)),
+        ExactMatrix.zeros(0, 3, 5),
+        ExactMatrix.zeros(2, 0),
+    ):
+        back = eval(repr(m), {"ExactMatrix": ExactMatrix})
+        assert back == m and back.array.dtype == m.array.dtype
 
 
 def test_validation_errors():
     with pytest.raises(ValueError):
         ExactMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(TypeError):
-        ExactMatrix.from_rows([[Fraction(1, 2)]], ZZ)
+        ExactMatrix.from_rows([[Fraction(1, 2)]])
     with pytest.raises(ValueError):
-        ExactMatrix.from_rows([[1]], GF, 6)
-    with pytest.raises(ValueError):
-        ExactMatrix.from_rows([[1]], GF)
-    with pytest.raises(ValueError):
-        ExactMatrix.from_rows([[1]], ZZ, 5)
-    with pytest.raises(ValueError):
-        ExactMatrix.from_rows([[1]], "RR")
+        ExactMatrix.from_rows([[1]], 6)
     with pytest.raises(ValueError):
         rank_mod_p(ExactMatrix.from_rows([[1]]), 6)
     with pytest.raises(ValueError):
-        rank_mod_p(ExactMatrix.from_rows([[1]], GF, 5), 7)
+        rank_mod_p(ExactMatrix.from_rows([[1]], 5), 7)
     with pytest.raises(ValueError):
-        rank_mod_p(ExactMatrix.from_rows([[Fraction(1)]], QQ), 5)
-    with pytest.raises(ValueError):
-        rank_fraction_free(ExactMatrix.from_rows([[Fraction(1)]], QQ))
+        rank_fraction_free(ExactMatrix.from_rows([[1]], 5))
     with pytest.raises(ValueError):
         determinant(ExactMatrix.zeros(2, 3))
     with pytest.raises(ValueError):
         mat_mul(ExactMatrix.zeros(2, 3), ExactMatrix.zeros(2, 3))
     with pytest.raises(ValueError):
-        mat_mul(ExactMatrix.zeros(2, 2), ExactMatrix.zeros(2, 2, GF, 5))
+        mat_mul(ExactMatrix.zeros(2, 2), ExactMatrix.zeros(2, 2, 5))
+
+
+@pytest.mark.parametrize("bad", ["Fp", "ZZ", 7.0, Fraction(7, 1)], ids=["Fp", "ZZ", "float", "Fraction"])
+def test_a_modulus_that_is_not_an_int_is_refused(bad):
+    # a domain name in the modulus slot fails here, with a message about the
+    # modulus, and not inside the primality test
+    with pytest.raises(TypeError, match="modulus"):
+        ExactMatrix.from_rows([[1]], bad)
+    with pytest.raises(TypeError, match="modulus"):
+        ExactMatrix.from_rows(np.eye(2, dtype=np.int64), bad)
+    with pytest.raises(TypeError, match="modulus"):
+        ExactMatrix.zeros(2, 2, bad)
+    with pytest.raises(TypeError):
+        ExactMatrix.from_rows([[1]], bad, 7)
+
+
+@pytest.mark.parametrize("bad", [6, 1, 0, -7, 2**64])
+def test_a_modulus_that_is_not_prime_is_refused(bad):
+    with pytest.raises(ValueError, match="not prime"):
+        ExactMatrix.from_rows([[1]], bad)
+    with pytest.raises(ValueError, match="not prime"):
+        ExactMatrix.from_rows(np.eye(2, dtype=np.int64), bad)
+    with pytest.raises(ValueError, match="not prime"):
+        ExactMatrix.zeros(2, 2, bad)
 
 
 def test_ndarray_input_is_validated():
@@ -444,10 +448,6 @@ def test_ndarray_input_is_validated():
         ExactMatrix.from_rows(np.arange(4))
     with pytest.raises(ValueError):
         ExactMatrix.from_rows(np.zeros((1, 2, 2), dtype=np.int64))
-    with pytest.raises(ValueError):
-        ExactMatrix.from_rows(np.eye(2, dtype=np.int64), GF)
-    with pytest.raises(ValueError):
-        ExactMatrix.from_rows(np.eye(2, dtype=np.int64), GF, 6)
     with pytest.raises(TypeError):
         ExactMatrix.from_rows(np.array([[Fraction(1, 2)]], dtype=object))
 
@@ -459,26 +459,27 @@ def test_ndarray_input_is_validated():
 )
 def test_inexact_entries_are_refused_in_every_domain(inexact):
     # once stored as integers, 1.5 would act as 1 and "3" as 3
-    for domain, modulus in ((ZZ, None), (QQ, None), (GF, 7), (GF, next_prime(2**64))):
+    for modulus in (None, 7, next_prime(2**64)):
         for rows in ([[inexact, 2]], np.array([[inexact, 2]], dtype=object)):
             with pytest.raises(TypeError):
-                ExactMatrix.from_rows(rows, domain, modulus)
+                ExactMatrix.from_rows(rows, modulus)
 
 
 def test_numpy_integer_and_fraction_entries_are_exact():
     m = ExactMatrix.from_rows([[np.int64(3), True], [np.uint8(4), -1]])
     assert m.entries == (3, 1, 4, -1) and all(type(e) is int for e in m.entries)
-    q = ExactMatrix.from_rows(np.array([[np.int64(2), Fraction(1, 2)]], dtype=object), QQ)
-    assert q.entries == (Fraction(2), Fraction(1, 2)) and all(type(e) is Fraction for e in q.entries)
-    assert ExactMatrix.from_rows([[np.int64(9)]], GF, 7).entries == (2,)
+    assert ExactMatrix.from_rows([[np.int64(9)]], 7).entries == (2,)
+    # a Fraction is refused even when it is an integer: there is no rational domain
+    with pytest.raises(TypeError):
+        ExactMatrix.from_rows(np.array([[np.int64(2), Fraction(2, 1)]], dtype=object))
 
 
 def test_array_built_matrix_equals_list_built():
-    for domain, modulus in ((ZZ, None), (GF, 5), (GF, next_prime(2**62))):
+    for modulus in (None, 5, next_prime(2**62)):
         arr = np.array(GOLDEN, dtype=np.int64) - 3
-        m = ExactMatrix.from_rows(arr, domain, modulus)
+        m = ExactMatrix.from_rows(arr, modulus)
         arr[0, 0] = 99  # the matrix keeps its own copy
-        listed = ExactMatrix.from_rows([[e - 3 for e in row] for row in GOLDEN], domain, modulus)
+        listed = ExactMatrix.from_rows([[e - 3 for e in row] for row in GOLDEN], modulus)
         assert m == listed and hash(m) == hash(listed)
         assert isinstance(m.entries, tuple)
         assert all(type(e) is int for e in m.entries)
@@ -493,9 +494,6 @@ def test_array_built_matrix_equals_list_built():
     assert pickle.loads(pickle.dumps(m)) == m
     with pytest.raises(AttributeError):
         m.rows = 3
-    rational = ExactMatrix.from_rows(np.array([[1, 2]]), QQ)
-    assert rational.entries == (Fraction(1), Fraction(2))
-    assert all(type(e) is Fraction for e in rational.entries)
 
 
 def test_large_entries_keep_exact_ranks():
@@ -505,7 +503,7 @@ def test_large_entries_keep_exact_ranks():
     assert rank_mod_p(m, 2).rank == 2 and rank_mod_p(m, 3).rank == 2
     assert certified_rank(m).rank == 2
     assert determinant(m) == -1
-    assert determinant(ExactMatrix.from_rows(GOLDEN, GF, next_prime(2**31))) == (-48) % next_prime(2**31)
+    assert determinant(ExactMatrix.from_rows(GOLDEN, next_prime(2**31))) == (-48) % next_prime(2**31)
 
 
 @settings(max_examples=60, deadline=None)
@@ -632,12 +630,12 @@ def test_int64_entries_whose_products_overflow():
         for _ in range(20):
             rows = random_matrix(rng, 5, 5, -(2**61), 2**61)
             want = oracles.reference_echelon_mod_p([[e % p for e in row] for row in rows], p)
-            for domain, modulus in ((ZZ, None), (GF, p)):
-                stored = ExactMatrix.from_rows(rows, domain, modulus)
+            for modulus in (None, p):
+                stored = ExactMatrix.from_rows(rows, modulus)
                 assert stored.array.dtype == np.int64
                 rr = rank_mod_p(stored, p)
                 assert (rr.rank, rr.pivots) == want[:2]
-            assert determinant(ExactMatrix.from_rows(rows, GF, p)) == (want[2] if want[0] == 5 else 0)
+            assert determinant(ExactMatrix.from_rows(rows, p)) == (want[2] if want[0] == 5 else 0)
 
 
 def test_lazy_echelon_on_permuted_blocks_with_huge_entries():
@@ -666,23 +664,13 @@ def test_lazy_echelon_on_quadratic_8_middle_maps(nzero):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_echelon_inputs(square=True), st.lists(st.integers(1, 7), min_size=12, max_size=12))
-def test_determinants_match_gauss_det(rows, denominators):
-    want = oracles.gauss_det(rows)
-    assert determinant(ExactMatrix.from_rows(rows)) == want
-    rational = [[Fraction(e, d) for e in row] for row, d in zip(rows, denominators)]
-    assert determinant(ExactMatrix.from_rows(rational, QQ)) == oracles.gauss_det(rational)
+@given(_echelon_inputs(square=True))
+def test_determinants_match_gauss_det(rows):
+    assert determinant(ExactMatrix.from_rows(rows)) == oracles.gauss_det(rows)
 
 
 def _peak_bits_by_entries(m):
-    best = 0
-    for e in m.entries:
-        if isinstance(e, int):
-            b = abs(e).bit_length()
-        else:
-            b = max(abs(e.numerator).bit_length(), e.denominator.bit_length())
-        best = max(best, b)
-    return best
+    return max((abs(e).bit_length() for e in m.entries), default=0)
 
 
 def test_peak_bits_matches_entry_loop():
@@ -691,23 +679,16 @@ def test_peak_bits_matches_entry_loop():
         nrows, ncols = rng.randint(0, 5), rng.randint(0, 5)
         bound = (9, 1000, 2**62 - 1, 2**70)[trial % 4]
         rows = random_matrix(rng, nrows, ncols, -bound, bound)
-        fractions = [[Fraction(e, rng.randint(1, 2**40)) for e in row] for row in rows]
-        for data, domain, modulus in (
-            (rows, ZZ, None),
-            (rows, GF, 7),
-            (rows, GF, next_prime(2**64)),
-            (fractions, QQ, None),
-        ):
-            arr = np.array(data, dtype=object).reshape(nrows, ncols)
-            m = ExactMatrix.from_rows(arr, domain, modulus)
-            assert peak_bits(m) == _peak_bits_by_entries(ExactMatrix.from_rows(arr, domain, modulus))
+        for modulus in (None, 7, next_prime(2**64)):
+            arr = np.array(rows, dtype=object).reshape(nrows, ncols)
+            m = ExactMatrix.from_rows(arr, modulus)
+            assert peak_bits(m) == _peak_bits_by_entries(ExactMatrix.from_rows(arr, modulus))
             assert m._entries is None  # no entries tuple was built
     # both storages: int64 below 2^62, object arrays from 2^62
     assert ExactMatrix.from_rows([[-(2**62) + 1, 3]]).array.dtype == np.int64
     assert peak_bits(ExactMatrix.from_rows([[-(2**62) + 1, 3]])) == 62
     assert ExactMatrix.from_rows([[2**62]]).array.dtype == object
     assert peak_bits(ExactMatrix.from_rows([[2**62]])) == 63
-    assert peak_bits(ExactMatrix.from_rows([[Fraction(3, 1024)]], QQ)) == 11
 
 
 def _block(rng, h, w, big):
@@ -797,8 +778,9 @@ def test_permuted_direct_sum_ranks_block_by_block(big, monkeypatch):
         sub = [[rows[r][c] for (_pr, c) in rr.pivots] for (r, _pc) in rr.pivots]
         assert rr.pivot_minor_det != 0
         assert abs(rr.pivot_minor_det) == abs(oracles.gauss_det(sub))
-        rational = [[Fraction(e, 1 + k % 3) for e in row] for k, row in enumerate(rows)]
-        assert certified_rank(ExactMatrix.from_rows(rational, QQ)).rank == rr.rank
+        # nonzero row multiples keep the rank
+        scaled = [[e * (1 + k % 3) for e in row] for k, row in enumerate(rows)]
+        assert certified_rank(ExactMatrix.from_rows(scaled)).rank == rr.rank
 
 
 def test_components_skip_zero_rows_and_columns():

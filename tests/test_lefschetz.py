@@ -1,7 +1,7 @@
 """Multiplication matrices, rank verdicts and characteristic scans."""
 from decimal import Decimal
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 import json
 import random
 from dataclasses import replace
@@ -15,7 +15,8 @@ import slpkit.blockrec
 import slpkit.exactmat
 from oracles import next_prime
 from slpkit.cli import main
-from slpkit.exactmat import GF, QQ, ZZ, mat_mul, rank_mod_p
+from slpkit.blockrec import decompose
+from slpkit.exactmat import ExactMatrix, mat_mul, rank_mod_p
 from slpkit.lefschetz import (
     CharProbe,
     LinearForm,
@@ -35,7 +36,7 @@ def test_golden_four_variable_power_two():
     spec = AlgebraSpec.quadratic(4)
     mm = build_matrix(spec, LinearForm.ones(4), 1, 2)
     assert mm.matrix.to_rows() == GOLDEN
-    assert mm.matrix.domain == ZZ
+    assert mm.matrix.modulus is None
     from slpkit.exactmat import determinant
 
     assert determinant(mm.matrix) == -48
@@ -89,22 +90,18 @@ def test_build_matrix_matches_reference_builder(data):
         st.lists(st.integers(1, 4), min_size=1, max_size=6).filter(lambda b: prod(b) <= 729)
     )
     char = data.draw(st.sampled_from([0, 2, 3, 5, 7]))
-    coeff = _COEFFS
-    if char == 0:
-        coeff = st.one_of(_COEFFS, st.fractions(-3, 3, max_denominator=4))
+    # a Fraction with denominator 1 counts as the integer it is
+    coeff = st.one_of(_COEFFS, _COEFFS.map(Fraction))
     coeffs = tuple(data.draw(st.lists(coeff, min_size=len(bounds), max_size=len(bounds))))
     spec = AlgebraSpec(len(bounds), tuple(bounds), char)
-    rational = char == 0 and any(isinstance(c, Fraction) for c in coeffs)
-    domain = GF if char else (QQ if rational else ZZ)
     m = spec.socle_degree
     for i in range(m + 1):
         for t in range(m - i + 1):
             mat = build_matrix(spec, LinearForm(coeffs), i, t).matrix
-            assert mat.domain == domain
+            assert mat.modulus == (char or None)
             assert mat.to_rows() == oracles.reference_matrix(bounds, coeffs, i, t, char)
-            if not rational:
-                assert mat.array.dtype == np.int64
-                assert all(type(e) is int for e in mat.entries)
+            assert mat.array.dtype == np.int64
+            assert all(type(e) is int for e in mat.entries)
 
 
 def test_entries_beyond_int64_take_the_object_path():
@@ -159,14 +156,66 @@ def test_power_zero_gives_identity():
             assert mm.matrix.to_rows() == np.eye(k, dtype=np.int64).tolist()
 
 
-def test_fraction_coefficients_build_rational_matrices():
+def test_build_matrix_refuses_fractional_coefficients():
+    # every matrix is over ZZ or F_p; check_map ranks a rational form through
+    # its integer multiple instead
     spec = AlgebraSpec.quadratic(2)
-    form = LinearForm((Fraction(1, 2), 1))
-    mm = build_matrix(spec, form, 0, 2)
-    assert mm.matrix.domain == QQ
-    assert mm.matrix.to_rows() == [[Fraction(1)]]
-    mc = check_map(spec, form, 0, 2, "dense")
-    assert mc.maximal and mc.rank == 1
+    half = LinearForm((Fraction(1, 2), 1))
+    with pytest.raises(TypeError):
+        build_matrix(spec, half, 0, 2)
+    for form in (LinearForm((Fraction(1, 2), 1, 1)), LinearForm((1, 1, Fraction(1, 2)))):
+        with pytest.raises(TypeError):
+            decompose(AlgebraSpec.quadratic(3), form, 1, 1)
+    # an integral Fraction counts as its numerator
+    mm = build_matrix(spec, LinearForm((Fraction(4, 1), 1)), 0, 2)
+    assert mm.matrix == build_matrix(spec, LinearForm((4, 1)), 0, 2).matrix
+    assert mm.matrix.entries == (8,) and type(mm.matrix.entry(0, 0)) is int
+    dec = decompose(AlgebraSpec.quadratic(3), LinearForm((1, 1, Fraction(4, 1))), 1, 1)
+    assert dec.bottom_left_scalar == 4 and type(dec.bottom_left_scalar) is int
+    assert dec.assemble() == build_matrix(AlgebraSpec.quadratic(3), LinearForm((1, 1, 4)), 1, 1).matrix
+    # (1/2, 1) is built as (1, 2): the socle map 2 * 1 * 2 = 4
+    mc = check_map(spec, half, 0, 2, "dense")
+    assert (mc.rank, mc.maximal, mc.peak_bits) == (1, True, 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_a_rational_form_has_the_ranks_of_its_integer_multiples(data):
+    # over Q, l^t and (c l)^t = c^t l^t have the same rank for every c != 0
+    bounds = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda b: prod(b) <= 256))
+    n = len(bounds)
+    nums = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    dens = data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    mult = data.draw(st.sampled_from([-2, -1, 1, 3])) * lcm(*dens)
+    rational = LinearForm(tuple(Fraction(a, d) for a, d in zip(nums, dens)))
+    integral = LinearForm(tuple(a * mult // d for a, d in zip(nums, dens)))
+    spec = AlgebraSpec(n, tuple(bounds))
+    for mode in ("middle", "full"):
+        got = slp_check(spec, rational, mode=mode)
+        want = slp_check(spec, integral, mode=mode)
+        assert got.form == rational
+        assert [(c.i, c.t, c.rank, c.maximal) for c in got.maps] == [
+            (c.i, c.t, c.rank, c.maximal) for c in want.maps
+        ]
+
+
+def test_slp_check_of_a_rational_form_hands_from_rows_no_fraction(monkeypatch):
+    handed = set()
+    original = ExactMatrix.__dict__["from_rows"].__func__
+
+    def spy(cls, rows, *args, **kwargs):
+        handed.update(type(e) for e in np.asarray(rows, dtype=object).ravel())
+        return original(cls, rows, *args, **kwargs)
+
+    monkeypatch.setattr(ExactMatrix, "from_rows", classmethod(spy))
+    # a zero coefficient sends the middle maps to the dense route as well
+    for spec, form in (
+        (AlgebraSpec.quadratic(5), LinearForm((Fraction(1, 2), 0, Fraction(2, 3), 1, Fraction(-3, 4)))),
+        (AlgebraSpec(2, (3, 4)), LinearForm((Fraction(1, 2), Fraction(5, 3)))),
+    ):
+        for mode in ("middle", "full"):
+            assert slp_check(spec, form, mode=mode).maps
+    assert handed == {int}
 
 
 def test_build_validation():

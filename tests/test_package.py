@@ -5,6 +5,7 @@ from pathlib import Path
 import slpkit
 import slpkit._primes
 import slpkit.embedding
+import slpkit.exactmat
 
 SRC = Path(slpkit.__file__).resolve().parent
 
@@ -35,11 +36,16 @@ def test_every_export_resolves_once():
         "squarefree_rank",
         "squarefree_unrank",
         "phi",
+        "GF",
+        "QQ",
+        "ZZ",
+        "_row_integerized",
     ):
         assert gone not in names and not hasattr(slpkit, gone)
     for owner, gone in (
         (slpkit.ExactMatrix, "transpose"),
         (slpkit.ExactMatrix, "identity"),
+        (slpkit.ExactMatrix, "domain"),
         (slpkit.AlgebraElement, "zero"),
         (slpkit.AlgebraElement, "linear"),
         (slpkit.AlgebraElement, "coefficient"),
@@ -51,6 +57,10 @@ def test_every_export_resolves_once():
         (slpkit.LinearForm, "element"),
         (slpkit.embedding, "phi"),
         (slpkit._primes, "next_prime"),
+        (slpkit.exactmat, "GF"),
+        (slpkit.exactmat, "QQ"),
+        (slpkit.exactmat, "ZZ"),
+        (slpkit.exactmat, "_row_integerized"),
     ):
         assert not hasattr(owner, gone), (owner, gone)
 
