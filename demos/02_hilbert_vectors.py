@@ -2,8 +2,10 @@
 Graded dimensions
 =================
 
-Every algebra here has a symmetric unimodal Hilbert vector; the middle
-dimensions are the sizes of the matrices whose ranks decide everything else.
+hilbert_vector gives the graded dimensions (h_0, ..., h_m) as a plain tuple.
+Every algebra here has a symmetric unimodal one, which this demo checks; the
+middle dimensions are the sizes of the matrices whose ranks decide
+everything else.
 """
 from slpkit import AlgebraSpec, graded_basis, hilbert_vector
 
@@ -20,8 +22,10 @@ for n in range(1, 9):
 for bounds in ((3, 4), (2, 3, 4), (3, 3, 3), (5, 2)):
     spec = AlgebraSpec(len(bounds), bounds)
     hv = hilbert_vector(spec)
-    print(f"killed powers {bounds}: {tuple(hv)} (socle degree {spec.socle_degree})")
-    assert hv.is_symmetric() and hv.is_unimodal()
+    m = spec.socle_degree
+    print(f"killed powers {bounds}: {hv} (socle degree {m})")
+    assert hv == hv[::-1], "h_i = h_(m-i)"
+    assert all(hv[j] <= hv[j + 1] for j in range(m // 2)), "rising to the middle"
 
 ###############################################################################
 # The vector counts actual basis monomials, degree by degree.

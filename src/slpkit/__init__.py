@@ -5,11 +5,9 @@ verdicts over Q and F_p, and the paper's proof as a rank route: induction
 on square-free algebras, which reaches every other monomial complete
 intersection through its embedding into a square-free one.
 """
-from .monomials import Monomial
 from .quotient import (
     AlgebraElement,
     AlgebraSpec,
-    HilbertVector,
     basis_positions,
     graded_basis,
     hilbert_vector,
@@ -69,12 +67,10 @@ __all__ = [
     "EmbeddedMapCheck",
     "EmbeddingSpec",
     "ExactMatrix",
-    "HilbertVector",
     "KernelDimsRecord",
     "LefschetzReport",
     "LinearForm",
     "MapCheck",
-    "Monomial",
     "MultiplicationMatrix",
     "RankResult",
     "SocleImageRecord",

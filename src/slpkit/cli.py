@@ -16,7 +16,13 @@ from math import comb
 
 from ._primes import primes_in_range
 from .blockrec import decompose
-from .embedding import EmbeddingSpec, transfer_slp, verify_kernel_dims, verify_socle_image
+from .embedding import (
+    EmbeddingSpec,
+    _refuse_oversized_embedding,
+    transfer_slp,
+    verify_kernel_dims,
+    verify_socle_image,
+)
 from .exactmat import (
     ExactMatrix,
     determinant,
@@ -24,6 +30,7 @@ from .exactmat import (
 )
 from .lefschetz import (
     LinearForm,
+    _refuse_oversized_maps,
     build_matrix,
     char_search,
     check_map,
@@ -232,6 +239,7 @@ def _cmd_char_search(args) -> int:
 def _cmd_embed_verify(args) -> int:
     spec = _spec_from_args(args)
     es = EmbeddingSpec.from_spec(spec)
+    _refuse_oversized_embedding(es)
     start = time.perf_counter()
     socle = verify_socle_image(es)
     kernel = verify_kernel_dims(es)
@@ -268,9 +276,11 @@ def _cmd_embed_verify(args) -> int:
 def _cmd_bench(args) -> int:
     spec = _spec_from_args(args)
     form = _form_from_args(args, spec.n)
+    pairs = middle_pairs(spec.socle_degree)
+    _refuse_oversized_maps(spec, pairs)
     records = []
     disagreements = []
-    for i, t in middle_pairs(spec.socle_degree):
+    for i, t in pairs:
         ranks = {}
         for route in ("dense", "auto"):
             c = check_map(spec, form, i, t, route)

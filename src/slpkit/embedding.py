@@ -29,8 +29,17 @@ from math import comb, factorial, prod
 import numpy as np
 
 from .exactmat import INT64_BOUND, ExactMatrix, certified_rank, mat_mul
-from .lefschetz import LefschetzReport, LinearForm, _position_codes, _radix, build_matrix, slp_check
-from .monomials import Monomial
+from .lefschetz import (
+    LefschetzReport,
+    LinearForm,
+    _position_codes,
+    _radix,
+    _refuse_oversized,
+    _refuse_oversized_maps,
+    build_matrix,
+    middle_pairs,
+    slp_check,
+)
 from .quotient import AlgebraSpec, AlgebraElement, _plain_ints, graded_basis, hilbert_vector, multiply
 
 
@@ -81,7 +90,8 @@ class EmbeddingSpec:
 
 def _block_sum(es: EmbeddingSpec, j: int) -> AlgebraElement:
     lo, hi = es.offsets[j], es.offsets[j + 1]
-    return AlgebraElement(es.target_spec, {Monomial.variable(es.m, k): 1 for k in range(lo, hi)})
+    variables = ((0,) * k + (1,) + (0,) * (es.m - 1 - k) for k in range(lo, hi))
+    return AlgebraElement(es.target_spec, dict.fromkeys(variables, 1))
 
 
 def phi_monomial(es: EmbeddingSpec, exponents: tuple[int, ...]) -> AlgebraElement:
@@ -97,16 +107,25 @@ def phi_monomial(es: EmbeddingSpec, exponents: tuple[int, ...]) -> AlgebraElemen
     return out
 
 
+def _refuse_oversized_piece(es: EmbeddingSpec, degree: int) -> None:
+    """_refuse_oversized for phi_matrix(es, degree)."""
+    rows, cols = es.target_spec.dim(degree), es.source_spec.dim(degree)
+    _refuse_oversized(rows, cols, f"the degree-{degree} piece of the embedding")
+
+
 def phi_matrix(es: EmbeddingSpec, degree: int) -> ExactMatrix:
     """Matrix of the degree-j piece: source basis columns, target basis rows.
 
     Row v holds prod(c_k!) in the column of y^c, where c_k counts v's
-    variables in block k, and nothing else (module docstring).
+    variables in block k, and nothing else (module docstring).  A piece of
+    more than MAX_MAP_CELLS cells raises ValueError before any basis is
+    listed.
     """
+    _refuse_oversized_piece(es, degree)
     source = es.source_spec.exponents
     columns = _position_codes(source, degree)
     target = graded_basis(es.target_spec, degree)
-    exps = np.array([v.exponents for v in target], dtype=np.int64).reshape(-1, es.m)
+    exps = np.array(target, dtype=np.int64).reshape(-1, es.m)
     counts = np.add.reduceat(exps, es.offsets[:-1], axis=1)
     radix = _radix(source)
     cols = np.searchsorted(columns, counts.astype(radix.dtype) @ radix)
@@ -140,9 +159,7 @@ def verify_socle_image(es: EmbeddingSpec) -> SocleImageRecord:
     target = es.target_spec
     scalar_in_field = target.normalize_coeff(scalar)
     image = phi_monomial(es, es.powers)
-    expected = AlgebraElement(
-        target, {Monomial((1,) * es.m): scalar_in_field} if scalar_in_field else {}
-    )
+    expected = AlgebraElement(target, {(1,) * es.m: scalar_in_field})
     return SocleImageRecord(
         m=es.m,
         scalar=scalar,
@@ -215,6 +232,18 @@ class TransferRecord:
         return self.slp_direct == self.slp_via_embedding
 
 
+def _refuse_oversized_embedding(es: EmbeddingSpec) -> None:
+    """Raise ValueError, before any work, for a matrix above MAX_MAP_CELLS cells.
+
+    The matrices are those that verify_kernel_dims and transfer_slp build:
+    every piece of phi_matrix and the middle maps of source and target.
+    """
+    for degree in range(es.m + 1):
+        _refuse_oversized_piece(es, degree)
+    for spec in (es.target_spec, es.source_spec):
+        _refuse_oversized_maps(spec, middle_pairs(es.m))
+
+
 def transfer_slp(es: EmbeddingSpec) -> TransferRecord:
     """Decide SLP for the sum of source variables along both routes.
 
@@ -223,15 +252,16 @@ def transfer_slp(es: EmbeddingSpec) -> TransferRecord:
     the quadratic algebra and asks the target middle map to stay injective on
     the image; source pieces in complementary degrees have equal dimension,
     so full column rank of the composite decides the source middle map.
+    Every target middle map's size is checked before any map is built.
     """
     m = es.m
     source = es.source_spec
     target = es.target_spec
+    _refuse_oversized_maps(target, middle_pairs(m))
     hv = hilbert_vector(source)
     direct = slp_check(source, LinearForm.ones(es.n), method="dense")
     records = []
-    for i in range((m + 1) // 2):
-        t = m - 2 * i
+    for i, t in middle_pairs(m):
         mid = build_matrix(target, LinearForm.ones(m), i, t).matrix
         composite = mat_mul(mid, phi_matrix(es, i))
         rr = certified_rank(composite)

@@ -74,8 +74,9 @@ class LinearForm:
         if not all(type(c) is int for c in coeffs):
             if not all(isinstance(c, Rational) for c in coeffs):
                 raise TypeError(f"form coefficients must be exact rationals (int or Fraction): {coeffs}")
-            # numpy integers are Rational too, but their powers in build_matrix would wrap
-            coeffs = _plain_ints(coeffs)
+            # numpy integers are Rational too, but their powers in build_matrix
+            # would wrap; a Fraction with denominator 1 is kept as its int
+            coeffs = tuple(c if type(c) is int or c.denominator != 1 else int(c) for c in _plain_ints(coeffs))
         if coeffs is not self.coefficients:
             object.__setattr__(self, "coefficients", coeffs)
 
@@ -117,13 +118,16 @@ _PLACE_CHUNK = 1 << 18
 MAX_MAP_CELLS = 1 << 28
 
 
-def _refuse_oversized(spec: AlgebraSpec, i: int, t: int) -> None:
-    """Raise ValueError for a map too large to hold, before listing any basis."""
-    rows, cols = spec.dim(i + t), spec.dim(i)
+def _refuse_oversized(rows: int, cols: int, what: str) -> None:
+    """Raise ValueError for a matrix too large to hold; callers run it before listing any basis."""
     if rows * cols > MAX_MAP_CELLS:
-        raise ValueError(
-            f"the (i={i}, t={t}) map is {rows}x{cols}, above the limit of {MAX_MAP_CELLS} cells"
-        )
+        raise ValueError(f"{what} is {rows}x{cols}, above the limit of {MAX_MAP_CELLS} cells")
+
+
+def _refuse_oversized_maps(spec: AlgebraSpec, pairs: Iterable[tuple[int, int]]) -> None:
+    """_refuse_oversized for the map of l^t from degree i, for every (i, t) in pairs."""
+    for i, t in pairs:
+        _refuse_oversized(spec.dim(i + t), spec.dim(i), f"the (i={i}, t={t}) map")
 
 
 def _radix(exponents: tuple[int, ...]) -> np.ndarray:
@@ -134,25 +138,23 @@ def _radix(exponents: tuple[int, ...]) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _position_codes(exponents: tuple[int, ...], degree: int) -> np.ndarray:
-    """Mixed-radix codes of graded_basis(degree) for these killed powers.
+    """Mixed-radix codes of the exponent tuples of graded_basis(degree) for these killed powers.
 
     The listing is ascending in the reversed exponent tuple, and the last
     exponent is the most significant digit, so the codes ascend too and a
-    code's index in this table is its monomial's position.  The table does
+    code's index in this table is its exponent tuple's position.  The table does
     not depend on the characteristic.
     """
     basis = graded_basis(AlgebraSpec(len(exponents), exponents), degree)
     radix = _radix(exponents)
-    return np.array([m.exponents for m in basis], dtype=radix.dtype).reshape(-1, len(exponents)) @ radix
+    return np.array(basis, dtype=radix.dtype).reshape(-1, len(exponents)) @ radix
 
 
 def _integer_coeffs(spec: AlgebraSpec, form: LinearForm) -> list[int]:
-    """form's coefficients in spec's domain as ints; TypeError for one that is not an integer over Q."""
+    """form's coefficients in spec's domain as ints; TypeError for a fraction over Q."""
     coeffs = [spec.normalize_coeff(c) for c in form.coefficients]
     if not all(type(c) is int for c in coeffs):
-        if any(c.denominator != 1 for c in coeffs):
-            raise TypeError(f"matrices are built over ZZ; clear the denominators of {form.coefficients}")
-        coeffs = [c.numerator for c in coeffs]
+        raise TypeError(f"matrices are built over ZZ; clear the denominators of {form.coefficients}")
     return coeffs
 
 
@@ -160,8 +162,8 @@ def build_matrix(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> Multipl
     """Multiplication matrix of form^t from degree i, one value per increment pattern.
 
     The matrix is over F_p in characteristic p and over ZZ in characteristic
-    0, where a coefficient that is not an integer raises TypeError (a
-    Fraction with denominator 1 counts as its numerator); check_map builds
+    0, where a coefficient that is not an integer raises TypeError (LinearForm
+    stores a Fraction with denominator 1 as its int); check_map builds
     the integer multiple of a rational form instead.  A map of more than
     MAX_MAP_CELLS cells raises ValueError before any basis is listed.
     """
@@ -169,7 +171,7 @@ def build_matrix(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> Multipl
         raise ValueError("form has the wrong number of coefficients")
     if i < 0 or t < 0 or i + t > spec.socle_degree:
         raise ValueError("degrees out of range for this algebra")
-    _refuse_oversized(spec, i, t)
+    _refuse_oversized_maps(spec, ((i, t),))
     char = spec.characteristic
     coeffs = _integer_coeffs(spec, form)
     ncols = len(graded_basis(spec, i))
@@ -180,7 +182,7 @@ def build_matrix(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> Multipl
         # high power of one variable costs no large factorial
         c, left = 1, t
         val = 1
-        for coeff, wk in zip(coeffs, w.exponents):
+        for coeff, wk in zip(coeffs, w):
             if wk:
                 c *= comb(left, wk)
                 left -= wk
@@ -316,7 +318,7 @@ def check_map(spec: AlgebraSpec, form: LinearForm, i: int, t: int, method: str =
     """
     if method not in ("auto", "dense"):
         raise ValueError(f"unknown method {method!r}")
-    _refuse_oversized(spec, i, t)
+    _refuse_oversized_maps(spec, ((i, t),))
     # (i, t) in middle_pairs(m), without listing the m/2 pairs
     if method == "auto" and i >= 0 and t >= 1 and 2 * i + t == spec.socle_degree:
         from .blockrec import recursive_middle_rank
@@ -358,8 +360,7 @@ def slp_check(
         method = "dense"
     m = spec.socle_degree
     pairs = middle_pairs(m) if mode == "middle" else full_pairs(m)
-    for i, t in pairs:
-        _refuse_oversized(spec, i, t)
+    _refuse_oversized_maps(spec, pairs)
     start = time.perf_counter()
     checks = tuple(check_map(spec, form, i, t, method) for i, t in pairs)
     total_ms = (time.perf_counter() - start) * 1000.0

@@ -2,6 +2,8 @@
 
 The d_i are the killed powers: x_i^{d_i} = 0, so exponent e_i ranges over
 0..d_i-1 in the standard monomial basis and the socle degree is sum(d_i - 1).
+A monomial is its exponent tuple (e_1, ..., e_n), and the Hilbert function
+is the tuple of graded dimensions (h_0, ..., h_m).
 Coefficients live in Q (characteristic 0) or F_p (characteristic p, entries
 kept as residues in [0, p)).
 """
@@ -15,7 +17,6 @@ from numbers import Integral, Rational
 from typing import Iterator, Mapping, Union
 
 from ._primes import is_prime
-from .monomials import Monomial
 
 Coeff = Union[int, Fraction]
 
@@ -41,7 +42,9 @@ class AlgebraSpec:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "exponents", tuple(exponents))
         object.__setattr__(self, "characteristic", char)
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int):
+            raise ValueError(f"the variable count must be an integer, not {type(self.n).__name__}")
+        if self.n < 1:
             raise ValueError("need at least one variable")
         if len(self.exponents) != self.n:
             raise ValueError("exponent tuple length must equal the variable count")
@@ -129,29 +132,37 @@ def _bounded_exponents(bounds: tuple[int, ...], t: int) -> Iterator[tuple[int, .
 
 
 @lru_cache(maxsize=None)
-def _listing(exponents: tuple[int, ...], t: int) -> tuple[Monomial, ...]:
-    return tuple(Monomial(e) for e in _bounded_exponents(exponents, t))
+def _listing(exponents: tuple[int, ...], t: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(_bounded_exponents(exponents, t))
 
 
 @lru_cache(maxsize=None)
-def graded_basis(spec: AlgebraSpec, t: int) -> tuple[Monomial, ...]:
-    """Standard monomials of degree t, in decreasing reverse-lexicographic order.
+def graded_basis(spec: AlgebraSpec, t: int) -> tuple[tuple[int, ...], ...]:
+    """Exponent tuples of the standard monomials of degree t.
 
-    Out-of-range degrees give the empty tuple.  The listing depends on the
-    killed powers alone, so every characteristic shares one copy.
+    They come in decreasing reverse-lexicographic order with x1 > x2 > ... >
+    xn, that is ascending in the reversed tuple.  Out-of-range degrees give
+    the empty tuple.  The listing depends on the killed powers alone, so
+    every characteristic shares one copy.
     """
     return _listing(spec.exponents, t)
 
 
 @lru_cache(maxsize=None)
-def basis_positions(spec: AlgebraSpec, t: int) -> Mapping[Monomial, int]:
-    """Monomial -> row/column index inside graded_basis(spec, t)."""
+def basis_positions(spec: AlgebraSpec, t: int) -> Mapping[tuple[int, ...], int]:
+    """Exponent tuple -> row/column index inside graded_basis(spec, t)."""
     return {m: k for k, m in enumerate(graded_basis(spec, t))}
+
+
+def _format_monomial(exponents: tuple[int, ...]) -> str:
+    """x1*x3^2 for (1, 0, 2), and 1 for the constant."""
+    parts = [f"x{k + 1}" if e == 1 else f"x{k + 1}^{e}" for k, e in enumerate(exponents) if e]
+    return "*".join(parts) or "1"
 
 
 @dataclass(frozen=True, eq=True)
 class AlgebraElement:
-    """Sparse element: reduced monomials mapped to non-zero coefficients."""
+    """Sparse element: exponent tuples of reduced monomials mapped to non-zero coefficients."""
 
     spec: AlgebraSpec
     terms: dict
@@ -159,12 +170,13 @@ class AlgebraElement:
     def __post_init__(self) -> None:
         cleaned = {}
         for m, c in self.terms.items():
-            if not isinstance(m, Monomial):
-                m = Monomial(tuple(m))
-            if m.nvars != self.spec.n:
+            m = _plain_ints(tuple(m))
+            if len(m) != self.spec.n:
                 raise ValueError("term has the wrong number of variables")
-            if any(e >= d for e, d in zip(m.exponents, self.spec.exponents)):
-                raise ValueError(f"term {m} does not survive reduction")
+            if any(not isinstance(e, int) or e < 0 for e in m):
+                raise ValueError(f"exponents must be non-negative integers: {m}")
+            if any(e >= d for e, d in zip(m, self.spec.exponents)):
+                raise ValueError(f"term {_format_monomial(m)} does not survive reduction")
             c = self.spec.normalize_coeff(c)
             if c:
                 cleaned[m] = c
@@ -172,7 +184,7 @@ class AlgebraElement:
 
     @classmethod
     def one(cls, spec: AlgebraSpec) -> "AlgebraElement":
-        return cls(spec, {Monomial.constant(spec.n): 1})
+        return cls(spec, {(0,) * spec.n: 1})
 
     @property
     def is_zero(self) -> bool:
@@ -196,11 +208,8 @@ class AlgebraElement:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        items = sorted(
-            self.terms.items(),
-            key=lambda mc: (mc[0].degree, tuple(reversed(mc[0].exponents))),
-        )
-        return " + ".join(f"{c}*{m}" if str(m) != "1" else f"{c}" for m, c in items)
+        items = sorted(self.terms.items(), key=lambda mc: (sum(mc[0]), mc[0][::-1]))
+        return " + ".join(f"{c}*{_format_monomial(m)}" if any(m) else f"{c}" for m, c in items)
 
 
 def multiply(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
@@ -210,60 +219,18 @@ def multiply(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     spec = f.spec
     bounds = spec.exponents
     out: dict = {}
-    for mf, cf in f.terms.items():
-        ef = mf.exponents
-        for mg, cg in g.terms.items():
-            eg = mg.exponents
-            prod_exp = tuple(a + b for a, b in zip(ef, eg))
-            if any(e >= d for e, d in zip(prod_exp, bounds)):
+    for ef, cf in f.terms.items():
+        for eg, cg in g.terms.items():
+            m = tuple(a + b for a, b in zip(ef, eg))
+            if any(e >= d for e, d in zip(m, bounds)):
                 continue
-            m = Monomial(prod_exp)
             out[m] = out.get(m, 0) + cf * cg
     return AlgebraElement(spec, out)
 
 
-@dataclass(frozen=True)
-class HilbertVector:
-    """Graded dimensions h_0..h_m; always symmetric and unimodal here."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.entries, tuple):
-            object.__setattr__(self, "entries", tuple(self.entries))
-        e = self.entries
-        if not e or e[0] != 1 or e[-1] != 1:
-            raise ValueError("h_0 and h_m must both equal 1")
-        if not self.is_symmetric() or not self.is_unimodal():
-            raise ValueError("expected a symmetric unimodal vector")
-
-    def is_symmetric(self) -> bool:
-        return self.entries == tuple(reversed(self.entries))
-
-    def is_unimodal(self) -> bool:
-        e = self.entries
-        peak = (len(e) - 1) // 2
-        rising = all(e[j] <= e[j + 1] for j in range(peak))
-        falling = all(e[j] >= e[j + 1] for j in range(peak, len(e) - 1))
-        return rising and falling
-
-    @property
-    def socle_degree(self) -> int:
-        return len(self.entries) - 1
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, j: int) -> int:
-        return self.entries[j]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
 @lru_cache(maxsize=None)
-def hilbert_vector(spec: AlgebraSpec) -> HilbertVector:
-    """Coefficients of prod_i (1 + t + ... + t^(d_i - 1))."""
+def hilbert_vector(spec: AlgebraSpec) -> tuple[int, ...]:
+    """Graded dimensions h_0..h_m: the coefficients of prod_i (1 + t + ... + t^(d_i - 1))."""
     poly = [1]
     for d in spec.exponents:
         out = [0] * (len(poly) + d - 1)
@@ -271,4 +238,4 @@ def hilbert_vector(spec: AlgebraSpec) -> HilbertVector:
             for k in range(d):
                 out[j + k] += c
         poly = out
-    return HilbertVector(tuple(poly))
+    return tuple(poly)

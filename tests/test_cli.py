@@ -307,6 +307,32 @@ def test_oversized_algebra_exits_two_before_listing_a_basis(capsys, monkeypatch)
     assert code == 2 and "limit" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["embed-verify", "--quadratic", "17"],
+        ["embed-verify", "--exponents", "18"],
+        ["bench", "--quadratic", "17"],
+    ],
+    ids=" ".join,
+)
+def test_oversized_embedding_and_bench_exit_two_before_any_work(capsys, monkeypatch, argv):
+    import slpkit.embedding
+    import slpkit.lefschetz
+
+    def no_work(*args):
+        pytest.fail(f"{' '.join(argv)} listed a basis or expanded a socle")
+
+    for module, name in (
+        (slpkit.lefschetz, "graded_basis"),
+        (slpkit.embedding, "graded_basis"),
+        (slpkit.embedding, "phi_monomial"),
+    ):
+        monkeypatch.setattr(module, name, no_work)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "limit" in err and out == ""
+
+
 def test_input_errors_exit_two(capsys):
     code, _, err = run(capsys, "rank", "--quadratic", "3", "--i", "0", "--t", "99")
     assert code == 2 and "error" in err

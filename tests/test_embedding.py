@@ -16,7 +16,6 @@ from slpkit.embedding import (
     verify_socle_image,
 )
 from slpkit.lefschetz import _position_codes
-from slpkit.monomials import Monomial
 from slpkit.quotient import AlgebraSpec, graded_basis, hilbert_vector, multiply
 
 
@@ -86,9 +85,9 @@ def test_specs_are_built_once_per_embedding(monkeypatch):
 def test_variable_images_are_block_sums():
     es = EmbeddingSpec.from_powers((2, 1))
     y1 = phi_monomial(es, (1, 0))
-    assert {str(m): c for m, c in y1.terms.items()} == {"x1": 1, "x2": 1}
+    assert y1.terms == {(1, 0, 0): 1, (0, 1, 0): 1} and str(y1) == "1*x1 + 1*x2"
     y2 = phi_monomial(es, (0, 1))
-    assert {str(m): c for m, c in y2.terms.items()} == {"x3": 1}
+    assert y2.terms == {(0, 0, 1): 1} and str(y2) == "1*x3"
 
 
 @pytest.mark.parametrize("powers", [(2, 2), (3, 1), (1, 1, 1), (2, 1), (4,)])
@@ -129,7 +128,7 @@ def test_socle_image_goldens():
     rec = verify_socle_image(EmbeddingSpec.from_powers((2, 2)))
     assert rec.scalar == 4 and rec.nonzero and rec.ok
     image = phi_monomial(EmbeddingSpec.from_powers((2, 2)), (2, 2))
-    assert image.terms == {Monomial((1, 1, 1, 1)): 4}
+    assert image.terms == {(1, 1, 1, 1): 4}
     assert verify_socle_image(EmbeddingSpec.from_powers((1, 1, 1))).scalar == 1
     assert verify_socle_image(EmbeddingSpec.from_powers((3, 2))).scalar == 12
     assert verify_socle_image(EmbeddingSpec.from_powers((4,))).scalar == 24
@@ -167,7 +166,7 @@ def test_phi_matrix_matches_brute_force_expansion():
 
 def _phi_expansion(es, degree):
     """Rows of the degree piece, read off phi_monomial of each source monomial."""
-    images = [phi_monomial(es, u.exponents) for u in graded_basis(es.source_spec, degree)]
+    images = [phi_monomial(es, u) for u in graded_basis(es.source_spec, degree)]
     return [[image.terms.get(v, 0) for image in images] for v in graded_basis(es.target_spec, degree)]
 
 
@@ -244,3 +243,24 @@ def test_all_small_compositions_verify():
 
 def test_composition_count():
     assert sum(1 for m in range(1, 9) for _ in compositions(m)) == 255
+
+
+def test_oversized_pieces_and_maps_are_refused_before_any_listing(monkeypatch):
+    import slpkit.embedding
+    import slpkit.lefschetz
+
+    def no_work(*args):
+        pytest.fail("an oversized embedding reached graded_basis or slp_check")
+
+    for module, name in (
+        (slpkit.lefschetz, "graded_basis"),
+        (slpkit.embedding, "graded_basis"),
+        (slpkit.embedding, "slp_check"),
+    ):
+        monkeypatch.setattr(module, name, no_work)
+    # C(17, 8)^2 cells in the middle degree of the square-free source
+    with pytest.raises(ValueError, match=r"degree-8 piece of the embedding is 24310x24310"):
+        phi_matrix(EmbeddingSpec.from_powers((1,) * 17), 8)
+    # one source variable: every piece is a column, but the target (7, 3) map is not
+    with pytest.raises(ValueError, match=r"\(i=7, t=3\) map is 19448x19448"):
+        transfer_slp(EmbeddingSpec.from_powers((17,)))

@@ -70,12 +70,12 @@ def test_entries_match_naive_power_products(bounds, char, seed):
             src = graded_basis(spec, i)
             pos = basis_positions(spec, i + t)
             for col, u in enumerate(src):
-                want = oracles.naive_power_times(bounds, coeffs, t, u.exponents, char)
+                want = oracles.naive_power_times(bounds, coeffs, t, u, char)
                 got_col = {}
                 for v, r in pos.items():
                     e = mm.matrix.entry(r, col)
                     if e:
-                        got_col[v.exponents] = e
+                        got_col[v] = e
                 assert got_col == want
 
 
@@ -126,8 +126,8 @@ def test_boxes_beyond_int64_codes_build_exactly():
     pos = basis_positions(spec, 2)
     assert (mm.matrix.rows, mm.matrix.cols) == (comb(n, 2), n)
     for col, u in enumerate(graded_basis(spec, 1)):
-        want = oracles.naive_power_times((2,) * n, coeffs, 1, u.exponents)
-        got = {v.exponents: mm.matrix.entry(r, col) for v, r in pos.items() if mm.matrix.entry(r, col)}
+        want = oracles.naive_power_times((2,) * n, coeffs, 1, u)
+        got = {v: mm.matrix.entry(r, col) for v, r in pos.items() if mm.matrix.entry(r, col)}
         assert got == want
 
 
@@ -495,6 +495,15 @@ def test_numpy_integer_coefficients_act_as_ints():
     assert [replace(c, ms=0) for c in got.maps] == [replace(c, ms=0) for c in want.maps]
     primes = (2, 3, 83)
     assert char_search(spec, LinearForm((np.int64(3), 1)), primes) == char_search(spec, LinearForm((3, 1)), primes)
+
+
+def test_integral_fraction_coefficients_are_stored_as_ints():
+    form = LinearForm((Fraction(2, 1), 1, 1))
+    assert form.coefficients == (2, 1, 1) and type(form.coefficients[0]) is int
+    assert LinearForm((Fraction(-6, 3), Fraction(1, 2))).coefficients == (-2, Fraction(1, 2))
+    spec = AlgebraSpec.quadratic(3)
+    primes = (2, 3, 5, 7)
+    assert char_search(spec, form, primes) == char_search(spec, LinearForm((2, 1, 1)), primes)
 
 
 def test_mode_method_validation(capsys):

@@ -1,5 +1,7 @@
 """The package namespace: every exported name resolves and is listed once."""
 import ast
+import importlib.util
+import re
 from pathlib import Path
 
 import slpkit
@@ -8,6 +10,7 @@ import slpkit.embedding
 import slpkit.exactmat
 
 SRC = Path(slpkit.__file__).resolve().parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # bindings no module uses, kept because perfbench/tests/test_tracing.py
 # checks that the tracer patches them
@@ -40,8 +43,11 @@ def test_every_export_resolves_once():
         "QQ",
         "ZZ",
         "_row_integerized",
+        "Monomial",
+        "HilbertVector",
     ):
         assert gone not in names and not hasattr(slpkit, gone)
+    assert importlib.util.find_spec("slpkit.monomials") is None
     for owner, gone in (
         (slpkit.ExactMatrix, "transpose"),
         (slpkit.ExactMatrix, "identity"),
@@ -86,3 +92,9 @@ def test_no_module_imports_a_name_it_never_uses():
         for name in _unused_imports(ast.parse(path.read_text()))
     }
     assert unused == PINNED_IMPORTS
+
+
+def test_readme_module_table_lists_every_public_module():
+    table = set(re.findall(r"^\| `slpkit\.(\w+)` \|", README.read_text(), re.MULTILINE))
+    modules = {p.stem for p in SRC.glob("*.py") if not p.name.startswith("_")}
+    assert table == modules
