@@ -32,15 +32,13 @@ from .exactmat import INT64_BOUND, ExactMatrix, certified_rank, mat_mul
 from .lefschetz import (
     LefschetzReport,
     LinearForm,
-    _position_codes,
-    _radix,
     _refuse_oversized,
     _refuse_oversized_maps,
     build_matrix,
     middle_pairs,
     slp_check,
 )
-from .quotient import AlgebraSpec, AlgebraElement, _plain_ints, graded_basis, hilbert_vector, multiply
+from .quotient import AlgebraSpec, AlgebraElement, _digits, _plain_ints, _position_codes, _radix, hilbert_vector, multiply
 
 
 @dataclass(frozen=True)
@@ -117,24 +115,24 @@ def phi_matrix(es: EmbeddingSpec, degree: int) -> ExactMatrix:
     """Matrix of the degree-j piece: source basis columns, target basis rows.
 
     Row v holds prod(c_k!) in the column of y^c, where c_k counts v's
-    variables in block k, and nothing else (module docstring).  A piece of
-    more than MAX_MAP_CELLS cells raises ValueError before any basis is
-    listed.
+    variables in block k, read off the digits of the target's code table,
+    and nothing else (module docstring).  A piece of more than MAX_MAP_CELLS
+    cells raises ValueError before any code table is built.
     """
     _refuse_oversized_piece(es, degree)
     source = es.source_spec.exponents
     columns = _position_codes(source, degree)
-    target = graded_basis(es.target_spec, degree)
-    exps = np.array(target, dtype=np.int64).reshape(-1, es.m)
-    counts = np.add.reduceat(exps, es.offsets[:-1], axis=1)
+    target = es.target_spec.exponents
+    digits = _digits(target, _position_codes(target, degree))
+    counts = np.add.reduceat(digits, es.offsets[:-1], axis=1)
     radix = _radix(source)
     cols = np.searchsorted(columns, counts.astype(radix.dtype) @ radix)
     # every entry prod(c_k!) is at most (sum c_k)! <= m!, so the matrix is
     # int64 whenever m! < INT64_BOUND, that is for m <= 20
     dtype = np.int64 if factorial(es.m) < INT64_BOUND else object
     fact = np.array([factorial(k) for k in range(max(es.powers) + 1)], dtype=dtype)
-    out = np.zeros((len(target), len(columns)), dtype=dtype)
-    out[np.arange(len(target)), cols] = fact[counts].prod(axis=1)
+    out = np.zeros((len(digits), len(columns)), dtype=dtype)
+    out[np.arange(len(digits)), cols] = fact[counts].prod(axis=1)
     return ExactMatrix.from_rows(out, es.characteristic or None)
 
 

@@ -76,8 +76,8 @@ def _normalise(rows, modulus: int | None) -> np.ndarray:
     if isinstance(rows, np.ndarray):
         if rows.ndim != 2:
             raise ValueError("matrix arrays must be 2-D")
-        if rows.dtype.kind not in "iuO":
-            raise TypeError(f"matrix arrays need an integer or object dtype, not {rows.dtype}")
+        if rows.dtype.kind not in "biuO":  # bools are integers, as in a list of rows
+            raise TypeError(f"matrix arrays need an integer, bool or object dtype, not {rows.dtype}")
         if rows.dtype.kind != "O" and rows.dtype != np.uint64 and (modulus or 0) < INT64_BOUND:
             a = rows.astype(np.int64)  # a copy: the matrix never shares the caller's buffer
             if modulus:

@@ -7,9 +7,9 @@ expanded.  The value depends on the increment w alone, so each distinct w
 is evaluated once in exact arithmetic and placed in every column at once:
 with mixed-radix codes code(e) = sum e_k * prod_{j<k} d_j, a column u takes
 w exactly when code(u) + code(w) is the code of a degree-(i+t) monomial,
-found by binary search in that degree's ascending code table.  The strong
-Lefschetz property for the given form holds when every such matrix has
-maximal rank.
+found by binary search in that degree's ascending code table, which
+quotient builds directly and graded_basis decodes.  The strong Lefschetz
+property for the given form holds when every such matrix has maximal rank.
 
 The Hilbert function h of these algebras is symmetric (h_i = h_{m-i}), so
 the middle maps l^(m-2i): A_i -> A_(m-i) are square, and in any
@@ -42,8 +42,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, lcm, prod
+from math import comb, lcm
 from numbers import Rational
 from typing import Iterable
 
@@ -57,7 +56,7 @@ from .exactmat import (
     peak_bits,
     rank_mod_p,  # unused; perfbench/tests/test_tracing.py expects this binding
 )
-from .quotient import AlgebraSpec, _plain_ints, basis_positions, graded_basis
+from .quotient import AlgebraSpec, _plain_ints, _position_codes, basis_positions, graded_basis
 
 
 @dataclass(frozen=True)
@@ -130,26 +129,6 @@ def _refuse_oversized_maps(spec: AlgebraSpec, pairs: Iterable[tuple[int, int]]) 
         _refuse_oversized(spec.dim(i + t), spec.dim(i), f"the (i={i}, t={t}) map")
 
 
-def _radix(exponents: tuple[int, ...]) -> np.ndarray:
-    """Place values prod_{j<k} d_j of the codes; int64 unless prod(d) > 2^62."""
-    dtype = np.int64 if prod(exponents) <= INT64_BOUND else object
-    return np.array([prod(exponents[:k]) for k in range(len(exponents))], dtype=dtype)
-
-
-@lru_cache(maxsize=None)
-def _position_codes(exponents: tuple[int, ...], degree: int) -> np.ndarray:
-    """Mixed-radix codes of the exponent tuples of graded_basis(degree) for these killed powers.
-
-    The listing is ascending in the reversed exponent tuple, and the last
-    exponent is the most significant digit, so the codes ascend too and a
-    code's index in this table is its exponent tuple's position.  The table does
-    not depend on the characteristic.
-    """
-    basis = graded_basis(AlgebraSpec(len(exponents), exponents), degree)
-    radix = _radix(exponents)
-    return np.array(basis, dtype=radix.dtype).reshape(-1, len(exponents)) @ radix
-
-
 def _integer_coeffs(spec: AlgebraSpec, form: LinearForm) -> list[int]:
     """form's coefficients in spec's domain as ints; TypeError for a fraction over Q."""
     coeffs = [spec.normalize_coeff(c) for c in form.coefficients]
@@ -164,8 +143,10 @@ def build_matrix(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> Multipl
     The matrix is over F_p in characteristic p and over ZZ in characteristic
     0, where a coefficient that is not an integer raises TypeError (LinearForm
     stores a Fraction with denominator 1 as its int); check_map builds
-    the integer multiple of a rational form instead.  A map of more than
-    MAX_MAP_CELLS cells raises ValueError before any basis is listed.
+    the integer multiple of a rational form instead.  Each pattern of
+    graded_basis(spec, t) is placed through the degree-i and degree-(i+t)
+    code tables.  A map of more than MAX_MAP_CELLS cells raises ValueError
+    before any basis is listed or code table built.
     """
     if form.nvars != spec.n:
         raise ValueError("form has the wrong number of coefficients")
@@ -174,7 +155,7 @@ def build_matrix(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> Multipl
     _refuse_oversized_maps(spec, ((i, t),))
     char = spec.characteristic
     coeffs = _integer_coeffs(spec, form)
-    ncols = len(graded_basis(spec, i))
+    ncols = spec.dim(i)
     nrows = len(basis_positions(spec, i + t))
     picked, values = [], []
     for j, w in enumerate(graded_basis(spec, t)):

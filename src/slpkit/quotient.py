@@ -4,6 +4,8 @@ The d_i are the killed powers: x_i^{d_i} = 0, so exponent e_i ranges over
 0..d_i-1 in the standard monomial basis and the socle degree is sum(d_i - 1).
 A monomial is its exponent tuple (e_1, ..., e_n), and the Hilbert function
 is the tuple of graded dimensions (h_0, ..., h_m).
+A graded piece is held as its ascending table of mixed-radix codes, built
+by splitting over the last variable; graded_basis decodes it into tuples.
 Coefficients live in Q (characteristic 0) or F_p (characteristic p, entries
 kept as residues in [0, p)).
 """
@@ -13,10 +15,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from math import prod
 from numbers import Integral, Rational
-from typing import Iterator, Mapping, Union
+from operator import mul
+from typing import Mapping, Union
+
+import numpy as np
 
 from ._primes import is_prime
+from .exactmat import INT64_BOUND
 
 Coeff = Union[int, Fraction]
 
@@ -37,6 +44,8 @@ class AlgebraSpec:
     characteristic: int = 0
 
     def __post_init__(self) -> None:
+        if not hasattr(self.exponents, "__iter__"):
+            raise ValueError(f"the killed powers must be a sequence of integers, not {self.exponents!r}")
         # plain ints, so that specs hash, compare and serialize as the ints they mean
         n, char, *exponents = _plain_ints((self.n, self.characteristic, *self.exponents))
         object.__setattr__(self, "n", n)
@@ -101,39 +110,49 @@ class AlgebraSpec:
         }
 
 
-def _bounded_exponents(bounds: tuple[int, ...], t: int) -> Iterator[tuple[int, ...]]:
-    # decreasing revlex order: the reversed exponent tuples ascend, the last
-    # exponent being the most significant digit.  room[k] = sum(d - 1) over
-    # the first k variables, the most they can hold, so exponent e_k is at
-    # least what the first k variables cannot take.  An odometer, not a
-    # recursion, so that the depth does not grow with the variable count.
-    n = len(bounds)
-    room = list(accumulate((d - 1 for d in bounds), initial=0))
-    if not 0 <= t <= room[-1]:
-        return
-    e = [0] * n
-    k, left = n, t  # fill e_0..e_{k-1}, of total left, with the least tail
-    while True:
-        for j in range(k - 1, 0, -1):
-            e[j] = max(0, left - room[j])
-            left -= e[j]
-        e[0] = left
-        yield tuple(e)
-        # the lowest digit k >= 1 below its bound with a unit to take from
-        # the digits below it
-        below, k = e[0], 1
-        while k < n and (not below or e[k] == bounds[k] - 1):
-            below += e[k]
-            k += 1
-        if k == n:
-            return
-        e[k] += 1
-        left = below - 1
+@lru_cache(maxsize=None)
+def _radix(exponents: tuple[int, ...]) -> np.ndarray:
+    """Place values prod_{j<k} d_j of the codes; int64 unless prod(d) > INT64_BOUND."""
+    dtype = np.int64 if prod(exponents) <= INT64_BOUND else object
+    return np.array(list(accumulate(exponents[:-1], mul, initial=1)), dtype=dtype)
+
+
+@lru_cache(maxsize=None)
+def _position_codes(exponents: tuple[int, ...], degree: int) -> np.ndarray:
+    """Ascending code table of the degree-`degree` piece for these killed powers.
+
+    The degree-s codes of the first k variables are, over e ascending, the
+    degree-(s - e) codes of the first k - 1 plus e times the k-th place value,
+    which exceeds all of them; only degrees that can still reach `degree` are
+    kept.  A code's index is its position in graded_basis, in any characteristic.
+    """
+    dtype = _radix(exponents).dtype
+    # rest[k]: the most degree the variables from the k-th on can hold
+    rest = list(accumulate((d - 1 for d in reversed(exponents)), initial=0))[::-1]
+    if not 0 <= degree <= rest[0]:
+        return np.array([], dtype=dtype)
+    if degree in (0, rest[0]):  # one monomial: every exponent 0, or every one at its top
+        return np.array([0 if degree == 0 else prod(exponents) - 1], dtype=dtype)
+    tables, lo, hi, place = [[0]], 0, 0, 1  # tables[s - lo]: the degree-s codes so far
+    for d, r in zip(exponents, rest[1:]):
+        new_lo, new_hi = max(0, degree - r), min(degree, hi + d - 1)
+        tables = [
+            [c + e * place for e in range(max(0, s - hi), min(d - 1, s - lo) + 1) for c in tables[s - e - lo]]
+            for s in range(new_lo, new_hi + 1)
+        ]
+        lo, hi, place = new_lo, new_hi, place * d
+    return np.array(tables[0], dtype=dtype)
+
+
+def _digits(exponents: tuple[int, ...], codes: np.ndarray) -> np.ndarray:
+    """The exponent tuples of these codes as int64 rows: digit k is code // place_k % d_k."""
+    radix = _radix(exponents)
+    return (codes[:, None] // radix % np.array(exponents, dtype=radix.dtype)).astype(np.int64)
 
 
 @lru_cache(maxsize=None)
 def _listing(exponents: tuple[int, ...], t: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(_bounded_exponents(exponents, t))
+    return tuple(zip(*_digits(exponents, _position_codes(exponents, t)).T.tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -141,9 +160,10 @@ def graded_basis(spec: AlgebraSpec, t: int) -> tuple[tuple[int, ...], ...]:
     """Exponent tuples of the standard monomials of degree t.
 
     They come in decreasing reverse-lexicographic order with x1 > x2 > ... >
-    xn, that is ascending in the reversed tuple.  Out-of-range degrees give
-    the empty tuple.  The listing depends on the killed powers alone, so
-    every characteristic shares one copy.
+    xn, that is ascending in the reversed tuple: the order of the code
+    table, which they are decoded from.  Out-of-range degrees give the empty
+    tuple.  The listing depends on the killed powers alone, so every
+    characteristic shares one copy.
     """
     return _listing(spec.exponents, t)
 

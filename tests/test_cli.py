@@ -297,12 +297,16 @@ def test_bench_has_no_seed_flag(capsys):
 
 
 def test_oversized_algebra_exits_two_before_listing_a_basis(capsys, monkeypatch):
+    import slpkit.embedding
     import slpkit.lefschetz
+    import slpkit.quotient
 
     def no_basis_listing(*args):
-        pytest.fail("slp --quadratic 30 reached graded_basis")
+        pytest.fail("slp --quadratic 30 reached graded_basis or a code table")
 
     monkeypatch.setattr(slpkit.lefschetz, "graded_basis", no_basis_listing)
+    for module in (slpkit.quotient, slpkit.lefschetz, slpkit.embedding):
+        monkeypatch.setattr(module, "_position_codes", no_basis_listing)
     code, out, err = run(capsys, "slp", "--quadratic", "30")
     assert code == 2 and "limit" in err and out == ""
 
@@ -319,13 +323,16 @@ def test_oversized_algebra_exits_two_before_listing_a_basis(capsys, monkeypatch)
 def test_oversized_embedding_and_bench_exit_two_before_any_work(capsys, monkeypatch, argv):
     import slpkit.embedding
     import slpkit.lefschetz
+    import slpkit.quotient
 
     def no_work(*args):
         pytest.fail(f"{' '.join(argv)} listed a basis or expanded a socle")
 
     for module, name in (
         (slpkit.lefschetz, "graded_basis"),
-        (slpkit.embedding, "graded_basis"),
+        (slpkit.quotient, "_position_codes"),
+        (slpkit.lefschetz, "_position_codes"),
+        (slpkit.embedding, "_position_codes"),
         (slpkit.embedding, "phi_monomial"),
     ):
         monkeypatch.setattr(module, name, no_work)

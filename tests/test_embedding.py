@@ -15,8 +15,7 @@ from slpkit.embedding import (
     verify_kernel_dims,
     verify_socle_image,
 )
-from slpkit.lefschetz import _position_codes
-from slpkit.quotient import AlgebraSpec, graded_basis, hilbert_vector, multiply
+from slpkit.quotient import AlgebraSpec, _position_codes, graded_basis, hilbert_vector, multiply
 
 
 def compositions(total):
@@ -248,13 +247,16 @@ def test_composition_count():
 def test_oversized_pieces_and_maps_are_refused_before_any_listing(monkeypatch):
     import slpkit.embedding
     import slpkit.lefschetz
+    import slpkit.quotient
 
     def no_work(*args):
-        pytest.fail("an oversized embedding reached graded_basis or slp_check")
+        pytest.fail("an oversized embedding reached graded_basis, a code table or slp_check")
 
     for module, name in (
         (slpkit.lefschetz, "graded_basis"),
-        (slpkit.embedding, "graded_basis"),
+        (slpkit.quotient, "_position_codes"),
+        (slpkit.lefschetz, "_position_codes"),
+        (slpkit.embedding, "_position_codes"),
         (slpkit.embedding, "slp_check"),
     ):
         monkeypatch.setattr(module, name, no_work)

@@ -469,6 +469,10 @@ def test_numpy_integer_and_fraction_entries_are_exact():
     m = ExactMatrix.from_rows([[np.int64(3), True], [np.uint8(4), -1]])
     assert m.entries == (3, 1, 4, -1) and all(type(e) is int for e in m.entries)
     assert ExactMatrix.from_rows([[np.int64(9)]], 7).entries == (2,)
+    # a bool array stores the ints a list of bools does
+    flags = ExactMatrix.from_rows(np.array([[True, False]]))
+    assert flags == ExactMatrix.from_rows([[True, False]]) and flags.to_rows() == [[1, 0]]
+    assert flags.array.dtype == np.int64 and ExactMatrix.from_rows(np.array([[True]]), 5).entries == (1,)
     # a Fraction is refused even when it is an integer: there is no rational domain
     with pytest.raises(TypeError):
         ExactMatrix.from_rows(np.array([[np.int64(2), Fraction(2, 1)]], dtype=object))

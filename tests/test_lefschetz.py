@@ -231,13 +231,17 @@ def test_build_validation():
 
 
 def _no_basis_listing(*args):
-    pytest.fail("an oversized map reached graded_basis")
+    pytest.fail("an oversized map reached graded_basis or a code table")
 
 
 def test_oversized_maps_are_refused_before_any_listing(monkeypatch):
+    import slpkit.embedding
     import slpkit.lefschetz
+    import slpkit.quotient
 
     monkeypatch.setattr(slpkit.lefschetz, "graded_basis", _no_basis_listing)
+    for module in (slpkit.quotient, slpkit.lefschetz, slpkit.embedding):
+        monkeypatch.setattr(module, "_position_codes", _no_basis_listing)
     spec = AlgebraSpec.quadratic(30)
     with pytest.raises(ValueError, match="limit"):
         build_matrix(spec, LinearForm.ones(30), 14, 2)

@@ -2,7 +2,7 @@
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product as iproduct
-from math import prod
+from math import comb, prod
 import json
 import random
 
@@ -16,6 +16,7 @@ from slpkit.lefschetz import LinearForm, slp_check
 from slpkit.quotient import (
     AlgebraElement,
     AlgebraSpec,
+    _position_codes,
     graded_basis,
     basis_positions,
     hilbert_vector,
@@ -49,11 +50,25 @@ def test_pruned_listing_matches_brute_force_on_random_boxes(bounds):
     # included; the product bound keeps the brute-force enumeration quick
     bounds = tuple(bounds)
     spec = AlgebraSpec(len(bounds), bounds)
+    places = [prod(bounds[:k]) for k in range(len(bounds))]
     for t in range(-1, spec.socle_degree + 2):
         listing = graded_basis(spec, t)
+        brute = oracles.brute_standard_monomials(bounds, t)
         assert all(type(m) is tuple for m in listing)
-        assert list(listing) == oracles.brute_standard_monomials(bounds, t)
+        assert list(listing) == brute
         assert basis_positions(spec, t) == {m: k for k, m in enumerate(listing)}
+        codes = _position_codes(bounds, t)
+        assert codes.tolist() == [sum(e * p for e, p in zip(m, places)) for m in brute]
+        assert np.all(codes[1:] > codes[:-1])
+
+
+def test_code_tables_above_int64_hold_python_ints():
+    # prod(d) = 2^64: the codes 2^j + 2^k do not all fit the int64 table
+    bounds = (2,) * 64
+    codes = _position_codes(bounds, 2)
+    assert codes.dtype == object and len(codes) == comb(64, 2)
+    assert all(type(c) is int for c in codes) and codes[-1] == 2**62 + 2**63
+    assert list(graded_basis(AlgebraSpec.quadratic(64), 2)) == _recursive_listing(bounds, 2)
 
 
 def test_top_degrees_of_a_large_box_are_listed_without_a_full_walk():
@@ -96,6 +111,7 @@ def test_many_variables_need_no_deep_recursion():
     n = 1001
     spec = AlgebraSpec(n, (1,) * 1000 + (3,))
     assert graded_basis(spec, 2) == ((0,) * 1000 + (2,),)
+    assert graded_basis(spec, 1) == ((0,) * 1000 + (1,),)  # a degree below the top walks every variable
     report = slp_check(spec, LinearForm.ones(n))
     assert report.slp
     assert [(c.i, c.t, c.rank) for c in report.maps] == [(0, 2, 1)]
@@ -314,6 +330,8 @@ def test_spec_validation():
         AlgebraSpec(1, (2,), 4)
     with pytest.raises(ValueError):
         AlgebraSpec(1, (2,)).restricted()
+    with pytest.raises(ValueError, match="killed powers must be a sequence of integers, not 3"):
+        AlgebraSpec(2, 3)
     spec = AlgebraSpec(3, (3, 2, 4), 7)
     assert spec.restricted() == AlgebraSpec(2, (3, 2), 7)
     assert spec.socle_degree == 6
