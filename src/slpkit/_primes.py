@@ -3,15 +3,21 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-# Deterministic Miller-Rabin witness set, exact for n < 3.3e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes as Miller-Rabin bases: no composite below _PSI_13 is a
+# strong pseudoprime to all of them (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017), and _PSI_13
+# itself is one.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 
 @lru_cache(maxsize=64)  # every modular rank and F_p matrix validates its prime
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin test (exact far beyond the 64-bit range)."""
+    """Deterministic Miller-Rabin test, exact for n < _PSI_13 (about 3.3e24); ValueError above."""
     if n < 2:
         return False
+    if n >= _PSI_13:
+        raise ValueError(f"cannot decide whether {n} is prime: the test is exact only below {_PSI_13}")
     for p in _MR_BASES:
         if n % p == 0:
             return n == p

@@ -32,7 +32,7 @@ from .exactmat import (
     rank_mod_p,  # unused; perfbench/tests/test_tracing.py expects this binding
     scale,
 )
-from .lefschetz import LinearForm, MapCheck, _integer_coeffs, build_matrix, check_map
+from .lefschetz import LinearForm, MapCheck, build_matrix, check_map
 from .quotient import AlgebraSpec
 
 
@@ -65,8 +65,7 @@ def decompose(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> BlockDecom
     """Split the (i, t) multiplication matrix over the last variable.
 
     Defined for quadratic specs with 1 <= i <= n-1 and 1 <= t <= n-i; the
-    assembled blocks equal the directly built matrix entry for entry.  As
-    in build_matrix, a coefficient that is not an integer raises TypeError.
+    assembled blocks equal the directly built matrix entry for entry.
     """
     if not spec.is_quadratic:
         raise ValueError("block decomposition is defined for quadratic specs only")
@@ -77,7 +76,7 @@ def decompose(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> BlockDecom
         raise ValueError("source degree must satisfy 1 <= i <= n-1")
     if not 1 <= t <= n - i:
         raise ValueError("power must satisfy 1 <= t <= n-i")
-    scalar = spec.normalize_coeff(_integer_coeffs(spec, form)[-1] * t)
+    scalar = spec.normalize_coeff(form.coefficients[-1] * t)
     rspec = spec.restricted()
     rform = form.restricted()
     raw_bl = build_matrix(rspec, rform, i, t - 1).matrix

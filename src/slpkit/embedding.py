@@ -38,7 +38,7 @@ from .lefschetz import (
     middle_pairs,
     slp_check,
 )
-from .quotient import AlgebraSpec, AlgebraElement, _digits, _plain_ints, _position_codes, _radix, hilbert_vector, multiply
+from .quotient import AlgebraSpec, AlgebraElement, _digits, _plain_ints, _position_codes, _radix, _sequence, hilbert_vector, multiply
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,8 @@ class EmbeddingSpec:
     target_spec: AlgebraSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        char, *powers = _plain_ints((self.characteristic, *self.powers))
+        powers = _sequence(self.powers, "the socle exponents")
+        char, *powers = _plain_ints((self.characteristic, *powers))
         object.__setattr__(self, "powers", tuple(powers))
         object.__setattr__(self, "characteristic", char)
         if not self.powers:
@@ -65,7 +66,7 @@ class EmbeddingSpec:
 
     @classmethod
     def from_powers(cls, powers, characteristic: int = 0) -> "EmbeddingSpec":
-        return cls(tuple(powers), characteristic)
+        return cls(powers, characteristic)
 
     @classmethod
     def from_spec(cls, spec: AlgebraSpec) -> "EmbeddingSpec":

@@ -4,10 +4,7 @@ A matrix is a read-only 2-D numpy array, over F_p when it carries a prime
 modulus and over ZZ when its modulus is None.  Entries are int64 when every
 one is below 2^62 in absolute value (so the sum or difference of two entries
 still fits) and object arrays of Python ints otherwise.  The row-major tuple
-`entries` is built only when an exact path asks for Python ints.  There is
-no rational domain: over Q a linear form and its integer multiple have the
-same ranks, so lefschetz.check_map clears a rational form's denominators
-before it builds a matrix.
+`entries` is built only when an exact path asks for Python ints.
 
 Rank over the integers uses fraction-free (one-step division) elimination, in
 which every intermediate entry is a minor of the input, so the arithmetic

@@ -26,9 +26,7 @@ over F_p that is one elimination mod p; over Q it probes mod the one fixed
 prime exactmat.PROBE_PRIME (full modular rank certifies full rational rank)
 and falls back to exact fraction-free elimination only when the certificate
 fails, so the expensive path runs exactly when something genuinely
-degenerates.  Over Q, scaling l by a nonzero constant c scales l^t by c^t
-and leaves every rank alone, so the dense route builds the map of the
-integer multiple of a rational form, and every matrix is over ZZ or F_p.
+degenerates.  Coefficients are integers, so every matrix is over ZZ or F_p.
 Its proof route, blockrec.recursive_middle_rank, is the paper's proof, the
 induction on variables carried to every spec by the block-sum embedding: it
 checks the proof's hypotheses and builds no matrix beyond the 1x1 socle map
@@ -41,9 +39,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from math import comb, lcm
-from numbers import Rational
+from math import comb
 from typing import Iterable
 
 import numpy as np
@@ -56,26 +52,25 @@ from .exactmat import (
     peak_bits,
     rank_mod_p,  # unused; perfbench/tests/test_tracing.py expects this binding
 )
-from .quotient import AlgebraSpec, _plain_ints, _position_codes, basis_positions, graded_basis
+from .quotient import AlgebraSpec, _int_coeff, _position_codes, _sequence, basis_positions, graded_basis
 
 
 @dataclass(frozen=True)
 class LinearForm:
-    """Coefficients of a degree-one element, one per variable."""
+    """Integer coefficients of a degree-one element, one per variable.
+
+    Over Q a form and its nonzero multiples have the same ranks, so a
+    rational form is given as its multiple by the lcm of its denominators.
+    """
 
     coefficients: tuple
 
     def __post_init__(self) -> None:
-        coeffs = self.coefficients
-        if not isinstance(coeffs, tuple):
-            coeffs = tuple(coeffs)
-        # int first: an isinstance check against the Rational ABC is slow
+        coeffs = _sequence(self.coefficients, "the form coefficients")
+        # int first: an isinstance check against the Integral ABC is slow; numpy
+        # integers are stored as ints, as their powers in build_matrix would wrap
         if not all(type(c) is int for c in coeffs):
-            if not all(isinstance(c, Rational) for c in coeffs):
-                raise TypeError(f"form coefficients must be exact rationals (int or Fraction): {coeffs}")
-            # numpy integers are Rational too, but their powers in build_matrix
-            # would wrap; a Fraction with denominator 1 is kept as its int
-            coeffs = tuple(c if type(c) is int or c.denominator != 1 else int(c) for c in _plain_ints(coeffs))
+            coeffs = tuple(map(_int_coeff, coeffs))
         if coeffs is not self.coefficients:
             object.__setattr__(self, "coefficients", coeffs)
 
@@ -93,7 +88,7 @@ class LinearForm:
         return LinearForm(self.coefficients[:-1])
 
     def to_json(self) -> list:
-        return [str(c) if isinstance(c, Fraction) else c for c in self.coefficients]
+        return list(self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -129,24 +124,13 @@ def _refuse_oversized_maps(spec: AlgebraSpec, pairs: Iterable[tuple[int, int]]) 
         _refuse_oversized(spec.dim(i + t), spec.dim(i), f"the (i={i}, t={t}) map")
 
 
-def _integer_coeffs(spec: AlgebraSpec, form: LinearForm) -> list[int]:
-    """form's coefficients in spec's domain as ints; TypeError for a fraction over Q."""
-    coeffs = [spec.normalize_coeff(c) for c in form.coefficients]
-    if not all(type(c) is int for c in coeffs):
-        raise TypeError(f"matrices are built over ZZ; clear the denominators of {form.coefficients}")
-    return coeffs
-
-
 def build_matrix(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> MultiplicationMatrix:
     """Multiplication matrix of form^t from degree i, one value per increment pattern.
 
     The matrix is over F_p in characteristic p and over ZZ in characteristic
-    0, where a coefficient that is not an integer raises TypeError (LinearForm
-    stores a Fraction with denominator 1 as its int); check_map builds
-    the integer multiple of a rational form instead.  Each pattern of
-    graded_basis(spec, t) is placed through the degree-i and degree-(i+t)
-    code tables.  A map of more than MAX_MAP_CELLS cells raises ValueError
-    before any basis is listed or code table built.
+    0.  Each pattern of graded_basis(spec, t) is placed through the degree-i
+    and degree-(i+t) code tables.  A map of more than MAX_MAP_CELLS cells
+    raises ValueError before any basis is listed or code table built.
     """
     if form.nvars != spec.n:
         raise ValueError("form has the wrong number of coefficients")
@@ -154,7 +138,7 @@ def build_matrix(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> Multipl
         raise ValueError("degrees out of range for this algebra")
     _refuse_oversized_maps(spec, ((i, t),))
     char = spec.characteristic
-    coeffs = _integer_coeffs(spec, form)
+    coeffs = [spec.normalize_coeff(c) for c in form.coefficients]
     ncols = spec.dim(i)
     nrows = len(basis_positions(spec, i + t))
     picked, values = [], []
@@ -274,15 +258,6 @@ def full_pairs(socle_degree: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, t) for i in range(m) for t in range(1, m - i + 1))
 
 
-def _integral_multiple(form: LinearForm) -> LinearForm:
-    """form itself when its coefficients are ints, else its multiple by the lcm of their denominators."""
-    coeffs = form.coefficients
-    if all(type(c) is int for c in coeffs):
-        return form
-    d = lcm(*(c.denominator for c in coeffs))
-    return LinearForm(tuple(c.numerator * (d // c.denominator) for c in coeffs))
-
-
 def check_map(spec: AlgebraSpec, form: LinearForm, i: int, t: int, method: str = "auto") -> MapCheck:
     """Rank check of multiplication by form^t from degree i.
 
@@ -291,9 +266,7 @@ def check_map(spec: AlgebraSpec, form: LinearForm, i: int, t: int, method: str =
     middle maps (i, m-2i) of every spec, and the dense route otherwise;
     "dense" always builds the matrix and ranks it with
     exactmat.certified_rank, which eliminates F_p matrices mod p and
-    certifies integer ones mod PROBE_PRIME.  Over Q the dense route builds
-    the map of the integer multiple of a rational form, which has the same
-    rank (module docstring), and peak_bits is that matrix's.
+    certifies integer ones mod PROBE_PRIME; peak_bits is that matrix's.
     rows and cols come from spec.dim on both routes, and ms times the whole
     check, on the proof route a fallback's socle check included.
     """
@@ -307,8 +280,6 @@ def check_map(spec: AlgebraSpec, form: LinearForm, i: int, t: int, method: str =
         return recursive_middle_rank(spec, form, i)
     nrows, ncols = spec.dim(i + t), spec.dim(i)
     start = time.perf_counter()
-    if spec.characteristic == 0:
-        form = _integral_multiple(form)
     mat = build_matrix(spec, form, i, t).matrix
     rr = certified_rank(mat)
     ms = (time.perf_counter() - start) * 1000.0
@@ -371,9 +342,6 @@ def char_search(
     primes: Iterable[int],
 ) -> tuple[CharProbe, ...]:
     """Probe one coefficient pattern's middle maps over prime fields (proof route above the socle degree)."""
-    for c in form.coefficients:
-        if not isinstance(c, int):
-            raise TypeError("characteristic search expects integer coefficients")
     probes = []
     for p in primes:
         if not is_prime(p):

@@ -6,26 +6,30 @@ A monomial is its exponent tuple (e_1, ..., e_n), and the Hilbert function
 is the tuple of graded dimensions (h_0, ..., h_m).
 A graded piece is held as its ascending table of mixed-radix codes, built
 by splitting over the last variable; graded_basis decodes it into tuples.
-Coefficients live in Q (characteristic 0) or F_p (characteristic p, entries
-kept as residues in [0, p)).
+Coefficients are integers, read in Q (characteristic 0) or F_p
+(characteristic p, entries kept as residues in [0, p)).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import prod
-from numbers import Integral, Rational
+from numbers import Integral
 from operator import mul
-from typing import Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
 from ._primes import is_prime
 from .exactmat import INT64_BOUND
 
-Coeff = Union[int, Fraction]
+
+def _sequence(values, what: str) -> tuple:
+    """values as a tuple; ValueError naming `what` when they are no sequence, a bare int say."""
+    if not hasattr(values, "__iter__"):
+        raise ValueError(f"{what} must be a sequence of integers, not {values!r}")
+    return values if isinstance(values, tuple) else tuple(values)
 
 
 def _plain_ints(values: tuple) -> tuple:
@@ -33,6 +37,16 @@ def _plain_ints(values: tuple) -> tuple:
     if all(type(v) is int for v in values):
         return values
     return tuple(int(v) if isinstance(v, Integral) else v for v in values)
+
+
+def _int_coeff(c) -> int:
+    """An integer coefficient (numpy integers and bools too) as a Python int; TypeError for any other."""
+    if isinstance(c, Integral):
+        return int(c)
+    raise TypeError(
+        f"coefficient {c!r} is not an integer; a form and its nonzero multiples have the same ranks,"
+        " so scale a rational form by the lcm of its denominators"
+    )
 
 
 @dataclass(frozen=True)
@@ -44,10 +58,9 @@ class AlgebraSpec:
     characteristic: int = 0
 
     def __post_init__(self) -> None:
-        if not hasattr(self.exponents, "__iter__"):
-            raise ValueError(f"the killed powers must be a sequence of integers, not {self.exponents!r}")
         # plain ints, so that specs hash, compare and serialize as the ints they mean
-        n, char, *exponents = _plain_ints((self.n, self.characteristic, *self.exponents))
+        exponents = _sequence(self.exponents, "the killed powers")
+        n, char, *exponents = _plain_ints((self.n, self.characteristic, *exponents))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "exponents", tuple(exponents))
         object.__setattr__(self, "characteristic", char)
@@ -81,21 +94,12 @@ class AlgebraSpec:
             raise ValueError("cannot restrict a one-variable algebra")
         return AlgebraSpec(self.n - 1, self.exponents[:-1], self.characteristic)
 
-    def normalize_coeff(self, c: Coeff) -> Coeff:
-        """Bring an exact scalar into the coefficient domain; TypeError for any other."""
+    def normalize_coeff(self, c: int) -> int:
+        """An integer coefficient as a Python int of the domain, reduced mod p; TypeError for any other."""
         if type(c) is not int:
-            if isinstance(c, Integral):
-                c = int(c)
-            elif not isinstance(c, Rational):
-                raise TypeError(f"coefficient {c!r} is not an exact rational (int or Fraction)")
+            c = _int_coeff(c)
         p = self.characteristic
-        if p == 0:
-            return c
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise TypeError("fractional coefficients are not defined mod p")
-            c = c.numerator
-        return c % p
+        return c % p if p else c
 
     def dim(self, t: int) -> int:
         if t < 0 or t > self.socle_degree:
@@ -190,7 +194,7 @@ class AlgebraElement:
     def __post_init__(self) -> None:
         cleaned = {}
         for m, c in self.terms.items():
-            m = _plain_ints(tuple(m))
+            m = _plain_ints(_sequence(m, "a term's exponents"))
             if len(m) != self.spec.n:
                 raise ValueError("term has the wrong number of variables")
             if any(not isinstance(e, int) or e < 0 for e in m):

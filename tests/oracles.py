@@ -6,7 +6,7 @@ in the package; nothing clever is allowed in here.
 """
 from fractions import Fraction
 from itertools import islice, product
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from slpkit._primes import is_prime
 
@@ -348,6 +348,17 @@ def tensor_wilson_rank(n, zeros, i, t, p):
     the second factor.
     """
     return sum(comb(zeros, j) * wilson_rank(n - zeros, i - j, t, p) for j in range(zeros + 1))
+
+
+def integral_multiple(coeffs):
+    """Rational coefficients times the lcm of their denominators, as ints.
+
+    Over Q this form has the ranks of the rational one, which the package
+    does not take.
+    """
+    coeffs = [Fraction(c) for c in coeffs]
+    d = lcm(*(c.denominator for c in coeffs))
+    return tuple(int(c * d) for c in coeffs)
 
 
 def next_prime(n):

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import oracles
 import slpkit.blockrec
 
 from slpkit.exactmat import ExactMatrix, block_assemble, mat_mul, rank_fraction_free, rank_mod_p
@@ -208,9 +209,10 @@ def test_fallback_ms_covers_the_socle_check(monkeypatch):
 
 
 def _random_form(rng, n, char):
-    """Nonzero coefficients; Fractions in characteristic 0, residues beyond p otherwise."""
+    """Nonzero coefficients; a rational form's integer multiple in characteristic 0, residues beyond p otherwise."""
     if char == 0:
-        return LinearForm(tuple(Fraction(rng.randint(-7, 7) or 1, rng.randint(1, 5)) for _ in range(n)))
+        rational = [Fraction(rng.randint(-7, 7) or 1, rng.randint(1, 5)) for _ in range(n)]
+        return LinearForm(oracles.integral_multiple(rational))
     return LinearForm(tuple(rng.randrange(1, char) + char * rng.randint(-2, 2) for _ in range(n)))
 
 
@@ -238,15 +240,16 @@ def test_auto_route_agrees_with_the_full_dense_check():
 
 
 def test_auto_route_agrees_with_the_full_dense_check_on_general_specs():
-    # a sample of killed powers 1..5 on up to four variables; forms with zero
-    # and Fraction coefficients over Q, residues that may vanish over F_p
+    # a sample of killed powers 1..5 on up to four variables; integer multiples
+    # of rational forms with zeros over Q, residues that may vanish over F_p
     rng = random.Random(88)
     tuples = [e for n in range(1, 5) for e in itertools.product(range(1, 6), repeat=n) if max(e) > 1]
     for char in (0, 2, 3, 5, 7, 11, 13, 17, 19):
         for exponents in rng.sample(tuples, 20):
             spec = AlgebraSpec(len(exponents), exponents, char)
             if char == 0:
-                form = LinearForm(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in exponents))
+                rational = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in exponents]
+                form = LinearForm(oracles.integral_multiple(rational))
             else:
                 form = LinearForm(tuple(rng.randint(-char, 2 * char) for _ in exponents))
             auto = slp_check(spec, form)

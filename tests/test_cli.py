@@ -345,6 +345,10 @@ def test_input_errors_exit_two(capsys):
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "slp", "--quadratic", "3", "--char", "4")
     assert code == 2
+    # a strong pseudoprime to the first 12 prime bases, and a number beyond the proven bound
+    for char in ("318665857834031151167461", "3317044064679887385961981"):
+        code, out, err = run(capsys, "slp", "--quadratic", "3", "--char", char)
+        assert code == 2 and out == "" and err.startswith("error: ")
     code, _, err = run(capsys, "slp", "--quadratic", "3", "--form", "1,1")
     assert code == 2
     code, _, err = run(capsys, "embed-verify", "--exponents", "1,2")

@@ -56,6 +56,10 @@ def test_validation():
         EmbeddingSpec.from_powers((2, 0))
     with pytest.raises(ValueError):
         phi_monomial(EmbeddingSpec.from_powers((2, 2)), (1, 0, 0))
+    with pytest.raises(ValueError, match="socle exponents must be a sequence of integers, not 3"):
+        EmbeddingSpec(3)
+    with pytest.raises(ValueError, match="socle exponents must be a sequence of integers, not 3"):
+        EmbeddingSpec.from_powers(3)
 
 
 @pytest.mark.parametrize("char", [4, 1, -3])

@@ -439,6 +439,30 @@ def test_a_modulus_that_is_not_prime_is_refused(bad):
         ExactMatrix.zeros(2, 2, bad)
 
 
+# the least strong pseudoprimes to the first 12 and 13 prime bases (Sorenson
+# and Webster, Math. Comp. 86, 2017); twelve bases took the first for a prime
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+@pytest.mark.parametrize("bad", [PSI_12, PSI_13], ids=["psi12", "psi13"])
+def test_strong_pseudoprimes_are_no_prime_field(bad):
+    assert PSI_12 == 399165290221 * 798330580441 and PSI_13 % 1287836182261 == 0
+    with pytest.raises(ValueError):
+        AlgebraSpec(2, (2, 2), bad)
+    with pytest.raises(ValueError):
+        ExactMatrix.from_rows([[1]], bad)
+    with pytest.raises(ValueError):
+        rank_mod_p(ExactMatrix.from_rows([[1]]), bad)
+
+
+def test_large_primes_below_the_proven_bound_are_accepted():
+    for p in (next_prime(2**64), 2**61 - 1, next_prime(PSI_12)):
+        assert AlgebraSpec(2, (2, 2), p).characteristic == p
+        assert ExactMatrix.from_rows([[1]], p).modulus == p
+        assert rank_mod_p(ExactMatrix.from_rows([[2, 4], [1, 2]]), p).rank == 1
+
+
 def test_ndarray_input_is_validated():
     with pytest.raises(TypeError):
         ExactMatrix.from_rows(np.ones((2, 2)))

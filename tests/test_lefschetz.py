@@ -1,7 +1,7 @@
 """Multiplication matrices, rank verdicts and characteristic scans."""
 from decimal import Decimal
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 import json
 import random
 from dataclasses import replace
@@ -16,7 +16,7 @@ import slpkit.exactmat
 from oracles import next_prime
 from slpkit.cli import main
 from slpkit.blockrec import decompose
-from slpkit.exactmat import ExactMatrix, mat_mul, rank_mod_p
+from slpkit.exactmat import mat_mul, rank_mod_p
 from slpkit.lefschetz import (
     CharProbe,
     LinearForm,
@@ -90,9 +90,7 @@ def test_build_matrix_matches_reference_builder(data):
         st.lists(st.integers(1, 4), min_size=1, max_size=6).filter(lambda b: prod(b) <= 729)
     )
     char = data.draw(st.sampled_from([0, 2, 3, 5, 7]))
-    # a Fraction with denominator 1 counts as the integer it is
-    coeff = st.one_of(_COEFFS, _COEFFS.map(Fraction))
-    coeffs = tuple(data.draw(st.lists(coeff, min_size=len(bounds), max_size=len(bounds))))
+    coeffs = tuple(data.draw(st.lists(_COEFFS, min_size=len(bounds), max_size=len(bounds))))
     spec = AlgebraSpec(len(bounds), tuple(bounds), char)
     m = spec.socle_degree
     for i in range(m + 1):
@@ -157,69 +155,45 @@ def test_power_zero_gives_identity():
 
 
 def test_build_matrix_refuses_fractional_coefficients():
-    # every matrix is over ZZ or F_p; check_map ranks a rational form through
-    # its integer multiple instead
+    # every matrix is over ZZ or F_p: a Fraction, integral or not, is refused
+    # when the form is made, with the hint to scale it
+    for coeffs in ((Fraction(1, 2), 1), (Fraction(4, 1), 1), (1, 1, Fraction(1, 2))):
+        with pytest.raises(TypeError, match="nonzero multiples have the same ranks"):
+            LinearForm(coeffs)
     spec = AlgebraSpec.quadratic(2)
-    half = LinearForm((Fraction(1, 2), 1))
-    with pytest.raises(TypeError):
-        build_matrix(spec, half, 0, 2)
-    for form in (LinearForm((Fraction(1, 2), 1, 1)), LinearForm((1, 1, Fraction(1, 2)))):
-        with pytest.raises(TypeError):
-            decompose(AlgebraSpec.quadratic(3), form, 1, 1)
-    # an integral Fraction counts as its numerator
-    mm = build_matrix(spec, LinearForm((Fraction(4, 1), 1)), 0, 2)
-    assert mm.matrix == build_matrix(spec, LinearForm((4, 1)), 0, 2).matrix
+    mm = build_matrix(spec, LinearForm((4, 1)), 0, 2)
     assert mm.matrix.entries == (8,) and type(mm.matrix.entry(0, 0)) is int
-    dec = decompose(AlgebraSpec.quadratic(3), LinearForm((1, 1, Fraction(4, 1))), 1, 1)
+    dec = decompose(AlgebraSpec.quadratic(3), LinearForm((1, 1, np.int64(4))), 1, 1)
     assert dec.bottom_left_scalar == 4 and type(dec.bottom_left_scalar) is int
     assert dec.assemble() == build_matrix(AlgebraSpec.quadratic(3), LinearForm((1, 1, 4)), 1, 1).matrix
-    # (1/2, 1) is built as (1, 2): the socle map 2 * 1 * 2 = 4
-    mc = check_map(spec, half, 0, 2, "dense")
+    # (1, 2), the scaled (1/2, 1): the socle map 2 * 1 * 2 = 4
+    mc = check_map(spec, LinearForm((1, 2)), 0, 2, "dense")
     assert (mc.rank, mc.maximal, mc.peak_bits) == (1, True, 3)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.data())
-def test_a_rational_form_has_the_ranks_of_its_integer_multiples(data):
-    # over Q, l^t and (c l)^t = c^t l^t have the same rank for every c != 0
+def test_a_form_and_its_nonzero_multiples_have_the_same_ranks(data):
+    # (c l)^t = c^t l^t: over Q for every c != 0, over F_p when p does not
+    # divide c; this is why a rational form can be scaled to an integer one
     bounds = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda b: prod(b) <= 256))
     n = len(bounds)
-    nums = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-    dens = data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
-    mult = data.draw(st.sampled_from([-2, -1, 1, 3])) * lcm(*dens)
-    rational = LinearForm(tuple(Fraction(a, d) for a, d in zip(nums, dens)))
-    integral = LinearForm(tuple(a * mult // d for a, d in zip(nums, dens)))
-    spec = AlgebraSpec(n, tuple(bounds))
+    char = data.draw(st.sampled_from([0, 2, 3, 5, 7]))
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    c = data.draw(st.integers(-30, 30).filter(lambda c: c and (char == 0 or c % char)))
+    spec = AlgebraSpec(n, tuple(bounds), char)
     for mode in ("middle", "full"):
-        got = slp_check(spec, rational, mode=mode)
-        want = slp_check(spec, integral, mode=mode)
-        assert got.form == rational
-        assert [(c.i, c.t, c.rank, c.maximal) for c in got.maps] == [
-            (c.i, c.t, c.rank, c.maximal) for c in want.maps
+        got = slp_check(spec, LinearForm(tuple(c * a for a in coeffs)), mode=mode)
+        want = slp_check(spec, LinearForm(coeffs), mode=mode)
+        assert [(m.i, m.t, m.rank, m.maximal) for m in got.maps] == [
+            (m.i, m.t, m.rank, m.maximal) for m in want.maps
         ]
-
-
-def test_slp_check_of_a_rational_form_hands_from_rows_no_fraction(monkeypatch):
-    handed = set()
-    original = ExactMatrix.__dict__["from_rows"].__func__
-
-    def spy(cls, rows, *args, **kwargs):
-        handed.update(type(e) for e in np.asarray(rows, dtype=object).ravel())
-        return original(cls, rows, *args, **kwargs)
-
-    monkeypatch.setattr(ExactMatrix, "from_rows", classmethod(spy))
-    # a zero coefficient sends the middle maps to the dense route as well
-    for spec, form in (
-        (AlgebraSpec.quadratic(5), LinearForm((Fraction(1, 2), 0, Fraction(2, 3), 1, Fraction(-3, 4)))),
-        (AlgebraSpec(2, (3, 4)), LinearForm((Fraction(1, 2), Fraction(5, 3)))),
-    ):
-        for mode in ("middle", "full"):
-            assert slp_check(spec, form, mode=mode).maps
-    assert handed == {int}
 
 
 def test_build_validation():
     spec = AlgebraSpec.quadratic(3)
+    with pytest.raises(ValueError, match="form coefficients must be a sequence of integers, not 3"):
+        LinearForm(3)
     with pytest.raises(ValueError):
         build_matrix(spec, LinearForm.ones(2), 0, 1)
     with pytest.raises(ValueError):
@@ -466,21 +440,26 @@ def test_block_recursion_with_coefficient_n_plus_one_needs_no_exact_elimination(
 
 
 def test_linear_form_helpers():
-    form = LinearForm((1, -2, Fraction(1, 3)))
+    form = LinearForm([1, -2, np.int64(3)])
     assert form.nvars == 3
-    assert form.to_json() == [1, -2, "1/3"]
+    assert form.to_json() == [1, -2, 3]
     assert form.restricted() == LinearForm((1, -2))
     assert LinearForm.ones(2) == LinearForm((1, 1))
     with pytest.raises(ValueError):
         LinearForm((1,)).restricted()
 
 
-@pytest.mark.parametrize("inexact", [1.5, 0.5, Decimal("0.5")], ids=["float-1.5", "float-0.5", "Decimal"])
+@pytest.mark.parametrize(
+    "inexact",
+    [1.5, 0.5, Decimal("0.5"), Fraction(1, 2), Fraction(4, 1)],
+    ids=["float-1.5", "float-0.5", "Decimal", "Fraction-1/2", "Fraction-4/1"],
+)
 def test_linear_form_refuses_inexact_coefficients(inexact):
-    # the matrix build would truncate a float, so 0.5 would act as a zero coefficient
+    # the matrix build would truncate a float, so 0.5 would act as a zero
+    # coefficient; a Fraction, integral or not, is refused as well
     with pytest.raises(TypeError):
         LinearForm((inexact, 1, 1))
-    assert LinearForm((True, np.int64(2), Fraction(1, 2))).nvars == 3
+    assert LinearForm((True, np.int64(2), 1)).coefficients == (1, 2, 1)
 
 
 def test_numpy_integer_coefficients_act_as_ints():
@@ -499,15 +478,6 @@ def test_numpy_integer_coefficients_act_as_ints():
     assert [replace(c, ms=0) for c in got.maps] == [replace(c, ms=0) for c in want.maps]
     primes = (2, 3, 83)
     assert char_search(spec, LinearForm((np.int64(3), 1)), primes) == char_search(spec, LinearForm((3, 1)), primes)
-
-
-def test_integral_fraction_coefficients_are_stored_as_ints():
-    form = LinearForm((Fraction(2, 1), 1, 1))
-    assert form.coefficients == (2, 1, 1) and type(form.coefficients[0]) is int
-    assert LinearForm((Fraction(-6, 3), Fraction(1, 2))).coefficients == (-2, Fraction(1, 2))
-    spec = AlgebraSpec.quadratic(3)
-    primes = (2, 3, 5, 7)
-    assert char_search(spec, form, primes) == char_search(spec, LinearForm((2, 1, 1)), primes)
 
 
 def test_mode_method_validation(capsys):
@@ -614,7 +584,8 @@ def test_general_deficit_ranks_match_the_tensor_product_oracle():
         for _ in range(12):
             exponents = tuple(rng.randint(1, 5) for _ in range(n))
             zeros = set(rng.sample(range(n), rng.randint(1, n)))
-            coeffs = [0 if k in zeros else Fraction(rng.choice((1, 2, 3)), rng.choice((1, 2))) for k in range(n)]
+            rational = [0 if k in zeros else Fraction(rng.choice((1, 2, 3)), rng.choice((1, 2))) for k in range(n)]
+            coeffs = oracles.integral_multiple(rational)
             spec = AlgebraSpec(n, exponents)
             live = tuple(d for k, d in enumerate(exponents) if k not in zeros)
             dead = tuple(d for k, d in enumerate(exponents) if k in zeros)

@@ -177,6 +177,8 @@ def test_reduce():
             AlgebraElement(mixed, {dead: 1})
     with pytest.raises(ValueError):
         AlgebraElement(spec, {(1, 0): 1})
+    with pytest.raises(ValueError, match="exponents must be a sequence of integers, not 1"):
+        AlgebraElement(spec, {1: 1})
 
 
 def test_element_keys_are_checked_exponent_tuples():
@@ -207,7 +209,11 @@ def test_element_construction_and_cleanup():
         AlgebraElement(spec, {(1, 0, 0): 1})
 
 
-@pytest.mark.parametrize("inexact", [1.5, 2.0, Decimal("2"), "1"], ids=["float-1.5", "float-2.0", "Decimal", "str"])
+@pytest.mark.parametrize(
+    "inexact",
+    [1.5, 2.0, Decimal("2"), "1", Fraction(1, 2), Fraction(4, 1)],
+    ids=["float-1.5", "float-2.0", "Decimal", "str", "Fraction-1/2", "Fraction-4/1"],
+)
 @pytest.mark.parametrize("char", [0, 5])
 def test_element_refuses_inexact_coefficients(inexact, char):
     spec = AlgebraSpec.quadratic(2, char)
@@ -308,14 +314,14 @@ def test_char_p_product_matches_integer_product_reduced():
 def test_normalize_coeff():
     spec = AlgebraSpec.quadratic(2, 5)
     assert spec.normalize_coeff(-1) == 4
-    assert spec.normalize_coeff(Fraction(4, 1)) == 4
-    with pytest.raises(TypeError):
-        spec.normalize_coeff(Fraction(1, 2))
     spec0 = AlgebraSpec.quadratic(2)
-    assert spec0.normalize_coeff(Fraction(1, 2)) == Fraction(1, 2)
-    for inexact in (0.5, 2.0, Decimal("2")):
-        for s in (spec, spec0):
-            with pytest.raises(TypeError):
+    assert spec0.normalize_coeff(-1) == -1
+    for s in (spec, spec0):
+        for c in (np.int64(3), True):
+            assert s.normalize_coeff(c) == int(c) and type(s.normalize_coeff(c)) is int
+        # coefficients are integers in every characteristic, an integral Fraction too
+        for inexact in (0.5, 2.0, Decimal("2"), Fraction(1, 2), Fraction(4, 1)):
+            with pytest.raises(TypeError, match="not an integer"):
                 s.normalize_coeff(inexact)
 
 
