@@ -24,12 +24,12 @@ print(f"n=3 mod 2: slp={report.slp}, failing maps {report.failures}")
 
 ###############################################################################
 # Scanning primes separates small characteristic from large.  For four
-# variables exactly 2 and 3 fail.
+# variables exactly 2 and 3 fail.  Each prime gets slp_check's full report.
 
-probes = char_search(AlgebraSpec.quadratic(4), LinearForm.ones(4), (2, 3, 5, 7, 11, 13))
-for pr in probes:
-    verdict = "holds" if pr.slp else f"fails at {pr.failing}"
-    print(f"p={pr.prime}: {verdict}")
+reports = char_search(AlgebraSpec.quadratic(4), LinearForm.ones(4), (2, 3, 5, 7, 11, 13))
+for r in reports:
+    verdict = "holds" if r.slp else f"fails at {r.failures}"
+    print(f"p={r.spec.characteristic}: {verdict}")
 
 ###############################################################################
 # Other killed powers check their middle maps too; mode="full" runs every

@@ -25,7 +25,6 @@ from .exactmat import (
     scale,
 )
 from .lefschetz import (
-    CharProbe,
     LefschetzReport,
     LinearForm,
     MapCheck,
@@ -62,7 +61,6 @@ __all__ = [
     "AlgebraElement",
     "AlgebraSpec",
     "BlockDecomposition",
-    "CharProbe",
     "DegreeRankRecord",
     "EmbeddedMapCheck",
     "EmbeddingSpec",

@@ -1,10 +1,12 @@
 """Command-line interface.
 
-Human-readable tables go to stdout; --out writes the canonical JSON, or CSV
-for hilbert and matrix under --format csv.  JSON output is byte-identical
-across runs with the same inputs except for fields under "timing" and
-per-map "ms".  Exit codes: 0 the property or check holds, 1 it fails (slp,
-embed-verify, bench), 2 usage or input error.
+Human-readable output goes to stdout (CSV for hilbert and matrix); --out
+writes the canonical JSON.  JSON output is byte-identical across runs with
+the same inputs except for fields under "timing" and per-map "ms".  Every
+map check runs through lefschetz.check_map: rank checks one map, and slp,
+char-search and bench print and write slp_check's reports.  Exit codes: 0
+the property or check holds, 1 it fails (slp, embed-verify, bench), 2 usage
+or input error.
 """
 from __future__ import annotations
 
@@ -30,11 +32,9 @@ from .exactmat import (
 )
 from .lefschetz import (
     LinearForm,
-    _refuse_oversized_maps,
     build_matrix,
     char_search,
     check_map,
-    middle_pairs,
     slp_check,
 )
 from .quotient import AlgebraSpec, hilbert_vector
@@ -69,11 +69,8 @@ def _add_form_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--form", type=_parse_int_list, metavar="C1,C2,...", help="form coefficients (default: all ones)")
 
 
-def _add_output_flags(p: argparse.ArgumentParser, default_format: str | None = None) -> None:
-    """--out, plus --format for the commands with a CSV form (given a default)."""
-    p.add_argument("--out", metavar="PATH", help="write machine output to PATH")
-    if default_format is not None:
-        p.add_argument("--format", choices=("json", "csv"), default=default_format)
+def _add_output_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", metavar="PATH", help="write machine output (JSON) to PATH")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,14 +82,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilbert", help="graded dimensions of the algebra")
     _add_spec_flags(p)
-    _add_output_flags(p, default_format="json")
+    _add_output_flags(p)
 
     p = sub.add_parser("matrix", help="one multiplication matrix")
     _add_spec_flags(p)
     _add_form_flag(p)
     p.add_argument("--i", type=int, required=True, help="source degree")
     p.add_argument("--t", type=int, required=True, help="power of the form")
-    _add_output_flags(p, default_format="csv")
+    _add_output_flags(p)
 
     p = sub.add_parser("rank", help="rank of one multiplication matrix")
     _add_spec_flags(p)
@@ -131,8 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _spec_from_args(args) -> AlgebraSpec:
     if args.quadratic is not None:
-        if args.quadratic < 1:
-            raise ValueError("need at least one variable")
         return AlgebraSpec.quadratic(args.quadratic, args.char)
     return AlgebraSpec(len(args.exponents), args.exponents, args.char)
 
@@ -145,23 +140,18 @@ def _form_from_args(args, n: int) -> LinearForm:
     return LinearForm(args.form)
 
 
-def _emit(args, payload: dict, csv_text: str | None = None) -> None:
-    """Write payload as JSON to --out, or csv_text (hilbert, matrix) under --format csv."""
+def _emit(args, payload: dict) -> None:
+    """Write payload as JSON to --out, if given."""
     if args.out:
-        if csv_text is not None and args.format == "csv":
-            text = csv_text
-        else:
-            text = json.dumps(payload, indent=2) + "\n"
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _cmd_hilbert(args) -> int:
     spec = _spec_from_args(args)
     hv = hilbert_vector(spec)
-    line = ",".join(str(h) for h in hv)
-    print(line)
-    _emit(args, {"spec": spec.to_json_dict(), "h": list(hv)}, csv_text=line + "\n")
+    print(",".join(str(h) for h in hv))
+    _emit(args, {"spec": spec.to_json_dict(), "h": list(hv)})
     return 0
 
 
@@ -170,8 +160,7 @@ def _cmd_matrix(args) -> int:
     form = _form_from_args(args, spec.n)
     mm = build_matrix(spec, form, args.i, args.t)
     # every matrix is over ZZ or F_p, so its CSV is integers
-    csv_text = mm.matrix.to_csv()
-    sys.stdout.write(csv_text)
+    sys.stdout.write(mm.matrix.to_csv())
     payload = {
         "spec": spec.to_json_dict(),
         "form": form.to_json(),
@@ -179,7 +168,7 @@ def _cmd_matrix(args) -> int:
         "t": args.t,
         "matrix": mm.matrix.to_json_dict(),
     }
-    _emit(args, payload, csv_text=csv_text)
+    _emit(args, payload)
     return 0
 
 
@@ -217,19 +206,19 @@ def _cmd_char_search(args) -> int:
     primes = primes_in_range(lo, hi)
     if not primes:
         raise ValueError(f"no prime in {lo}..{hi}")
-    probes = char_search(spec, form, primes)
-    for pr in probes:
-        if pr.slp:
-            print(f"p={pr.prime}: holds")
+    reports = char_search(spec, form, primes)
+    for r in reports:
+        if r.slp:
+            print(f"p={r.spec.characteristic}: holds")
         else:
-            failing = " ".join(f"(i={i},t={t})" for i, t in pr.failing)
-            print(f"p={pr.prime}: fails at {failing}")
+            failing = " ".join(f"(i={i},t={t})" for i, t in r.failures)
+            print(f"p={r.spec.characteristic}: fails at {failing}")
     payload = {
         "spec": spec.to_json_dict(),
         "form": form.to_json(),
         "primes": [
-            {"p": pr.prime, "slp": pr.slp, "failing": [list(ft) for ft in pr.failing]}
-            for pr in probes
+            {"p": r.spec.characteristic, "slp": r.slp, "failing": [list(ft) for ft in r.failures]}
+            for r in reports
         ],
     }
     _emit(args, payload)
@@ -276,22 +265,19 @@ def _cmd_embed_verify(args) -> int:
 def _cmd_bench(args) -> int:
     spec = _spec_from_args(args)
     form = _form_from_args(args, spec.n)
-    pairs = middle_pairs(spec.socle_degree)
-    _refuse_oversized_maps(spec, pairs)
+    dense = slp_check(spec, form, method="dense")
+    auto = slp_check(spec, form)
     records = []
     disagreements = []
-    for i, t in pairs:
-        ranks = {}
-        for route in ("dense", "auto"):
-            c = check_map(spec, form, i, t, route)
-            ranks[route] = c.rank
+    for d, a in zip(dense.maps, auto.maps):
+        for route, c in (("dense", d), ("auto", a)):
             records.append({"route": route, **c.to_json_dict()})
             print(
-                f"n={spec.n} i={i} t={t} {c.rows}x{c.cols} {route:<5s}"
+                f"n={spec.n} i={c.i} t={c.t} {c.rows}x{c.cols} {route:<5s}"
                 f" rank={c.rank} peak_bits={c.peak_bits} {c.ms:.2f} ms"
             )
-        if ranks["dense"] != ranks["auto"]:
-            disagreements.append(f"(i={i}, t={t}) dense {ranks['dense']}, auto {ranks['auto']}")
+        if d.rank != a.rank:
+            disagreements.append(f"(i={d.i}, t={d.t}) dense {d.rank}, auto {a.rank}")
     if disagreements:
         print(f"error: routes disagree at {'; '.join(disagreements)}", file=sys.stderr)
         return 1
@@ -329,8 +315,8 @@ def _cmd_selftest(args) -> int:
     char2 = slp_check(AlgebraSpec.quadratic(3, 2), LinearForm.ones(3))
     checks.append(("three variables fail in characteristic two", not char2.slp))
 
-    probes = char_search(AlgebraSpec.quadratic(4), LinearForm.ones(4), (2, 3, 5, 7, 11, 13))
-    failing = {pr.prime for pr in probes if not pr.slp}
+    reports = char_search(AlgebraSpec.quadratic(4), LinearForm.ones(4), (2, 3, 5, 7, 11, 13))
+    failing = {r.spec.characteristic for r in reports if not r.slp}
     checks.append(("four-variable failures are exactly {2, 3}", failing == {2, 3}))
 
     es = EmbeddingSpec.from_powers((2, 2))

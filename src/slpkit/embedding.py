@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import comb, factorial, prod
+from typing import Iterable
 
 import numpy as np
 
@@ -106,10 +107,10 @@ def phi_monomial(es: EmbeddingSpec, exponents: tuple[int, ...]) -> AlgebraElemen
     return out
 
 
-def _refuse_oversized_piece(es: EmbeddingSpec, degree: int) -> None:
-    """_refuse_oversized for phi_matrix(es, degree)."""
-    rows, cols = es.target_spec.dim(degree), es.source_spec.dim(degree)
-    _refuse_oversized(rows, cols, f"the degree-{degree} piece of the embedding")
+def _refuse_oversized_pieces(es: EmbeddingSpec, degrees: Iterable[int]) -> None:
+    """_refuse_oversized for phi_matrix(es, j), for every j in degrees."""
+    for j in degrees:
+        _refuse_oversized(es.target_spec.dim(j), es.source_spec.dim(j), f"the degree-{j} piece of the embedding")
 
 
 def phi_matrix(es: EmbeddingSpec, degree: int) -> ExactMatrix:
@@ -120,7 +121,7 @@ def phi_matrix(es: EmbeddingSpec, degree: int) -> ExactMatrix:
     and nothing else (module docstring).  A piece of more than MAX_MAP_CELLS
     cells raises ValueError before any code table is built.
     """
-    _refuse_oversized_piece(es, degree)
+    _refuse_oversized_pieces(es, (degree,))
     source = es.source_spec.exponents
     columns = _position_codes(source, degree)
     target = es.target_spec.exponents
@@ -189,7 +190,11 @@ class KernelDimsRecord:
 
 
 def verify_kernel_dims(es: EmbeddingSpec) -> KernelDimsRecord:
-    """Certify injectivity degree by degree: rank == source dimension."""
+    """Certify injectivity degree by degree: rank == source dimension.
+
+    Every piece's size is checked before any piece is built.
+    """
+    _refuse_oversized_pieces(es, range(es.m + 1))
     records = []
     # the source's socle degree is m, so hv lists degrees 0..m
     for j, dim_src in enumerate(hilbert_vector(es.source_spec)):
@@ -237,8 +242,7 @@ def _refuse_oversized_embedding(es: EmbeddingSpec) -> None:
     The matrices are those that verify_kernel_dims and transfer_slp build:
     every piece of phi_matrix and the middle maps of source and target.
     """
-    for degree in range(es.m + 1):
-        _refuse_oversized_piece(es, degree)
+    _refuse_oversized_pieces(es, range(es.m + 1))
     for spec in (es.target_spec, es.source_spec):
         _refuse_oversized_maps(spec, middle_pairs(es.m))
 

@@ -327,26 +327,17 @@ def slp_check(
     )
 
 
-@dataclass(frozen=True)
-class CharProbe:
-    """SLP verdict for one prime characteristic."""
-
-    prime: int
-    slp: bool
-    failing: tuple[tuple[int, int], ...]
-
-
 def char_search(
     spec: AlgebraSpec,
     form: LinearForm,
     primes: Iterable[int],
-) -> tuple[CharProbe, ...]:
-    """Probe one coefficient pattern's middle maps over prime fields (proof route above the socle degree)."""
-    probes = []
+) -> tuple[LefschetzReport, ...]:
+    """slp_check's report over F_p for each prime p (proof route above the socle degree).
+
+    Every p is checked to be prime before any map is.
+    """
+    primes = tuple(primes)
     for p in primes:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        pspec = replace(spec, characteristic=p)
-        report = slp_check(pspec, form)
-        probes.append(CharProbe(p, report.slp, report.failures))
-    return tuple(probes)
+    return tuple(slp_check(replace(spec, characteristic=p), form) for p in primes)

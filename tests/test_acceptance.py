@@ -104,8 +104,8 @@ def test_acceptance_4_characteristic_scan():
     primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
     ok = True
     for n in (3, 4, 5):
-        probes = char_search(AlgebraSpec.quadratic(n), LinearForm.ones(n), primes)
-        failing = {pr.prime for pr in probes if not pr.slp}
+        reports = char_search(AlgebraSpec.quadratic(n), LinearForm.ones(n), primes)
+        failing = {r.spec.characteristic for r in reports if not r.slp}
         ok = ok and failing == {p for p in primes if p <= n}
     _verdict(
         4,

@@ -9,7 +9,7 @@ import pytest
 
 from slpkit.cli import main
 from slpkit.exactmat import ExactMatrix
-from slpkit.lefschetz import LinearForm, build_matrix, check_map, full_pairs
+from slpkit.lefschetz import LinearForm, build_matrix, full_pairs, slp_check
 from slpkit.quotient import AlgebraSpec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -44,13 +44,15 @@ def test_hilbert_quadratic(capsys):
 
 
 def test_hilbert_general_with_csv_output(capsys, tmp_path):
-    path = tmp_path / "h.csv"
-    code, out, _ = run(
-        capsys, "hilbert", "--exponents", "3,4", "--format", "csv", "--out", str(path)
-    )
+    # stdout is the CSV line; --out writes JSON, as for every command
+    path = tmp_path / "h.json"
+    code, out, _ = run(capsys, "hilbert", "--exponents", "3,4", "--out", str(path))
     assert code == 0
-    assert out.strip() == "1,2,3,3,2,1"
-    assert path.read_text() == "1,2,3,3,2,1\n"
+    assert out == "1,2,3,3,2,1\n"
+    assert json.loads(path.read_text()) == {
+        "spec": {"n": 2, "exponents": [3, 4], "characteristic": 0},
+        "h": [1, 2, 3, 3, 2, 1],
+    }
 
 
 def test_matrix_csv_golden(capsys):
@@ -63,8 +65,7 @@ def test_matrix_json_payload(capsys, tmp_path):
     path = tmp_path / "m.json"
     code, out, _ = run(
         capsys,
-        "matrix", "--quadratic", "4", "--i", "1", "--t", "2",
-        "--format", "json", "--out", str(path),
+        "matrix", "--quadratic", "4", "--i", "1", "--t", "2", "--out", str(path),
     )
     assert code == 0
     payload = json.loads(path.read_text())
@@ -85,7 +86,7 @@ def test_matrix_json_payload(capsys, tmp_path):
 def test_matrix_json_keys_and_values_are_pinned(capsys, tmp_path, char, matrix):
     path = tmp_path / "m.json"
     argv = ("matrix", "--exponents", "3,3", "--form", "2,1", "--char", char, "--i", "1", "--t", "2")
-    code, _, _ = run(capsys, *argv, "--format", "json", "--out", str(path))
+    code, _, _ = run(capsys, *argv, "--out", str(path))
     assert code == 0
     payload = json.loads(path.read_text())
     assert list(payload) == ["spec", "form", "i", "t", "matrix"]
@@ -231,11 +232,13 @@ def test_bench(capsys, tmp_path):
 def test_bench_route_disagreement_exits_one(capsys, monkeypatch):
     import slpkit.cli
 
-    def off_by_one_auto(spec, form, i, t, method="auto"):
-        c = check_map(spec, form, i, t, method)
-        return replace(c, rank=c.rank - 1) if method == "auto" else c
+    def off_by_one_auto(spec, form, mode="middle", method="auto"):
+        report = slp_check(spec, form, mode, method)
+        if method == "dense":
+            return report
+        return replace(report, maps=tuple(replace(c, rank=c.rank - 1) for c in report.maps))
 
-    monkeypatch.setattr(slpkit.cli, "check_map", off_by_one_auto)
+    monkeypatch.setattr(slpkit.cli, "slp_check", off_by_one_auto)
     code, _, err = run(capsys, "bench", "--quadratic", "3")
     assert code == 1
     assert err == "error: routes disagree at (i=0, t=3) dense 1, auto 0; (i=1, t=1) dense 3, auto 2\n"
@@ -360,6 +363,8 @@ def test_input_errors_exit_two(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["hilbert", "--quadratic", "3"],
+        ["matrix", "--quadratic", "3", "--i", "0", "--t", "3"],
         ["rank", "--quadratic", "3", "--i", "0", "--t", "3"],
         ["slp", "--quadratic", "3"],
         ["char-search", "--quadratic", "3", "--primes", "2..5"],
@@ -369,7 +374,7 @@ def test_input_errors_exit_two(capsys):
     ids=lambda argv: argv[0],
 )
 def test_format_is_refused_before_any_work(capsys, tmp_path, argv):
-    # only hilbert and matrix have a CSV form
+    # --out always writes JSON, so no command takes --format
     path = tmp_path / "x.csv"
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--format", "csv", "--out", str(path)])

@@ -270,3 +270,21 @@ def test_oversized_pieces_and_maps_are_refused_before_any_listing(monkeypatch):
     # one source variable: every piece is a column, but the target (7, 3) map is not
     with pytest.raises(ValueError, match=r"\(i=7, t=3\) map is 19448x19448"):
         transfer_slp(EmbeddingSpec.from_powers((17,)))
+
+
+def test_kernel_dims_check_every_piece_before_building_any(monkeypatch):
+    import slpkit.embedding
+    import slpkit.quotient
+
+    def no_work(*args):
+        pytest.fail("verify_kernel_dims built or ranked a piece before refusing an oversized one")
+
+    for module, name in (
+        (slpkit.quotient, "_position_codes"),
+        (slpkit.embedding, "_position_codes"),
+        (slpkit.embedding, "certified_rank"),
+    ):
+        monkeypatch.setattr(module, name, no_work)
+    # pieces 0..6 fit (the largest is 12376x12376); degree 7 is the first that does not
+    with pytest.raises(ValueError, match=r"degree-7 piece of the embedding is 19448x19448"):
+        verify_kernel_dims(EmbeddingSpec.from_powers((1,) * 17))

@@ -13,12 +13,12 @@ import numpy as np
 import oracles
 import slpkit.blockrec
 import slpkit.exactmat
+import slpkit.lefschetz
 from oracles import next_prime
 from slpkit.cli import main
 from slpkit.blockrec import decompose
 from slpkit.exactmat import mat_mul, rank_mod_p
 from slpkit.lefschetz import (
-    CharProbe,
     LinearForm,
     build_matrix,
     char_search,
@@ -349,14 +349,14 @@ def test_nonzero_forms_hold_and_zero_coefficient_fails():
 
 
 def test_char_search_four_vars():
-    probes = char_search(AlgebraSpec.quadratic(4), LinearForm.ones(4), (2, 3, 5, 7, 11, 13))
-    assert [pr.prime for pr in probes] == [2, 3, 5, 7, 11, 13]
-    failing = {pr.prime for pr in probes if not pr.slp}
+    reports = char_search(AlgebraSpec.quadratic(4), LinearForm.ones(4), (2, 3, 5, 7, 11, 13))
+    assert [r.spec.characteristic for r in reports] == [2, 3, 5, 7, 11, 13]
+    failing = {r.spec.characteristic for r in reports if not r.slp}
     assert failing == {2, 3}
-    by_prime = {pr.prime: pr for pr in probes}
-    assert by_prime[2].failing == ((0, 4), (1, 2))
-    assert by_prime[3].failing == ((0, 4), (1, 2))
-    assert by_prime[5].failing == ()
+    by_prime = {r.spec.characteristic: r for r in reports}
+    assert by_prime[2].failures == ((0, 4), (1, 2))
+    assert by_prime[3].failures == ((0, 4), (1, 2))
+    assert by_prime[5].failures == ()
 
 
 def test_char_above_socle_degree_always_holds():
@@ -374,6 +374,29 @@ def test_char_search_validation():
         char_search(spec, LinearForm.ones(3), (4,))
     with pytest.raises(TypeError):
         char_search(spec, LinearForm((Fraction(1, 2), 1, 1)), (5,))
+
+
+def _strip_ms(report):
+    return replace(report, total_ms=0, maps=tuple(replace(c, ms=0) for c in report.maps))
+
+
+def test_char_search_returns_slp_check_reports():
+    spec, form = AlgebraSpec(2, (3, 4)), LinearForm((1, 2))
+    reports = char_search(spec, form, (2, 3, 7))
+    assert [_strip_ms(r) for r in reports] == [
+        _strip_ms(slp_check(replace(spec, characteristic=p), form)) for p in (2, 3, 7)
+    ]
+    assert reports[0].maps[0].notes  # the per-map notes survive the scan
+
+
+@pytest.mark.parametrize("primes", [(11, 4), (11, 1), (11, 0)], ids=str)
+def test_char_search_checks_every_prime_before_any_map(monkeypatch, primes):
+    def no_check(*args, **kwargs):
+        pytest.fail("char_search checked a map before refusing a non-prime")
+
+    monkeypatch.setattr(slpkit.lefschetz, "slp_check", no_check)
+    with pytest.raises(ValueError, match=f"^{primes[-1]} is not prime$"):
+        char_search(AlgebraSpec.quadratic(12), LinearForm.ones(12), primes)
 
 
 def test_char_search_takes_the_block_route_above_n(monkeypatch):
@@ -394,10 +417,11 @@ def test_char_search_takes_the_block_route_above_n(monkeypatch):
             form = LinearForm(tuple(rng.choice((1, 2, 3)) * rng.choice((-1, 1)) for _ in range(n)))
             spec = AlgebraSpec.quadratic(n)
             structured.clear()
-            probes = char_search(spec, form, primes)
-            for pr in probes:
-                dense = slp_check(AlgebraSpec.quadratic(n, pr.prime), form, method="dense")
-                assert (pr.slp, pr.failing) == (dense.slp, dense.failures), (form, pr.prime)
+            reports = char_search(spec, form, primes)
+            for r in reports:
+                p = r.spec.characteristic
+                dense = slp_check(AlgebraSpec.quadratic(n, p), form, method="dense")
+                assert (r.slp, r.failures) == (dense.slp, dense.failures), (form, p)
             for p in primes:
                 if p > n and all(c % p for c in form.coefficients):
                     got = sorted(i for m, q, i in structured if (m, q) == (n, p))
@@ -477,7 +501,8 @@ def test_numpy_integer_coefficients_act_as_ints():
     assert got.slp == want.slp
     assert [replace(c, ms=0) for c in got.maps] == [replace(c, ms=0) for c in want.maps]
     primes = (2, 3, 83)
-    assert char_search(spec, LinearForm((np.int64(3), 1)), primes) == char_search(spec, LinearForm((3, 1)), primes)
+    got, want = char_search(spec, LinearForm((np.int64(3), 1)), primes), char_search(spec, LinearForm((3, 1)), primes)
+    assert [_strip_ms(r) for r in got] == [_strip_ms(r) for r in want]
 
 
 def test_mode_method_validation(capsys):
@@ -556,11 +581,6 @@ def test_middle_ranks_mod_p_match_wilson(ns, primes):
                         assert c.rank == want, (n, p, form, i, method)
                         proof = method == "auto" and p > n and not zeros
                         assert (c.method == "block-recursive") == proof, (n, p, form, i, method)
-
-
-def test_char_probe_is_plain_data():
-    probe = CharProbe(5, True, ())
-    assert probe.prime == 5 and probe.slp and probe.failing == ()
 
 
 @pytest.mark.parametrize("nzero", [1, 2, 3])

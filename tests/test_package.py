@@ -45,6 +45,7 @@ def test_every_export_resolves_once():
         "_row_integerized",
         "Monomial",
         "HilbertVector",
+        "CharProbe",
     ):
         assert gone not in names and not hasattr(slpkit, gone)
     assert importlib.util.find_spec("slpkit.monomials") is None
