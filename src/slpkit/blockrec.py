@@ -17,13 +17,15 @@ map (j, k-2j) of the first k variables, is bijective when (k-1, j) and
 (2j = k) and in the 1x1 maps l^k: A_0 -> A_k (j = 0), the scalars
 k! c_1...c_k.  In characteristic 0 or above n with no zero coefficient
 every step and every base map is invertible, so the induction builds no
-matrix: recursive_middle_rank checks those hypotheses with one 1x1 map, and
-reaches every other spec through the block-sum embedding.
+matrix: recursive_middle_rank checks those hypotheses with one 1x1 map,
+once per (spec, form), and reaches every other spec through the block-sum
+embedding.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .exactmat import (
     ExactMatrix,
@@ -90,6 +92,25 @@ def decompose(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> BlockDecom
     return BlockDecomposition(spec, form, i, t, tl, bl, br, scalar)
 
 
+@lru_cache(maxsize=256)
+def _proof_hypotheses(spec: AlgebraSpec, form: LinearForm) -> tuple[str | None, int]:
+    """(None, the socle map's peak_bits) when the proof's hypotheses hold, else (fallback reason, 0).
+
+    The hypotheses are characteristic 0 or above the socle degree m, and the
+    1x1 socle map l^m: A_0 -> A_m nonzero, checked by check_map's dense
+    route.  They depend on the spec and the form alone, so every middle map
+    and slp_check's size guard share one answer.
+    """
+    m = spec.socle_degree
+    char = spec.characteristic
+    if char and char <= m:
+        return f"characteristic {char} <= socle degree {m}; structured path unavailable", 0
+    socle = check_map(spec, form, 0, m, "dense")
+    if socle.maximal:
+        return None, socle.peak_bits
+    return "zero coefficient in the form; structured path unavailable", 0
+
+
 def recursive_middle_rank(spec: AlgebraSpec, form: LinearForm, i: int) -> MapCheck:
     """Check of the middle map (i, m-2i) of any spec, m its socle degree.
 
@@ -97,9 +118,10 @@ def recursive_middle_rank(spec: AlgebraSpec, form: LinearForm, i: int) -> MapChe
     A_m nonzero.  That 1x1 map is the scalar m!/prod((a_j-1)!) times
     prod(c_j^(a_j-1)), so given the first hypothesis the second says c_j is
     nonzero for every killed power a_j >= 2; it is the one map built, by
-    check_map's dense route.  The block-sum embedding phi (embedding.py)
-    sends the form to E = (each c_j repeated a_j - 1 times) on the
-    square-free algebra on m variables, where the induction (module
+    check_map's dense route.  The hypotheses are decided once per (spec,
+    form) and shared by all its middle maps.  The block-sum embedding phi
+    (embedding.py) sends the form to E = (each c_j repeated a_j - 1 times)
+    on the square-free algebra on m variables, where the induction (module
     docstring) makes every middle map of E bijective, its base scalars being
     k! e_1...e_k with k <= m.  phi is a ring map with phi(form) = E, and
     phi_i is injective, each row of phi_matrix holding the one entry
@@ -107,7 +129,8 @@ def recursive_middle_rank(spec: AlgebraSpec, form: LinearForm, i: int) -> MapChe
     makes form^t injective, hence bijective as h_i = h_(m-i).  Under the
     hypotheses the answer is rank dim(i) with method "block-recursive", no
     notes and the socle map's peak_bits.  Otherwise it is check_map's dense
-    answer, with a note that says why.  Either way ms times the whole call.
+    answer, with a note that says why.  Either way ms times the whole call,
+    the socle check included when this call decided the hypotheses.
     """
     if form.nvars != spec.n:
         raise ValueError("form has the wrong number of coefficients")
@@ -116,15 +139,10 @@ def recursive_middle_rank(spec: AlgebraSpec, form: LinearForm, i: int) -> MapChe
         raise ValueError("source degree must satisfy 0 <= i < m/2")
     t = m - 2 * i
     start = time.perf_counter()
-    char = spec.characteristic
-    if char and char <= m:
-        reason = f"characteristic {char} <= socle degree {m}; structured path unavailable"
-    else:
-        socle = check_map(spec, form, 0, m, "dense")
-        if socle.maximal:
-            d = spec.dim(i)
-            ms = (time.perf_counter() - start) * 1000.0
-            return MapCheck(i, t, d, d, d, True, "block-recursive", ms, peak_bits=socle.peak_bits)
-        reason = "zero coefficient in the form; structured path unavailable"
+    reason, socle_bits = _proof_hypotheses(spec, form)
+    if reason is None:
+        d = spec.dim(i)
+        ms = (time.perf_counter() - start) * 1000.0
+        return MapCheck(i, t, d, d, d, True, "block-recursive", ms, peak_bits=socle_bits)
     dense = check_map(spec, form, i, t, "dense")
     return replace(dense, ms=(time.perf_counter() - start) * 1000.0, notes=(reason,))

@@ -29,11 +29,17 @@ fails, so the expensive path runs exactly when something genuinely
 degenerates.  Coefficients are integers, so every matrix is over ZZ or F_p.
 Its proof route, blockrec.recursive_middle_rank, is the paper's proof, the
 induction on variables carried to every spec by the block-sum embedding: it
-checks the proof's hypotheses and builds no matrix beyond the 1x1 socle map
-l^m: A_0 -> A_m, which it checks through the dense route, as it does every
-fallback.  Both routes answer with a MapCheck.  The route follows from the
-input alone: method "auto" takes the proof route exactly for the middle
-maps, and "dense", the oracle, never does.
+decides the proof's hypotheses once per (spec, form) and builds no matrix
+beyond the 1x1 socle map l^m: A_0 -> A_m, which it checks through the dense
+route, as it does every fallback.  Both routes answer with a MapCheck.  The
+route follows from the input alone: method "auto" takes the proof route
+exactly for the middle maps, and "dense", the oracle, never does.
+
+Only maps that are built are refused for size: build_matrix refuses one of
+more than MAX_MAP_CELLS cells before listing any basis, and slp_check
+refuses every map of a sweep it will build before building any.  Under the
+proof's hypotheses that is none beyond the socle map, so the paper's verdict
+comes at any size.
 """
 from __future__ import annotations
 
@@ -268,11 +274,11 @@ def check_map(spec: AlgebraSpec, form: LinearForm, i: int, t: int, method: str =
     exactmat.certified_rank, which eliminates F_p matrices mod p and
     certifies integer ones mod PROBE_PRIME; peak_bits is that matrix's.
     rows and cols come from spec.dim on both routes, and ms times the whole
-    check, on the proof route a fallback's socle check included.
+    check, on the proof route a fallback's socle check included.  Only a map
+    that is built is refused for size, by build_matrix.
     """
     if method not in ("auto", "dense"):
         raise ValueError(f"unknown method {method!r}")
-    _refuse_oversized_maps(spec, ((i, t),))
     # (i, t) in middle_pairs(m), without listing the m/2 pairs
     if method == "auto" and i >= 0 and t >= 1 and 2 * i + t == spec.socle_degree:
         from .blockrec import recursive_middle_rank
@@ -300,7 +306,9 @@ def slp_check(
     "full" checks every power.  method "auto" takes the proof route for the
     middle maps and "dense" builds each matrix outright; full mode always
     runs dense, so it stays independent of the proof.
-    Every map's size is checked before any is built.
+    The proof's hypotheses are decided first.  When they hold, the proof
+    route builds nothing beyond the socle map, so no middle map is refused
+    for size; otherwise every map's size is checked before any is built.
     """
     if form.nvars != spec.n:
         raise ValueError("form has the wrong number of coefficients")
@@ -310,10 +318,13 @@ def slp_check(
         raise ValueError(f"unknown method {method!r}")
     if mode == "full":
         method = "dense"
+    from .blockrec import _proof_hypotheses
+
     m = spec.socle_degree
     pairs = middle_pairs(m) if mode == "middle" else full_pairs(m)
-    _refuse_oversized_maps(spec, pairs)
     start = time.perf_counter()
+    if method == "dense" or pairs and _proof_hypotheses(spec, form)[0] is not None:
+        _refuse_oversized_maps(spec, pairs)
     checks = tuple(check_map(spec, form, i, t, method) for i, t in pairs)
     total_ms = (time.perf_counter() - start) * 1000.0
     return LefschetzReport(

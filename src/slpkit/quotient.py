@@ -12,7 +12,7 @@ Coefficients are integers, read in Q (characteristic 0) or F_p
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import prod
 from numbers import Integral
@@ -80,8 +80,9 @@ class AlgebraSpec:
         """The square-free case: all variables killed at power 2."""
         return cls(n, (2,) * n, characteristic)
 
-    @property
+    @cached_property
     def socle_degree(self) -> int:
+        # computed once per spec: dim and every route read it per map
         return sum(d - 1 for d in self.exponents)
 
     @property
@@ -104,7 +105,7 @@ class AlgebraSpec:
     def dim(self, t: int) -> int:
         if t < 0 or t > self.socle_degree:
             return 0
-        return hilbert_vector(self)[t]
+        return _hilbert_function(self.exponents)[t]
 
     def to_json_dict(self) -> dict:
         return {
@@ -252,11 +253,16 @@ def multiply(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(spec, out)
 
 
-@lru_cache(maxsize=None)
 def hilbert_vector(spec: AlgebraSpec) -> tuple[int, ...]:
     """Graded dimensions h_0..h_m: the coefficients of prod_i (1 + t + ... + t^(d_i - 1))."""
+    return _hilbert_function(spec.exponents)
+
+
+@lru_cache(maxsize=None)
+def _hilbert_function(exponents: tuple[int, ...]) -> tuple[int, ...]:
+    """hilbert_vector by the killed powers alone, so every characteristic shares one copy."""
     poly = [1]
-    for d in spec.exponents:
+    for d in exponents:
         out = [0] * (len(poly) + d - 1)
         for j, c in enumerate(poly):
             for k in range(d):

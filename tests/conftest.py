@@ -2,7 +2,21 @@
 import numpy as np
 import pytest
 
+from slpkit.blockrec import _proof_hypotheses
 from slpkit.exactmat import ExactMatrix
+
+
+@pytest.fixture(autouse=True)
+def fresh_proof_hypotheses():
+    """Empty the per-(spec, form) memo of the proof's hypotheses around every test.
+
+    A test that stubs check_map would otherwise leave its stubbed socle
+    verdict to later tests, and a warm memo would hide the socle build from
+    a test that counts builds.
+    """
+    _proof_hypotheses.cache_clear()
+    yield
+    _proof_hypotheses.cache_clear()
 
 
 @pytest.fixture

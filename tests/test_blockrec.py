@@ -293,32 +293,33 @@ def test_block_route_builds_only_base_maps(monkeypatch, char, exponents):
 
     real_check = slpkit.blockrec.check_map
     real_rank = slpkit.blockrec.recursive_middle_rank
-    leaves, per_map = [], {}
+    checks, ranked = [], []
 
     def counting_check(*args):
-        leaves.append(args[:4])
+        checks.append(args[2:])
         return real_check(*args)
 
     def counting_rank(spec, form, i):
-        leaves.clear()
-        rr = real_rank(spec, form, i)
-        per_map[i] = len(leaves)
-        return rr
+        ranked.append(i)
+        return real_rank(spec, form, i)
 
     monkeypatch.setattr(slpkit.lefschetz, "build_matrix", only_one_by_one)
     monkeypatch.setattr(slpkit.blockrec, "check_map", counting_check)
     monkeypatch.setattr(slpkit.blockrec, "recursive_middle_rank", counting_rank)
     spec = AlgebraSpec(len(exponents), exponents, char)
     form = LinearForm(tuple((-1) ** k * (k % 5 + 1) for k in range(spec.n)))
+    # the conftest fixture has emptied the memo, so no earlier test hides the socle check
     report = slp_check(spec, form)
     assert report.slp
     m = spec.socle_degree
-    assert [(c.i, c.rank, c.method) for c in report.maps] == [
-        (i, spec.dim(i), "block-recursive") for i in range((m + 1) // 2)
-    ]
-    assert sorted(per_map) == list(range((m + 1) // 2))
-    # one base map per middle map: the socle map l^m: A_0 -> A_m
-    assert set(per_map.values()) == {1}, per_map
+    verdicts = [(i, spec.dim(i), "block-recursive") for i in range((m + 1) // 2)]
+    assert [(c.i, c.rank, c.method) for c in report.maps] == verdicts
+    assert ranked == list(range((m + 1) // 2))
+    # one base map per slp_check, shared by every middle map: the socle map l^m: A_0 -> A_m
+    assert checks == [(0, m, "dense")]
+    # a second sweep of the same (spec, form) reuses it
+    assert [(c.i, c.rank, c.method) for c in slp_check(spec, form).maps] == verdicts
+    assert checks == [(0, m, "dense")]
 
 
 @pytest.mark.parametrize("char", [0, 7, 1009])

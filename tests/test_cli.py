@@ -305,13 +305,35 @@ def test_oversized_algebra_exits_two_before_listing_a_basis(capsys, monkeypatch)
     import slpkit.quotient
 
     def no_basis_listing(*args):
-        pytest.fail("slp --quadratic 30 reached graded_basis or a code table")
+        pytest.fail("an oversized sweep reached graded_basis or a code table")
 
-    monkeypatch.setattr(slpkit.lefschetz, "graded_basis", no_basis_listing)
-    for module in (slpkit.quotient, slpkit.lefschetz, slpkit.embedding):
-        monkeypatch.setattr(module, "_position_codes", no_basis_listing)
+    with monkeypatch.context() as mp:
+        mp.setattr(slpkit.lefschetz, "graded_basis", no_basis_listing)
+        for module in (slpkit.quotient, slpkit.lefschetz, slpkit.embedding):
+            mp.setattr(module, "_position_codes", no_basis_listing)
+        # the routes that build the middle maps: dense, full, and p <= m
+        for argv in (
+            ["--quadratic", "30", "--method", "dense"],
+            ["--quadratic", "30", "--mode", "full"],
+            ["--quadratic", "30", "--char", "29"],
+            ["--quadratic", "17", "--char", "17"],
+        ):
+            code, out, err = run(capsys, "slp", *argv)
+            assert code == 2 and "limit" in err and out == "", argv
+    # over Q the proof route builds only the 1x1 socle map
     code, out, err = run(capsys, "slp", "--quadratic", "30")
-    assert code == 2 and "limit" in err and out == ""
+    assert code == 0 and err == "" and out.count("block-recursive") == 15
+    assert "SLP holds for 30 variables" in out
+
+
+def test_paper_size_inputs_get_their_verdict(capsys):
+    code, out, _ = run(capsys, "slp", "--quadratic", "17")
+    assert code == 0 and out.count("block-recursive") == 9
+    code, out, _ = run(capsys, "rank", "--quadratic", "40", "--i", "10", "--t", "20")
+    assert code == 0 and out.startswith("rank 847660528 of 847660528x847660528 (maximal; block-recursive;")
+    code, out, _ = run(capsys, "slp", "--exponents", ",".join(["5"] * 9), "--char", "37")
+    assert code == 0 and out.count("block-recursive") == 18
+    assert out.endswith("SLP holds for 9 variables, characteristic 37\n")
 
 
 @pytest.mark.parametrize(

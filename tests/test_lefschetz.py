@@ -208,24 +208,118 @@ def _no_basis_listing(*args):
     pytest.fail("an oversized map reached graded_basis or a code table")
 
 
-def test_oversized_maps_are_refused_before_any_listing(monkeypatch):
+def _no_listing(monkeypatch):
     import slpkit.embedding
-    import slpkit.lefschetz
     import slpkit.quotient
 
     monkeypatch.setattr(slpkit.lefschetz, "graded_basis", _no_basis_listing)
     for module in (slpkit.quotient, slpkit.lefschetz, slpkit.embedding):
         monkeypatch.setattr(module, "_position_codes", _no_basis_listing)
+
+
+def _only_one_by_one_builds(monkeypatch):
+    """Stub build_matrix to fail on any map above 1x1; the returned list records the (i, t) built."""
+    real_build = slpkit.lefschetz.build_matrix
+    built = []
+
+    def one_by_one(spec, form, i, t):
+        if spec.dim(i) * spec.dim(i + t) > 1:
+            pytest.fail(f"built the ({i}, {t}) map of {spec.n} variables")
+        built.append((i, t))
+        return real_build(spec, form, i, t)
+
+    monkeypatch.setattr(slpkit.lefschetz, "build_matrix", one_by_one)
+    return built
+
+
+def test_oversized_maps_are_refused_before_any_listing(monkeypatch):
     spec = AlgebraSpec.quadratic(30)
-    with pytest.raises(ValueError, match="limit"):
-        build_matrix(spec, LinearForm.ones(30), 14, 2)
-    with pytest.raises(ValueError, match=r"\(i=14, t=2\) map is 145422675x145422675"):
-        check_map(spec, LinearForm.ones(30), 14, 2)
-    for method in ("auto", "dense"):
+    ones = LinearForm.ones(30)
+    with monkeypatch.context() as mp:
+        _no_listing(mp)
+        # every route that builds the maps refuses them first
         with pytest.raises(ValueError, match="limit"):
-            slp_check(spec, LinearForm.ones(30), method=method)
+            build_matrix(spec, ones, 14, 2)
+        with pytest.raises(ValueError, match=r"\(i=14, t=2\) map is 145422675x145422675"):
+            check_map(spec, ones, 14, 2, "dense")
+        with pytest.raises(ValueError, match="limit"):
+            slp_check(spec, ones, method="dense")
+        with pytest.raises(ValueError, match="limit"):
+            slp_check(spec, ones, mode="full")
+        # p <= m is outside the proof's hypotheses: the middle maps are built, so refused
+        with pytest.raises(ValueError, match="limit"):
+            slp_check(AlgebraSpec.quadratic(30, 29), ones)
+        with pytest.raises(ValueError, match=r"\(i=8, t=1\) map is 24310x24310"):
+            check_map(AlgebraSpec.quadratic(17, 17), LinearForm.ones(17), 8, 1)
+        with pytest.raises(ValueError, match="limit"):
+            slp_check(AlgebraSpec.quadratic(17, 17), LinearForm.ones(17))
+    built = _only_one_by_one_builds(monkeypatch)
+    # a zero coefficient fails the hypotheses after the 1x1 socle map, and the sweep is refused
+    with pytest.raises(ValueError, match=r"\(i=4, t=22\) map is 27405x27405"):
+        slp_check(spec, LinearForm((0,) + (1,) * 29))
+    assert built == [(0, 30)]
+    # under the hypotheses the proof route builds the socle map alone, at any size
+    built.clear()
+    mc = check_map(spec, ones, 14, 2)
+    assert (mc.rows, mc.rank, mc.maximal, mc.method) == (145422675, 145422675, True, "block-recursive")
+    assert built == [(0, 30)]
+
+
+def test_the_paper_gives_a_verdict_at_every_size(monkeypatch):
+    built = _only_one_by_one_builds(monkeypatch)
+    report = slp_check(AlgebraSpec.quadratic(1000), LinearForm.ones(1000))
+    assert report.slp and len(report.maps) == 500
+    assert all(c.rank == comb(1000, c.i) and c.method == "block-recursive" for c in report.maps)
+    assert built == [(0, 1000)]
+    # (5,)*9 has socle degree 36: p = 37 is inside the hypotheses, p = 31 is not
+    built.clear()
+    spec = AlgebraSpec(9, (5,) * 9, 37)
+    report = slp_check(spec, LinearForm.ones(9))
+    assert report.slp and [(c.i, c.rank) for c in report.maps] == [(i, spec.dim(i)) for i in range(18)]
+    assert built == [(0, 36)]
     with pytest.raises(ValueError, match="limit"):
-        slp_check(spec, LinearForm.ones(30), mode="full")
+        slp_check(replace(spec, characteristic=31), LinearForm.ones(9))
+    assert built == [(0, 36)]
+
+
+def _count_size_checks(monkeypatch):
+    """Record what every _refuse_oversized call checks."""
+    real = slpkit.lefschetz._refuse_oversized
+    seen = []
+
+    def counting(rows, cols, what):
+        seen.append(what)
+        return real(rows, cols, what)
+
+    monkeypatch.setattr(slpkit.lefschetz, "_refuse_oversized", counting)
+    return seen
+
+
+def test_each_map_is_size_checked_at_most_twice(monkeypatch):
+    seen = _count_size_checks(monkeypatch)
+    spec, ones = AlgebraSpec.quadratic(9), LinearForm.ones(9)
+    # under the hypotheses only the socle map is built, and only build_matrix checks it
+    assert slp_check(spec, ones).slp
+    assert seen == ["the (i=0, t=9) map"]
+    # dense sweeps, and the proof route's fallbacks at p <= m: once up front, once in build_matrix
+    for sweep_spec, kwargs, sweep in (
+        (spec, {"method": "dense"}, middle_pairs(9)),
+        (spec, {"mode": "full"}, full_pairs(9)),
+        (AlgebraSpec.quadratic(9, 7), {}, middle_pairs(9)),
+    ):
+        seen.clear()
+        slp_check(sweep_spec, ones, **kwargs)
+        assert sorted(seen) == sorted(2 * [f"the (i={i}, t={t}) map" for i, t in sweep]), kwargs
+
+
+def test_char_search_computes_the_hilbert_function_once():
+    from slpkit.quotient import _hilbert_function
+
+    _hilbert_function.cache_clear()
+    reports = char_search(AlgebraSpec.quadratic(7), LinearForm.ones(7), (2, 3, 5, 7, 11))
+    assert [r.slp for r in reports] == [False, False, False, False, True]
+    info = _hilbert_function.cache_info()
+    assert (info.misses, info.currsize) == (1, 1) and info.hits > 0
 
 
 def _composition_triples(m):
