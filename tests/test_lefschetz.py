@@ -208,15 +208,6 @@ def _no_basis_listing(*args):
     pytest.fail("an oversized map reached graded_basis or a code table")
 
 
-def _no_listing(monkeypatch):
-    import slpkit.embedding
-    import slpkit.quotient
-
-    monkeypatch.setattr(slpkit.lefschetz, "graded_basis", _no_basis_listing)
-    for module in (slpkit.quotient, slpkit.lefschetz, slpkit.embedding):
-        monkeypatch.setattr(module, "_position_codes", _no_basis_listing)
-
-
 def _only_one_by_one_builds(monkeypatch):
     """Stub build_matrix to fail on any map above 1x1; the returned list records the (i, t) built."""
     real_build = slpkit.lefschetz.build_matrix
@@ -233,10 +224,15 @@ def _only_one_by_one_builds(monkeypatch):
 
 
 def test_oversized_maps_are_refused_before_any_listing(monkeypatch):
+    import slpkit.embedding
+    import slpkit.quotient
+
     spec = AlgebraSpec.quadratic(30)
     ones = LinearForm.ones(30)
     with monkeypatch.context() as mp:
-        _no_listing(mp)
+        mp.setattr(slpkit.lefschetz, "graded_basis", _no_basis_listing)
+        for module in (slpkit.quotient, slpkit.lefschetz, slpkit.embedding):
+            mp.setattr(module, "_position_codes", _no_basis_listing)
         # every route that builds the maps refuses them first
         with pytest.raises(ValueError, match="limit"):
             build_matrix(spec, ones, 14, 2)
@@ -282,8 +278,7 @@ def test_the_paper_gives_a_verdict_at_every_size(monkeypatch):
     assert built == [(0, 36)]
 
 
-def _count_size_checks(monkeypatch):
-    """Record what every _refuse_oversized call checks."""
+def test_each_map_is_size_checked_at_most_twice(monkeypatch):
     real = slpkit.lefschetz._refuse_oversized
     seen = []
 
@@ -292,11 +287,6 @@ def _count_size_checks(monkeypatch):
         return real(rows, cols, what)
 
     monkeypatch.setattr(slpkit.lefschetz, "_refuse_oversized", counting)
-    return seen
-
-
-def test_each_map_is_size_checked_at_most_twice(monkeypatch):
-    seen = _count_size_checks(monkeypatch)
     spec, ones = AlgebraSpec.quadratic(9), LinearForm.ones(9)
     # under the hypotheses only the socle map is built, and only build_matrix checks it
     assert slp_check(spec, ones).slp
