@@ -62,11 +62,11 @@ for n in (8, 9, 10):
 
 ###############################################################################
 # When the structured path's preconditions fail (here a zero coefficient),
-# the rank comes from the same dense map check that certifies the socle
-# map, and the notes say why the recursion was not used.
+# the rank comes from the Jordan-type fold, which builds no map either, and
+# the notes say why the recursion was not used.
 
 rr = recursive_middle_rank(AlgebraSpec.quadratic(4), LinearForm((1, 1, 1, 0)), 1)
-print(f"rank {rr.rank}, notes: {rr.notes}")
+print(f"rank {rr.rank} by {rr.method}, notes: {rr.notes}")
 
 ###############################################################################
 # Any other spec reaches the same induction through the block-sum embedding.

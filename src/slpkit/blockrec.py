@@ -19,7 +19,8 @@ k! c_1...c_k.  In characteristic 0 or above n with no zero coefficient
 every step and every base map is invertible, so the induction builds no
 matrix: recursive_middle_rank checks those hypotheses with one 1x1 map,
 once per (spec, form), and reaches every other spec through the block-sum
-embedding.
+embedding.  Where a hypothesis fails it answers with the Jordan-type fold
+(_jordan), which builds no map of the spec either.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ from .exactmat import (
     rank_mod_p,  # unused; perfbench/tests/test_tracing.py expects this binding
     scale,
 )
+from ._jordan import jordan_check
 from .lefschetz import LinearForm, MapCheck, build_matrix, check_map
 from .quotient import AlgebraSpec
 
@@ -128,9 +130,10 @@ def recursive_middle_rank(spec: AlgebraSpec, form: LinearForm, i: int) -> MapChe
     prod(c_k!) with c_k <= m < p; so E^t o phi_i = phi o form^t injective
     makes form^t injective, hence bijective as h_i = h_(m-i).  Under the
     hypotheses the answer is rank dim(i) with method "block-recursive", no
-    notes and the socle map's peak_bits.  Otherwise it is check_map's dense
-    answer, with a note that says why.  Either way ms times the whole call,
-    the socle check included when this call decided the hypotheses.
+    notes and the socle map's peak_bits.  Otherwise it is the Jordan-type
+    fold's answer, method "jordan", with a note that says why.  Either way
+    ms times the whole call, the socle check included when this call
+    decided the hypotheses.
     """
     if form.nvars != spec.n:
         raise ValueError("form has the wrong number of coefficients")
@@ -144,5 +147,5 @@ def recursive_middle_rank(spec: AlgebraSpec, form: LinearForm, i: int) -> MapChe
         d = spec.dim(i)
         ms = (time.perf_counter() - start) * 1000.0
         return MapCheck(i, t, d, d, d, True, "block-recursive", ms, peak_bits=socle_bits)
-    dense = check_map(spec, form, i, t, "dense")
-    return replace(dense, ms=(time.perf_counter() - start) * 1000.0, notes=(reason,))
+    folded = jordan_check(spec, form, i, t)
+    return replace(folded, ms=(time.perf_counter() - start) * 1000.0, notes=(reason,))

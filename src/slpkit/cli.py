@@ -302,7 +302,7 @@ def _cmd_selftest(args) -> int:
         ok = ok and slp_check(qs, LinearForm.ones(n)).slp
     checks.append(("square-free sweep holds through six variables", ok))
 
-    # over F_5 the recursion runs for n < 5 and falls back to the dense map for n >= 5
+    # over F_5 the recursion runs for n < 5 and falls back to the Jordan-type fold for n >= 5
     ok = True
     for n in range(1, 7):
         qs = AlgebraSpec.quadratic(n, 5)

@@ -20,8 +20,8 @@ is l^t after l^(i+j-m), so a bijective l^(2j-m) makes l^t surjective.
 slp_check therefore checks the middle maps by default; mode "full" runs
 every power and serves as the oracle in tests.
 
-check_map is the one routine that builds a map and ranks it, on either
-route.  Its dense route ranks the built matrix with exactmat.certified_rank:
+check_map is the one routine that checks a map, on one of three routes.
+Its dense route builds the map and ranks it with exactmat.certified_rank:
 over F_p that is one elimination mod p; over Q it probes mod the one fixed
 prime exactmat.PROBE_PRIME (full modular rank certifies full rational rank)
 and falls back to exact fraction-free elimination only when the certificate
@@ -31,15 +31,20 @@ Its proof route, blockrec.recursive_middle_rank, is the paper's proof, the
 induction on variables carried to every spec by the block-sum embedding: it
 decides the proof's hypotheses once per (spec, form) and builds no matrix
 beyond the 1x1 socle map l^m: A_0 -> A_m, which it checks through the dense
-route, as it does every fallback.  Both routes answer with a MapCheck.  The
-route follows from the input alone: method "auto" takes the proof route
-exactly for the middle maps, and "dense", the oracle, never does.
+route.  The Jordan-type fold (_jordan) reads the rank off the strings of
+multiplication by the form, folded one variable at a time, and builds no map
+of the spec; it answers every map outside the proof's hypotheses.  All
+routes answer with a MapCheck.  The route follows from the input alone:
+method "auto" takes the proof route for the middle maps, which falls back
+to the fold when a hypothesis fails, and the fold for every other map;
+"dense", the oracle, always builds the map.
 
 Only maps that are built are refused for size: build_matrix refuses one of
-more than MAX_MAP_CELLS cells before listing any basis, and slp_check
-refuses every map of a sweep it will build before building any.  Under the
-proof's hypotheses that is none beyond the socle map, so the paper's verdict
-comes at any size.
+more than MAX_MAP_CELLS cells before listing any basis, and slp_check on
+the dense route refuses every map of a sweep before building any.  The
+proof route builds the socle map alone and the fold builds only its small
+two-variable pair tables, so the auto verdict comes at any size; the fold
+has its own bound on the socle degree.
 """
 from __future__ import annotations
 
@@ -187,12 +192,13 @@ def build_matrix(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> Multipl
 
 @dataclass(frozen=True)
 class MapCheck:
-    """One (i, t) rank check: the answer of both routes of check_map.
+    """One (i, t) rank check: the answer of every route of check_map.
 
     method is the ranking that decided it ("block-recursive" for the proof
-    route, else certified_rank's method); notes say why the proof route
-    fell back to the dense map; peak_bits is the largest entry bit size of
-    the matrix that was built (the 1x1 socle map on the proof route).
+    route, "jordan" for the fold, else certified_rank's method); notes say
+    why the proof route fell back to the fold; peak_bits is the largest
+    entry bit size of the matrix that was built (the 1x1 socle map on the
+    proof route, 0 when the fold answered).
     to_json_dict is the one JSON shape of a check, which the CLI's slp, rank
     and bench commands write.
     """
@@ -267,23 +273,29 @@ def full_pairs(socle_degree: int) -> tuple[tuple[int, int], ...]:
 def check_map(spec: AlgebraSpec, form: LinearForm, i: int, t: int, method: str = "auto") -> MapCheck:
     """Rank check of multiplication by form^t from degree i.
 
-    This is the one routine that builds a map and ranks it.  method "auto"
-    takes the proof route, blockrec.recursive_middle_rank, exactly for the
-    middle maps (i, m-2i) of every spec, and the dense route otherwise;
+    This is the one routine that checks a map.  method "auto" takes the
+    proof route, blockrec.recursive_middle_rank, for the middle maps
+    (i, m-2i) of every spec, and answers every other (i, t) with the
+    Jordan-type fold, method "jordan", which builds no map of the spec;
     "dense" always builds the matrix and ranks it with
     exactmat.certified_rank, which eliminates F_p matrices mod p and
     certifies integer ones mod PROBE_PRIME; peak_bits is that matrix's.
-    rows and cols come from spec.dim on both routes, and ms times the whole
+    rows and cols come from spec.dim on every route, and ms times the whole
     check, on the proof route a fallback's socle check included.  Only a map
-    that is built is refused for size, by build_matrix.
+    that is built is refused for size, by build_matrix; the fold refuses a
+    socle degree above its own bound.
     """
     if method not in ("auto", "dense"):
         raise ValueError(f"unknown method {method!r}")
-    # (i, t) in middle_pairs(m), without listing the m/2 pairs
-    if method == "auto" and i >= 0 and t >= 1 and 2 * i + t == spec.socle_degree:
-        from .blockrec import recursive_middle_rank
+    if method == "auto":
+        # (i, t) in middle_pairs(m), without listing the m/2 pairs
+        if i >= 0 and t >= 1 and 2 * i + t == spec.socle_degree:
+            from .blockrec import recursive_middle_rank
 
-        return recursive_middle_rank(spec, form, i)
+            return recursive_middle_rank(spec, form, i)
+        from ._jordan import jordan_check
+
+        return jordan_check(spec, form, i, t)
     nrows, ncols = spec.dim(i + t), spec.dim(i)
     start = time.perf_counter()
     mat = build_matrix(spec, form, i, t).matrix
@@ -304,11 +316,11 @@ def slp_check(
     mode "middle" checks the square maps (i, m-2i), which decide the whole
     property for every spec in every characteristic (module docstring);
     "full" checks every power.  method "auto" takes the proof route for the
-    middle maps and "dense" builds each matrix outright; full mode always
-    runs dense, so it stays independent of the proof.
-    The proof's hypotheses are decided first.  When they hold, the proof
-    route builds nothing beyond the socle map, so no middle map is refused
-    for size; otherwise every map's size is checked before any is built.
+    middle maps, with the Jordan-type fold where its hypotheses fail, and
+    "dense" builds each matrix outright; full mode always runs dense, so it
+    stays independent of the proof and the fold.  Neither auto route builds
+    a middle map, so no map is refused for size; on the dense route every
+    map's size is checked before any is built.
     """
     if form.nvars != spec.n:
         raise ValueError("form has the wrong number of coefficients")
@@ -318,12 +330,10 @@ def slp_check(
         raise ValueError(f"unknown method {method!r}")
     if mode == "full":
         method = "dense"
-    from .blockrec import _proof_hypotheses
-
     m = spec.socle_degree
     pairs = middle_pairs(m) if mode == "middle" else full_pairs(m)
     start = time.perf_counter()
-    if method == "dense" or pairs and _proof_hypotheses(spec, form)[0] is not None:
+    if method == "dense":
         _refuse_oversized_maps(spec, pairs)
     checks = tuple(check_map(spec, form, i, t, method) for i, t in pairs)
     total_ms = (time.perf_counter() - start) * 1000.0

@@ -2,21 +2,26 @@
 import numpy as np
 import pytest
 
+from slpkit._jordan import _jordan_type, _pair_type
 from slpkit.blockrec import _proof_hypotheses
 from slpkit.exactmat import ExactMatrix
 
+MEMOS = (_proof_hypotheses, _jordan_type, _pair_type)
+
 
 @pytest.fixture(autouse=True)
-def fresh_proof_hypotheses():
-    """Empty the per-(spec, form) memo of the proof's hypotheses around every test.
+def fresh_memos():
+    """Empty the memos of the proof's hypotheses and of the Jordan-type fold around every test.
 
-    A test that stubs check_map would otherwise leave its stubbed socle
-    verdict to later tests, and a warm memo would hide the socle build from
-    a test that counts builds.
+    A test that stubs check_map or build_matrix would otherwise leave its
+    stubbed verdicts to later tests, and a warm memo would hide the socle
+    build or the pair tables from a test that counts builds.
     """
-    _proof_hypotheses.cache_clear()
+    for memo in MEMOS:
+        memo.cache_clear()
     yield
-    _proof_hypotheses.cache_clear()
+    for memo in MEMOS:
+        memo.cache_clear()
 
 
 @pytest.fixture

@@ -154,6 +154,7 @@ def test_recursive_rank_small_characteristic_falls_back():
     spec = AlgebraSpec.quadratic(3, 2)
     rr = recursive_middle_rank(spec, LinearForm.ones(3), 1)
     assert any("characteristic" in note for note in rr.notes)
+    assert rr.method == "jordan"
     dense = rank_mod_p(build_matrix(spec, LinearForm.ones(3), 1, 1).matrix, 2)
     assert rr.rank == dense.rank
 
@@ -162,12 +163,13 @@ def test_recursive_rank_zero_coefficient_falls_back():
     spec = AlgebraSpec.quadratic(4)
     rr = recursive_middle_rank(spec, LinearForm((1, 1, 1, 0)), 1)
     assert any("zero coefficient" in note for note in rr.notes)
+    assert rr.method == "jordan"
     dense = rank_fraction_free(build_matrix(spec, LinearForm((1, 1, 1, 0)), 1, 2).matrix)
     assert rr.rank == dense.rank
 
 
 @pytest.mark.parametrize("char", [0, 101])
-def test_singular_base_map_falls_back_to_the_dense_check(monkeypatch, char):
+def test_singular_base_map_falls_back_to_the_fold(monkeypatch, char):
     real = slpkit.blockrec.check_map
     calls = []
 
@@ -180,16 +182,13 @@ def test_singular_base_map_falls_back_to_the_dense_check(monkeypatch, char):
     spec = AlgebraSpec.quadratic(6, char)
     form = LinearForm((1, 2, -1, 3, 1, -2))
     rr = recursive_middle_rank(spec, form, 2)
-    # the one base map the route builds is the socle map l^6: A_0 -> A_6
-    assert [(s.n, f.coefficients, i, t) for s, f, i, t in calls] == [
-        (6, form.coefficients, 0, 6),
-        (6, form.coefficients, 2, 2),
-    ]
+    # the one map the route builds is the socle map l^6: A_0 -> A_6; the fold builds none
+    assert [(s.n, f.coefficients, i, t) for s, f, i, t in calls] == [(6, form.coefficients, 0, 6)]
     assert rr.notes == ("zero coefficient in the form; structured path unavailable",)
     mat = build_matrix(spec, form, 2, 2).matrix
     dense = rank_mod_p(mat, char).rank if char else rank_fraction_free(mat).rank
     assert rr.rank == dense == comb(6, 2)
-    assert rr.method == "modular"
+    assert rr.method == "jordan"
 
 
 def test_fallback_ms_covers_the_socle_check(monkeypatch):
@@ -203,9 +202,9 @@ def test_fallback_ms_covers_the_socle_check(monkeypatch):
 
     monkeypatch.setattr(slpkit.blockrec, "check_map", recording)
     rr = recursive_middle_rank(AlgebraSpec.quadratic(6), LinearForm((1, 2, 0, 3, 1, 1)), 2)
-    # the socle check, then the dense map it fell back to
-    assert len(inner) == 2 and rr.notes
-    assert rr.ms >= sum(inner)
+    # the socle check, then the fold, which checks no map
+    assert len(inner) == 1 and rr.notes and rr.method == "jordan"
+    assert rr.ms >= inner[0]
 
 
 def _random_form(rng, n, char):
@@ -235,7 +234,7 @@ def test_auto_route_agrees_with_the_full_dense_check():
                     if char == 0 or char > n:
                         assert (c.method, c.notes) == ("block-recursive", ()), (n, char, c)
                     else:
-                        assert c.method == "modular"
+                        assert c.method == "jordan"
                         assert any(note.startswith(f"characteristic {char}") for note in c.notes)
 
 
@@ -325,12 +324,12 @@ def test_block_route_builds_only_base_maps(monkeypatch, char, exponents):
 @pytest.mark.parametrize("char", [0, 7, 1009])
 def test_large_killed_power_needs_no_deep_recursion(char):
     # socle degree 1000, at the default recursion limit; characteristic 7
-    # falls back to the dense 1x1 maps, the others take the route
+    # falls back to the fold, the others take the route
     spec = AlgebraSpec(1, (1001,), char)
     report = slp_check(spec, LinearForm((3,)))
     assert report.slp
     assert [(c.i, c.t, c.rank) for c in report.maps] == [(i, 1000 - 2 * i, 1) for i in range(500)]
-    route = "modular" if char == 7 else "block-recursive"
+    route = "jordan" if char == 7 else "block-recursive"
     assert {c.method for c in report.maps} == {route}
 
 

@@ -311,19 +311,46 @@ def test_oversized_algebra_exits_two_before_listing_a_basis(capsys, monkeypatch)
         mp.setattr(slpkit.lefschetz, "graded_basis", no_basis_listing)
         for module in (slpkit.quotient, slpkit.lefschetz, slpkit.embedding):
             mp.setattr(module, "_position_codes", no_basis_listing)
-        # the routes that build the middle maps: dense, full, and p <= m
+        # the routes that build the middle maps: dense and full
         for argv in (
             ["--quadratic", "30", "--method", "dense"],
             ["--quadratic", "30", "--mode", "full"],
-            ["--quadratic", "30", "--char", "29"],
-            ["--quadratic", "17", "--char", "17"],
         ):
             code, out, err = run(capsys, "slp", *argv)
             assert code == 2 and "limit" in err and out == "", argv
+    # p <= m and a zero coefficient are outside the proof's hypotheses: the fold decides them
+    for argv, maps in (
+        (["--quadratic", "30", "--char", "29"], 15),
+        (["--quadratic", "17", "--char", "17"], 9),
+        (["--quadratic", "30", "--form", ",".join(["0"] + ["1"] * 29)], 15),
+    ):
+        code, out, err = run(capsys, "slp", *argv)
+        assert code == 1 and err == "" and out.count("jordan") == maps, argv
+        assert "FAIL i=0" in out and "SLP fails" in out
     # over Q the proof route builds only the 1x1 socle map
     code, out, err = run(capsys, "slp", "--quadratic", "30")
     assert code == 0 and err == "" and out.count("block-recursive") == 15
     assert "SLP holds for 30 variables" in out
+
+
+def test_fold_above_its_bound_exits_two_before_folding(capsys, monkeypatch):
+    import slpkit._jordan
+
+    def no_fold(*args):
+        pytest.fail("folded above the bound")
+
+    monkeypatch.setattr(slpkit._jordan, "_jordan_type", no_fold)
+    m = slpkit._jordan._MAX_FOLD_DEGREE
+    for argv in (
+        ["slp", "--quadratic", str(m + 1), "--char", "7"],
+        ["rank", "--quadratic", str(m + 1), "--i", "0", "--t", "1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and f"limited to socle degree {m}" in err, argv
+    # at the bound the fold runs
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "slp", "--exponents", str(m + 1), "--char", "7")
+    assert code == 0 and out.count("jordan") == m // 2
 
 
 def test_paper_size_inputs_get_their_verdict(capsys):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import numpy as np
 import oracles
+import slpkit._jordan
 import slpkit.blockrec
 import slpkit.exactmat
 import slpkit.lefschetz
@@ -208,19 +209,29 @@ def _no_basis_listing(*args):
     pytest.fail("an oversized map reached graded_basis or a code table")
 
 
-def _only_one_by_one_builds(monkeypatch):
-    """Stub build_matrix to fail on any map above 1x1; the returned list records the (i, t) built."""
-    real_build = slpkit.lefschetz.build_matrix
-    built = []
+def _only_socle_and_pair_builds(monkeypatch, spec):
+    """Stub build_matrix so that of spec only its 1x1 socle map (0, m) may be built.
 
-    def one_by_one(spec, form, i, t):
-        if spec.dim(i) * spec.dim(i + t) > 1:
-            pytest.fail(f"built the ({i}, {t}) map of {spec.n} variables")
-        built.append((i, t))
-        return real_build(spec, form, i, t)
+    Any other map must be a pair table of the Jordan-type fold: of two
+    variables and at most min(L, b) square.  Returns the list of (i, t) built
+    of spec and the list of the pair tables' killed powers (L, b).
+    """
+    built, pairs = [], []
 
-    monkeypatch.setattr(slpkit.lefschetz, "build_matrix", one_by_one)
-    return built
+    def stub(s, form, i, t):
+        if s == spec:
+            if (i, t) != (0, s.socle_degree):
+                pytest.fail(f"built the ({i}, {t}) map of the input spec")
+            built.append((i, t))
+        elif s.n != 2 or max(s.dim(i), s.dim(i + t)) > min(s.exponents):
+            pytest.fail(f"built the ({i}, {t}) map of {s}")
+        else:
+            pairs.append(s.exponents)
+        return build_matrix(s, form, i, t)
+
+    for module in (slpkit.lefschetz, slpkit._jordan):
+        monkeypatch.setattr(module, "build_matrix", stub)
+    return built, pairs
 
 
 def test_oversized_maps_are_refused_before_any_listing(monkeypatch):
@@ -242,18 +253,21 @@ def test_oversized_maps_are_refused_before_any_listing(monkeypatch):
             slp_check(spec, ones, method="dense")
         with pytest.raises(ValueError, match="limit"):
             slp_check(spec, ones, mode="full")
-        # p <= m is outside the proof's hypotheses: the middle maps are built, so refused
-        with pytest.raises(ValueError, match="limit"):
-            slp_check(AlgebraSpec.quadratic(30, 29), ones)
         with pytest.raises(ValueError, match=r"\(i=8, t=1\) map is 24310x24310"):
-            check_map(AlgebraSpec.quadratic(17, 17), LinearForm.ones(17), 8, 1)
-        with pytest.raises(ValueError, match="limit"):
-            slp_check(AlgebraSpec.quadratic(17, 17), LinearForm.ones(17))
-    built = _only_one_by_one_builds(monkeypatch)
-    # a zero coefficient fails the hypotheses after the 1x1 socle map, and the sweep is refused
-    with pytest.raises(ValueError, match=r"\(i=4, t=22\) map is 27405x27405"):
-        slp_check(spec, LinearForm((0,) + (1,) * 29))
-    assert built == [(0, 30)]
+            check_map(AlgebraSpec.quadratic(17, 17), LinearForm.ones(17), 8, 1, "dense")
+    # p <= m is outside the proof's hypotheses: the fold answers without building the maps
+    small = AlgebraSpec.quadratic(17, 17)
+    built, _pairs = _only_socle_and_pair_builds(monkeypatch, small)
+    mc = check_map(small, LinearForm.ones(17), 8, 1)
+    assert (mc.rows, mc.cols, mc.rank, mc.method) == (24310, 24310, 24310, "jordan")
+    assert built == []
+    # a zero coefficient fails the hypotheses after the 1x1 socle map, and the fold answers the rest
+    built, pairs = _only_socle_and_pair_builds(monkeypatch, spec)
+    report = slp_check(spec, LinearForm((0,) + (1,) * 29))
+    assert report.failures == tuple(middle_pairs(30))
+    assert [c.rank for c in report.maps] == [oracles.tensor_wilson_rank(30, 1, i, t, 0) for i, t in middle_pairs(30)]
+    assert {c.method for c in report.maps} == {"jordan"}
+    assert (built, pairs) == ([(0, 30)], [])
     # under the hypotheses the proof route builds the socle map alone, at any size
     built.clear()
     mc = check_map(spec, ones, 14, 2)
@@ -262,54 +276,98 @@ def test_oversized_maps_are_refused_before_any_listing(monkeypatch):
 
 
 def test_the_paper_gives_a_verdict_at_every_size(monkeypatch):
-    built = _only_one_by_one_builds(monkeypatch)
-    report = slp_check(AlgebraSpec.quadratic(1000), LinearForm.ones(1000))
+    spec = AlgebraSpec.quadratic(1000)
+    built, _pairs = _only_socle_and_pair_builds(monkeypatch, spec)
+    report = slp_check(spec, LinearForm.ones(1000))
     assert report.slp and len(report.maps) == 500
     assert all(c.rank == comb(1000, c.i) and c.method == "block-recursive" for c in report.maps)
     assert built == [(0, 1000)]
     # (5,)*9 has socle degree 36: p = 37 is inside the hypotheses, p = 31 is not
-    built.clear()
     spec = AlgebraSpec(9, (5,) * 9, 37)
+    built, _pairs = _only_socle_and_pair_builds(monkeypatch, spec)
     report = slp_check(spec, LinearForm.ones(9))
     assert report.slp and [(c.i, c.rank) for c in report.maps] == [(i, spec.dim(i)) for i in range(18)]
     assert built == [(0, 36)]
+    spec = replace(spec, characteristic=31)
+    built, pairs = _only_socle_and_pair_builds(monkeypatch, spec)
+    report = slp_check(spec, LinearForm.ones(9))
+    # the socle scalar 36!/(4!)^9 vanishes mod 31
+    assert report.failures[0] == (0, 36) and report.maps[0].rank == 0
+    assert {c.method for c in report.maps} == {"jordan"} and built == [] and pairs
     with pytest.raises(ValueError, match="limit"):
-        slp_check(replace(spec, characteristic=31), LinearForm.ones(9))
-    assert built == [(0, 36)]
+        slp_check(spec, LinearForm.ones(9), method="dense")
+
+
+@pytest.mark.parametrize(
+    "n, p, zeros",
+    [(200, 7, 0), (30, 29, 0), (17, 17, 0), (30, 0, 3)],
+    ids=["200-p7", "30-p29", "17-p17", "30-zeros"],
+)
+def test_the_fold_gives_a_verdict_outside_the_hypotheses(monkeypatch, n, p, zeros):
+    # each has middle maps above MAX_MAP_CELLS, and is decided from pair tables alone
+    spec = AlgebraSpec.quadratic(n, p)
+    form = LinearForm((0,) * zeros + (1,) * (n - zeros))
+    built, pairs = _only_socle_and_pair_builds(monkeypatch, spec)
+    report = slp_check(spec, form)
+    assert not report.slp and {c.method for c in report.maps} == {"jordan"}
+    assert [c.rank for c in report.maps] == [oracles.tensor_wilson_rank(n, zeros, i, t, p) for i, t in middle_pairs(n)]
+    # a zero coefficient is found by the socle map; p <= m is decided before any map is built
+    assert built == ([(0, n)] if zeros else [])
+    assert bool(pairs) == bool(p)
+
+
+def test_a_zero_coefficient_builds_the_socle_map_once(monkeypatch):
+    spec = AlgebraSpec.quadratic(11)
+    built, pairs = _only_socle_and_pair_builds(monkeypatch, spec)
+    report = slp_check(spec, LinearForm((1, 0, 1, 1, 0, 1, 1, 1, 1, 1, 1)))
+    assert report.failures == tuple(middle_pairs(11))
+    assert (built, pairs) == ([(0, 11)], [])
 
 
 def test_each_map_is_size_checked_at_most_twice(monkeypatch):
-    real = slpkit.lefschetz._refuse_oversized
+    real = slpkit.lefschetz._refuse_oversized_maps
     seen = []
 
-    def counting(rows, cols, what):
-        seen.append(what)
-        return real(rows, cols, what)
+    def counting(spec, pairs):
+        pairs = tuple(pairs)
+        seen.extend((spec, i, t) for i, t in pairs)
+        return real(spec, pairs)
 
-    monkeypatch.setattr(slpkit.lefschetz, "_refuse_oversized", counting)
+    monkeypatch.setattr(slpkit.lefschetz, "_refuse_oversized_maps", counting)
     spec, ones = AlgebraSpec.quadratic(9), LinearForm.ones(9)
     # under the hypotheses only the socle map is built, and only build_matrix checks it
     assert slp_check(spec, ones).slp
-    assert seen == ["the (i=0, t=9) map"]
-    # dense sweeps, and the proof route's fallbacks at p <= m: once up front, once in build_matrix
-    for sweep_spec, kwargs, sweep in (
-        (spec, {"method": "dense"}, middle_pairs(9)),
-        (spec, {"mode": "full"}, full_pairs(9)),
-        (AlgebraSpec.quadratic(9, 7), {}, middle_pairs(9)),
-    ):
+    assert seen == [(spec, 0, 9)]
+    # dense sweeps: once up front, once in build_matrix
+    for kwargs, sweep in (({"method": "dense"}, middle_pairs(9)), ({"mode": "full"}, full_pairs(9))):
         seen.clear()
-        slp_check(sweep_spec, ones, **kwargs)
-        assert sorted(seen) == sorted(2 * [f"the (i={i}, t={t}) map" for i, t in sweep]), kwargs
+        slp_check(spec, ones, **kwargs)
+        assert sorted(seen) == sorted(2 * [(spec, i, t) for i, t in sweep]), kwargs
+    # the fold at p <= m checks no map of the spec, only its pair tables as they are built
+    seen.clear()
+    slp_check(AlgebraSpec.quadratic(9, 7), ones)
+    assert seen and all(s.n == 2 for s, _i, _t in seen)
 
 
-def test_char_search_computes_the_hilbert_function_once():
-    from slpkit.quotient import _hilbert_function
+def test_char_search_computes_the_hilbert_function_once(monkeypatch):
+    import slpkit.quotient
 
-    _hilbert_function.cache_clear()
+    real = slpkit.quotient._hilbert_function
+    real.cache_clear()
+    computed = []
+
+    def spy(exponents):
+        misses = real.cache_info().misses
+        out = real(exponents)
+        if real.cache_info().misses > misses:
+            computed.append(exponents)
+        return out
+
+    monkeypatch.setattr(slpkit.quotient, "_hilbert_function", spy)
     reports = char_search(AlgebraSpec.quadratic(7), LinearForm.ones(7), (2, 3, 5, 7, 11))
     assert [r.slp for r in reports] == [False, False, False, False, True]
-    info = _hilbert_function.cache_info()
-    assert (info.misses, info.currsize) == (1, 1) and info.hits > 0
+    # once for the input's killed powers; the fold's pair tables have their own
+    assert computed.count((2,) * 7) == 1 and real.cache_info().hits > 0
 
 
 def _composition_triples(m):
@@ -626,13 +684,15 @@ def test_check_map_picks_block_only_for_middle_maps():
     spec, form = AlgebraSpec.quadratic(5), LinearForm.ones(5)
     assert check_map(spec, form, 1, 3).method == "block-recursive"
     assert check_map(spec, form, 1, 3, "dense").method == "modular"
-    assert check_map(spec, form, 1, 2).method == "modular"
+    assert check_map(spec, form, 1, 2).method == "jordan"
+    assert check_map(spec, form, 1, 2, "dense").method == "modular"
     general = AlgebraSpec(2, (3, 3))
     assert check_map(general, LinearForm.ones(2), 1, 2).method == "block-recursive"
-    assert check_map(general, LinearForm.ones(2), 1, 1).method == "modular"
-    # 2i + t == m, but i < 0: not a middle map, so the dense route refuses the degrees
-    with pytest.raises(ValueError, match="out of range"):
-        check_map(spec, form, -1, 7)
+    assert check_map(general, LinearForm.ones(2), 1, 1).method == "jordan"
+    # 2i + t == m, but i < 0: not a middle map, so the fold refuses the degrees, as the dense route does
+    for method in ("auto", "dense"):
+        with pytest.raises(ValueError, match="out of range"):
+            check_map(spec, form, -1, 7, method)
     with pytest.raises(ValueError):
         check_map(spec, form, 1, 3, "magic")
     c = check_map(spec, LinearForm((1, 1, 1, 1, 1000)), 0, 5, "dense")
@@ -648,7 +708,7 @@ def test_check_map_picks_block_only_for_middle_maps():
 )
 def test_middle_ranks_mod_p_match_wilson(ns, primes):
     # +-1 forms with up to two zero coefficients: the proof route for p > n
-    # without zeros, the dense fallback otherwise, and the dense route itself
+    # without zeros, the Jordan-type fold otherwise, and the dense route itself
     rng = random.Random(1990)
     for n in ns:
         for p in primes:
@@ -663,8 +723,8 @@ def test_middle_ranks_mod_p_match_wilson(ns, primes):
                     for method in ("auto", "dense"):
                         c = check_map(spec, form, i, t, method)
                         assert c.rank == want, (n, p, form, i, method)
-                        proof = method == "auto" and p > n and not zeros
-                        assert (c.method == "block-recursive") == proof, (n, p, form, i, method)
+                        route = "modular" if method == "dense" else "block-recursive" if p > n and not zeros else "jordan"
+                        assert c.method == route, (n, p, form, i, method)
 
 
 @pytest.mark.parametrize("nzero", [1, 2, 3])
