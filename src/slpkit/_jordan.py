@@ -12,27 +12,37 @@ one variable at a time, A = B (x) k[y]/(y^b) with l = l_B + c y:
 
 - b = 1: y is zero in A, and the type does not change.
 - c = 0: l acts on B alone, and each string (s, L) becomes (s + j, L) for
-  j < b.
+  j < b.  All such variables together turn it into h_j strings (s + j, L),
+  with h the Hilbert function of their killed powers, so the fold takes the
+  nonzero coefficients first and the zero ones in one pass.
 - c != 0: take c = 1.  The string (s, L) is k[u]/(u^L) shifted by s, on
   which l_B acts as u, so it becomes s plus each string of u + y on the
   pair algebra k[u, y]/(u^L, y^b).
 
-The pair type.  The cokernel of u + y is k[u]/(u^min(L,b)), so exactly one
-string starts in each degree k < min(L, b).  The pair algebra is Gorenstein
-of socle degree L + b - 2 and u + y is self-adjoint for its pairing, so the
-type is symmetric and exactly one string ends in each degree L + b - 2 - k.
-In characteristic 0 or p > L + b - 2 the pair algebra has the strong
-Lefschetz property (the paper's theorem in two variables), and the type is
-Clebsch-Gordan: (k, L + b - 1 - 2k) for k < min(L, b).  Otherwise the
-strings are read off ranks mod p.  Let r = min(L, b) and w_s = (u + y)^(r-1-s)
-u^s for s < r.  As u^s spans A_s modulo (u + y) A_(s-1), w_0..w_s span
-(u + y)^(r-1-s) A_s, so in degree e the images of w_0..w_s under
-(u + y)^(e-r+1) span (u + y)^(e-s) A_s.  Its dimension, the rank of
-(u + y)^(e-s) from degree s, counts the strings from degrees <= s that reach
-e; so by inclusion-exclusion image s is independent of the images before it
-exactly when the string from degree s reaches e.  One elimination mod p per
-end degree e gives every string's end.  The only maps built are
-(u + y)^(e-r+1) from degree r - 1 of the two-variable spec, at most r square.
+The pair type.  The cokernel of u + y is k[u]/(u^r), r = min(L, b), so
+exactly one string starts in each degree s < r.  The pair algebra is
+Gorenstein of socle degree top = L + b - 2 and u + y is self-adjoint for its
+pairing, so the type is symmetric and exactly one string ends in each degree
+top - k, k < r.  In characteristic 0 or p > top the pair algebra has the
+strong Lefschetz property (the paper's theorem in two variables), and the
+type is Clebsch-Gordan: (k, L + b - 1 - 2k) for k < r.  Otherwise the ends
+are found mod p.  Swapping u and y, take L <= b, so r = L.  For s < r
+every monomial of degree s survives, so A_s is spanned by the
+u^a (u + y)^(s-a), a <= s, and v_0..v_s span (u + y)^(b-1-s) A_s, where
+v_s = (u + y)^(b-1-s) u^s in degree b - 1.  Their images in degree e >= b - 1
+then have the first s + 1 spanning (u + y)^(e-s) A_s, so the image of v_s
+is independent of those before it exactly when the string from degree s
+reaches e.  From degree b - 1 on, u + y is onto, with kernel spanned by
+kappa_e = sum (-1)^a u^a y^(e-a); so in each degree e >= b - 1 the images
+of the strings that reach e are a basis, and the string that ends at e is
+the largest s at which kappa_e has a nonzero coordinate in that basis.
+Those coordinates come from the basis's inverse, which is kept instead of
+the basis.  In degree b - 1 it is explicit: expanding
+u^a y^(b-1-a) = u^a (u + y - u)^(b-1-a) and dropping u^s = 0 for s >= r
+gives the sum of (-1)^(s-a) C(b-1-a, s-a) v_s.  Each degree step drops the
+ended string's row, after projecting its coordinate along kappa_e, and
+composes with a right inverse of u + y, an alternating prefix sum.  So a
+table costs O(r b + r^3) operations mod p, and no map is built.
 
 References: T. Harima, T. Maeno, H. Morita, Y. Numata, A. Wachi and
 J. Watanabe, The Lefschetz Properties, LNM 2080 (2013), ch. 3; the ungraded
@@ -43,67 +53,90 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache
-from math import comb
 from types import MappingProxyType
 from typing import Mapping
 
-from .exactmat import ExactMatrix, mat_mul, rank_mod_p
-from .lefschetz import LinearForm, MapCheck, build_matrix
-from .quotient import AlgebraSpec, graded_basis
+import numpy as np
 
-# Largest socle degree m that is folded.  The type has at most (m+1)(m+2)/2
-# keys, and a fold step visits every key once per string of its pair table.
-# Measured at m = 1000 on one core of a 2-vCPU Xeon: quadratic(1000) at
-# p = 7 folds in 0.4 s with 998 keys, (21,)*50 at p = 13 in 2.9 s with 4961
-# keys, and (101,)*10 at p = 7 in 8.4 s.  Mod-p pair tables of two large
-# killed powers cost most: (501, 501) at p = 499 takes 110 s, 501
-# eliminations of up to 501 square.
+from .lefschetz import LinearForm, MapCheck, check_map
+from .quotient import AlgebraSpec, _hilbert_function
+
+# Largest socle degree m that is folded; above it the maps the fold would
+# answer are checked dense, so only a map too big both to fold and to build
+# is refused.  The type has at most (m+1)(m+2)/2 keys.  Measured at m = 1000
+# on one core of a 2-vCPU Xeon, each in a fresh interpreter (28 MiB after
+# import): quadratic(1000) at p = 7 folds in 0.54 s with 998 keys; with
+# every other coefficient zero in 0.28 s over Q with 125751 keys, the most
+# keys here, at 59 MiB peak RSS; (21,)*50 at p = 13 in 0.98 s with 4961
+# keys, 0.95 s with 47861 keys with half its coefficients zero; (101,)*10 at
+# p = 7 in 0.80 s; and (501, 501) at p = 499, whose one mod-p pair table is
+# the largest, in 0.96 s.
 _MAX_FOLD_DEGREE = 1000
 
 
-@lru_cache(maxsize=4096)
 def _pair_type(length: int, b: int, p: int) -> tuple[tuple[int, int], ...]:
     """Strings (start, length) of u + y on k[u, y]/(u^length, y^b) in characteristic p."""
     short, top = min(length, b), length + b - 2
     if p == 0 or p > top:
         return tuple((k, top + 1 - 2 * k) for k in range(short))
-    return _pair_type_by_ranks(length, b, p)
+    return _pair_type_mod_p(length, b, p)
 
 
-def _pair_type_by_ranks(length: int, b: int, p: int) -> tuple[tuple[int, int], ...]:
-    """_pair_type read off the ranks of (u + y)^e mod p; right for every prime p."""
-    short, top = min(length, b), length + b - 2
-    spec = AlgebraSpec(2, (length, b), p)
-    # columns w_s = (u + y)^(short-1-s) u^s in degree short - 1, whose first
-    # s + 1 span (u + y)^(short-1-s) A_s; their coefficients are binomials
-    w = ExactMatrix.from_rows(
-        [[comb(short - 1 - s, a - s) if a >= s else 0 for s in range(short)] for a, _ in graded_basis(spec, short - 1)],
-        p,
-    )
-    ends = [0] * short
-    # ascending, so each string keeps the last end degree it reaches
-    for e in range(top - short + 1, top + 1):
-        mat = build_matrix(spec, LinearForm.ones(2), short - 1, e - short + 1).matrix
-        for _row, s in rank_mod_p(mat_mul(mat, w), p).pivots:
-            ends[s] = e
-    return tuple((s, ends[s] - s + 1) for s in range(short))
+def _pair_type_mod_p(length: int, b: int, p: int) -> tuple[tuple[int, int], ...]:
+    """_pair_type by the inverse of the string basis, degree by degree mod p; right for every prime p < 2^31."""
+    r, b = sorted((length, b))
+    top = r + b - 2
+    # the rows of dual are the coordinates in the basis of the monomials
+    # u^a y^(e-a), a ascending; in degree b - 1 entry (s, a) is
+    # (-1)^(s-a) C(b-1-a, s-a), from the first r entries of Pascal's rows
+    binom = np.zeros((r, r), dtype=np.int64)
+    row = np.zeros(r, dtype=np.int64)
+    row[0] = 1
+    for n in range(b):
+        if n:
+            row[1:] = (row[1:] + row[:-1]) % p
+        if n >= b - r:
+            binom[b - 1 - n] = row
+    sign = np.where(np.arange(r) % 2, p - 1, 1)
+    s, a = np.indices((r, r))
+    dual = np.where(s >= a, binom[a, np.maximum(s - a, 0)] * sign[np.abs(s - a)], 0) % p
+    starts, ends = list(range(r)), [0] * r
+    for e in range(b - 1, top + 1):
+        dim = top - e + 1
+        coords = dual @ sign[:dim] % p
+        k = int(np.flatnonzero(coords)[-1])
+        ends[starts.pop(k)] = e
+        if dim == 1:
+            break
+        # project the ended string's coordinate along kappa_e, then compose
+        # with the right inverse of u + y, an alternating prefix sum
+        dual = (dual - np.outer(coords * pow(int(coords[k]), -1, p) % p, dual[k])) % p
+        dual = np.delete(dual, k, axis=0)[:, : dim - 1]
+        dual = np.cumsum(dual * sign[: dim - 1], axis=1) % p * sign[: dim - 1] % p
+    return tuple((s, ends[s] - s + 1) for s in range(r))
 
 
-@lru_cache(maxsize=256)
+# one sweep reads a single key, so two are kept: at the bound a type can
+# hold some 30 MiB
+@lru_cache(maxsize=2)
 def _jordan_type(live: tuple[int, ...], dead: tuple[int, ...], p: int) -> Mapping[tuple[int, int], int]:
     """The type {(start, length): count} for killed powers >= 2 of nonzero (live) and zero (dead) coefficients."""
     strings = {(0, 1): 1}
+    tables: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
     for b in live:
         folded: dict[tuple[int, int], int] = {}
         for (s, length), count in strings.items():
-            for k, n in _pair_type(length, b, p):
+            if (length, b) not in tables:
+                tables[length, b] = _pair_type(length, b, p)
+            for k, n in tables[length, b]:
                 folded[s + k, n] = folded.get((s + k, n), 0) + count
         strings = folded
-    for b in dead:
+    if dead:
+        h = _hilbert_function(dead)
         shifted: dict[tuple[int, int], int] = {}
         for (s, length), count in strings.items():
-            for j in range(b):
-                shifted[s + j, length] = shifted.get((s + j, length), 0) + count
+            for j, hj in enumerate(h):
+                shifted[s + j, length] = shifted.get((s + j, length), 0) + count * hj
         strings = shifted
     return MappingProxyType(strings)
 
@@ -126,7 +159,13 @@ def jordan_type(spec: AlgebraSpec, form: LinearForm) -> Mapping[tuple[int, int],
 
 
 def jordan_check(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> MapCheck:
-    """check_map's answer for (i, t) read off the Jordan type: method "jordan", no map built."""
+    """check_map's answer for (i, t) off the proof route: read off the Jordan type, method "jordan".
+
+    No map is built.  Above socle degree _MAX_FOLD_DEGREE it is check_map's
+    dense answer instead, which build_matrix refuses above MAX_MAP_CELLS.
+    """
+    if spec.socle_degree > _MAX_FOLD_DEGREE:
+        return check_map(spec, form, i, t, "dense")
     if i < 0 or t < 0 or i + t > spec.socle_degree:
         raise ValueError("degrees out of range for this algebra")
     start = time.perf_counter()

@@ -20,7 +20,8 @@ every step and every base map is invertible, so the induction builds no
 matrix: recursive_middle_rank checks those hypotheses with one 1x1 map,
 once per (spec, form), and reaches every other spec through the block-sum
 embedding.  Where a hypothesis fails it answers with the Jordan-type fold
-(_jordan), which builds no map of the spec either.
+(_jordan), which builds no map of the spec either, up to the fold's bound
+on the socle degree.
 """
 from __future__ import annotations
 
@@ -131,7 +132,8 @@ def recursive_middle_rank(spec: AlgebraSpec, form: LinearForm, i: int) -> MapChe
     makes form^t injective, hence bijective as h_i = h_(m-i).  Under the
     hypotheses the answer is rank dim(i) with method "block-recursive", no
     notes and the socle map's peak_bits.  Otherwise it is the Jordan-type
-    fold's answer, method "jordan", with a note that says why.  Either way
+    fold's answer, method "jordan" (above the fold's bound on the socle
+    degree, check_map's dense answer), with a note that says why.  Either way
     ms times the whole call, the socle check included when this call
     decided the hypotheses.
     """

@@ -42,9 +42,10 @@ to the fold when a hypothesis fails, and the fold for every other map;
 Only maps that are built are refused for size: build_matrix refuses one of
 more than MAX_MAP_CELLS cells before listing any basis, and slp_check on
 the dense route refuses every map of a sweep before building any.  The
-proof route builds the socle map alone and the fold builds only its small
-two-variable pair tables, so the auto verdict comes at any size; the fold
-has its own bound on the socle degree.
+proof route builds the socle map alone and the fold builds no map, so the
+auto verdict comes at any size up to the fold's bound on the socle degree
+(_jordan._MAX_FOLD_DEGREE).  Above it the maps the fold would answer are
+built, as the dense route builds them, and refused only when too big.
 """
 from __future__ import annotations
 
@@ -281,9 +282,9 @@ def check_map(spec: AlgebraSpec, form: LinearForm, i: int, t: int, method: str =
     exactmat.certified_rank, which eliminates F_p matrices mod p and
     certifies integer ones mod PROBE_PRIME; peak_bits is that matrix's.
     rows and cols come from spec.dim on every route, and ms times the whole
-    check, on the proof route a fallback's socle check included.  Only a map
-    that is built is refused for size, by build_matrix; the fold refuses a
-    socle degree above its own bound.
+    check, on the proof route a fallback's socle check included.  Above the
+    fold's bound on the socle degree, the maps it would answer are checked
+    dense.  Only a map that is built is refused for size, by build_matrix.
     """
     if method not in ("auto", "dense"):
         raise ValueError(f"unknown method {method!r}")
@@ -319,8 +320,10 @@ def slp_check(
     middle maps, with the Jordan-type fold where its hypotheses fail, and
     "dense" builds each matrix outright; full mode always runs dense, so it
     stays independent of the proof and the fold.  Neither auto route builds
-    a middle map, so no map is refused for size; on the dense route every
-    map's size is checked before any is built.
+    a middle map up to the fold's bound on the socle degree, so no map is
+    refused for size there.  On the dense route, and above the bound when
+    the proof's hypotheses fail, every map's size is checked before any is
+    built.
     """
     if form.nvars != spec.n:
         raise ValueError("form has the wrong number of coefficients")
@@ -333,7 +336,11 @@ def slp_check(
     m = spec.socle_degree
     pairs = middle_pairs(m) if mode == "middle" else full_pairs(m)
     start = time.perf_counter()
-    if method == "dense":
+    from ._jordan import _MAX_FOLD_DEGREE
+    from .blockrec import _proof_hypotheses
+
+    # above the fold's bound a map outside the proof's hypotheses is built
+    if method == "dense" or m > _MAX_FOLD_DEGREE and _proof_hypotheses(spec, form)[0] is not None:
         _refuse_oversized_maps(spec, pairs)
     checks = tuple(check_map(spec, form, i, t, method) for i, t in pairs)
     total_ms = (time.perf_counter() - start) * 1000.0

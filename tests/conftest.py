@@ -2,11 +2,11 @@
 import numpy as np
 import pytest
 
-from slpkit._jordan import _jordan_type, _pair_type
+from slpkit._jordan import _jordan_type
 from slpkit.blockrec import _proof_hypotheses
 from slpkit.exactmat import ExactMatrix
 
-MEMOS = (_proof_hypotheses, _jordan_type, _pair_type)
+MEMOS = (_proof_hypotheses, _jordan_type)
 
 
 @pytest.fixture(autouse=True)
@@ -15,7 +15,7 @@ def fresh_memos():
 
     A test that stubs check_map or build_matrix would otherwise leave its
     stubbed verdicts to later tests, and a warm memo would hide the socle
-    build or the pair tables from a test that counts builds.
+    build or the fold from a test that counts them.
     """
     for memo in MEMOS:
         memo.cache_clear()

@@ -333,7 +333,7 @@ def test_oversized_algebra_exits_two_before_listing_a_basis(capsys, monkeypatch)
     assert "SLP holds for 30 variables" in out
 
 
-def test_fold_above_its_bound_exits_two_before_folding(capsys, monkeypatch):
+def test_above_the_fold_bound_only_maps_too_big_to_build_exit_two(capsys, monkeypatch):
     import slpkit._jordan
 
     def no_fold(*args):
@@ -341,12 +341,14 @@ def test_fold_above_its_bound_exits_two_before_folding(capsys, monkeypatch):
 
     monkeypatch.setattr(slpkit._jordan, "_jordan_type", no_fold)
     m = slpkit._jordan._MAX_FOLD_DEGREE
-    for argv in (
-        ["slp", "--quadratic", str(m + 1), "--char", "7"],
-        ["rank", "--quadratic", str(m + 1), "--i", "0", "--t", "1"],
-    ):
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and out == "" and f"limited to socle degree {m}" in err, argv
+    # above the bound the maps the fold would answer are built and ranked
+    code, out, err = run(capsys, "rank", "--quadratic", str(m + 1), "--i", "0", "--t", "1")
+    assert code == 0 and err == "" and f"rank 1 of {m + 1}x1 (maximal; modular" in out
+    code, out, err = run(capsys, "slp", "--exponents", str(m + 2), "--char", "7")
+    assert code == 0 and err == "" and out.count("modular") == m // 2 + 1
+    # and a sweep too big to build is refused before any map is
+    code, out, err = run(capsys, "slp", "--quadratic", str(m + 1), "--char", "7")
+    assert code == 2 and out == "" and "limit" in err
     # at the bound the fold runs
     monkeypatch.undo()
     code, out, _ = run(capsys, "slp", "--exponents", str(m + 1), "--char", "7")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from slpkit._jordan import _pair_type, _pair_type_by_ranks, jordan_check, jordan_type
+from slpkit._jordan import _MAX_FOLD_DEGREE, _pair_type, _pair_type_mod_p, jordan_check, jordan_type
 from slpkit.lefschetz import LinearForm, check_map, full_pairs, slp_check
 from slpkit.quotient import AlgebraSpec
 
@@ -55,8 +55,20 @@ def test_closed_form_pair_tables_match_the_mod_p_tables():
     primes = (2, 3, 5, 7, 11, 13, 17, 19, 23)
     for length, b in itertools.product(range(1, 9), repeat=2):
         for p in (p for p in primes if p > length + b - 2):
-            assert _pair_type_by_ranks(length, b, p) == _pair_type(length, b, 0), (length, b, p)
-        assert _pair_type(length, b, 2) == _pair_type_by_ranks(length, b, 2)
+            assert _pair_type_mod_p(length, b, p) == _pair_type(length, b, 0), (length, b, p)
+        assert _pair_type(length, b, 2) == _pair_type_mod_p(length, b, 2)
+
+
+def test_mod_p_pair_tables_match_the_dense_ranks():
+    # every map of the two-variable algebra, ranked dense, against the
+    # strings that cover it; both orders of the killed powers
+    for p in (2, 3, 5, 7):
+        for length, b in itertools.product(range(1, 10), repeat=2):
+            strings = _pair_type(length, b, p)
+            spec = AlgebraSpec(2, (length, b), p)
+            for i, t in full_pairs(spec.socle_degree):
+                want = check_map(spec, LinearForm.ones(2), i, t, "dense").rank
+                assert sum(s <= i and s + n - 1 >= i + t for s, n in strings) == want, (length, b, p, i, t)
 
 
 def test_type_depends_on_which_coefficients_vanish():
@@ -71,3 +83,11 @@ def test_type_depends_on_which_coefficients_vanish():
         jordan_check(spec, LinearForm.ones(4), 2, spec.socle_degree)
     with pytest.raises(ValueError, match="wrong number"):
         jordan_check(spec, LinearForm.ones(3), 0, 1)
+
+
+def test_above_the_bound_the_type_is_refused_and_maps_are_checked_dense():
+    spec, x = AlgebraSpec(1, (_MAX_FOLD_DEGREE + 2,), 7), LinearForm.ones(1)
+    with pytest.raises(ValueError, match=f"limited to socle degree {_MAX_FOLD_DEGREE}"):
+        jordan_type(spec, x)
+    mc = jordan_check(spec, x, 3, 5)
+    assert (mc.rows, mc.cols, mc.rank, mc.method) == (1, 1, 1, "modular")

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 import numpy as np
 import oracles
-import slpkit._jordan
 import slpkit.blockrec
 import slpkit.exactmat
 import slpkit.lefschetz
@@ -209,29 +208,18 @@ def _no_basis_listing(*args):
     pytest.fail("an oversized map reached graded_basis or a code table")
 
 
-def _only_socle_and_pair_builds(monkeypatch, spec):
-    """Stub build_matrix so that of spec only its 1x1 socle map (0, m) may be built.
-
-    Any other map must be a pair table of the Jordan-type fold: of two
-    variables and at most min(L, b) square.  Returns the list of (i, t) built
-    of spec and the list of the pair tables' killed powers (L, b).
-    """
-    built, pairs = [], []
+def _only_socle_builds(monkeypatch, spec):
+    """Stub build_matrix to fail on any map but spec's 1x1 socle map (0, m); the returned list records the (i, t) built."""
+    built = []
 
     def stub(s, form, i, t):
-        if s == spec:
-            if (i, t) != (0, s.socle_degree):
-                pytest.fail(f"built the ({i}, {t}) map of the input spec")
-            built.append((i, t))
-        elif s.n != 2 or max(s.dim(i), s.dim(i + t)) > min(s.exponents):
+        if (s, i, t) != (spec, 0, spec.socle_degree):
             pytest.fail(f"built the ({i}, {t}) map of {s}")
-        else:
-            pairs.append(s.exponents)
+        built.append((i, t))
         return build_matrix(s, form, i, t)
 
-    for module in (slpkit.lefschetz, slpkit._jordan):
-        monkeypatch.setattr(module, "build_matrix", stub)
-    return built, pairs
+    monkeypatch.setattr(slpkit.lefschetz, "build_matrix", stub)
+    return built
 
 
 def test_oversized_maps_are_refused_before_any_listing(monkeypatch):
@@ -257,17 +245,17 @@ def test_oversized_maps_are_refused_before_any_listing(monkeypatch):
             check_map(AlgebraSpec.quadratic(17, 17), LinearForm.ones(17), 8, 1, "dense")
     # p <= m is outside the proof's hypotheses: the fold answers without building the maps
     small = AlgebraSpec.quadratic(17, 17)
-    built, _pairs = _only_socle_and_pair_builds(monkeypatch, small)
+    built = _only_socle_builds(monkeypatch, small)
     mc = check_map(small, LinearForm.ones(17), 8, 1)
     assert (mc.rows, mc.cols, mc.rank, mc.method) == (24310, 24310, 24310, "jordan")
     assert built == []
     # a zero coefficient fails the hypotheses after the 1x1 socle map, and the fold answers the rest
-    built, pairs = _only_socle_and_pair_builds(monkeypatch, spec)
+    built = _only_socle_builds(monkeypatch, spec)
     report = slp_check(spec, LinearForm((0,) + (1,) * 29))
     assert report.failures == tuple(middle_pairs(30))
     assert [c.rank for c in report.maps] == [oracles.tensor_wilson_rank(30, 1, i, t, 0) for i, t in middle_pairs(30)]
     assert {c.method for c in report.maps} == {"jordan"}
-    assert (built, pairs) == ([(0, 30)], [])
+    assert built == [(0, 30)]
     # under the hypotheses the proof route builds the socle map alone, at any size
     built.clear()
     mc = check_map(spec, ones, 14, 2)
@@ -277,23 +265,23 @@ def test_oversized_maps_are_refused_before_any_listing(monkeypatch):
 
 def test_the_paper_gives_a_verdict_at_every_size(monkeypatch):
     spec = AlgebraSpec.quadratic(1000)
-    built, _pairs = _only_socle_and_pair_builds(monkeypatch, spec)
+    built = _only_socle_builds(monkeypatch, spec)
     report = slp_check(spec, LinearForm.ones(1000))
     assert report.slp and len(report.maps) == 500
     assert all(c.rank == comb(1000, c.i) and c.method == "block-recursive" for c in report.maps)
     assert built == [(0, 1000)]
     # (5,)*9 has socle degree 36: p = 37 is inside the hypotheses, p = 31 is not
     spec = AlgebraSpec(9, (5,) * 9, 37)
-    built, _pairs = _only_socle_and_pair_builds(monkeypatch, spec)
+    built = _only_socle_builds(monkeypatch, spec)
     report = slp_check(spec, LinearForm.ones(9))
     assert report.slp and [(c.i, c.rank) for c in report.maps] == [(i, spec.dim(i)) for i in range(18)]
     assert built == [(0, 36)]
     spec = replace(spec, characteristic=31)
-    built, pairs = _only_socle_and_pair_builds(monkeypatch, spec)
+    built = _only_socle_builds(monkeypatch, spec)
     report = slp_check(spec, LinearForm.ones(9))
     # the socle scalar 36!/(4!)^9 vanishes mod 31
     assert report.failures[0] == (0, 36) and report.maps[0].rank == 0
-    assert {c.method for c in report.maps} == {"jordan"} and built == [] and pairs
+    assert {c.method for c in report.maps} == {"jordan"} and built == []
     with pytest.raises(ValueError, match="limit"):
         slp_check(spec, LinearForm.ones(9), method="dense")
 
@@ -304,24 +292,23 @@ def test_the_paper_gives_a_verdict_at_every_size(monkeypatch):
     ids=["200-p7", "30-p29", "17-p17", "30-zeros"],
 )
 def test_the_fold_gives_a_verdict_outside_the_hypotheses(monkeypatch, n, p, zeros):
-    # each has middle maps above MAX_MAP_CELLS, and is decided from pair tables alone
+    # each has middle maps above MAX_MAP_CELLS, and is decided by the fold alone
     spec = AlgebraSpec.quadratic(n, p)
     form = LinearForm((0,) * zeros + (1,) * (n - zeros))
-    built, pairs = _only_socle_and_pair_builds(monkeypatch, spec)
+    built = _only_socle_builds(monkeypatch, spec)
     report = slp_check(spec, form)
     assert not report.slp and {c.method for c in report.maps} == {"jordan"}
     assert [c.rank for c in report.maps] == [oracles.tensor_wilson_rank(n, zeros, i, t, p) for i, t in middle_pairs(n)]
     # a zero coefficient is found by the socle map; p <= m is decided before any map is built
     assert built == ([(0, n)] if zeros else [])
-    assert bool(pairs) == bool(p)
 
 
 def test_a_zero_coefficient_builds_the_socle_map_once(monkeypatch):
     spec = AlgebraSpec.quadratic(11)
-    built, pairs = _only_socle_and_pair_builds(monkeypatch, spec)
+    built = _only_socle_builds(monkeypatch, spec)
     report = slp_check(spec, LinearForm((1, 0, 1, 1, 0, 1, 1, 1, 1, 1, 1)))
     assert report.failures == tuple(middle_pairs(11))
-    assert (built, pairs) == ([(0, 11)], [])
+    assert built == [(0, 11)]
 
 
 def test_each_map_is_size_checked_at_most_twice(monkeypatch):
@@ -343,31 +330,20 @@ def test_each_map_is_size_checked_at_most_twice(monkeypatch):
         seen.clear()
         slp_check(spec, ones, **kwargs)
         assert sorted(seen) == sorted(2 * [(spec, i, t) for i, t in sweep]), kwargs
-    # the fold at p <= m checks no map of the spec, only its pair tables as they are built
+    # the fold at p <= m builds no map, so checks none
     seen.clear()
     slp_check(AlgebraSpec.quadratic(9, 7), ones)
-    assert seen and all(s.n == 2 for s, _i, _t in seen)
+    assert seen == []
 
 
-def test_char_search_computes_the_hilbert_function_once(monkeypatch):
-    import slpkit.quotient
+def test_char_search_computes_the_hilbert_function_once():
+    from slpkit.quotient import _hilbert_function
 
-    real = slpkit.quotient._hilbert_function
-    real.cache_clear()
-    computed = []
-
-    def spy(exponents):
-        misses = real.cache_info().misses
-        out = real(exponents)
-        if real.cache_info().misses > misses:
-            computed.append(exponents)
-        return out
-
-    monkeypatch.setattr(slpkit.quotient, "_hilbert_function", spy)
+    _hilbert_function.cache_clear()
     reports = char_search(AlgebraSpec.quadratic(7), LinearForm.ones(7), (2, 3, 5, 7, 11))
     assert [r.slp for r in reports] == [False, False, False, False, True]
-    # once for the input's killed powers; the fold's pair tables have their own
-    assert computed.count((2,) * 7) == 1 and real.cache_info().hits > 0
+    info = _hilbert_function.cache_info()
+    assert (info.misses, info.currsize) == (1, 1) and info.hits > 0
 
 
 def _composition_triples(m):
