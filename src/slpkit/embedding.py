@@ -18,7 +18,9 @@ with coefficient prod(c_k!), one for each ordering of v's variables inside
 every block; phi_matrix places these values through the source's
 mixed-radix code table and multiplies no polynomials.  The values are at
 most m!, so for m <= 20 the matrix is int64 from the start.  Ranks go through
-exactmat.certified_rank and its one probe prime.
+exactmat.certified_rank and its one probe prime; a piece holds one nonzero
+per row, so rank_mod_p reads its rank off the nonzero pattern and runs no
+elimination.
 """
 from __future__ import annotations
 

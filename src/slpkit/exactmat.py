@@ -30,16 +30,26 @@ Both arithmetics run one row reduction, _echelon, on a copy of the stored
 array: the pivot rule, the row swaps and the pivot list are shared, and only
 the step that rewrites the rows below a pivot differs.  Over F_p the copy is
 int64 for p < 2^31 (products stay below 2^62) and Python ints for larger
-primes; over ZZ it is always Python ints, as int64 minors would overflow.
+primes; over ZZ it is always Python ints, as int64 minors would overflow,
+and the touched rows of a step are rewritten a chunk of at most
+_REWRITE_CHUNK cells at a time, so the double-length products alive beside
+the matrix stay bounded.  rank_mod_p runs _echelon only when it must: a
+reduced matrix with at most one nonzero entry in every row, or in every
+column, has its rank and _echelon's pivots read off its nonzero pattern.
+Every embedding.phi_matrix piece (one entry per row) and every 1x1 map is
+such a matrix.
 
 A full rank mod one prime certifies full rank over Q (specialization can
 only lose rank), which is the cheap one-sided check behind certified_rank.
-It always probes mod one fixed prime, PROBE_PRIME = 2^31 - 1: in an
+It always probes mod one fixed prime, PROBE_PRIME = 2^31 - 1, through
+rank_mod_p, so a pattern matrix is probed without elimination: in an
 algebra whose socle degree is below that prime, x1+...+xn has the strong
 Lefschetz property mod it, and scaling each variable is an automorphism, so
 the probe certifies every map of an integer form whose coefficients are all
 nonzero mod it.  Rank deficits are always re-established by the exact
-integer elimination.
+integer elimination, also when the probe read them off the pattern: an
+entry that is a multiple of the probe prime drops out of the pattern mod
+it but not over ZZ.
 
 Products of two int64 matrices stay in int64 whenever max|a| * max|b| *
 a.cols < 2^62, which bounds every partial sum; embedding.phi_matrix is
@@ -49,8 +59,10 @@ Python ints.  Neither builds `entries`.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from numbers import Integral
+from operator import itemgetter
 
 import numpy as np
 
@@ -61,6 +73,10 @@ PROBE_PRIME = 2**31 - 1
 
 # integer entries strictly inside (-INT64_BOUND, INT64_BOUND) are stored as int64
 INT64_BOUND = 2**62
+
+# cells of touched rows that one fraction-free rewrite step handles at once;
+# bounds the elimination's scratch memory
+_REWRITE_CHUNK = 1 << 10
 
 
 def _normalise(rows, modulus: int | None) -> np.ndarray:
@@ -344,15 +360,21 @@ def _echelon(a: np.ndarray, p: int | None) -> tuple[int, tuple, int, int]:
                 a[r, c:] = a[r, c:] * d // stamps[r]
             piv = a[r, c]
             if idx.size:
-                # (piv * a - f * b) // stamp, in place: one fewer array of
-                # double-length products is alive at the subtraction
-                t = a[idx, c + 1 :] * piv
-                t -= np.outer(a[idx, c], a[r, c + 1 :])
-                t //= stamps[idx][:, None]
-                a[idx, c + 1 :] = t
-                # store the zeros below the pivot: otherwise each rewritten
-                # row keeps a stale minor in column c until the array is freed
-                a[idx, c] = 0
+                # (piv * a - f * b) // stamp, in place and a chunk of rows at a
+                # time, so the double-length products alive beside the matrix
+                # stay below _REWRITE_CHUNK cells
+                step = max(1, _REWRITE_CHUNK // (ncols - c))
+                for lo in range(0, idx.size, step):
+                    rows = idx[lo : lo + step]
+                    t = a[rows, c + 1 :] * piv
+                    t -= np.outer(a[rows, c], a[r, c + 1 :])
+                    t //= stamps[rows][:, None]
+                    a[rows, c + 1 :] = t
+                    # zero the pivot column chunk by chunk: a stale minor left
+                    # there until the end of the step pins the allocator pools
+                    # of its row's freed entries, and the chunked rewrite then
+                    # peaks above the unchunked one
+                    a[rows, c] = 0
                 stamps[idx] = piv
             d = piv
         pivots.append((ids[r], c))
@@ -360,27 +382,71 @@ def _echelon(a: np.ndarray, p: int | None) -> tuple[int, tuple, int, int]:
     return r, tuple(pivots), sign, d
 
 
-def _echelon_mod_p(m: ExactMatrix, p: int) -> tuple[int, tuple, int, int]:
-    """_echelon of m over F_p, on one copy of its stored array."""
+def _reduce_mod_p(m: ExactMatrix, p: int) -> np.ndarray:
+    """One copy of m's stored array reduced mod p: int64 for p < 2^31, Python ints above."""
     work = np.int64 if p < 2**31 else object
     if m.modulus is not None:
         if m.modulus != p:
             raise ValueError("matrix already lives over a different prime field")
-        a = m.array.astype(work)
-    elif m.array.dtype == object:
+        return m.array.astype(work)
+    if m.array.dtype == object:
         # entries beyond int64 are reduced before an int64 copy could hold them
-        a = (m.array % p).astype(work, copy=False)
+        return (m.array % p).astype(work, copy=False)
+    a = m.array.astype(work)
+    a %= p
+    return a
+
+
+def _pattern_echelon(a: np.ndarray) -> tuple[int, tuple] | None:
+    """_echelon's (rank, pivots) on a, read off its nonzero pattern, or None.
+
+    The pattern decides when every row, or every column, of a holds at most
+    one nonzero entry.  Rows pattern: a pivot step zeroes every other row
+    with a nonzero in the pivot column, so the pivot of each nonzero column,
+    in order, is its nonzero row that sits highest after the earlier swaps,
+    which a replay of the swaps on position lists finds.  Columns pattern:
+    no row is ever rewritten, so each nonzero column pivots on its one row
+    unless that row is already a pivot.  Either way the rank counts distinct
+    columns (rows pattern) or distinct rows (columns pattern).
+    """
+    # a matrix with more nonzeros has neither pattern; this pass allocates
+    # nothing, so a dense matrix pays only for it
+    if np.count_nonzero(a) > max(a.shape):
+        return None
+    rows, cols = (x.tolist() for x in np.nonzero(a))
+    pivots = []
+    if len(set(rows)) == len(rows):
+        pos, at = list(range(a.shape[0])), list(range(a.shape[0]))
+        for c, group in itertools.groupby(sorted(zip(cols, rows)), key=itemgetter(0)):
+            pr = min(pos[x] for _c, x in group)
+            r = len(pivots)
+            x, y = at[pr], at[r]
+            at[r], at[pr], pos[x], pos[y] = x, y, r, pr
+            pivots.append((x, c))
+    elif len(set(cols)) == len(cols):
+        taken = set()
+        for c, x in sorted(zip(cols, rows)):
+            if x not in taken:
+                taken.add(x)
+                pivots.append((x, c))
     else:
-        a = m.array.astype(work)
-        a %= p
-    return _echelon(a, p)
+        return None
+    return len(pivots), tuple(pivots)
 
 
 def rank_mod_p(m: ExactMatrix, p: int) -> RankResult:
-    """Rank over F_p; integer matrices are reduced mod p first."""
+    """Rank over F_p; integer matrices are reduced mod p first.
+
+    When every row, or every column, of the reduced matrix holds at most one
+    nonzero entry (every embedding.phi_matrix piece, every 1x1 map), the
+    rank and pivots are read off that pattern; otherwise _echelon
+    eliminates.  The pivots are _echelon's either way.
+    """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    rank_, pivots, _sign, _d = _echelon_mod_p(m, p)
+    a = _reduce_mod_p(m, p)
+    found = _pattern_echelon(a)
+    rank_, pivots = found if found is not None else _echelon(a, p)[:2]
     return RankResult(rank_, "modular", pivots)
 
 
@@ -408,7 +474,7 @@ def determinant(m: ExactMatrix) -> int:
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
     p = m.modulus
-    rank_, _piv, sign, d = _echelon_mod_p(m, p) if p else _echelon(m.array.astype(object), None)
+    rank_, _piv, sign, d = _echelon(_reduce_mod_p(m, p) if p else m.array.astype(object), p)
     if rank_ < m.rows:
         return 0
     return sign * d % p if p else sign * d

@@ -27,10 +27,12 @@ from slpkit.exactmat import (
     rank_mod_p,
     scale,
     _echelon,
-    _echelon_mod_p,
+    _pattern_echelon,
+    _reduce_mod_p,
 )
+from slpkit.embedding import EmbeddingSpec, verify_kernel_dims
 from slpkit.lefschetz import LinearForm, build_matrix, middle_pairs
-from slpkit.quotient import AlgebraSpec
+from slpkit.quotient import AlgebraSpec, hilbert_vector
 
 # the 4x4 multiplication matrix used as a golden fixture across the suite
 GOLDEN = [[2, 2, 2, 0], [2, 2, 0, 2], [2, 0, 2, 2], [0, 2, 2, 2]]
@@ -172,10 +174,10 @@ def test_numpy_and_object_modular_paths_agree():
             want = oracles.reference_echelon_mod_p(rows, p)
             assert _oracle_form(_echelon(np.array(rows, dtype=object), p), p) == want
             if p < 2**63:
-                # int64 storage: _echelon_mod_p picks the dtype of the copy it eliminates
+                # int64 storage: _reduce_mod_p picks the dtype of the copy _echelon eliminates
                 stored = ExactMatrix.from_rows(np.array(rows, dtype=np.int64), p)
                 assert stored.array.dtype == np.int64
-                assert _oracle_form(_echelon_mod_p(stored, p), p) == want
+                assert _oracle_form(_echelon(_reduce_mod_p(stored, p), p), p) == want
             if trial % 2:
                 assert want[0] < min(nrows, ncols)
         for shape in ((1, 1), (3, 4), (5, 2)):
@@ -212,6 +214,92 @@ def test_sparse_echelon_mod_p_matches_oracles(p):
         assert rank_mod_p(ExactMatrix.from_rows(rows), p).rank == rr.rank
         if nrows == ncols:
             assert determinant(m) == int(oracles.gauss_det(rows)) % p
+
+
+@st.composite
+def _one_nonzero_per_line(draw):
+    """(array, p): at most one nonzero per row, or per column when transposed.
+
+    Lines may be zero, several may share their position, and entries may be
+    multiples of p (zero once reduced) or beyond int64 (object storage).
+    """
+    p = draw(st.sampled_from([2, 3, 5, 7, PROBE_PRIME, next_prime(2**31)]))
+    lines, width = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    entry = st.one_of(st.integers(1, 3 * p), st.integers(1, 3).map(lambda k: k * p), _HUGE)
+    a = np.zeros((lines, width), dtype=object)
+    for line in a:
+        if width and draw(st.booleans()):
+            line[draw(st.integers(0, width - 1))] = draw(entry)
+    return (a.T if draw(st.booleans()) else a), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_one_nonzero_per_line())
+def test_one_nonzero_per_line_is_ranked_from_its_pattern(case):
+    a, p = case
+    reduced = (a % p).tolist()
+    rank_, pivots, _det = oracles.reference_echelon_mod_p(reduced, p)
+    assert rank_ == oracles.mod_rank(reduced, p)
+    for modulus in (None, p):
+        m = ExactMatrix.from_rows(a, modulus)
+        assert _pattern_echelon(_reduce_mod_p(m, p)) == (rank_, pivots)
+        rr = rank_mod_p(m, p)
+        assert (rr.rank, rr.pivots, rr.method) == (rank_, pivots, "modular")
+
+
+def test_pattern_pivots_follow_the_row_swaps():
+    # column 0 pivots on row 3 and swaps row 0 down to position 3, so column
+    # 1 pivots on row 1, not row 0; rows 0 and 1 share column 1, so three
+    # nonzero rows give rank 2
+    rows = [[0, 4, 0], [0, 5, 0], [0, 0, 0], [6, 0, 0]]
+    cases = [
+        (rows, 7, 2, ((3, 0), (1, 1))),
+        # 6 is 0 mod 3: the pattern is read after the reduction
+        (rows, 3, 1, ((0, 1),)),
+        # the transpose: column 1's one row is already column 0's pivot
+        ([list(col) for col in zip(*rows)], 7, 2, ((1, 0), (0, 3))),
+    ]
+    for grid, p, rank_, pivots in cases:
+        assert oracles.reference_echelon_mod_p([[e % p for e in row] for row in grid], p)[:2] == (rank_, pivots)
+        rr = rank_mod_p(ExactMatrix.from_rows(grid), p)
+        assert (rr.rank, rr.pivots) == (rank_, pivots)
+
+
+def _refuse_elimination(*args):
+    raise AssertionError("_echelon ran on a one-nonzero-per-line matrix")
+
+
+@pytest.mark.parametrize("char", [0, 3])
+def test_embedding_pieces_are_ranked_from_their_pattern(char, monkeypatch):
+    es = EmbeddingSpec.from_powers((3, 2, 2, 1), char)
+    want = verify_kernel_dims(es)
+    monkeypatch.setattr(slpkit.exactmat, "_echelon", _refuse_elimination)
+    assert verify_kernel_dims(es) == want
+    ranks = [d.rank for d in want.degrees]
+    if char:
+        # 3! vanishes mod 3, so every piece from degree 3 on loses rank
+        assert ranks[3:] == [13, 13, 9, 4, 1, 0]
+        assert [d.ok for d in want.degrees] == [True] * 3 + [False] * 6
+    else:
+        assert want.all_ok and ranks == list(hilbert_vector(es.source_spec))
+
+
+def test_every_piece_of_an_embedding_up_to_m_8_skips_the_elimination(monkeypatch):
+    monkeypatch.setattr(slpkit.exactmat, "_echelon", _refuse_elimination)
+    # every composition of m <= 8, one per set of cut points in 1..m-1
+    for m in range(1, 9):
+        for k in range(m):
+            for cuts in combinations(range(1, m), k):
+                bounds = (0, *cuts, m)
+                powers = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+                assert verify_kernel_dims(EmbeddingSpec.from_powers(powers)).all_ok
+
+
+def test_probe_pattern_rank_below_the_exact_rank_falls_back():
+    # mod PROBE_PRIME the pattern has one nonzero, so the probe sees rank 1
+    # and the exact elimination must still run
+    rr = certified_rank(ExactMatrix.from_rows([[PROBE_PRIME, 0], [0, 1]]))
+    assert (rr.rank, rr.method) == (2, "fraction-free")
 
 
 def test_large_prime_uses_object_path():
@@ -637,6 +725,36 @@ def test_fraction_free_echelon_leaves_echelon_form(rows):
         assert a[k, c] != 0
         assert (a[k, :c] == 0).all() and (a[k + 1 :, c] == 0).all()
     assert (a[rank_:] == 0).all()
+
+
+@pytest.mark.parametrize("chunk", [1, 20, 60])
+def test_fraction_free_rewrite_in_chunks_matches_reference(chunk, monkeypatch):
+    # a chunk of a few cells splits most steps' touched rows into several
+    # rewrites, down to one row per rewrite
+    monkeypatch.setattr(slpkit.exactmat, "_REWRITE_CHUNK", chunk)
+    rng = random.Random(1021 + chunk)
+    for trial in range(30):
+        nrows, ncols = rng.randint(2, 12), rng.randint(2, 12)
+        if trial % 2:
+            k = rng.randint(1, min(nrows, ncols))
+            left, right = random_matrix(rng, nrows, k, -3, 3), random_matrix(rng, k, ncols, -3, 3)
+            rows = [[sum(x * right[j][c] for j, x in enumerate(row)) for c in range(ncols)] for row in left]
+        else:
+            rows = random_matrix(rng, nrows, ncols)
+        got, want = _both_echelons(rows)
+        assert got == want
+
+
+def test_fraction_free_rewrite_spans_chunks_at_the_default_size():
+    # the first step of a dense 48x48 matrix touches 47 rows of 47 cells,
+    # more than one chunk holds
+    assert 47 * 47 > slpkit.exactmat._REWRITE_CHUNK
+    rng = random.Random(1024)
+    left, right = random_matrix(rng, 48, 40, -3, 3), random_matrix(rng, 40, 48, -3, 3)
+    deficient = [[sum(x * right[j][c] for j, x in enumerate(row)) for c in range(48)] for row in left]
+    for rows in (random_matrix(rng, 48, 48), deficient):
+        got, want = _both_echelons(rows)
+        assert got == want
 
 
 def test_int64_entries_whose_products_overflow():
