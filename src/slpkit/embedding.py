@@ -16,7 +16,10 @@ The degree-j matrix has a closed form.  A square-free target monomial v
 meeting block k in c_k variables occurs only in the image of y^c, and there
 with coefficient prod(c_k!), one for each ordering of v's variables inside
 every block; phi_matrix places these values through the source's
-mixed-radix code table and multiplies no polynomials.  The values are at
+mixed-radix code table and multiplies no polynomials.  phi_monomial, which
+the socle check expands, uses the same closed form block by block: a block
+sum to the power e is e! times the sum of the block's square-free monomials
+of degree e, and multiply combines the blocks.  The values are at
 most m!, so for m <= 20 the matrix is int64 from the start.  Ranks go through
 exactmat.certified_rank and its one probe prime; a piece holds one nonzero
 per row, so rank_mod_p reads its rank off the nonzero pattern and runs no
@@ -90,20 +93,18 @@ class EmbeddingSpec:
         return tuple(itertools.accumulate(self.powers, initial=0))
 
 
-def _block_sum(es: EmbeddingSpec, j: int) -> AlgebraElement:
-    lo, hi = es.offsets[j], es.offsets[j + 1]
-    variables = ((0,) * k + (1,) + (0,) * (es.m - 1 - k) for k in range(lo, hi))
-    return AlgebraElement(es.target_spec, dict.fromkeys(variables, 1))
-
-
 def phi_monomial(es: EmbeddingSpec, exponents: tuple[int, ...]) -> AlgebraElement:
-    """Image of y^e under the block-sum substitution, computed in the target."""
+    """Image of y^e under the block-sum substitution: the product, by multiply, of each block's
+    power in closed form, e_j! on every e_j-subset of the block's variables (module docstring)."""
     if len(exponents) != es.n:
         raise ValueError("exponent tuple has the wrong number of variables")
-    out = AlgebraElement.one(es.target_spec)
-    for j, e in enumerate(exponents):
+    m, target = es.m, es.target_spec
+    out = AlgebraElement.one(target)
+    for lo, hi, e in zip(es.offsets, es.offsets[1:], exponents):
         if e:
-            out = multiply(out, _block_sum(es, j).power(e))
+            subsets = itertools.combinations(range(lo, hi), e)
+            factor = dict.fromkeys((tuple(int(k in s) for k in range(m)) for s in subsets), factorial(e))
+            out = multiply(out, AlgebraElement(target, factor))
             if out.is_zero:
                 break
     return out

@@ -35,9 +35,11 @@ and the touched rows of a step are rewritten a chunk of at most
 _REWRITE_CHUNK cells at a time, so the double-length products alive beside
 the matrix stay bounded.  rank_mod_p runs _echelon only when it must: a
 reduced matrix with at most one nonzero entry in every row, or in every
-column, has its rank and _echelon's pivots read off its nonzero pattern.
-Every embedding.phi_matrix piece (one entry per row) and every 1x1 map is
-such a matrix.
+column, has its rank and _echelon's pivots read off its nonzero pattern by
+one rule, for either shape: each nonzero column, in order, pivots on the
+nonzero row not yet pivoted that sits highest after the earlier swaps.
+Every embedding.phi_matrix piece (one entry per row), every 1x1 and every
+empty map is such a matrix.
 
 A full rank mod one prime certifies full rank over Q (specialization can
 only lose rank), which is the cheap one-sided check behind certified_rank.
@@ -383,15 +385,17 @@ def _echelon(a: np.ndarray, p: int | None) -> tuple[int, tuple, int, int]:
 
 
 def _reduce_mod_p(m: ExactMatrix, p: int) -> np.ndarray:
-    """One copy of m's stored array reduced mod p: int64 for p < 2^31, Python ints above."""
+    """One copy of m's stored array reduced mod p: int64 for p < 2^31, Python ints above.
+
+    F_p storage takes the steps of ZZ storage, which leave its residues as they are.
+    """
+    if m.modulus not in (None, p):
+        raise ValueError("matrix already lives over a different prime field")
     work = np.int64 if p < 2**31 else object
-    if m.modulus is not None:
-        if m.modulus != p:
-            raise ValueError("matrix already lives over a different prime field")
-        return m.array.astype(work)
     if m.array.dtype == object:
         # entries beyond int64 are reduced before an int64 copy could hold them
         return (m.array % p).astype(work, copy=False)
+    # cast first: an int64 array % p raises OverflowError for p above 2^63
     a = m.array.astype(work)
     a %= p
     return a
@@ -401,36 +405,30 @@ def _pattern_echelon(a: np.ndarray) -> tuple[int, tuple] | None:
     """_echelon's (rank, pivots) on a, read off its nonzero pattern, or None.
 
     The pattern decides when every row, or every column, of a holds at most
-    one nonzero entry.  Rows pattern: a pivot step zeroes every other row
-    with a nonzero in the pivot column, so the pivot of each nonzero column,
-    in order, is its nonzero row that sits highest after the earlier swaps,
-    which a replay of the swaps on position lists finds.  Columns pattern:
-    no row is ever rewritten, so each nonzero column pivots on its one row
-    unless that row is already a pivot.  Either way the rank counts distinct
-    columns (rows pattern) or distinct rows (columns pattern).
+    one nonzero entry: a pivot step then zeroes the other rows with a
+    nonzero in the pivot column (one nonzero per row) or finds none (one
+    per column), and rewrites no other entry.  So each nonzero column, in
+    order, pivots on its nonzero row that sits highest after the earlier
+    swaps, which a replay of the swaps on position lists finds; only rows
+    not yet pivoted count.
     """
     # a matrix with more nonzeros has neither pattern; this pass allocates
     # nothing, so a dense matrix pays only for it
     if np.count_nonzero(a) > max(a.shape):
         return None
     rows, cols = (x.tolist() for x in np.nonzero(a))
+    if len(set(rows)) < len(rows) and len(set(cols)) < len(cols):
+        return None
     pivots = []
-    if len(set(rows)) == len(rows):
-        pos, at = list(range(a.shape[0])), list(range(a.shape[0]))
-        for c, group in itertools.groupby(sorted(zip(cols, rows)), key=itemgetter(0)):
-            pr = min(pos[x] for _c, x in group)
-            r = len(pivots)
+    pos, at = list(range(a.shape[0])), list(range(a.shape[0]))
+    for c, group in itertools.groupby(sorted(zip(cols, rows)), key=itemgetter(0)):
+        r = len(pivots)
+        live = [pos[x] for _c, x in group if pos[x] >= r]
+        if live:
+            pr = min(live)
             x, y = at[pr], at[r]
             at[r], at[pr], pos[x], pos[y] = x, y, r, pr
             pivots.append((x, c))
-    elif len(set(cols)) == len(cols):
-        taken = set()
-        for c, x in sorted(zip(cols, rows)):
-            if x not in taken:
-                taken.add(x)
-                pivots.append((x, c))
-    else:
-        return None
     return len(pivots), tuple(pivots)
 
 
@@ -438,9 +436,10 @@ def rank_mod_p(m: ExactMatrix, p: int) -> RankResult:
     """Rank over F_p; integer matrices are reduced mod p first.
 
     When every row, or every column, of the reduced matrix holds at most one
-    nonzero entry (every embedding.phi_matrix piece, every 1x1 map), the
-    rank and pivots are read off that pattern; otherwise _echelon
-    eliminates.  The pivots are _echelon's either way.
+    nonzero entry (every embedding.phi_matrix piece, every 1x1 and every
+    empty map), _pattern_echelon reads the rank and pivots off that pattern
+    by one rule; otherwise _echelon eliminates.  The pivots are _echelon's
+    either way.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -460,11 +459,8 @@ def certified_rank(m: ExactMatrix) -> RankResult:
     """
     if m.modulus:
         return rank_mod_p(m, m.modulus)
-    want = min(m.rows, m.cols)
-    if want == 0:
-        return RankResult(0, "modular", ())
     rr = rank_mod_p(m, PROBE_PRIME)
-    if rr.rank == want:
+    if rr.rank == min(m.rows, m.cols):
         return rr
     return rank_fraction_free(m)
 

@@ -9,6 +9,7 @@ from itertools import islice, product
 from math import comb, factorial, lcm
 
 from slpkit._primes import is_prime
+from slpkit.quotient import AlgebraElement, multiply
 
 
 def gauss_rank(rows):
@@ -206,6 +207,25 @@ def reference_phi_matrix(powers, degree, char=0):
     if char:
         rows = [[x % char for x in row] for row in rows]
     return rows
+
+
+def phi_by_expansion(es, exponents):
+    """The block-sum image of y^e by iterated expansion, for embedding.phi_monomial.
+
+    y_j's image, the sum of block j's variables, is raised to e_j by
+    AlgebraElement.power, one product at a time, and the blocks' powers are
+    combined by multiply; no closed form for a block's power is used.
+    """
+    target = es.target_spec
+    out = AlgebraElement.one(target)
+    for j, e in enumerate(exponents):
+        if e:
+            lo, hi = es.offsets[j], es.offsets[j + 1]
+            variables = ((0,) * k + (1,) + (0,) * (es.m - 1 - k) for k in range(lo, hi))
+            out = multiply(out, AlgebraElement(target, dict.fromkeys(variables, 1)).power(e))
+            if out.is_zero:
+                break
+    return out
 
 
 def reference_echelon_mod_p(rows, p):

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from slpkit.embedding import (
@@ -15,7 +16,7 @@ from slpkit.embedding import (
     verify_kernel_dims,
     verify_socle_image,
 )
-from slpkit.quotient import AlgebraSpec, _position_codes, graded_basis, hilbert_vector, multiply
+from slpkit.quotient import AlgebraElement, AlgebraSpec, _position_codes, graded_basis, hilbert_vector, multiply
 
 
 def compositions(total):
@@ -127,6 +128,31 @@ def test_phi_is_a_ring_homomorphism(powers, char):
     assert multiply(phi_monomial(es, (1, *rest)), phi_monomial(es, (powers[0], *rest))).is_zero
 
 
+@st.composite
+def _embedded_monomials(draw):
+    """(es, exponents): socle exponents 1..4 on n <= 4 variables, each exponent up to a_j + 1."""
+    powers = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    es = EmbeddingSpec.from_powers(powers, draw(st.sampled_from([0, 2, 3, 5, 7])))
+    return es, tuple(draw(st.integers(0, a + 1)) for a in powers)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_embedded_monomials())
+def test_phi_monomial_matches_the_iterated_expansion(case):
+    es, exponents = case
+    assert phi_monomial(es, exponents) == oracles.phi_by_expansion(es, exponents)
+
+
+def test_one_block_of_14_is_read_in_closed_form(monkeypatch):
+    def no_power(*args):
+        pytest.fail("phi_monomial expanded a block's power by repeated products")
+
+    monkeypatch.setattr(AlgebraElement, "power", no_power)
+    es = EmbeddingSpec.from_powers((14,))
+    assert phi_monomial(es, (14,)).terms == {(1,) * 14: factorial(14)}
+    assert verify_socle_image(es).ok
+
+
 def test_socle_image_goldens():
     rec = verify_socle_image(EmbeddingSpec.from_powers((2, 2)))
     assert rec.scalar == 4 and rec.nonzero and rec.ok
@@ -169,7 +195,7 @@ def test_phi_matrix_matches_brute_force_expansion():
 
 def _phi_expansion(es, degree):
     """Rows of the degree piece, read off phi_monomial of each source monomial."""
-    images = [phi_monomial(es, u) for u in graded_basis(es.source_spec, degree)]
+    images = [oracles.phi_by_expansion(es, u) for u in graded_basis(es.source_spec, degree)]
     return [[image.terms.get(v, 0) for image in images] for v in graded_basis(es.target_spec, degree)]
 
 

@@ -18,6 +18,7 @@ from oracles import next_prime
 from slpkit.exactmat import (
     PROBE_PRIME,
     ExactMatrix,
+    RankResult,
     block_assemble,
     certified_rank,
     determinant,
@@ -263,6 +264,51 @@ def test_pattern_pivots_follow_the_row_swaps():
         assert oracles.reference_echelon_mod_p([[e % p for e in row] for row in grid], p)[:2] == (rank_, pivots)
         rr = rank_mod_p(ExactMatrix.from_rows(grid), p)
         assert (rr.rank, rr.pivots) == (rank_, pivots)
+
+
+def test_pattern_skips_rows_already_pivoted():
+    # one nonzero per column: the last column's one row is already a pivot,
+    # so that column does not pivot again, also after a row swap
+    cases = [([[1, 1], [0, 0]], ((0, 0),)), ([[0, 0, 0], [1, 0, 1], [0, 1, 0]], ((1, 0), (2, 1)))]
+    for grid, pivots in cases:
+        assert oracles.reference_echelon_mod_p(grid, 7)[:2] == (len(pivots), pivots)
+        rr = rank_mod_p(ExactMatrix.from_rows(grid), 7)
+        assert (rr.rank, rr.pivots) == (len(pivots), pivots)
+
+
+def test_reduction_mod_p_of_each_storage():
+    big = next_prime(2**64)
+    # int64 storage at a prime above 2^64, over ZZ and over F_p: the copy is
+    # cast before it is reduced
+    for rows, modulus in (([[3, -5, 0], [7, 2, 2**40]], None), ([[3, 5, 0], [7, 2, 2**40]], big)):
+        m = ExactMatrix.from_rows(rows, modulus)
+        assert m.array.dtype == np.int64
+        reduced = _reduce_mod_p(m, big)
+        assert reduced.dtype == object and reduced.tolist() == [[e % big for e in row] for row in rows]
+        rr = rank_mod_p(m, big)
+        assert (rr.rank, rr.pivots) == oracles.reference_echelon_mod_p(reduced.tolist(), big)[:2] == (2, ((0, 0), (1, 1)))
+    # object storage beyond int64 at a prime below 2^31: reduced, then cast to int64
+    huge = [[2**70 + 1, 0, 3 * 2**65], [-(2**80), 5, 0]]
+    m = ExactMatrix.from_rows(huge)
+    assert m.array.dtype == object
+    reduced = _reduce_mod_p(m, 7)
+    assert reduced.dtype == np.int64 and reduced.tolist() == [[e % 7 for e in row] for row in huge]
+    assert rank_mod_p(m, 7).rank == oracles.mod_rank(reduced.tolist(), 7)
+    # F_p storage: the residues come back unchanged, in a fresh writable array
+    for p, grid in ((7, [[1, 6, 0], [3, 3, 5]]), (big, [[big - 1, 2**70, 0], [1, 0, 2]])):
+        m = ExactMatrix.from_rows(grid, p)
+        reduced = _reduce_mod_p(m, p)
+        assert reduced.tolist() == (m.array % p).tolist() == m.array.tolist()
+        assert reduced.dtype == (np.int64 if p < 2**31 else object)
+        assert reduced.flags.writeable and not np.shares_memory(reduced, m.array)
+    with pytest.raises(ValueError, match="different prime field"):
+        _reduce_mod_p(ExactMatrix.from_rows(GOLDEN, 5), 7)
+
+
+@pytest.mark.parametrize("modulus", [None, 7])
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0)])
+def test_empty_shapes_have_modular_rank_zero(modulus, shape):
+    assert certified_rank(ExactMatrix.zeros(*shape, modulus)) == RankResult(0, "modular", ())
 
 
 def _refuse_elimination(*args):
