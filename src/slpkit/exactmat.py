@@ -35,11 +35,11 @@ and the touched rows of a step are rewritten a chunk of at most
 _REWRITE_CHUNK cells at a time, so the double-length products alive beside
 the matrix stay bounded.  rank_mod_p runs _echelon only when it must: a
 reduced matrix with at most one nonzero entry in every row, or in every
-column, has its rank and _echelon's pivots read off its nonzero pattern by
-one rule, for either shape: each nonzero column, in order, pivots on the
-nonzero row not yet pivoted that sits highest after the earlier swaps.
-Every embedding.phi_matrix piece (one entry per row), every 1x1 and every
-empty map is such a matrix.
+column, has as rank the smaller of its numbers of distinct nonzero rows
+and columns, counted off its nonzero pattern (_pattern_rank).  Every
+embedding.phi_matrix piece (one entry per row), every 1x1 and every empty
+map is such a matrix.  A modular rank keeps no pivots; only
+rank_fraction_free reports them.
 
 A full rank mod one prime certifies full rank over Q (specialization can
 only lose rank), which is the cheap one-sided check behind certified_rank.
@@ -61,10 +61,8 @@ Python ints.  Neither builds `entries`.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from numbers import Integral
-from operator import itemgetter
 
 import numpy as np
 
@@ -81,13 +79,18 @@ INT64_BOUND = 2**62
 _REWRITE_CHUNK = 1 << 10
 
 
+def _prime_modulus(p) -> None:
+    """TypeError for a modulus that is not an int, ValueError for one that is not prime."""
+    if type(p) is not int:
+        raise TypeError(f"modulus must be a prime int, or None over ZZ; got {p!r}")
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+
+
 def _normalise(rows, modulus: int | None) -> np.ndarray:
     """Stored form of a list of rows or a 2-D ndarray, always a new array; TypeError for non-integer entries."""
     if modulus is not None:
-        if type(modulus) is not int:
-            raise TypeError(f"modulus must be a prime int, or None over ZZ; got {modulus!r}")
-        if not is_prime(modulus):
-            raise ValueError(f"modulus {modulus} is not prime")
+        _prime_modulus(modulus)
     if isinstance(rows, np.ndarray):
         if rows.ndim != 2:
             raise ValueError("matrix arrays must be 2-D")
@@ -199,12 +202,12 @@ class ExactMatrix:
 
 @dataclass(frozen=True)
 class RankResult:
-    """Rank of one matrix plus the elimination that established it.
+    """Rank of one matrix and the method that established it.
 
     method: "modular" or "fraction-free".
-    pivots: (row, column) pairs using original row indices, when tracked.
-    pivot_minor_det: fraction-free path only; determinant (up to sign) of the
-    square submatrix on the pivot rows/columns.
+    pivots, pivot_minor_det: fraction-free path only, None on the modular
+    one.  The pivots are (row, column) pairs in original indices; they name
+    the square minor whose determinant, up to sign, is pivot_minor_det.
     """
 
     rank: int
@@ -401,35 +404,24 @@ def _reduce_mod_p(m: ExactMatrix, p: int) -> np.ndarray:
     return a
 
 
-def _pattern_echelon(a: np.ndarray) -> tuple[int, tuple] | None:
-    """_echelon's (rank, pivots) on a, read off its nonzero pattern, or None.
+def _pattern_rank(a: np.ndarray) -> int | None:
+    """Rank of a from its nonzero pattern; None unless every row, or every column, has at most one nonzero.
 
-    The pattern decides when every row, or every column, of a holds at most
-    one nonzero entry: a pivot step then zeroes the other rows with a
-    nonzero in the pivot column (one nonzero per row) or finds none (one
-    per column), and rewrites no other entry.  So each nonzero column, in
-    order, pivots on its nonzero row that sits highest after the earlier
-    swaps, which a replay of the swaps on position lists finds; only rows
-    not yet pivoted count.
+    Then the nonzero lines are multiples of unit vectors, and lines that
+    share their position are parallel, so the rank is the number of distinct
+    nonzero rows or of distinct nonzero columns, whichever is smaller.  The
+    count asks only which entries are zero, so on residues mod p it is the
+    rank over F_p and on integers the rank over Q.
     """
     # a matrix with more nonzeros has neither pattern; this pass allocates
     # nothing, so a dense matrix pays only for it
     if np.count_nonzero(a) > max(a.shape):
         return None
     rows, cols = (x.tolist() for x in np.nonzero(a))
-    if len(set(rows)) < len(rows) and len(set(cols)) < len(cols):
+    distinct = len(set(rows)), len(set(cols))
+    if max(distinct) < len(rows):
         return None
-    pivots = []
-    pos, at = list(range(a.shape[0])), list(range(a.shape[0]))
-    for c, group in itertools.groupby(sorted(zip(cols, rows)), key=itemgetter(0)):
-        r = len(pivots)
-        live = [pos[x] for _c, x in group if pos[x] >= r]
-        if live:
-            pr = min(live)
-            x, y = at[pr], at[r]
-            at[r], at[pr], pos[x], pos[y] = x, y, r, pr
-            pivots.append((x, c))
-    return len(pivots), tuple(pivots)
+    return min(distinct)
 
 
 def rank_mod_p(m: ExactMatrix, p: int) -> RankResult:
@@ -437,16 +429,13 @@ def rank_mod_p(m: ExactMatrix, p: int) -> RankResult:
 
     When every row, or every column, of the reduced matrix holds at most one
     nonzero entry (every embedding.phi_matrix piece, every 1x1 and every
-    empty map), _pattern_echelon reads the rank and pivots off that pattern
-    by one rule; otherwise _echelon eliminates.  The pivots are _echelon's
-    either way.
+    empty map), _pattern_rank counts its distinct lines; otherwise _echelon
+    eliminates.  The pivots are not kept.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _prime_modulus(p)
     a = _reduce_mod_p(m, p)
-    found = _pattern_echelon(a)
-    rank_, pivots = found if found is not None else _echelon(a, p)[:2]
-    return RankResult(rank_, "modular", pivots)
+    found = _pattern_rank(a)
+    return RankResult(found if found is not None else _echelon(a, p)[0], "modular")
 
 
 def certified_rank(m: ExactMatrix) -> RankResult:

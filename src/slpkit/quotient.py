@@ -215,21 +215,6 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def power(self, k: int) -> "AlgebraElement":
-        """self^k, multiplying by self one factor at a time.
-
-        The partial powers of a sparse base such as a linear form stay
-        small, where repeated squaring would multiply two dense halves.
-        """
-        if k < 0:
-            raise ValueError("negative powers are undefined here")
-        result = AlgebraElement.one(self.spec)
-        for _ in range(k):
-            if result.is_zero:
-                break
-            result = multiply(result, self)
-        return result
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

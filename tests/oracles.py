@@ -209,12 +209,24 @@ def reference_phi_matrix(powers, degree, char=0):
     return rows
 
 
+def power(f, k):
+    """f^k in the quotient, multiplying by f one factor at a time."""
+    if k < 0:
+        raise ValueError("negative powers are undefined here")
+    result = AlgebraElement.one(f.spec)
+    for _ in range(k):
+        if result.is_zero:
+            break
+        result = multiply(result, f)
+    return result
+
+
 def phi_by_expansion(es, exponents):
     """The block-sum image of y^e by iterated expansion, for embedding.phi_monomial.
 
-    y_j's image, the sum of block j's variables, is raised to e_j by
-    AlgebraElement.power, one product at a time, and the blocks' powers are
-    combined by multiply; no closed form for a block's power is used.
+    y_j's image, the sum of block j's variables, is raised to e_j by power,
+    one product at a time, and the blocks' powers are combined by multiply;
+    no closed form for a block's power is used.
     """
     target = es.target_spec
     out = AlgebraElement.one(target)
@@ -222,7 +234,7 @@ def phi_by_expansion(es, exponents):
         if e:
             lo, hi = es.offsets[j], es.offsets[j + 1]
             variables = ((0,) * k + (1,) + (0,) * (es.m - 1 - k) for k in range(lo, hi))
-            out = multiply(out, AlgebraElement(target, dict.fromkeys(variables, 1)).power(e))
+            out = multiply(out, power(AlgebraElement(target, dict.fromkeys(variables, 1)), e))
             if out.is_zero:
                 break
     return out

@@ -16,7 +16,7 @@ from slpkit.embedding import (
     verify_kernel_dims,
     verify_socle_image,
 )
-from slpkit.quotient import AlgebraElement, AlgebraSpec, _position_codes, graded_basis, hilbert_vector, multiply
+from slpkit.quotient import AlgebraSpec, _position_codes, graded_basis, hilbert_vector, multiply
 
 
 def compositions(total):
@@ -144,12 +144,17 @@ def test_phi_monomial_matches_the_iterated_expansion(case):
 
 
 def test_one_block_of_14_is_read_in_closed_form(monkeypatch):
-    def no_power(*args):
-        pytest.fail("phi_monomial expanded a block's power by repeated products")
+    products = []
 
-    monkeypatch.setattr(AlgebraElement, "power", no_power)
+    def counted(f, g):
+        products.append((f, g))
+        return multiply(f, g)
+
+    monkeypatch.setattr("slpkit.embedding.multiply", counted)
     es = EmbeddingSpec.from_powers((14,))
     assert phi_monomial(es, (14,)).terms == {(1,) * 14: factorial(14)}
+    # one block takes one product; expanding its power would take 14
+    assert len(products) == 1
     assert verify_socle_image(es).ok
 
 

@@ -61,6 +61,7 @@ def test_every_export_resolves_once():
         (slpkit.AlgebraElement, "__neg__"),
         (slpkit.AlgebraElement, "__sub__"),
         (slpkit.AlgebraElement, "__mul__"),
+        (slpkit.AlgebraElement, "power"),
         (slpkit.LinearForm, "element"),
         (slpkit.embedding, "phi"),
         (slpkit._primes, "next_prime"),

@@ -229,8 +229,8 @@ def test_square_of_a_sum_is_twice_the_product():
     f = AlgebraElement(spec, {(1, 0): 1, (0, 1): 1})
     sq = multiply(f, f)
     assert sq == AlgebraElement(spec, {(1, 1): 2})
-    assert f.power(2) == sq
-    assert f.power(3).is_zero
+    assert oracles.power(f, 2) == sq
+    assert oracles.power(f, 3).is_zero
 
 
 def test_power_matches_repeated_multiplication():
@@ -238,11 +238,11 @@ def test_power_matches_repeated_multiplication():
     f = AlgebraElement(spec, {(1, 0, 0): 2, (0, 1, 0): -1, (0, 0, 1): 1})
     acc = AlgebraElement.one(spec)
     for k in range(6):
-        assert f.power(k) == acc
+        assert oracles.power(f, k) == acc
         acc = multiply(acc, f)
-    assert f.power(0) == AlgebraElement.one(spec)
+    assert oracles.power(f, 0) == AlgebraElement.one(spec)
     with pytest.raises(ValueError):
-        f.power(-1)
+        oracles.power(f, -1)
 
 
 def _random_element(rng, spec, char=0):
