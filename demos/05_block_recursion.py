@@ -7,7 +7,8 @@ multiplication matrix into four blocks built from the algebra on one fewer
 variable.  For the square middle maps the split collapses the rank
 computation to a recursion, which is much cheaper than eliminating the
 full matrix.  Through the block-sum embedding the same recursion decides
-the middle maps of every spec.
+the middle maps of every spec, and bijective middle maps give every other
+power maximal rank.
 """
 import time
 
@@ -48,7 +49,7 @@ for n in (8, 9, 10):
     t = n - 2 * i
 
     t0 = time.perf_counter()
-    rec = recursive_middle_rank(spec, form, i)
+    rec = recursive_middle_rank(spec, form, i, t)
     t1 = time.perf_counter()
     mm = build_matrix(spec, form, i, t)
     dense = rank_fraction_free(mm.matrix)
@@ -61,11 +62,25 @@ for n in (8, 9, 10):
     )
 
 ###############################################################################
+# A power off the middle needs no recursion of its own.  Its source or its
+# target is the end of a middle map, which factors through it: l^t from A_i
+# is injective when i + (i+t) <= m, since the middle map from A_i is
+# l^(m-2i-t) after it, and surjective otherwise.  So under the same
+# hypotheses its rank is min(dim(i), dim(i+t)), and the dense check agrees.
+
+spec, form = AlgebraSpec.quadratic(8), LinearForm.ones(8)
+for i, t in ((1, 2), (3, 4)):
+    rec = recursive_middle_rank(spec, form, i, t)
+    dense = rank_fraction_free(build_matrix(spec, form, i, t).matrix)
+    assert rec.rank == dense.rank == min(rec.rows, rec.cols)
+    print(f"n=8, map ({i}, {t}) {rec.rows}x{rec.cols}: rank {rec.rank} by {rec.method}")
+
+###############################################################################
 # When the structured path's preconditions fail (here a zero coefficient),
 # the rank comes from the Jordan-type fold, which builds no map either, and
 # the notes say why the recursion was not used.
 
-rr = recursive_middle_rank(AlgebraSpec.quadratic(4), LinearForm((1, 1, 1, 0)), 1)
+rr = recursive_middle_rank(AlgebraSpec.quadratic(4), LinearForm((1, 1, 1, 0)), 1, 2)
 print(f"rank {rr.rank} by {rr.method}, notes: {rr.notes}")
 
 ###############################################################################

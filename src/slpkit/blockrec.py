@@ -18,10 +18,10 @@ map (j, k-2j) of the first k variables, is bijective when (k-1, j) and
 k! c_1...c_k.  In characteristic 0 or above n with no zero coefficient
 every step and every base map is invertible, so the induction builds no
 matrix: recursive_middle_rank checks those hypotheses with one 1x1 map,
-once per (spec, form), and reaches every other spec through the block-sum
-embedding.  Where a hypothesis fails it answers with the Jordan-type fold
-(_jordan), which builds no map of the spec either, up to the fold's bound
-on the socle degree.
+once per (spec, form), reaches every other spec through the block-sum
+embedding and every (i, t) from the middle maps.  Where a hypothesis fails
+it answers with the Jordan-type fold (_jordan), which builds no map of the
+spec either, up to the fold's bound on the socle degree.
 """
 from __future__ import annotations
 
@@ -101,8 +101,8 @@ def _proof_hypotheses(spec: AlgebraSpec, form: LinearForm) -> tuple[str | None, 
 
     The hypotheses are characteristic 0 or above the socle degree m, and the
     1x1 socle map l^m: A_0 -> A_m nonzero, checked by check_map's dense
-    route.  They depend on the spec and the form alone, so every middle map
-    and slp_check's size guard share one answer.
+    route.  They depend on the spec and the form alone, so every map of an
+    auto check and slp_check's size guard share one answer.
     """
     m = spec.socle_degree
     char = spec.characteristic
@@ -114,40 +114,41 @@ def _proof_hypotheses(spec: AlgebraSpec, form: LinearForm) -> tuple[str | None, 
     return "zero coefficient in the form; structured path unavailable", 0
 
 
-def recursive_middle_rank(spec: AlgebraSpec, form: LinearForm, i: int) -> MapCheck:
-    """Check of the middle map (i, m-2i) of any spec, m its socle degree.
+def recursive_middle_rank(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> MapCheck:
+    """check_map's "auto" answer for l^t: A_i -> A_(i+t), any (i, t) of any spec.
 
+    It once took the middle maps alone; the name stays because perfbench
+    traces it, counting its notes as fallbacks.  m is the socle degree.
     Hypotheses: characteristic 0 or above m, and the socle map l^m: A_0 ->
     A_m nonzero.  That 1x1 map is the scalar m!/prod((a_j-1)!) times
     prod(c_j^(a_j-1)), so given the first hypothesis the second says c_j is
     nonzero for every killed power a_j >= 2; it is the one map built, by
-    check_map's dense route.  The hypotheses are decided once per (spec,
-    form) and shared by all its middle maps.  The block-sum embedding phi
-    (embedding.py) sends the form to E = (each c_j repeated a_j - 1 times)
-    on the square-free algebra on m variables, where the induction (module
-    docstring) makes every middle map of E bijective, its base scalars being
-    k! e_1...e_k with k <= m.  phi is a ring map with phi(form) = E, and
-    phi_i is injective, each row of phi_matrix holding the one entry
-    prod(c_k!) with c_k <= m < p; so E^t o phi_i = phi o form^t injective
-    makes form^t injective, hence bijective as h_i = h_(m-i).  Under the
-    hypotheses the answer is rank dim(i) with method "block-recursive", no
-    notes and the socle map's peak_bits.  Otherwise it is the Jordan-type
-    fold's answer, method "jordan" (above the fold's bound on the socle
-    degree, check_map's dense answer), with a note that says why.  Either way
-    ms times the whole call, the socle check included when this call
-    decided the hypotheses.
+    check_map's dense route, once per (spec, form).  The block-sum embedding
+    phi (embedding.py) sends the form to E = (each c_j repeated a_j - 1
+    times) on the square-free algebra on m variables, where the induction
+    (module docstring) makes every middle map of E bijective, its base
+    scalars being k! e_1...e_k with k <= m.  phi is a ring map with
+    phi(form) = E, and phi_i is injective, each row of phi_matrix holding
+    the one entry prod(c_k!) with c_k <= m < p; so with s = m - 2i,
+    E^s o phi_i = phi o form^s injective makes form^s injective, hence
+    bijective as h_i = h_(m-i).  With j = i + t, form^t is then injective
+    when i + j <= m (the middle map from A_i is form^(m-i-j) after it) and
+    surjective otherwise (the one from A_(m-j) is it after form^(i+j-m)).
+    So the answer is rank min(dim(i), dim(i+t)), method "block-recursive",
+    no notes and the socle map's peak_bits.  Otherwise it is the fold's
+    (_jordan.jordan_check: method "jordan", or the dense answer above its
+    bound), with a note that says why.  ms times the whole call, the socle
+    check included when this call decided the hypotheses.
     """
     if form.nvars != spec.n:
         raise ValueError("form has the wrong number of coefficients")
-    m = spec.socle_degree
-    if i < 0 or 2 * i >= m:
-        raise ValueError("source degree must satisfy 0 <= i < m/2")
-    t = m - 2 * i
+    if i < 0 or t < 0 or i + t > spec.socle_degree:
+        raise ValueError("degrees out of range for this algebra")
     start = time.perf_counter()
     reason, socle_bits = _proof_hypotheses(spec, form)
     if reason is None:
-        d = spec.dim(i)
+        rows, cols = spec.dim(i + t), spec.dim(i)
         ms = (time.perf_counter() - start) * 1000.0
-        return MapCheck(i, t, d, d, d, True, "block-recursive", ms, peak_bits=socle_bits)
+        return MapCheck(i, t, rows, cols, min(rows, cols), True, "block-recursive", ms, peak_bits=socle_bits)
     folded = jordan_check(spec, form, i, t)
     return replace(folded, ms=(time.perf_counter() - start) * 1000.0, notes=(reason,))

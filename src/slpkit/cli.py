@@ -302,6 +302,11 @@ def _cmd_selftest(args) -> int:
         ok = ok and slp_check(qs, LinearForm.ones(n)).slp
     checks.append(("square-free sweep holds through six variables", ok))
 
+    # (1, 2) is off the middle of quadratic(6): the paper's hypotheses decide it too
+    auto, dense = (check_map(AlgebraSpec.quadratic(6), LinearForm.ones(6), 1, 2, m) for m in ("auto", "dense"))
+    ok = auto.method == "block-recursive" and auto.rank == dense.rank
+    checks.append(("a non-middle map over Q takes the proof route", ok))
+
     # over F_5 the recursion runs for n < 5 and falls back to the Jordan-type fold for n >= 5
     ok = True
     for n in range(1, 7):

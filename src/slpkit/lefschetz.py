@@ -27,25 +27,24 @@ prime exactmat.PROBE_PRIME (full modular rank certifies full rational rank)
 and falls back to exact fraction-free elimination only when the certificate
 fails, so the expensive path runs exactly when something genuinely
 degenerates.  Coefficients are integers, so every matrix is over ZZ or F_p.
-Its proof route, blockrec.recursive_middle_rank, is the paper's proof, the
-induction on variables carried to every spec by the block-sum embedding: it
-decides the proof's hypotheses once per (spec, form) and builds no matrix
-beyond the 1x1 socle map l^m: A_0 -> A_m, which it checks through the dense
-route.  The Jordan-type fold (_jordan) reads the rank off the strings of
-multiplication by the form, folded one variable at a time, and builds no map
-of the spec; it answers every map outside the proof's hypotheses.  All
-routes answer with a MapCheck.  The route follows from the input alone:
-method "auto" takes the proof route for the middle maps, which falls back
-to the fold when a hypothesis fails, and the fold for every other map;
-"dense", the oracle, always builds the map.
+Its proof route, blockrec.recursive_middle_rank, is the paper's proof: the
+induction on variables, carried to every spec by the block-sum embedding
+and to every (i, t) by the argument above.  It decides the proof's
+hypotheses once per (spec, form) and builds no matrix beyond the 1x1 socle
+map l^m: A_0 -> A_m, checked through the dense route.  Where they fail it
+answers, with a note, by the Jordan-type fold (_jordan), which reads the
+rank off the strings of multiplication by the form, folded one variable at
+a time, and builds no map of the spec.  All routes answer with a MapCheck.
+method "auto", the default, takes the proof route for every map; "dense",
+the oracle, always builds the map.
 
 Only maps that are built are refused for size: build_matrix refuses one of
 more than MAX_MAP_CELLS cells before listing any basis, and slp_check on
 the dense route refuses every map of a sweep before building any.  The
-proof route builds the socle map alone and the fold builds no map, so the
-auto verdict comes at any size up to the fold's bound on the socle degree
-(_jordan._MAX_FOLD_DEGREE).  Above it the maps the fold would answer are
-built, as the dense route builds them, and refused only when too big.
+proof route builds the socle map alone, so under the proof's hypotheses
+the auto verdict comes at any size; outside them the fold builds no map up
+to its bound on the socle degree (_jordan._MAX_FOLD_DEGREE), above which
+the maps are built as on the dense route and refused only when too big.
 """
 from __future__ import annotations
 
@@ -197,9 +196,9 @@ class MapCheck:
 
     method is the ranking that decided it ("block-recursive" for the proof
     route, "jordan" for the fold, else certified_rank's method); notes say
-    why the proof route fell back to the fold; peak_bits is the largest
-    entry bit size of the matrix that was built (the 1x1 socle map on the
-    proof route, 0 when the fold answered).
+    why an auto map outside the proof's hypotheses fell back to the fold;
+    peak_bits is the largest entry bit size of the matrix that was built
+    (the 1x1 socle map on the proof route, 0 when the fold answered).
     to_json_dict is the one JSON shape of a check, which the CLI's slp, rank
     and bench commands write.
     """
@@ -275,11 +274,11 @@ def check_map(spec: AlgebraSpec, form: LinearForm, i: int, t: int, method: str =
     """Rank check of multiplication by form^t from degree i.
 
     This is the one routine that checks a map.  method "auto" takes the
-    proof route, blockrec.recursive_middle_rank, for the middle maps
-    (i, m-2i) of every spec, and answers every other (i, t) with the
-    Jordan-type fold, method "jordan", which builds no map of the spec;
-    "dense" always builds the matrix and ranks it with
-    exactmat.certified_rank, which eliminates F_p matrices mod p and
+    proof route, blockrec.recursive_middle_rank, for every (i, t) of every
+    spec; where the proof's hypotheses fail, that route answers with the
+    Jordan-type fold, method "jordan", which builds no map of the spec, and
+    a note that says why.  "dense" always builds the matrix and ranks it
+    with exactmat.certified_rank, which eliminates F_p matrices mod p and
     certifies integer ones mod PROBE_PRIME; peak_bits is that matrix's.
     rows and cols come from spec.dim on every route, and ms times the whole
     check, on the proof route a fallback's socle check included.  Above the
@@ -289,14 +288,9 @@ def check_map(spec: AlgebraSpec, form: LinearForm, i: int, t: int, method: str =
     if method not in ("auto", "dense"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
-        # (i, t) in middle_pairs(m), without listing the m/2 pairs
-        if i >= 0 and t >= 1 and 2 * i + t == spec.socle_degree:
-            from .blockrec import recursive_middle_rank
+        from .blockrec import recursive_middle_rank
 
-            return recursive_middle_rank(spec, form, i)
-        from ._jordan import jordan_check
-
-        return jordan_check(spec, form, i, t)
+        return recursive_middle_rank(spec, form, i, t)
     nrows, ncols = spec.dim(i + t), spec.dim(i)
     start = time.perf_counter()
     mat = build_matrix(spec, form, i, t).matrix
@@ -316,14 +310,13 @@ def slp_check(
 
     mode "middle" checks the square maps (i, m-2i), which decide the whole
     property for every spec in every characteristic (module docstring);
-    "full" checks every power.  method "auto" takes the proof route for the
-    middle maps, with the Jordan-type fold where its hypotheses fail, and
-    "dense" builds each matrix outright; full mode always runs dense, so it
-    stays independent of the proof and the fold.  Neither auto route builds
-    a middle map up to the fold's bound on the socle degree, so no map is
-    refused for size there.  On the dense route, and above the bound when
+    "full" checks every power.  method "auto" runs check_map's auto route,
+    with the Jordan-type fold and a note on every map where the proof's
+    hypotheses fail, and "dense" builds each matrix outright; full mode
+    always runs dense, so it stays independent of the proof and the fold.
+    On the dense route, and above the fold's bound on the socle degree when
     the proof's hypotheses fail, every map's size is checked before any is
-    built.
+    built; no other sweep builds a map beyond the 1x1 socle map.
     """
     if form.nvars != spec.n:
         raise ValueError("form has the wrong number of coefficients")

@@ -176,7 +176,7 @@ def test_acceptance_7_recursive_equals_dense():
         spec = AlgebraSpec.quadratic(n)
         form = LinearForm.ones(n)
         for i in range((n + 1) // 2):
-            rec = recursive_middle_rank(spec, form, i)
+            rec = recursive_middle_rank(spec, form, i, n - 2 * i)
             dense = rank_fraction_free(build_matrix(spec, form, i, n - 2 * i).matrix)
             ok = ok and rec.rank == dense.rank and rec.notes == ()
     _verdict(

@@ -120,7 +120,7 @@ def test_recursive_rank_matches_dense_sweep():
         spec = AlgebraSpec.quadratic(n)
         form = LinearForm.ones(n)
         for i in range((n + 1) // 2):
-            rr = recursive_middle_rank(spec, form, i)
+            rr = recursive_middle_rank(spec, form, i, n - 2 * i)
             assert rr.method == "block-recursive"
             assert rr.notes == ()
             dense = rank_fraction_free(build_matrix(spec, form, i, n - 2 * i).matrix)
@@ -133,7 +133,7 @@ def test_recursive_rank_random_forms():
         spec = AlgebraSpec.quadratic(n)
         form = LinearForm(tuple(rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(n)))
         for i in range((n + 1) // 2):
-            rr = recursive_middle_rank(spec, form, i)
+            rr = recursive_middle_rank(spec, form, i, n - 2 * i)
             dense = rank_fraction_free(build_matrix(spec, form, i, n - 2 * i).matrix)
             assert rr.rank == dense.rank
 
@@ -144,7 +144,7 @@ def test_recursive_rank_large_characteristic():
         spec = AlgebraSpec.quadratic(n, p)
         form = LinearForm.ones(n)
         for i in range((n + 1) // 2):
-            rr = recursive_middle_rank(spec, form, i)
+            rr = recursive_middle_rank(spec, form, i, n - 2 * i)
             assert rr.notes == ()
             mat = build_matrix(spec, form, i, n - 2 * i).matrix
             assert rr.rank == rank_mod_p(mat, p).rank
@@ -152,7 +152,7 @@ def test_recursive_rank_large_characteristic():
 
 def test_recursive_rank_small_characteristic_falls_back():
     spec = AlgebraSpec.quadratic(3, 2)
-    rr = recursive_middle_rank(spec, LinearForm.ones(3), 1)
+    rr = recursive_middle_rank(spec, LinearForm.ones(3), 1, 1)
     assert any("characteristic" in note for note in rr.notes)
     assert rr.method == "jordan"
     dense = rank_mod_p(build_matrix(spec, LinearForm.ones(3), 1, 1).matrix, 2)
@@ -161,7 +161,7 @@ def test_recursive_rank_small_characteristic_falls_back():
 
 def test_recursive_rank_zero_coefficient_falls_back():
     spec = AlgebraSpec.quadratic(4)
-    rr = recursive_middle_rank(spec, LinearForm((1, 1, 1, 0)), 1)
+    rr = recursive_middle_rank(spec, LinearForm((1, 1, 1, 0)), 1, 2)
     assert any("zero coefficient" in note for note in rr.notes)
     assert rr.method == "jordan"
     dense = rank_fraction_free(build_matrix(spec, LinearForm((1, 1, 1, 0)), 1, 2).matrix)
@@ -181,7 +181,7 @@ def test_singular_base_map_falls_back_to_the_fold(monkeypatch, char):
     monkeypatch.setattr(slpkit.blockrec, "check_map", first_base_map_singular)
     spec = AlgebraSpec.quadratic(6, char)
     form = LinearForm((1, 2, -1, 3, 1, -2))
-    rr = recursive_middle_rank(spec, form, 2)
+    rr = recursive_middle_rank(spec, form, 2, 2)
     # the one map the route builds is the socle map l^6: A_0 -> A_6; the fold builds none
     assert [(s.n, f.coefficients, i, t) for s, f, i, t in calls] == [(6, form.coefficients, 0, 6)]
     assert rr.notes == ("zero coefficient in the form; structured path unavailable",)
@@ -201,7 +201,7 @@ def test_fallback_ms_covers_the_socle_check(monkeypatch):
         return mc
 
     monkeypatch.setattr(slpkit.blockrec, "check_map", recording)
-    rr = recursive_middle_rank(AlgebraSpec.quadratic(6), LinearForm((1, 2, 0, 3, 1, 1)), 2)
+    rr = recursive_middle_rank(AlgebraSpec.quadratic(6), LinearForm((1, 2, 0, 3, 1, 1)), 2, 2)
     # the socle check, then the fold, which checks no map
     assert len(inner) == 1 and rr.notes and rr.method == "jordan"
     assert rr.ms >= inner[0]
@@ -271,7 +271,7 @@ def test_zero_coefficient_on_a_killed_power_one_variable_keeps_the_proof_route(c
     spec = AlgebraSpec(3, (3, 1, 4), char)
     form = LinearForm((2, 0, -1))
     for i, t in middle_pairs(spec.socle_degree):
-        rr = recursive_middle_rank(spec, form, i)
+        rr = recursive_middle_rank(spec, form, i, t)
         assert (rr.method, rr.notes) == ("block-recursive", ())
         dense = check_map(spec, form, i, t, "dense")
         assert rr.rank == dense.rank == spec.dim(i)
@@ -298,9 +298,9 @@ def test_block_route_builds_only_base_maps(monkeypatch, char, exponents):
         checks.append(args[2:])
         return real_check(*args)
 
-    def counting_rank(spec, form, i):
+    def counting_rank(spec, form, i, t):
         ranked.append(i)
-        return real_rank(spec, form, i)
+        return real_rank(spec, form, i, t)
 
     monkeypatch.setattr(slpkit.lefschetz, "build_matrix", only_one_by_one)
     monkeypatch.setattr(slpkit.blockrec, "check_map", counting_check)
@@ -334,26 +334,28 @@ def test_large_killed_power_needs_no_deep_recursion(char):
 
 
 def test_recursive_rank_stats():
-    rr = recursive_middle_rank(AlgebraSpec.quadratic(6), LinearForm.ones(6), 2)
+    rr = recursive_middle_rank(AlgebraSpec.quadratic(6), LinearForm.ones(6), 2, 2)
     # the socle scalar 6! = 720
     assert rr.peak_bits == 10
 
 
 def test_recursive_rank_base_case():
     spec = AlgebraSpec.quadratic(3)
-    rr = recursive_middle_rank(spec, LinearForm.ones(3), 0)
+    rr = recursive_middle_rank(spec, LinearForm.ones(3), 0, 3)
     assert rr.rank == 1
     spec7 = AlgebraSpec.quadratic(3, 7)
-    assert recursive_middle_rank(spec7, LinearForm.ones(3), 0).rank == 1
+    assert recursive_middle_rank(spec7, LinearForm.ones(3), 0, 3).rank == 1
 
 
 def test_recursive_rank_validation():
-    # (3, 3) has socle degree 4, so i = 2 is not below the middle
+    # (3, 3) has socle degree 4, so i + t = 5 is out of range
     with pytest.raises(ValueError):
-        recursive_middle_rank(AlgebraSpec(2, (3, 3)), LinearForm.ones(2), 2)
+        recursive_middle_rank(AlgebraSpec(2, (3, 3)), LinearForm.ones(2), 2, 3)
     with pytest.raises(ValueError):
-        recursive_middle_rank(AlgebraSpec.quadratic(4), LinearForm.ones(3), 1)
+        recursive_middle_rank(AlgebraSpec.quadratic(4), LinearForm.ones(3), 1, 2)
     with pytest.raises(ValueError):
-        recursive_middle_rank(AlgebraSpec.quadratic(4), LinearForm.ones(4), 2)
+        recursive_middle_rank(AlgebraSpec.quadratic(4), LinearForm.ones(4), 2, 3)
     with pytest.raises(ValueError):
-        recursive_middle_rank(AlgebraSpec.quadratic(4), LinearForm.ones(4), -1)
+        recursive_middle_rank(AlgebraSpec.quadratic(4), LinearForm.ones(4), -1, 6)
+    with pytest.raises(ValueError, match="out of range"):
+        recursive_middle_rank(AlgebraSpec.quadratic(4), LinearForm.ones(4), 1, -1)

@@ -260,8 +260,9 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     lines = out.strip().splitlines()
-    assert len(lines) == 9
+    assert len(lines) == 10
     assert all(line.startswith("PASS") for line in lines)
+    assert "PASS: a non-middle map over Q takes the proof route" in lines
     assert "PASS: auto and dense middle ranks agree over F_5 through six variables" in lines
     assert "PASS: a deficit map ranks as the sum of its blocks" in lines
 
@@ -342,8 +343,11 @@ def test_above_the_fold_bound_only_maps_too_big_to_build_exit_two(capsys, monkey
     monkeypatch.setattr(slpkit._jordan, "_jordan_type", no_fold)
     m = slpkit._jordan._MAX_FOLD_DEGREE
     # above the bound the maps the fold would answer are built and ranked
-    code, out, err = run(capsys, "rank", "--quadratic", str(m + 1), "--i", "0", "--t", "1")
+    code, out, err = run(capsys, "rank", "--quadratic", str(m + 1), "--char", "7", "--i", "0", "--t", "1")
     assert code == 0 and err == "" and f"rank 1 of {m + 1}x1 (maximal; modular" in out
+    # over Q the same map is under the proof's hypotheses, so nothing is folded or built but the socle map
+    code, out, err = run(capsys, "rank", "--quadratic", str(m + 1), "--i", "0", "--t", "1")
+    assert code == 0 and err == "" and f"rank 1 of {m + 1}x1 (maximal; block-recursive" in out
     code, out, err = run(capsys, "slp", "--exponents", str(m + 2), "--char", "7")
     assert code == 0 and err == "" and out.count("modular") == m // 2 + 1
     # and a sweep too big to build is refused before any map is
@@ -353,6 +357,26 @@ def test_above_the_fold_bound_only_maps_too_big_to_build_exit_two(capsys, monkey
     monkeypatch.undo()
     code, out, _ = run(capsys, "slp", "--exponents", str(m + 1), "--char", "7")
     assert code == 0 and out.count("jordan") == m // 2
+
+
+def test_non_middle_map_above_the_fold_bound_takes_the_proof_route(capsys, monkeypatch):
+    import slpkit.lefschetz
+
+    real_build = slpkit.lefschetz.build_matrix
+
+    def only_one_by_one(spec, form, i, t):
+        if spec.dim(i) * spec.dim(i + t) > 1:
+            pytest.fail(f"built the ({i}, {t}) map of {spec.n} variables")
+        return real_build(spec, form, i, t)
+
+    monkeypatch.setattr(slpkit.lefschetz, "build_matrix", only_one_by_one)
+    # (10, 20) is off the middle of quadratic(1001), and its socle degree is above the fold's bound
+    code, out, err = run(capsys, "rank", "--quadratic", "1001", "--i", "10", "--t", "20")
+    assert code == 0 and err == "" and "(maximal; block-recursive;" in out
+    spec = AlgebraSpec.quadratic(1001)
+    c = slpkit.lefschetz.check_map(spec, LinearForm.ones(1001), 10, 20)
+    assert (c.rank, c.maximal, c.method, c.notes) == (spec.dim(10), True, "block-recursive", ())
+    assert out.startswith(f"rank {spec.dim(10)} of {spec.dim(30)}x{spec.dim(10)} ")
 
 
 def test_paper_size_inputs_get_their_verdict(capsys):
@@ -443,12 +467,14 @@ def test_format_is_refused_before_any_work(capsys, tmp_path, argv):
     ids=["char", "zero"],
 )
 def test_rank_json_carries_the_fallback_note(capsys, tmp_path, flags, note):
+    # the middle map (1, 2), and maps off the middle, which the fold answers too
     path = tmp_path / "r.json"
-    code, _, _ = run(capsys, "rank", "--quadratic", "4", *flags, "--i", "1", "--t", "2", "--out", str(path))
-    assert code == 0
-    payload = json.loads(path.read_text())
-    assert payload["method"] != "block-recursive"
-    assert len(payload["notes"]) == 1 and payload["notes"][0].startswith(note)
+    for i, t in (("1", "2"), ("1", "1"), ("0", "1"), ("2", "2")):
+        code, _, _ = run(capsys, "rank", "--quadratic", "4", *flags, "--i", i, "--t", t, "--out", str(path))
+        assert code == 0
+        payload = json.loads(path.read_text())
+        assert payload["method"] == "jordan", (i, t)
+        assert len(payload["notes"]) == 1 and payload["notes"][0].startswith(note), (i, t)
 
 
 def _readme_command_lines():

@@ -521,8 +521,8 @@ def test_char_search_takes_the_block_route_above_n(monkeypatch):
     real = slpkit.blockrec.recursive_middle_rank
     structured = []
 
-    def counting(spec, form, i):
-        rr = real(spec, form, i)
+    def counting(spec, form, i, t):
+        rr = real(spec, form, i, t)
         if rr.method == "block-recursive":
             structured.append((spec.n, spec.characteristic, i))
         return rr
@@ -656,16 +656,22 @@ def test_mode_method_validation(capsys):
     capsys.readouterr()
 
 
-def test_check_map_picks_block_only_for_middle_maps():
+def test_check_map_picks_the_route_by_the_hypotheses():
     spec, form = AlgebraSpec.quadratic(5), LinearForm.ones(5)
     assert check_map(spec, form, 1, 3).method == "block-recursive"
     assert check_map(spec, form, 1, 3, "dense").method == "modular"
-    assert check_map(spec, form, 1, 2).method == "jordan"
+    # under the hypotheses a map off the middle takes the proof route too
+    assert check_map(spec, form, 1, 2).method == "block-recursive"
     assert check_map(spec, form, 1, 2, "dense").method == "modular"
     general = AlgebraSpec(2, (3, 3))
     assert check_map(general, LinearForm.ones(2), 1, 2).method == "block-recursive"
-    assert check_map(general, LinearForm.ones(2), 1, 1).method == "jordan"
-    # 2i + t == m, but i < 0: not a middle map, so the fold refuses the degrees, as the dense route does
+    assert check_map(general, LinearForm.ones(2), 1, 1).method == "block-recursive"
+    # outside them every map is folded, middle or not, with the note that says why
+    for outside, f in ((AlgebraSpec.quadratic(5, 3), form), (spec, LinearForm((1, 1, 1, 1, 0)))):
+        for i, t in ((1, 3), (1, 2), (0, 1)):
+            c = check_map(outside, f, i, t)
+            assert c.method == "jordan" and len(c.notes) == 1, (outside, f, i, t)
+    # 2i + t == m, but i < 0: out of range on both routes
     for method in ("auto", "dense"):
         with pytest.raises(ValueError, match="out of range"):
             check_map(spec, form, -1, 7, method)
@@ -673,6 +679,26 @@ def test_check_map_picks_block_only_for_middle_maps():
         check_map(spec, form, 1, 3, "magic")
     c = check_map(spec, LinearForm((1, 1, 1, 1, 1000)), 0, 5, "dense")
     assert c.rank == 1 and c.peak_bits == (120 * 1000).bit_length()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_auto_matches_the_full_dense_check_under_the_hypotheses(data):
+    # killed powers 1..4 on up to four variables, characteristic 0 or a prime
+    # above the socle degree, coefficients nonzero in the field
+    n = data.draw(st.integers(1, 4))
+    exponents = tuple(data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+    m = sum(exponents) - n
+    char = data.draw(st.sampled_from([0] + [p for p in (2, 3, 5, 7, 11, 13, 17, 19) if p > m]))
+    nonzero = st.integers(-40, 40).filter(lambda c: c % char if char else c)
+    coeffs = tuple(data.draw(st.lists(nonzero, min_size=n, max_size=n)))
+    spec, form = AlgebraSpec(n, exponents, char), LinearForm(coeffs)
+    full = slp_check(spec, form, mode="full", method="dense")
+    assert [(c.i, c.t) for c in full.maps] == list(full_pairs(m))
+    for d in full.maps:
+        a = check_map(spec, form, d.i, d.t)
+        assert (a.rows, a.cols, a.rank, a.maximal) == (d.rows, d.cols, d.rank, d.maximal), (exponents, char, coeffs, d)
+        assert (a.method, a.notes) == ("block-recursive", ()), (exponents, char, coeffs, d)
 
 
 @pytest.mark.parametrize(
