@@ -24,11 +24,19 @@ most m!, so for m <= 20 the matrix is int64 from the start.  Ranks go through
 exactmat.certified_rank and its one probe prime; a piece holds one nonzero
 per row, so rank_mod_p reads its rank off the nonzero pattern and runs no
 elimination.
+
+A run over many embeddings builds each piece of work once.  The digit
+table of quadratic(m)'s degree-j codes is shared by every composition of m
+and kept per (m, j).  verify_kernel_dims and transfer_slp share the pieces
+of degree j < m/2 through the EmbeddingSpec, which keeps them until it is
+freed.  The target middle maps, one per (m, characteristic, i), are kept
+for the last target asked for only.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Iterable
 
@@ -55,6 +63,8 @@ class EmbeddingSpec:
     characteristic: int = 0
     source_spec: AlgebraSpec = field(init=False, repr=False, compare=False)
     target_spec: AlgebraSpec = field(init=False, repr=False, compare=False)
+    # phi_matrix pieces of degree j < m/2, the ones transfer_slp reads, by j
+    _pieces: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         powers = _sequence(self.powers, "the socle exponents")
@@ -116,6 +126,19 @@ def _refuse_oversized_pieces(es: EmbeddingSpec, degrees: Iterable[int]) -> None:
         _refuse_oversized(es.target_spec.dim(j), es.source_spec.dim(j), f"the degree-{j} piece of the embedding")
 
 
+@lru_cache(maxsize=64)
+def _target_digits(m: int, degree: int) -> np.ndarray:
+    """Read-only digit table of quadratic(m)'s degree-`degree` codes, the same for every composition of m.
+
+    The digits are 0 or 1, so the table is kept as bools, an eighth of the
+    int64 table; 64 tables hold every degree of two targets up to m = 31.
+    """
+    target = (2,) * m
+    digits = _digits(target, _position_codes(target, degree)).astype(bool)
+    digits.flags.writeable = False
+    return digits
+
+
 def phi_matrix(es: EmbeddingSpec, degree: int) -> ExactMatrix:
     """Matrix of the degree-j piece: source basis columns, target basis rows.
 
@@ -127,17 +150,15 @@ def phi_matrix(es: EmbeddingSpec, degree: int) -> ExactMatrix:
     _refuse_oversized_pieces(es, (degree,))
     source = es.source_spec.exponents
     columns = _position_codes(source, degree)
-    target = es.target_spec.exponents
-    digits = _digits(target, _position_codes(target, degree))
-    counts = np.add.reduceat(digits, es.offsets[:-1], axis=1)
+    counts = np.add.reduceat(_target_digits(es.m, degree), es.offsets[:-1], axis=1, dtype=np.int64)
     radix = _radix(source)
     cols = np.searchsorted(columns, counts.astype(radix.dtype) @ radix)
     # every entry prod(c_k!) is at most (sum c_k)! <= m!, so the matrix is
     # int64 whenever m! < INT64_BOUND, that is for m <= 20
     dtype = np.int64 if factorial(es.m) < INT64_BOUND else object
     fact = np.array([factorial(k) for k in range(max(es.powers) + 1)], dtype=dtype)
-    out = np.zeros((len(digits), len(columns)), dtype=dtype)
-    out[np.arange(len(digits)), cols] = fact[counts].prod(axis=1)
+    out = np.zeros((len(counts), len(columns)), dtype=dtype)
+    out[np.arange(len(counts)), cols] = fact[counts].prod(axis=1)
     return ExactMatrix.from_rows(out, es.characteristic or None)
 
 
@@ -192,16 +213,28 @@ class KernelDimsRecord:
         return all(d.ok for d in self.degrees)
 
 
+def _piece(es: EmbeddingSpec, degree: int) -> ExactMatrix:
+    """phi_matrix(es, degree), built once per embedding for the degrees below m/2, which es keeps."""
+    piece = es._pieces.get(degree)
+    if piece is None:
+        piece = phi_matrix(es, degree)
+        if 2 * degree < es.m:
+            es._pieces[degree] = piece
+    return piece
+
+
 def verify_kernel_dims(es: EmbeddingSpec) -> KernelDimsRecord:
     """Certify injectivity degree by degree: rank == source dimension.
 
-    Every piece's size is checked before any piece is built.
+    Every piece's size is checked before any piece is built.  The pieces of
+    degree below m/2 stay on es, for transfer_slp to reuse; the others are
+    dropped once ranked.
     """
     _refuse_oversized_pieces(es, range(es.m + 1))
     records = []
     # the source's socle degree is m, so hv lists degrees 0..m
     for j, dim_src in enumerate(hilbert_vector(es.source_spec)):
-        rr = certified_rank(phi_matrix(es, j))
+        rr = certified_rank(_piece(es, j))
         records.append(
             DegreeRankRecord(
                 degree=j,
@@ -250,6 +283,29 @@ def _refuse_oversized_embedding(es: EmbeddingSpec) -> None:
         _refuse_oversized_maps(spec, middle_pairs(es.m))
 
 
+# middle maps (i, m - 2i) of the all-ones form on one target quadratic(m),
+# keyed (m, characteristic, i): over F_p with p <= m they are singular, so
+# the characteristic is part of the key
+_TARGET_MIDDLE_MAPS: dict[tuple[int, int, int], ExactMatrix] = {}
+
+
+def _target_middle_map(es: EmbeddingSpec, i: int) -> ExactMatrix:
+    """The target middle map from degree i, built once per (m, characteristic, i).
+
+    The memo keeps the middle maps of one target only: a miss for another
+    (m, characteristic) drops them first.  At m = 8 they hold 3985 int64
+    cells.  An ExactMatrix is read-only, so no caller can change a kept map.
+    """
+    key = (es.m, es.characteristic, i)
+    mid = _TARGET_MIDDLE_MAPS.get(key)
+    if mid is None:
+        if any(k[:2] != key[:2] for k in _TARGET_MIDDLE_MAPS):
+            _TARGET_MIDDLE_MAPS.clear()
+        mid = build_matrix(es.target_spec, LinearForm.ones(es.m), i, es.m - 2 * i).matrix
+        _TARGET_MIDDLE_MAPS[key] = mid
+    return mid
+
+
 def transfer_slp(es: EmbeddingSpec) -> TransferRecord:
     """Decide SLP for the sum of source variables along both routes.
 
@@ -259,17 +315,18 @@ def transfer_slp(es: EmbeddingSpec) -> TransferRecord:
     the image; source pieces in complementary degrees have equal dimension,
     so full column rank of the composite decides the source middle map.
     Every target middle map's size is checked before any map is built.
+    The pieces come from es, built there by verify_kernel_dims or on first
+    use here; the target middle maps are kept per (m, characteristic, i),
+    for the last target only.
     """
     m = es.m
     source = es.source_spec
-    target = es.target_spec
-    _refuse_oversized_maps(target, middle_pairs(m))
+    _refuse_oversized_maps(es.target_spec, middle_pairs(m))
     hv = hilbert_vector(source)
     direct = slp_check(source, LinearForm.ones(es.n), method="dense")
     records = []
     for i, t in middle_pairs(m):
-        mid = build_matrix(target, LinearForm.ones(m), i, t).matrix
-        composite = mat_mul(mid, phi_matrix(es, i))
+        composite = mat_mul(_target_middle_map(es, i), _piece(es, i))
         rr = certified_rank(composite)
         records.append(
             EmbeddedMapCheck(

@@ -342,7 +342,7 @@ def _echelon(a: np.ndarray, p: int | None) -> tuple[int, tuple, int, int]:
             break
         # one scan per column: after the swap, row pr holds the old row r,
         # which is zero in column c, so the rows to rewrite are nz[1:] + r
-        nz = np.flatnonzero(a[r:, c])
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
@@ -354,12 +354,20 @@ def _echelon(a: np.ndarray, p: int | None) -> tuple[int, tuple, int, int]:
                 stamps[[r, pr]] = stamps[[pr, r]]
         idx = nz[1:] + r
         if p is not None:
-            piv = int(a[r, c])
+            # the pivot row is scaled to 1 in place on its view; the touched
+            # rows are gathered once, rewritten in place as sub - f * row
+            # mod p, and written back (products stay below 2^62 for p < 2^31)
+            row = a[r, c:]
+            piv = int(row[0])
             d = d * piv % p
             if piv != 1:
-                a[r, c:] = (a[r, c:] * pow(piv, -1, p)) % p
+                row *= pow(piv, -1, p)
+                row %= p
             if idx.size:
-                a[idx, c:] = (a[idx, c:] - np.outer(a[idx, c], a[r, c:])) % p
+                sub = a[idx, c:]
+                sub -= sub[:, :1] * row
+                sub %= p
+                a[idx, c:] = sub
         else:
             if stamps[r] != d:
                 a[r, c:] = a[r, c:] * d // stamps[r]

@@ -1,4 +1,5 @@
 """Block-sum substitution into the square-free algebra and SLP transfer."""
+from dataclasses import replace
 from itertools import product as iproduct
 from math import comb, factorial, prod
 import random
@@ -319,3 +320,60 @@ def test_kernel_dims_check_every_piece_before_building_any(monkeypatch):
     # pieces 0..6 fit (the largest is 12376x12376); degree 7 is the first that does not
     with pytest.raises(ValueError, match=r"degree-7 piece of the embedding is 19448x19448"):
         verify_kernel_dims(EmbeddingSpec.from_powers((1,) * 17))
+
+
+def test_each_target_middle_map_and_phi_piece_is_built_once(monkeypatch):
+    import slpkit.embedding
+
+    builds, pieces = [], []
+    build, phi = slpkit.embedding.build_matrix, slpkit.embedding.phi_matrix
+
+    def counted_build(spec, form, i, t):
+        builds.append((spec.characteristic, i))
+        return build(spec, form, i, t)
+
+    def counted_phi(es, degree):
+        pieces.append(degree)
+        return phi(es, degree)
+
+    monkeypatch.setattr(slpkit.embedding, "_TARGET_MIDDLE_MAPS", {})
+    monkeypatch.setattr(slpkit.embedding, "build_matrix", counted_build)
+    monkeypatch.setattr(slpkit.embedding, "phi_matrix", counted_phi)
+    for char in (0, 7):
+        for powers in compositions(6):
+            es = EmbeddingSpec.from_powers(powers, char)
+            pieces.clear()
+            assert verify_kernel_dims(es).all_ok
+            assert transfer_slp(es).agree
+            assert sorted(pieces) == list(range(7))
+    # the 32 compositions of 6 share the 3 middle maps of quadratic(6)
+    assert builds == [(char, i) for char in (0, 7) for i in range(3)]
+
+
+def _untimed(rec):
+    direct = rec.direct
+    maps = tuple(replace(c, ms=0.0) for c in direct.maps)
+    return replace(rec, direct=replace(direct, maps=maps, total_ms=0.0))
+
+
+def test_target_middle_maps_are_kept_per_characteristic(monkeypatch):
+    # over F_7 two middle maps of quadratic(8) are singular, so a map kept
+    # for characteristic 0 must not answer for characteristic 7
+    import slpkit.embedding
+
+    monkeypatch.setattr(slpkit.embedding, "_TARGET_MIDDLE_MAPS", {})
+    disagree = set()
+    for powers in compositions(8):
+        fresh = {}
+        for char in (0, 7):
+            slpkit.embedding._TARGET_MIDDLE_MAPS.clear()
+            fresh[char] = _untimed(transfer_slp(EmbeddingSpec.from_powers(powers, char)))
+        for char in (0, 7, 0):
+            rec = transfer_slp(EmbeddingSpec.from_powers(powers, char))
+            assert _untimed(rec) == fresh[char], (powers, char)
+            if not rec.agree:
+                disagree.add((powers, char))
+    # the transfer needs p > m: mod 7 a block of 7 or 8 keeps SLP in the
+    # source, while the middle maps of quadratic(8) from degrees 0 and 1 are
+    # singular
+    assert disagree == {((1, 7), 7), ((7, 1), 7), ((8,), 7)}

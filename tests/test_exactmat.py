@@ -217,6 +217,32 @@ def test_sparse_echelon_mod_p_matches_oracles(p):
 
 
 @st.composite
+def _dense_rows_mod(draw, p):
+    """Dense residues mod p, tall or wide up to 60 rows, with repeated rows and zero columns."""
+    nrows, ncols = draw(st.integers(1, 60)), draw(st.integers(1, 60))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rows = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
+    for _ in range(draw(st.integers(0, nrows // 2))):
+        rows[rng.randrange(nrows)] = list(rows[rng.randrange(nrows)])
+    for c in rng.sample(range(ncols), draw(st.integers(0, ncols // 3))):
+        for row in rows:
+            row[c] = 0
+    return rows
+
+
+# the int64 copy below 2^31, Python ints above, where the pivot row is
+# scaled in place on a view of an object array
+@pytest.mark.parametrize("p,work", [(2**31 - 1, np.int64), (2**61 - 1, object)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_dense_echelon_mod_p_matches_the_reference(p, work, data):
+    rows = data.draw(_dense_rows_mod(p))
+    a = _reduce_mod_p(ExactMatrix.from_rows(rows, p), p)
+    assert a.dtype == work
+    assert _oracle_form(_echelon(a, p), p) == oracles.reference_echelon_mod_p(rows, p)
+
+
+@st.composite
 def _one_nonzero_per_line(draw):
     """(array, p): at most one nonzero per row, or per column when transposed.
 
