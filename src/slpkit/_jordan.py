@@ -4,7 +4,9 @@ A = k[x1..xn]/(x1^d1..xn^dn) is a finitely generated graded module over
 k[l], so it is a direct sum of strings: a string (s, L) has the basis v,
 lv, ..., l^(L-1)v with v of degree s and l^L v = 0.  The graded Jordan type
 {(s, L): count} gives every rank: l^t from degree i has rank the number of
-strings with s <= i and s + L - 1 >= i + t.
+strings with s <= i and s + L - 1 >= i + t.  This module is the math
+alone: blockrec's auto route folds once per (spec, form) where the paper's
+hypotheses fail, and reads the rank of every map off that one type.
 
 Rescaling x_k -> x_k / c_k is a graded automorphism of A, so the type
 depends only on which coefficients vanish in the field.  It is folded in
@@ -51,23 +53,20 @@ of Jordan blocks studied by S. P. Glasby, C. E. Praeger and B. Xia (2015).
 """
 from __future__ import annotations
 
-import time
-from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .lefschetz import LinearForm, MapCheck, check_map
 from .quotient import AlgebraSpec, _hilbert_function
 
-# Largest socle degree m that is folded; above it the maps the fold would
-# answer are checked dense, so only a map too big both to fold and to build
-# is refused.  The type has at most (m+1)(m+2)/2 keys.  Measured at m = 1000
-# on one core of a 2-vCPU Xeon, each in a fresh interpreter (28 MiB after
-# import): quadratic(1000) at p = 7 folds in 0.54 s with 998 keys; with
-# every other coefficient zero in 0.28 s over Q with 125751 keys, the most
-# keys here, at 59 MiB peak RSS; (21,)*50 at p = 13 in 0.98 s with 4961
+# Largest socle degree m that is folded; above it blockrec checks the maps
+# the fold would answer dense, so only a map too big both to fold and to
+# build is refused.  The type has at most (m+1)(m+2)/2 keys.  Measured at
+# m = 1000 on one core of a 2-vCPU Xeon, each in a fresh interpreter (28 MiB
+# after import): quadratic(1000) at p = 7 folds in 0.54 s with 998 keys;
+# with every other coefficient zero in 0.28 s over Q with 125751 keys, the
+# most keys here, at 59 MiB peak RSS; (21,)*50 at p = 13 in 0.98 s with 4961
 # keys, 0.95 s with 47861 keys with half its coefficients zero; (101,)*10 at
 # p = 7 in 0.80 s; and (501, 501) at p = 499, whose one mod-p pair table is
 # the largest, in 0.96 s.
@@ -116,61 +115,35 @@ def _pair_type_mod_p(length: int, b: int, p: int) -> tuple[tuple[int, int], ...]
     return tuple((s, ends[s] - s + 1) for s in range(r))
 
 
-# one sweep reads a single key, so two are kept: at the bound a type can
-# hold some 30 MiB
-@lru_cache(maxsize=2)
-def _jordan_type(live: tuple[int, ...], dead: tuple[int, ...], p: int) -> Mapping[tuple[int, int], int]:
-    """The type {(start, length): count} for killed powers >= 2 of nonzero (live) and zero (dead) coefficients."""
+def jordan_type(spec: AlgebraSpec, coefficients: Sequence[int]) -> Mapping[tuple[int, int], int]:
+    """The graded Jordan type {(start, length): count} of multiplication by the form with these coefficients.
+
+    Raises ValueError above socle degree _MAX_FOLD_DEGREE, before folding.
+    """
+    if len(coefficients) != spec.n:
+        raise ValueError("form has the wrong number of coefficients")
+    m = spec.socle_degree
+    if m > _MAX_FOLD_DEGREE:
+        raise ValueError(f"the Jordan-type fold is limited to socle degree {_MAX_FOLD_DEGREE}; this algebra has {m}")
+    live, dead = [], []
+    for d, c in zip(spec.exponents, coefficients):
+        if d > 1:
+            (live if spec.normalize_coeff(c) else dead).append(d)
     strings = {(0, 1): 1}
     tables: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-    for b in live:
+    for b in sorted(live):
         folded: dict[tuple[int, int], int] = {}
         for (s, length), count in strings.items():
             if (length, b) not in tables:
-                tables[length, b] = _pair_type(length, b, p)
+                tables[length, b] = _pair_type(length, b, spec.characteristic)
             for k, n in tables[length, b]:
                 folded[s + k, n] = folded.get((s + k, n), 0) + count
         strings = folded
     if dead:
-        h = _hilbert_function(dead)
+        h = _hilbert_function(tuple(sorted(dead)))
         shifted: dict[tuple[int, int], int] = {}
         for (s, length), count in strings.items():
             for j, hj in enumerate(h):
                 shifted[s + j, length] = shifted.get((s + j, length), 0) + count * hj
         strings = shifted
     return MappingProxyType(strings)
-
-
-def jordan_type(spec: AlgebraSpec, form: LinearForm) -> Mapping[tuple[int, int], int]:
-    """The graded Jordan type of multiplication by form on spec's algebra.
-
-    Raises ValueError above socle degree _MAX_FOLD_DEGREE, before folding.
-    """
-    if form.nvars != spec.n:
-        raise ValueError("form has the wrong number of coefficients")
-    m = spec.socle_degree
-    if m > _MAX_FOLD_DEGREE:
-        raise ValueError(f"the Jordan-type fold is limited to socle degree {_MAX_FOLD_DEGREE}; this algebra has {m}")
-    live, dead = [], []
-    for d, c in zip(spec.exponents, form.coefficients):
-        if d > 1:
-            (live if spec.normalize_coeff(c) else dead).append(d)
-    return _jordan_type(tuple(sorted(live)), tuple(sorted(dead)), spec.characteristic)
-
-
-def jordan_check(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> MapCheck:
-    """check_map's answer for (i, t) off the proof route: read off the Jordan type, method "jordan".
-
-    No map is built.  Above socle degree _MAX_FOLD_DEGREE it is check_map's
-    dense answer instead, which build_matrix refuses above MAX_MAP_CELLS.
-    """
-    if spec.socle_degree > _MAX_FOLD_DEGREE:
-        return check_map(spec, form, i, t, "dense")
-    if i < 0 or t < 0 or i + t > spec.socle_degree:
-        raise ValueError("degrees out of range for this algebra")
-    start = time.perf_counter()
-    strings = jordan_type(spec, form)
-    rank = sum(count for (s, n), count in strings.items() if s <= i and s + n - 1 >= i + t)
-    nrows, ncols = spec.dim(i + t), spec.dim(i)
-    ms = (time.perf_counter() - start) * 1000.0
-    return MapCheck(i, t, nrows, ncols, rank, rank == min(nrows, ncols), "jordan", ms)

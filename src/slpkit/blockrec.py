@@ -17,17 +17,21 @@ map (j, k-2j) of the first k variables, is bijective when (k-1, j) and
 (2j = k) and in the 1x1 maps l^k: A_0 -> A_k (j = 0), the scalars
 k! c_1...c_k.  In characteristic 0 or above n with no zero coefficient
 every step and every base map is invertible, so the induction builds no
-matrix: recursive_middle_rank checks those hypotheses with one 1x1 map,
-once per (spec, form), reaches every other spec through the block-sum
-embedding and every (i, t) from the middle maps.  Where a hypothesis fails
-it answers with the Jordan-type fold (_jordan), which builds no map of the
-spec either, up to the fold's bound on the socle degree.
+matrix.  The auto route decides once per (spec, form) whether those
+hypotheses hold, with one 1x1 map, and where one fails it folds the Jordan
+type (_jordan) once, up to the fold's bound on the socle degree.
+recursive_middle_rank reads every map's answer off that one decision: the
+proof's rank, carried to every other spec by the block-sum embedding and
+to every (i, t) from the middle maps; the rank counted off the type's
+strings, which builds no map of the spec either; or, above the fold's
+bound, the dense check.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import Mapping
 
 from .exactmat import (
     ExactMatrix,
@@ -36,7 +40,7 @@ from .exactmat import (
     rank_mod_p,  # unused; perfbench/tests/test_tracing.py expects this binding
     scale,
 )
-from ._jordan import jordan_check
+from ._jordan import _MAX_FOLD_DEGREE, jordan_type
 from .lefschetz import LinearForm, MapCheck, build_matrix, check_map
 from .quotient import AlgebraSpec
 
@@ -95,23 +99,27 @@ def decompose(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> BlockDecom
     return BlockDecomposition(spec, form, i, t, tl, bl, br, scalar)
 
 
-@lru_cache(maxsize=256)
-def _proof_hypotheses(spec: AlgebraSpec, form: LinearForm) -> tuple[str | None, int]:
-    """(None, the socle map's peak_bits) when the proof's hypotheses hold, else (fallback reason, 0).
+# a sweep reads one key; at the fold's bound a type can hold some 30 MiB
+@lru_cache(maxsize=2)
+def _auto_route(spec: AlgebraSpec, form: LinearForm) -> tuple[str | None, int, Mapping[tuple[int, int], int] | None]:
+    """The auto route's one decision for (spec, form): (fallback reason, socle peak_bits, Jordan type).
 
-    The hypotheses are characteristic 0 or above the socle degree m, and the
-    1x1 socle map l^m: A_0 -> A_m nonzero, checked by check_map's dense
-    route.  They depend on the spec and the form alone, so every map of an
-    auto check and slp_check's size guard share one answer.
+    The proof's hypotheses are characteristic 0 or above the socle degree m,
+    and the 1x1 socle map l^m: A_0 -> A_m nonzero, checked by check_map's
+    dense route.  When they hold the reason is None and peak_bits is the
+    socle map's; otherwise the reason says why, peak_bits is 0 and the type
+    is folded, or None above _MAX_FOLD_DEGREE, where the maps are built.
     """
     m = spec.socle_degree
     char = spec.characteristic
     if char and char <= m:
-        return f"characteristic {char} <= socle degree {m}; structured path unavailable", 0
-    socle = check_map(spec, form, 0, m, "dense")
-    if socle.maximal:
-        return None, socle.peak_bits
-    return "zero coefficient in the form; structured path unavailable", 0
+        reason = f"characteristic {char} <= socle degree {m}; structured path unavailable"
+    else:
+        socle = check_map(spec, form, 0, m, "dense")
+        if socle.maximal:
+            return None, socle.peak_bits, None
+        reason = "zero coefficient in the form; structured path unavailable"
+    return reason, 0, jordan_type(spec, form.coefficients) if m <= _MAX_FOLD_DEGREE else None
 
 
 def recursive_middle_rank(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> MapCheck:
@@ -135,20 +143,26 @@ def recursive_middle_rank(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -
     when i + j <= m (the middle map from A_i is form^(m-i-j) after it) and
     surjective otherwise (the one from A_(m-j) is it after form^(i+j-m)).
     So the answer is rank min(dim(i), dim(i+t)), method "block-recursive",
-    no notes and the socle map's peak_bits.  Otherwise it is the fold's
-    (_jordan.jordan_check: method "jordan", or the dense answer above its
-    bound), with a note that says why.  ms times the whole call, the socle
-    check included when this call decided the hypotheses.
+    no notes and the socle map's peak_bits.  Otherwise it is the number of
+    strings of the Jordan type that cover the map, method "jordan", or
+    above the fold's bound check_map's dense answer, with a note that says
+    why.  The decision is made once per (spec, form), and ms times the
+    whole call, the decision included when this call made it.
     """
     if form.nvars != spec.n:
         raise ValueError("form has the wrong number of coefficients")
     if i < 0 or t < 0 or i + t > spec.socle_degree:
         raise ValueError("degrees out of range for this algebra")
     start = time.perf_counter()
-    reason, socle_bits = _proof_hypotheses(spec, form)
+    reason, socle_bits, strings = _auto_route(spec, form)
+    if reason is not None and strings is None:
+        dense = check_map(spec, form, i, t, "dense")
+        return replace(dense, ms=(time.perf_counter() - start) * 1000.0, notes=(reason,))
+    rows, cols = spec.dim(i + t), spec.dim(i)
     if reason is None:
-        rows, cols = spec.dim(i + t), spec.dim(i)
-        ms = (time.perf_counter() - start) * 1000.0
-        return MapCheck(i, t, rows, cols, min(rows, cols), True, "block-recursive", ms, peak_bits=socle_bits)
-    folded = jordan_check(spec, form, i, t)
-    return replace(folded, ms=(time.perf_counter() - start) * 1000.0, notes=(reason,))
+        rank, method, notes = min(rows, cols), "block-recursive", ()
+    else:
+        rank = sum(count for (s, n), count in strings.items() if s <= i and s + n - 1 >= i + t)
+        method, notes = "jordan", (reason,)
+    ms = (time.perf_counter() - start) * 1000.0
+    return MapCheck(i, t, rows, cols, rank, rank == min(rows, cols), method, ms, notes, socle_bits)

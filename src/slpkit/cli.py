@@ -278,11 +278,11 @@ def _cmd_bench(args) -> int:
             )
         if d.rank != a.rank:
             disagreements.append(f"(i={d.i}, t={d.t}) dense {d.rank}, auto {a.rank}")
+    _emit(args, {"spec": spec.to_json_dict(), "form": form.to_json(), "records": records})
     if disagreements:
         print(f"error: routes disagree at {'; '.join(disagreements)}", file=sys.stderr)
         return 1
     print("dense and auto agree on every rank")
-    _emit(args, {"spec": spec.to_json_dict(), "form": form.to_json(), "records": records})
     return 0
 
 

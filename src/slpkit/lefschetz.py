@@ -27,24 +27,25 @@ prime exactmat.PROBE_PRIME (full modular rank certifies full rational rank)
 and falls back to exact fraction-free elimination only when the certificate
 fails, so the expensive path runs exactly when something genuinely
 degenerates.  Coefficients are integers, so every matrix is over ZZ or F_p.
-Its proof route, blockrec.recursive_middle_rank, is the paper's proof: the
+Its auto route, blockrec.recursive_middle_rank, is the paper's proof: the
 induction on variables, carried to every spec by the block-sum embedding
-and to every (i, t) by the argument above.  It decides the proof's
-hypotheses once per (spec, form) and builds no matrix beyond the 1x1 socle
-map l^m: A_0 -> A_m, checked through the dense route.  Where they fail it
-answers, with a note, by the Jordan-type fold (_jordan), which reads the
-rank off the strings of multiplication by the form, folded one variable at
-a time, and builds no map of the spec.  All routes answer with a MapCheck.
-method "auto", the default, takes the proof route for every map; "dense",
-the oracle, always builds the map.
+and to every (i, t) by the argument above.  It makes one decision per
+(spec, form): whether the proof's hypotheses hold, which builds no matrix
+beyond the 1x1 socle map l^m: A_0 -> A_m, checked through the dense route,
+and where they fail the Jordan-type fold (_jordan), which reads the rank
+off the strings of multiplication by the form, folded one variable at a
+time, and builds no map of the spec.  Every map of the pair reads its
+answer off that decision, a fallback with a note that says why.  All
+routes answer with a MapCheck.  method "auto", the default, takes the
+proof route for every map; "dense", the oracle, always builds the map.
 
 Only maps that are built are refused for size: build_matrix refuses one of
-more than MAX_MAP_CELLS cells before listing any basis, and slp_check on
-the dense route refuses every map of a sweep before building any.  The
-proof route builds the socle map alone, so under the proof's hypotheses
-the auto verdict comes at any size; outside them the fold builds no map up
-to its bound on the socle degree (_jordan._MAX_FOLD_DEGREE), above which
-the maps are built as on the dense route and refused only when too big.
+more than MAX_MAP_CELLS cells before listing any basis, and slp_check
+refuses every map of a sweep that builds them before building any.  Under
+the proof's hypotheses the auto route builds the socle map alone, so the
+verdict comes at any size; outside them the fold builds no map up to its
+bound on the socle degree, above which the auto route builds the maps as
+the dense route does, and a map is refused only when too big.
 """
 from __future__ import annotations
 
@@ -275,15 +276,16 @@ def check_map(spec: AlgebraSpec, form: LinearForm, i: int, t: int, method: str =
 
     This is the one routine that checks a map.  method "auto" takes the
     proof route, blockrec.recursive_middle_rank, for every (i, t) of every
-    spec; where the proof's hypotheses fail, that route answers with the
-    Jordan-type fold, method "jordan", which builds no map of the spec, and
-    a note that says why.  "dense" always builds the matrix and ranks it
-    with exactmat.certified_rank, which eliminates F_p matrices mod p and
-    certifies integer ones mod PROBE_PRIME; peak_bits is that matrix's.
-    rows and cols come from spec.dim on every route, and ms times the whole
-    check, on the proof route a fallback's socle check included.  Above the
-    fold's bound on the socle degree, the maps it would answer are checked
-    dense.  Only a map that is built is refused for size, by build_matrix.
+    spec; it decides once per (spec, form) whether the proof's hypotheses
+    hold, and where they fail it answers with a note that says why, by the
+    Jordan-type fold, method "jordan", which builds no map of the spec, or
+    above the fold's bound on the socle degree by the dense check.  "dense"
+    always builds the matrix and ranks it with exactmat.certified_rank,
+    which eliminates F_p matrices mod p and certifies integer ones mod
+    PROBE_PRIME; peak_bits is that matrix's.  rows and cols come from
+    spec.dim on every route, and ms times the whole check, the auto
+    route's decision included when this call made it.  Only a map that is
+    built is refused for size, by build_matrix.
     """
     if method not in ("auto", "dense"):
         raise ValueError(f"unknown method {method!r}")
@@ -314,9 +316,12 @@ def slp_check(
     with the Jordan-type fold and a note on every map where the proof's
     hypotheses fail, and "dense" builds each matrix outright; full mode
     always runs dense, so it stays independent of the proof and the fold.
-    On the dense route, and above the fold's bound on the socle degree when
-    the proof's hypotheses fail, every map's size is checked before any is
-    built; no other sweep builds a map beyond the 1x1 socle map.
+    The auto route's decision for (spec, form) is made before the first
+    map, so no map's ms includes it; total_ms does.  Every map's size is
+    checked before any is built on the dense route, and on the auto route
+    where the decision leaves the maps to be built (outside the
+    hypotheses, above the fold's bound); no other sweep builds a map
+    beyond the 1x1 socle map.
     """
     if form.nvars != spec.n:
         raise ValueError("form has the wrong number of coefficients")
@@ -329,11 +334,13 @@ def slp_check(
     m = spec.socle_degree
     pairs = middle_pairs(m) if mode == "middle" else full_pairs(m)
     start = time.perf_counter()
-    from ._jordan import _MAX_FOLD_DEGREE
-    from .blockrec import _proof_hypotheses
+    builds = method == "dense"
+    if not builds:
+        from .blockrec import _auto_route
 
-    # above the fold's bound a map outside the proof's hypotheses is built
-    if method == "dense" or m > _MAX_FOLD_DEGREE and _proof_hypotheses(spec, form)[0] is not None:
+        reason, _, strings = _auto_route(spec, form)
+        builds = reason is not None and strings is None
+    if builds:
         _refuse_oversized_maps(spec, pairs)
     checks = tuple(check_map(spec, form, i, t, method) for i, t in pairs)
     total_ms = (time.perf_counter() - start) * 1000.0

@@ -2,26 +2,21 @@
 import numpy as np
 import pytest
 
-from slpkit._jordan import _jordan_type
-from slpkit.blockrec import _proof_hypotheses
+from slpkit.blockrec import _auto_route
 from slpkit.exactmat import ExactMatrix
-
-MEMOS = (_proof_hypotheses, _jordan_type)
 
 
 @pytest.fixture(autouse=True)
-def fresh_memos():
-    """Empty the memos of the proof's hypotheses and of the Jordan-type fold around every test.
+def fresh_memo():
+    """Empty the auto route's memo, its one decision per (spec, form), around every test.
 
     A test that stubs check_map or build_matrix would otherwise leave its
     stubbed verdicts to later tests, and a warm memo would hide the socle
     build or the fold from a test that counts them.
     """
-    for memo in MEMOS:
-        memo.cache_clear()
+    _auto_route.cache_clear()
     yield
-    for memo in MEMOS:
-        memo.cache_clear()
+    _auto_route.cache_clear()
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ import slpkit.blockrec
 from slpkit.exactmat import ExactMatrix, block_assemble, mat_mul, rank_fraction_free, rank_mod_p
 from slpkit.blockrec import decompose, recursive_middle_rank
 import slpkit.lefschetz
-from slpkit.lefschetz import LinearForm, build_matrix, check_map, middle_pairs, slp_check
+from slpkit.lefschetz import LinearForm, build_matrix, check_map, full_pairs, middle_pairs, slp_check
 from slpkit.quotient import AlgebraSpec
 
 
@@ -319,6 +319,58 @@ def test_block_route_builds_only_base_maps(monkeypatch, char, exponents):
     # a second sweep of the same (spec, form) reuses it
     assert [(c.i, c.rank, c.method) for c in slp_check(spec, form).maps] == verdicts
     assert checks == [(0, m, "dense")]
+
+
+def _answers(spec, form):
+    """Every map's auto answer for (spec, form), ms aside, from a cleared memo."""
+    slpkit.blockrec._auto_route.cache_clear()
+    return [replace(check_map(spec, form, i, t), ms=0.0) for i, t in full_pairs(spec.socle_degree)]
+
+
+def test_the_route_is_decided_per_spec_and_form():
+    # two forms on one spec that zero different killed powers, and one form
+    # on two specs that differ only in characteristic; the memo keeps two
+    # decisions, so interleaving the three pairs also evicts
+    spec = AlgebraSpec(3, (2, 3, 4))
+    x, y = LinearForm((0, 1, 1)), LinearForm((1, 1, 0))
+    pairs = [(spec, x), (spec, y), (replace(spec, characteristic=5), x)]
+    alone = [_answers(s, f) for s, f in pairs]
+    assert alone[0] != alone[1] and alone[0] != alone[2]
+    slpkit.blockrec._auto_route.cache_clear()
+    interleaved = [[] for _ in pairs]
+    for i, t in full_pairs(spec.socle_degree):
+        for answers, (s, f) in zip(interleaved, pairs):
+            answers.append(replace(check_map(s, f, i, t), ms=0.0))
+    assert interleaved == alone
+
+
+@pytest.mark.parametrize(
+    "spec, form, built",
+    [
+        (AlgebraSpec.quadratic(11, 7), LinearForm.ones(11), []),
+        (AlgebraSpec.quadratic(11), LinearForm((1, 0) + (1,) * 9), [(0, 11)]),
+    ],
+    ids=["p7", "zero-coefficient"],
+)
+def test_each_pair_is_decided_once(monkeypatch, spec, form, built):
+    real_build, real_fold = slpkit.lefschetz.build_matrix, slpkit.blockrec.jordan_type
+    builds, folds = [], []
+
+    def counting_build(s, f, i, t):
+        builds.append((i, t))
+        return real_build(s, f, i, t)
+
+    def counting_fold(*args):
+        folds.append(args)
+        return real_fold(*args)
+
+    monkeypatch.setattr(slpkit.lefschetz, "build_matrix", counting_build)
+    monkeypatch.setattr(slpkit.blockrec, "jordan_type", counting_fold)
+    assert not slp_check(spec, form).slp
+    for i, t in full_pairs(spec.socle_degree):
+        assert check_map(spec, form, i, t).method == "jordan"
+    # p = 7 <= 11 is decided before any map is built; a zero coefficient by the socle map
+    assert builds == built and len(folds) == 1
 
 
 @pytest.mark.parametrize("char", [0, 7, 1009])

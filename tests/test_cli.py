@@ -229,7 +229,7 @@ def test_bench(capsys, tmp_path):
     ]
 
 
-def test_bench_route_disagreement_exits_one(capsys, monkeypatch):
+def test_bench_route_disagreement_exits_one(capsys, monkeypatch, tmp_path):
     import slpkit.cli
 
     def off_by_one_auto(spec, form, mode="middle", method="auto"):
@@ -239,9 +239,15 @@ def test_bench_route_disagreement_exits_one(capsys, monkeypatch):
         return replace(report, maps=tuple(replace(c, rank=c.rank - 1) for c in report.maps))
 
     monkeypatch.setattr(slpkit.cli, "slp_check", off_by_one_auto)
-    code, _, err = run(capsys, "bench", "--quadratic", "3")
+    path = tmp_path / "bench.json"
+    code, _, err = run(capsys, "bench", "--quadratic", "3", "--out", str(path))
     assert code == 1
     assert err == "error: routes disagree at (i=0, t=3) dense 1, auto 0; (i=1, t=1) dense 3, auto 2\n"
+    # the records are written all the same, both routes' ranks in each
+    records = json.loads(path.read_text())["records"]
+    assert [(r["route"], r["i"], r["rank"]) for r in records] == [
+        ("dense", 0, 1), ("auto", 0, 0), ("dense", 1, 3), ("auto", 1, 2)
+    ]
 
 
 def test_rank_block_on_a_general_spec(capsys, tmp_path):
@@ -336,11 +342,12 @@ def test_oversized_algebra_exits_two_before_listing_a_basis(capsys, monkeypatch)
 
 def test_above_the_fold_bound_only_maps_too_big_to_build_exit_two(capsys, monkeypatch):
     import slpkit._jordan
+    import slpkit.blockrec
 
     def no_fold(*args):
         pytest.fail("folded above the bound")
 
-    monkeypatch.setattr(slpkit._jordan, "_jordan_type", no_fold)
+    monkeypatch.setattr(slpkit.blockrec, "jordan_type", no_fold)
     m = slpkit._jordan._MAX_FOLD_DEGREE
     # above the bound the maps the fold would answer are built and ranked
     code, out, err = run(capsys, "rank", "--quadratic", str(m + 1), "--char", "7", "--i", "0", "--t", "1")

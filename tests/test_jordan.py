@@ -5,9 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from slpkit._jordan import _MAX_FOLD_DEGREE, _pair_type, _pair_type_mod_p, jordan_check, jordan_type
+from slpkit._jordan import _MAX_FOLD_DEGREE, _pair_type, _pair_type_mod_p, jordan_type
+from slpkit.blockrec import recursive_middle_rank
 from slpkit.lefschetz import LinearForm, check_map, full_pairs, slp_check
 from slpkit.quotient import AlgebraSpec
+
+
+def _fold(spec, form):
+    """Rank of the (i, t) map counted off one fold of (spec, form)."""
+    strings = jordan_type(spec, form.coefficients)
+    return lambda i, t: sum(count for (s, n), count in strings.items() if s <= i and s + n - 1 >= i + t)
 
 
 @settings(max_examples=80, deadline=None)
@@ -22,8 +29,9 @@ def test_fold_matches_the_full_dense_check(data):
     spec, form = AlgebraSpec(n, exponents, char), LinearForm(coeffs)
     full = slp_check(spec, form, mode="full", method="dense")
     assert [(c.i, c.t) for c in full.maps] == list(full_pairs(spec.socle_degree))
+    fold = _fold(spec, form)
     for c in full.maps:
-        assert jordan_check(spec, form, c.i, c.t).rank == c.rank, (exponents, char, coeffs, c)
+        assert fold(c.i, c.t) == c.rank, (exponents, char, coeffs, c)
         assert check_map(spec, form, c.i, c.t).rank == c.rank, (exponents, char, coeffs, c)
     assert slp_check(spec, form).slp == full.slp
 
@@ -34,10 +42,11 @@ def test_fold_matches_wilson_on_square_free_algebras(n):
         spec = AlgebraSpec.quadratic(n, p)
         for zeros in (0, 1, 2):
             form = LinearForm((0,) * zeros + (1, -1) * ((n - zeros) // 2) + (1,) * ((n - zeros) % 2))
+            fold = _fold(spec, form)
             for i, t in full_pairs(n):
                 want = oracles.tensor_wilson_rank(n, zeros, i, t, p)
-                assert jordan_check(spec, form, i, t).rank == want, (n, p, zeros, i, t)
-    assert jordan_check(AlgebraSpec.quadratic(n, 7), LinearForm.ones(n), 3, 5).rank == oracles.wilson_rank(n, 3, 5, 7)
+                assert fold(i, t) == want, (n, p, zeros, i, t)
+    assert _fold(AlgebraSpec.quadratic(n, 7), LinearForm.ones(n))(3, 5) == oracles.wilson_rank(n, 3, 5, 7)
 
 
 def test_fold_matches_the_tensor_product_oracle_over_q():
@@ -45,8 +54,9 @@ def test_fold_matches_the_tensor_product_oracle_over_q():
         exponents = live + dead
         spec = AlgebraSpec(len(exponents), exponents)
         form = LinearForm((2, -3, 1)[: len(live)] + (0,) * len(dead))
+        fold = _fold(spec, form)
         for i, t in full_pairs(spec.socle_degree):
-            assert jordan_check(spec, form, i, t).rank == oracles.tensor_deficit_rank(live, dead, i, t)
+            assert fold(i, t) == oracles.tensor_deficit_rank(live, dead, i, t)
 
 
 def test_closed_form_pair_tables_match_the_mod_p_tables():
@@ -74,20 +84,26 @@ def test_mod_p_pair_tables_match_the_dense_ranks():
 def test_type_depends_on_which_coefficients_vanish():
     spec = AlgebraSpec(4, (3, 1, 4, 2), 5)
     # x2 is zero in the algebra; 10 is zero mod 5
-    strings = jordan_type(spec, LinearForm((2, 0, 10, -1)))
-    assert strings == jordan_type(spec, LinearForm((1, 7, 0, 1)))
+    strings = jordan_type(spec, (2, 0, 10, -1))
+    assert strings == jordan_type(spec, (1, 7, 0, 1))
     assert sum(count * length for (_s, length), count in strings.items()) == 3 * 4 * 2
     with pytest.raises(TypeError):
         strings[0, 1] = 1
-    with pytest.raises(ValueError, match="out of range"):
-        jordan_check(spec, LinearForm.ones(4), 2, spec.socle_degree)
     with pytest.raises(ValueError, match="wrong number"):
-        jordan_check(spec, LinearForm.ones(3), 0, 1)
+        jordan_type(spec, (1, 1, 1))
+    # the auto route folds this (spec, form): p = 5 is below the socle degree 6
+    assert check_map(spec, LinearForm.ones(4), 0, 1).method == "jordan"
+    with pytest.raises(ValueError, match="out of range"):
+        check_map(spec, LinearForm.ones(4), 2, spec.socle_degree)
+    with pytest.raises(ValueError, match="wrong number"):
+        check_map(spec, LinearForm.ones(3), 0, 1)
 
 
 def test_above_the_bound_the_type_is_refused_and_maps_are_checked_dense():
     spec, x = AlgebraSpec(1, (_MAX_FOLD_DEGREE + 2,), 7), LinearForm.ones(1)
     with pytest.raises(ValueError, match=f"limited to socle degree {_MAX_FOLD_DEGREE}"):
-        jordan_type(spec, x)
-    mc = jordan_check(spec, x, 3, 5)
-    assert (mc.rows, mc.cols, mc.rank, mc.method) == (1, 1, 1, "modular")
+        jordan_type(spec, x.coefficients)
+    # p = 7 is below the socle degree, so the auto route falls back, to the dense check
+    for mc in (check_map(spec, x, 3, 5), recursive_middle_rank(spec, x, 3, 5)):
+        assert (mc.rows, mc.cols, mc.rank, mc.method) == (1, 1, 1, "modular")
+        assert mc.notes == (f"characteristic 7 <= socle degree {_MAX_FOLD_DEGREE + 1}; structured path unavailable",)
