@@ -25,12 +25,12 @@ exactmat.certified_rank and its one probe prime; a piece holds one nonzero
 per row, so rank_mod_p reads its rank off the nonzero pattern and runs no
 elimination.
 
-A run over many embeddings builds each piece of work once.  The digit
-table of quadratic(m)'s degree-j codes is shared by every composition of m
-and kept per (m, j).  verify_kernel_dims and transfer_slp share the pieces
-of degree j < m/2 through the EmbeddingSpec, which keeps them until it is
-freed.  The target middle maps, one per (m, characteristic, i), are kept
-for the last target asked for only.
+A run over many embeddings builds each piece of work once, through three
+lru_cache memos.  The digit table of quadratic(m)'s degree-j codes is
+shared by every composition of m and kept per (m, j).  verify_kernel_dims
+and transfer_slp share the pieces of degree j < m/2 through _low_pieces,
+which keeps those of the last embedding.  _target_middle_maps keeps the
+middle maps of the last target, keyed on m and the characteristic.
 """
 from __future__ import annotations
 
@@ -63,8 +63,6 @@ class EmbeddingSpec:
     characteristic: int = 0
     source_spec: AlgebraSpec = field(init=False, repr=False, compare=False)
     target_spec: AlgebraSpec = field(init=False, repr=False, compare=False)
-    # phi_matrix pieces of degree j < m/2, the ones transfer_slp reads, by j
-    _pieces: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         powers = _sequence(self.powers, "the socle exponents")
@@ -213,28 +211,25 @@ class KernelDimsRecord:
         return all(d.ok for d in self.degrees)
 
 
-def _piece(es: EmbeddingSpec, degree: int) -> ExactMatrix:
-    """phi_matrix(es, degree), built once per embedding for the degrees below m/2, which es keeps."""
-    piece = es._pieces.get(degree)
-    if piece is None:
-        piece = phi_matrix(es, degree)
-        if 2 * degree < es.m:
-            es._pieces[degree] = piece
-    return piece
+@lru_cache(maxsize=1)
+def _low_pieces(es: EmbeddingSpec) -> tuple[ExactMatrix, ...]:
+    """phi_matrix(es, j) for j < m/2, the pieces that both checks read, kept for the last embedding."""
+    return tuple(phi_matrix(es, j) for j in range((es.m + 1) // 2))
 
 
 def verify_kernel_dims(es: EmbeddingSpec) -> KernelDimsRecord:
     """Certify injectivity degree by degree: rank == source dimension.
 
     Every piece's size is checked before any piece is built.  The pieces of
-    degree below m/2 stay on es, for transfer_slp to reuse; the others are
-    dropped once ranked.
+    degree below m/2 come from _low_pieces, which keeps them for
+    transfer_slp; the others are dropped once ranked.
     """
     _refuse_oversized_pieces(es, range(es.m + 1))
+    low = _low_pieces(es)
     records = []
     # the source's socle degree is m, so hv lists degrees 0..m
     for j, dim_src in enumerate(hilbert_vector(es.source_spec)):
-        rr = certified_rank(_piece(es, j))
+        rr = certified_rank(low[j] if j < len(low) else phi_matrix(es, j))
         records.append(
             DegreeRankRecord(
                 degree=j,
@@ -283,27 +278,16 @@ def _refuse_oversized_embedding(es: EmbeddingSpec) -> None:
         _refuse_oversized_maps(spec, middle_pairs(es.m))
 
 
-# middle maps (i, m - 2i) of the all-ones form on one target quadratic(m),
-# keyed (m, characteristic, i): over F_p with p <= m they are singular, so
-# the characteristic is part of the key
-_TARGET_MIDDLE_MAPS: dict[tuple[int, int, int], ExactMatrix] = {}
+@lru_cache(maxsize=1)
+def _target_middle_maps(m: int, characteristic: int) -> tuple[ExactMatrix, ...]:
+    """The middle maps (i, m - 2i) of the all-ones form on quadratic(m), by i, kept for the last target.
 
-
-def _target_middle_map(es: EmbeddingSpec, i: int) -> ExactMatrix:
-    """The target middle map from degree i, built once per (m, characteristic, i).
-
-    The memo keeps the middle maps of one target only: a miss for another
-    (m, characteristic) drops them first.  At m = 8 they hold 3985 int64
-    cells.  An ExactMatrix is read-only, so no caller can change a kept map.
+    Over F_p with p <= m some of them are singular, so the characteristic
+    is part of the key.  At m = 8 they hold 3985 int64 cells.  An
+    ExactMatrix is read-only, so no caller can change a kept map.
     """
-    key = (es.m, es.characteristic, i)
-    mid = _TARGET_MIDDLE_MAPS.get(key)
-    if mid is None:
-        if any(k[:2] != key[:2] for k in _TARGET_MIDDLE_MAPS):
-            _TARGET_MIDDLE_MAPS.clear()
-        mid = build_matrix(es.target_spec, LinearForm.ones(es.m), i, es.m - 2 * i).matrix
-        _TARGET_MIDDLE_MAPS[key] = mid
-    return mid
+    target, ones = AlgebraSpec.quadratic(m, characteristic), LinearForm.ones(m)
+    return tuple(build_matrix(target, ones, i, t).matrix for i, t in middle_pairs(m))
 
 
 def transfer_slp(es: EmbeddingSpec) -> TransferRecord:
@@ -315,19 +299,19 @@ def transfer_slp(es: EmbeddingSpec) -> TransferRecord:
     the image; source pieces in complementary degrees have equal dimension,
     so full column rank of the composite decides the source middle map.
     Every target middle map's size is checked before any map is built.
-    The pieces come from es, built there by verify_kernel_dims or on first
-    use here; the target middle maps are kept per (m, characteristic, i),
-    for the last target only.
+    The pieces come from _low_pieces, built there by verify_kernel_dims or
+    on first use here, and the target middle maps from _target_middle_maps;
+    each memo keeps the last embedding's or target's matrices only.
     """
     m = es.m
     source = es.source_spec
     _refuse_oversized_maps(es.target_spec, middle_pairs(m))
     hv = hilbert_vector(source)
     direct = slp_check(source, LinearForm.ones(es.n), method="dense")
+    mids, pieces = _target_middle_maps(m, es.characteristic), _low_pieces(es)
     records = []
-    for i, t in middle_pairs(m):
-        composite = mat_mul(_target_middle_map(es, i), _piece(es, i))
-        rr = certified_rank(composite)
+    for (i, t), mid, piece in zip(middle_pairs(m), mids, pieces):
+        rr = certified_rank(mat_mul(mid, piece))
         records.append(
             EmbeddedMapCheck(
                 source_degree=i,

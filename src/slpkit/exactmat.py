@@ -125,11 +125,10 @@ class ExactMatrix:
     """Immutable dense matrix over ZZ (modulus None) or F_p (modulus p), built by from_rows.
 
     `array` is the read-only 2-D storage described in the module docstring;
-    `entries` is the row-major tuple of Python ints, built on first use and
-    cached.
+    `entries` is the row-major tuple of Python ints, built on each read.
     """
 
-    __slots__ = ("rows", "cols", "modulus", "array", "_entries")
+    __slots__ = ("rows", "cols", "modulus", "array")
 
     def __init__(self, array: np.ndarray, modulus: int | None) -> None:
         # private: array is already in stored form and owned by the new matrix
@@ -139,7 +138,6 @@ class ExactMatrix:
         setter(self, "cols", array.shape[1])
         setter(self, "modulus", modulus)
         setter(self, "array", array)
-        setter(self, "_entries", None)
 
     @classmethod
     def from_rows(cls, rows, modulus: int | None = None) -> "ExactMatrix":
@@ -160,9 +158,7 @@ class ExactMatrix:
 
     @property
     def entries(self) -> tuple:
-        if self._entries is None:
-            object.__setattr__(self, "_entries", tuple(self.array.ravel().tolist()))
-        return self._entries
+        return tuple(self.array.ravel().tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):

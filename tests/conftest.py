@@ -3,20 +3,27 @@ import numpy as np
 import pytest
 
 from slpkit.blockrec import _auto_route
+from slpkit.embedding import _low_pieces, _target_digits, _target_middle_maps
 from slpkit.exactmat import ExactMatrix
+
+# every memo that holds built maps or decisions; tests/test_package.py checks
+# that each lru_cache of blockrec and embedding is listed here
+MEMOS = (_auto_route, _low_pieces, _target_middle_maps, _target_digits)
 
 
 @pytest.fixture(autouse=True)
-def fresh_memo():
-    """Empty the auto route's memo, its one decision per (spec, form), around every test.
+def fresh_memos():
+    """Empty every memo in MEMOS around every test.
 
-    A test that stubs check_map or build_matrix would otherwise leave its
-    stubbed verdicts to later tests, and a warm memo would hide the socle
-    build or the fold from a test that counts them.
+    A test that stubs check_map, build_matrix or phi_matrix would otherwise
+    leave its stubbed results to later tests, and a warm memo would hide a
+    build from a test that counts them.
     """
-    _auto_route.cache_clear()
+    for memo in MEMOS:
+        memo.cache_clear()
     yield
-    _auto_route.cache_clear()
+    for memo in MEMOS:
+        memo.cache_clear()
 
 
 @pytest.fixture

@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from slpkit.embedding import (
     EmbeddingSpec,
+    _low_pieces,
+    _target_middle_maps,
     phi_matrix,
     phi_monomial,
     transfer_slp,
@@ -323,6 +325,7 @@ def test_kernel_dims_check_every_piece_before_building_any(monkeypatch):
 
 
 def test_each_target_middle_map_and_phi_piece_is_built_once(monkeypatch):
+    # the conftest fixture has emptied the memos, so every build is counted
     import slpkit.embedding
 
     builds, pieces = [], []
@@ -336,7 +339,6 @@ def test_each_target_middle_map_and_phi_piece_is_built_once(monkeypatch):
         pieces.append(degree)
         return phi(es, degree)
 
-    monkeypatch.setattr(slpkit.embedding, "_TARGET_MIDDLE_MAPS", {})
     monkeypatch.setattr(slpkit.embedding, "build_matrix", counted_build)
     monkeypatch.setattr(slpkit.embedding, "phi_matrix", counted_phi)
     for char in (0, 7):
@@ -356,17 +358,19 @@ def _untimed(rec):
     return replace(rec, direct=replace(direct, maps=maps, total_ms=0.0))
 
 
-def test_target_middle_maps_are_kept_per_characteristic(monkeypatch):
+def _clear_embedding_memos():
+    _low_pieces.cache_clear()
+    _target_middle_maps.cache_clear()
+
+
+def test_target_middle_maps_are_kept_per_characteristic():
     # over F_7 two middle maps of quadratic(8) are singular, so a map kept
     # for characteristic 0 must not answer for characteristic 7
-    import slpkit.embedding
-
-    monkeypatch.setattr(slpkit.embedding, "_TARGET_MIDDLE_MAPS", {})
     disagree = set()
     for powers in compositions(8):
         fresh = {}
         for char in (0, 7):
-            slpkit.embedding._TARGET_MIDDLE_MAPS.clear()
+            _target_middle_maps.cache_clear()
             fresh[char] = _untimed(transfer_slp(EmbeddingSpec.from_powers(powers, char)))
         for char in (0, 7, 0):
             rec = transfer_slp(EmbeddingSpec.from_powers(powers, char))
@@ -377,3 +381,25 @@ def test_target_middle_maps_are_kept_per_characteristic(monkeypatch):
     # source, while the middle maps of quadratic(8) from degrees 0 and 1 are
     # singular
     assert disagree == {((1, 7), 7), ((7, 1), 7), ((8,), 7)}
+
+
+def test_the_checks_do_not_depend_on_call_order():
+    # both memos are shared by every call; a key that drops the
+    # characteristic, or names the target's m instead of the embedding,
+    # would hand one embedding's matrices to another
+    checks = {"verify": verify_kernel_dims, "transfer": lambda es: _untimed(transfer_slp(es))}
+    specs = [EmbeddingSpec.from_powers(powers, char) for char in (0, 7) for powers in compositions(6)]
+    fresh = {}
+    for es in specs:
+        for name, check in checks.items():
+            _clear_embedding_memos()
+            fresh[es, name] = check(es)
+    _clear_embedding_memos()
+    for k, a in enumerate(specs):
+        # a in both orders, then interleaved with b: the same powers in the
+        # other characteristic, or the next composition of 6
+        order = ("verify", "transfer") if k % 2 else ("transfer", "verify")
+        b = EmbeddingSpec.from_powers(a.powers, 7 - a.characteristic) if k % 2 else specs[(k + 1) % len(specs)]
+        calls = [(a, order[0]), (a, order[1]), (a, "verify"), (b, "verify"), (a, "transfer"), (b, "transfer")]
+        for es, name in calls:
+            assert checks[name](es) == fresh[es, name], (es, name)

@@ -899,17 +899,21 @@ def _peak_bits_by_entries(m):
     return max((abs(e).bit_length() for e in m.entries), default=0)
 
 
-def test_peak_bits_matches_entry_loop():
+def test_peak_bits_matches_entry_loop(monkeypatch):
+    def no_tuple(m):
+        pytest.fail("peak_bits built the entries tuple")
+
     rng = random.Random(1012)
     for trial in range(80):
         nrows, ncols = rng.randint(0, 5), rng.randint(0, 5)
         bound = (9, 1000, 2**62 - 1, 2**70)[trial % 4]
         rows = random_matrix(rng, nrows, ncols, -bound, bound)
         for modulus in (None, 7, next_prime(2**64)):
-            arr = np.array(rows, dtype=object).reshape(nrows, ncols)
-            m = ExactMatrix.from_rows(arr, modulus)
-            assert peak_bits(m) == _peak_bits_by_entries(ExactMatrix.from_rows(arr, modulus))
-            assert m._entries is None  # no entries tuple was built
+            m = ExactMatrix.from_rows(np.array(rows, dtype=object).reshape(nrows, ncols), modulus)
+            expected = _peak_bits_by_entries(m)
+            with monkeypatch.context() as patched:
+                patched.setattr(ExactMatrix, "entries", property(no_tuple))
+                assert peak_bits(m) == expected
     # both storages: int64 below 2^62, object arrays from 2^62
     assert ExactMatrix.from_rows([[-(2**62) + 1, 3]]).array.dtype == np.int64
     assert peak_bits(ExactMatrix.from_rows([[-(2**62) + 1, 3]])) == 62

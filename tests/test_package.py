@@ -6,11 +6,13 @@ from pathlib import Path
 
 import slpkit
 import slpkit._primes
+import slpkit.blockrec
 import slpkit.embedding
 import slpkit.exactmat
 
 SRC = Path(slpkit.__file__).resolve().parent
 README = Path(__file__).resolve().parents[1] / "README.md"
+CONFTEST = Path(__file__).resolve().parent / "conftest.py"
 
 # bindings no module uses, kept because perfbench/tests/test_tracing.py
 # checks that the tracer patches them
@@ -100,3 +102,18 @@ def test_readme_module_table_lists_every_public_module():
     table = set(re.findall(r"^\| `slpkit\.(\w+)` \|", README.read_text(), re.MULTILINE))
     modules = {p.stem for p in SRC.glob("*.py") if not p.name.startswith("_")}
     assert table == modules
+
+
+def test_the_fixture_clears_every_memo_of_blockrec_and_embedding():
+    # loaded by path: perfbench/tests has a conftest.py of its own
+    spec = importlib.util.spec_from_file_location("slpkit_tests_conftest", CONFTEST)
+    conftest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(conftest)
+    # the memos each module defines, not those it imports from quotient
+    memos = {
+        f"{module.__name__}.{name}"
+        for module in (slpkit.blockrec, slpkit.embedding)
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_clear") and value.__module__ == module.__name__
+    }
+    assert memos == {f"{memo.__module__}.{memo.__name__}" for memo in conftest.MEMOS}
