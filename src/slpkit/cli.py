@@ -58,11 +58,13 @@ def _parse_prime_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _add_spec_flags(p: argparse.ArgumentParser) -> None:
+def _add_spec_flags(p: argparse.ArgumentParser, char: bool = True) -> None:
+    """--quadratic or --exponents, and --char unless the command picks its own characteristics."""
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--quadratic", type=int, metavar="N", help="square-free algebra on N variables")
     group.add_argument("--exponents", type=_parse_int_list, metavar="D1,D2,...", help="killed powers per variable")
-    p.add_argument("--char", type=int, default=0, metavar="C", help="coefficient characteristic, 0 or a prime")
+    if char:
+        p.add_argument("--char", type=int, default=0, metavar="C", help="coefficient characteristic, 0 or a prime")
 
 
 def _add_form_flag(p: argparse.ArgumentParser) -> None:
@@ -107,7 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
 
     p = sub.add_parser("char-search", help="probe the same form over a range of prime fields")
-    _add_spec_flags(p)
+    # --primes names the characteristics, so the command takes no --char
+    _add_spec_flags(p, char=False)
     _add_form_flag(p)
     p.add_argument("--primes", type=_parse_prime_range, required=True, metavar="LO..HI")
     _add_output_flags(p)
@@ -127,9 +130,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_args(args) -> AlgebraSpec:
+    char = getattr(args, "char", 0)
     if args.quadratic is not None:
-        return AlgebraSpec.quadratic(args.quadratic, args.char)
-    return AlgebraSpec(len(args.exponents), args.exponents, args.char)
+        return AlgebraSpec.quadratic(args.quadratic, char)
+    return AlgebraSpec(len(args.exponents), args.exponents, char)
 
 
 def _form_from_args(args, n: int) -> LinearForm:

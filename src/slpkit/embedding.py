@@ -15,22 +15,22 @@ of all source variables maps to the sum of all target variables.
 The degree-j matrix has a closed form.  A square-free target monomial v
 meeting block k in c_k variables occurs only in the image of y^c, and there
 with coefficient prod(c_k!), one for each ordering of v's variables inside
-every block; phi_matrix places these values through the source's
+every block; _phi_rows reads these columns and values off the source's
 mixed-radix code table and multiplies no polynomials.  phi_monomial, which
 the socle check expands, uses the same closed form block by block: a block
 sum to the power e is e! times the sum of the block's square-free monomials
 of degree e, and multiply combines the blocks.  The values are at
-most m!, so for m <= 20 the matrix is int64 from the start.  Ranks go through
-exactmat.certified_rank and its one probe prime; a piece holds one nonzero
-per row, so rank_mod_p reads its rank off the nonzero pattern and runs no
-elimination.
+most m!, so for m <= 20 they are int64 from the start.
 
-A run over many embeddings builds each piece of work once, through three
+With one nonzero per row, the rank of a piece is the number of distinct
+columns that some row hits with a value nonzero in the field, so
+verify_kernel_dims counts those and builds no matrix.  phi_matrix places the
+same values into the dense piece that transfer_slp multiplies.
+
+A run over many embeddings builds each piece of work once, through two
 lru_cache memos.  The digit table of quadratic(m)'s degree-j codes is
-shared by every composition of m and kept per (m, j).  verify_kernel_dims
-and transfer_slp share the pieces of degree j < m/2 through _low_pieces,
-which keeps those of the last embedding.  _target_middle_maps keeps the
-middle maps of the last target, keyed on m and the characteristic.
+shared by every composition of m and kept per (m, j).  _target_middle_maps
+keeps the middle maps of the last target, keyed on m and the characteristic.
 """
 from __future__ import annotations
 
@@ -137,26 +137,36 @@ def _target_digits(m: int, degree: int) -> np.ndarray:
     return digits
 
 
-def phi_matrix(es: EmbeddingSpec, degree: int) -> ExactMatrix:
-    """Matrix of the degree-j piece: source basis columns, target basis rows.
+def _phi_rows(es: EmbeddingSpec, degree: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(cols, values, width) of the degree-j piece: target row r holds values[r] in column cols[r] of width.
 
-    Row v holds prod(c_k!) in the column of y^c, where c_k counts v's
-    variables in block k, read off the digits of the target's code table,
-    and nothing else (module docstring).  A piece of more than MAX_MAP_CELLS
-    cells raises ValueError before any code table is built.
+    Row v's value is prod(c_k!) in the column of y^c, where c_k counts v's
+    variables in block k, read off the digits of the target's code table
+    (module docstring).
     """
-    _refuse_oversized_pieces(es, (degree,))
     source = es.source_spec.exponents
     columns = _position_codes(source, degree)
     counts = np.add.reduceat(_target_digits(es.m, degree), es.offsets[:-1], axis=1, dtype=np.int64)
     radix = _radix(source)
     cols = np.searchsorted(columns, counts.astype(radix.dtype) @ radix)
-    # every entry prod(c_k!) is at most (sum c_k)! <= m!, so the matrix is
+    # every entry prod(c_k!) is at most (sum c_k)! <= m!, so the values are
     # int64 whenever m! < INT64_BOUND, that is for m <= 20
     dtype = np.int64 if factorial(es.m) < INT64_BOUND else object
     fact = np.array([factorial(k) for k in range(max(es.powers) + 1)], dtype=dtype)
-    out = np.zeros((len(counts), len(columns)), dtype=dtype)
-    out[np.arange(len(counts)), cols] = fact[counts].prod(axis=1)
+    return cols, fact[counts].prod(axis=1), len(columns)
+
+
+def phi_matrix(es: EmbeddingSpec, degree: int) -> ExactMatrix:
+    """Matrix of the degree-j piece: source basis columns, target basis rows.
+
+    Each row holds its one _phi_rows value and nothing else.  A piece of
+    more than MAX_MAP_CELLS cells raises ValueError before any code table is
+    built.
+    """
+    _refuse_oversized_pieces(es, (degree,))
+    cols, values, width = _phi_rows(es, degree)
+    out = np.zeros((len(cols), width), dtype=values.dtype)
+    out[np.arange(len(cols)), cols] = values
     return ExactMatrix.from_rows(out, es.characteristic or None)
 
 
@@ -211,32 +221,29 @@ class KernelDimsRecord:
         return all(d.ok for d in self.degrees)
 
 
-@lru_cache(maxsize=1)
-def _low_pieces(es: EmbeddingSpec) -> tuple[ExactMatrix, ...]:
-    """phi_matrix(es, j) for j < m/2, the pieces that both checks read, kept for the last embedding."""
-    return tuple(phi_matrix(es, j) for j in range((es.m + 1) // 2))
-
-
 def verify_kernel_dims(es: EmbeddingSpec) -> KernelDimsRecord:
     """Certify injectivity degree by degree: rank == source dimension.
 
-    Every piece's size is checked before any piece is built.  The pieces of
-    degree below m/2 come from _low_pieces, which keeps them for
-    transfer_slp; the others are dropped once ranked.
+    Every piece's size is checked before any piece is read.  A piece's rank
+    is the number of distinct columns hit by a value nonzero in the field
+    (module docstring), so no matrix is built or eliminated.
     """
     _refuse_oversized_pieces(es, range(es.m + 1))
-    low = _low_pieces(es)
+    p = es.characteristic
     records = []
     # the source's socle degree is m, so hv lists degrees 0..m
     for j, dim_src in enumerate(hilbert_vector(es.source_spec)):
-        rr = certified_rank(low[j] if j < len(low) else phi_matrix(es, j))
+        cols, values, width = _phi_rows(es, j)
+        hit = np.zeros(width, dtype=bool)
+        hit[cols[values % p != 0] if p else cols] = True
+        rank = int(np.count_nonzero(hit))
         records.append(
             DegreeRankRecord(
                 degree=j,
                 dim_source=dim_src,
                 dim_target=comb(es.m, j),
-                rank=rr.rank,
-                ok=rr.rank == dim_src,
+                rank=rank,
+                ok=rank == dim_src,
             )
         )
     return KernelDimsRecord(tuple(records))
@@ -299,19 +306,18 @@ def transfer_slp(es: EmbeddingSpec) -> TransferRecord:
     the image; source pieces in complementary degrees have equal dimension,
     so full column rank of the composite decides the source middle map.
     Every target middle map's size is checked before any map is built.
-    The pieces come from _low_pieces, built there by verify_kernel_dims or
-    on first use here, and the target middle maps from _target_middle_maps;
-    each memo keeps the last embedding's or target's matrices only.
+    Each piece below the middle degree is built here by phi_matrix, and the
+    target middle maps come from _target_middle_maps, which keeps the last
+    target's maps only.
     """
     m = es.m
     source = es.source_spec
     _refuse_oversized_maps(es.target_spec, middle_pairs(m))
     hv = hilbert_vector(source)
     direct = slp_check(source, LinearForm.ones(es.n), method="dense")
-    mids, pieces = _target_middle_maps(m, es.characteristic), _low_pieces(es)
     records = []
-    for (i, t), mid, piece in zip(middle_pairs(m), mids, pieces):
-        rr = certified_rank(mat_mul(mid, piece))
+    for (i, t), mid in zip(middle_pairs(m), _target_middle_maps(m, es.characteristic)):
+        rr = certified_rank(mat_mul(mid, phi_matrix(es, i)))
         records.append(
             EmbeddedMapCheck(
                 source_degree=i,

@@ -33,25 +33,19 @@ int64 for p < 2^31 (products stay below 2^62) and Python ints for larger
 primes; over ZZ it is always Python ints, as int64 minors would overflow,
 and the touched rows of a step are rewritten a chunk of at most
 _REWRITE_CHUNK cells at a time, so the double-length products alive beside
-the matrix stay bounded.  rank_mod_p runs _echelon only when it must: a
-reduced matrix with at most one nonzero entry in every row, or in every
-column, has as rank the smaller of its numbers of distinct nonzero rows
-and columns, counted off its nonzero pattern (_pattern_rank).  Every
-embedding.phi_matrix piece (one entry per row), every 1x1 and every empty
-map is such a matrix.  A modular rank keeps no pivots; only
-rank_fraction_free reports them.
+the matrix stay bounded.  rank_mod_p always runs _echelon, which takes one
+step on a 1x1 map and none on an empty one.  A modular rank keeps no
+pivots; only rank_fraction_free reports them.
 
 A full rank mod one prime certifies full rank over Q (specialization can
 only lose rank), which is the cheap one-sided check behind certified_rank.
 It always probes mod one fixed prime, PROBE_PRIME = 2^31 - 1, through
-rank_mod_p, so a pattern matrix is probed without elimination: in an
-algebra whose socle degree is below that prime, x1+...+xn has the strong
-Lefschetz property mod it, and scaling each variable is an automorphism, so
-the probe certifies every map of an integer form whose coefficients are all
-nonzero mod it.  Rank deficits are always re-established by the exact
-integer elimination, also when the probe read them off the pattern: an
-entry that is a multiple of the probe prime drops out of the pattern mod
-it but not over ZZ.
+rank_mod_p: in an algebra whose socle degree is below that prime,
+x1+...+xn has the strong Lefschetz property mod it, and scaling each
+variable is an automorphism, so the probe certifies every map of an integer
+form whose coefficients are all nonzero mod it.  Rank deficits are always
+re-established by the exact integer elimination: an entry that is a
+multiple of the probe prime vanishes mod it but not over ZZ.
 
 Products of two int64 matrices stay in int64 whenever max|a| * max|b| *
 a.cols < 2^62, which bounds every partial sum; embedding.phi_matrix is
@@ -350,16 +344,17 @@ def _echelon(a: np.ndarray, p: int | None) -> tuple[int, tuple, int, int]:
                 stamps[[r, pr]] = stamps[[pr, r]]
         idx = nz[1:] + r
         if p is not None:
-            # the pivot row is scaled to 1 in place on its view; the touched
-            # rows are gathered once, rewritten in place as sub - f * row
-            # mod p, and written back (products stay below 2^62 for p < 2^31)
+            # when rows below need rewriting, the pivot row is scaled to 1 in
+            # place on its view; the touched rows are gathered once,
+            # rewritten in place as sub - f * row mod p, and written back
+            # (products stay below 2^62 for p < 2^31)
             row = a[r, c:]
             piv = int(row[0])
             d = d * piv % p
-            if piv != 1:
-                row *= pow(piv, -1, p)
-                row %= p
             if idx.size:
+                if piv != 1:
+                    row *= pow(piv, -1, p)
+                    row %= p
                 sub = a[idx, c:]
                 sub -= sub[:, :1] * row
                 sub %= p
@@ -408,38 +403,10 @@ def _reduce_mod_p(m: ExactMatrix, p: int) -> np.ndarray:
     return a
 
 
-def _pattern_rank(a: np.ndarray) -> int | None:
-    """Rank of a from its nonzero pattern; None unless every row, or every column, has at most one nonzero.
-
-    Then the nonzero lines are multiples of unit vectors, and lines that
-    share their position are parallel, so the rank is the number of distinct
-    nonzero rows or of distinct nonzero columns, whichever is smaller.  The
-    count asks only which entries are zero, so on residues mod p it is the
-    rank over F_p and on integers the rank over Q.
-    """
-    # a matrix with more nonzeros has neither pattern; this pass allocates
-    # nothing, so a dense matrix pays only for it
-    if np.count_nonzero(a) > max(a.shape):
-        return None
-    rows, cols = (x.tolist() for x in np.nonzero(a))
-    distinct = len(set(rows)), len(set(cols))
-    if max(distinct) < len(rows):
-        return None
-    return min(distinct)
-
-
 def rank_mod_p(m: ExactMatrix, p: int) -> RankResult:
-    """Rank over F_p; integer matrices are reduced mod p first.
-
-    When every row, or every column, of the reduced matrix holds at most one
-    nonzero entry (every embedding.phi_matrix piece, every 1x1 and every
-    empty map), _pattern_rank counts its distinct lines; otherwise _echelon
-    eliminates.  The pivots are not kept.
-    """
+    """Rank over F_p by _echelon; integer matrices are reduced mod p first.  The pivots are not kept."""
     _prime_modulus(p)
-    a = _reduce_mod_p(m, p)
-    found = _pattern_rank(a)
-    return RankResult(found if found is not None else _echelon(a, p)[0], "modular")
+    return RankResult(_echelon(_reduce_mod_p(m, p), p)[0], "modular")
 
 
 def certified_rank(m: ExactMatrix) -> RankResult:

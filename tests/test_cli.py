@@ -189,6 +189,17 @@ def test_char_search(capsys, tmp_path):
     assert payload["primes"][0]["failing"] == [[0, 4], [1, 2]]
 
 
+def test_char_search_has_no_char_flag(capsys, tmp_path):
+    # --primes names the characteristics; a --char the search would ignore
+    # is a usage error, not a "characteristic" in the JSON spec
+    path = tmp_path / "cs.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["char-search", "--quadratic", "4", "--char", "5", "--primes", "2..7", "--out", str(path)])
+    assert exc.value.code == 2
+    assert "--char" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_embed_verify(capsys, tmp_path):
     path = tmp_path / "ev.json"
     code, out, _ = run(capsys, "embed-verify", "--exponents", "3,3", "--out", str(path))

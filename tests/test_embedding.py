@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from slpkit.embedding import (
     EmbeddingSpec,
-    _low_pieces,
+    _phi_rows,
     _target_middle_maps,
     phi_matrix,
     phi_monomial,
@@ -19,6 +19,7 @@ from slpkit.embedding import (
     verify_kernel_dims,
     verify_socle_image,
 )
+from slpkit.exactmat import certified_rank
 from slpkit.quotient import AlgebraSpec, _position_codes, graded_basis, hilbert_vector, multiply
 
 
@@ -346,10 +347,77 @@ def test_each_target_middle_map_and_phi_piece_is_built_once(monkeypatch):
             es = EmbeddingSpec.from_powers(powers, char)
             pieces.clear()
             assert verify_kernel_dims(es).all_ok
+            # the kernel check counts its ranks off the closed form
+            assert pieces == []
             assert transfer_slp(es).agree
-            assert sorted(pieces) == list(range(7))
+            # transfer_slp builds each piece below the middle degree once
+            assert pieces == [0, 1, 2]
     # the 32 compositions of 6 share the 3 middle maps of quadratic(6)
     assert builds == [(char, i) for char in (0, 7) for i in range(3)]
+
+
+def _refuse_work(*args):
+    raise AssertionError("the kernel check built or eliminated a matrix")
+
+
+def _no_matrix_work(monkeypatch):
+    import slpkit.embedding
+    import slpkit.exactmat
+
+    for module, name in (
+        (slpkit.embedding, "phi_matrix"),
+        (slpkit.embedding, "build_matrix"),
+        (slpkit.exactmat, "_echelon"),
+    ):
+        monkeypatch.setattr(module, name, _refuse_work)
+
+
+@pytest.mark.parametrize("char", [0, 3])
+def test_embedding_pieces_are_ranked_from_their_closed_form(char, monkeypatch):
+    es = EmbeddingSpec.from_powers((3, 2, 2, 1), char)
+    want = verify_kernel_dims(es)
+    _no_matrix_work(monkeypatch)
+    assert verify_kernel_dims(es) == want
+    ranks = [d.rank for d in want.degrees]
+    if char:
+        # 3! vanishes mod 3, so every piece from degree 3 on loses rank
+        assert ranks[3:] == [13, 13, 9, 4, 1, 0]
+        assert [d.ok for d in want.degrees] == [True] * 3 + [False] * 6
+    else:
+        assert want.all_ok and ranks == list(hilbert_vector(es.source_spec))
+
+
+def test_every_piece_of_an_embedding_up_to_m_8_skips_the_elimination(monkeypatch):
+    _no_matrix_work(monkeypatch)
+    for m in range(1, 9):
+        for powers in compositions(m):
+            assert verify_kernel_dims(EmbeddingSpec.from_powers(powers)).all_ok
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5, 7])
+def test_counted_ranks_match_the_eliminated_pieces(char):
+    # every composition of m <= 8: the rank counted off the closed form is
+    # the rank of the dense piece
+    for m in range(1, 9):
+        for powers in compositions(m):
+            es = EmbeddingSpec.from_powers(powers, char)
+            got = [d.rank for d in verify_kernel_dims(es).degrees]
+            assert got == [certified_rank(phi_matrix(es, j)).rank for j in range(m + 1)], es
+
+
+@pytest.mark.parametrize("powers,char,all_ok", [((11, 10), 13, True), ((12, 10), 5, False)])
+def test_counted_ranks_match_on_object_pieces(powers, char, all_ok):
+    # m > 20: the values are Python ints; mod 13 every block factorial
+    # survives, mod 5 those of 5 and more vanish.  The dense pieces are
+    # compared where they have at most 2000 rows (degrees <= 3 and >= m - 3);
+    # a middle piece of 705432 object rows takes seconds to build
+    es = EmbeddingSpec.from_powers(powers, char)
+    assert _phi_rows(es, es.m)[1].dtype == object
+    record = verify_kernel_dims(es)
+    small = [j for j in range(es.m + 1) if comb(es.m, j) <= 2000]
+    assert small == [0, 1, 2, 3, es.m - 3, es.m - 2, es.m - 1, es.m]
+    assert [record.degrees[j].rank for j in small] == [certified_rank(phi_matrix(es, j)).rank for j in small]
+    assert record.all_ok == all_ok
 
 
 def _untimed(rec):
@@ -358,9 +426,6 @@ def _untimed(rec):
     return replace(rec, direct=replace(direct, maps=maps, total_ms=0.0))
 
 
-def _clear_embedding_memos():
-    _low_pieces.cache_clear()
-    _target_middle_maps.cache_clear()
 
 
 def test_target_middle_maps_are_kept_per_characteristic():
@@ -384,17 +449,16 @@ def test_target_middle_maps_are_kept_per_characteristic():
 
 
 def test_the_checks_do_not_depend_on_call_order():
-    # both memos are shared by every call; a key that drops the
-    # characteristic, or names the target's m instead of the embedding,
-    # would hand one embedding's matrices to another
+    # the middle-map memo is shared by every call; a key that drops the
+    # characteristic would hand one field's target maps to another
     checks = {"verify": verify_kernel_dims, "transfer": lambda es: _untimed(transfer_slp(es))}
     specs = [EmbeddingSpec.from_powers(powers, char) for char in (0, 7) for powers in compositions(6)]
     fresh = {}
     for es in specs:
         for name, check in checks.items():
-            _clear_embedding_memos()
+            _target_middle_maps.cache_clear()
             fresh[es, name] = check(es)
-    _clear_embedding_memos()
+    _target_middle_maps.cache_clear()
     for k, a in enumerate(specs):
         # a in both orders, then interleaved with b: the same powers in the
         # other characteristic, or the next composition of 6

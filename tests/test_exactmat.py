@@ -28,12 +28,10 @@ from slpkit.exactmat import (
     rank_mod_p,
     scale,
     _echelon,
-    _pattern_rank,
     _reduce_mod_p,
 )
-from slpkit.embedding import EmbeddingSpec, verify_kernel_dims
 from slpkit.lefschetz import LinearForm, build_matrix, middle_pairs
-from slpkit.quotient import AlgebraSpec, hilbert_vector
+from slpkit.quotient import AlgebraSpec
 
 # the 4x4 multiplication matrix used as a golden fixture across the suite
 GOLDEN = [[2, 2, 2, 0], [2, 2, 0, 2], [2, 0, 2, 2], [0, 2, 2, 2]]
@@ -261,14 +259,13 @@ def _one_nonzero_per_line(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_one_nonzero_per_line())
-def test_one_nonzero_per_line_is_ranked_from_its_pattern(case):
+def test_one_nonzero_per_line_rank_mod_p_matches_the_oracle(case):
     a, p = case
     reduced = (a % p).tolist()
     rank_ = oracles.reference_echelon_mod_p(reduced, p)[0]
     assert rank_ == oracles.mod_rank(reduced, p)
     for modulus in (None, p):
         m = ExactMatrix.from_rows(a, modulus)
-        assert _pattern_rank(_reduce_mod_p(m, p)) == rank_
         rr = rank_mod_p(m, p)
         assert (rr.rank, rr.method, rr.pivots) == (rank_, "modular", None)
 
@@ -277,11 +274,11 @@ def test_pattern_pivots_follow_the_row_swaps():
     # column 0 pivots on row 3 and swaps row 0 down to position 3, so column
     # 1 pivots on row 1, not row 0; rows 0 and 1 share column 1, so three
     # nonzero rows give rank 2.  _echelon keeps these pivots; rank_mod_p
-    # counts the distinct lines of the pattern instead
+    # reports the rank only
     rows = [[0, 4, 0], [0, 5, 0], [0, 0, 0], [6, 0, 0]]
     cases = [
         (rows, 7, 2, ((3, 0), (1, 1))),
-        # 6 is 0 mod 3: the pattern is read after the reduction
+        # 6 is 0 mod 3: the matrix is eliminated after the reduction
         (rows, 3, 1, ((0, 1),)),
         # the transpose: column 1's one row is already column 0's pivot
         ([list(col) for col in zip(*rows)], 7, 2, ((1, 0), (0, 3))),
@@ -337,39 +334,9 @@ def test_empty_shapes_have_modular_rank_zero(modulus, shape):
     assert certified_rank(ExactMatrix.zeros(*shape, modulus)) == RankResult(0, "modular")
 
 
-def _refuse_elimination(*args):
-    raise AssertionError("_echelon ran on a one-nonzero-per-line matrix")
-
-
-@pytest.mark.parametrize("char", [0, 3])
-def test_embedding_pieces_are_ranked_from_their_pattern(char, monkeypatch):
-    es = EmbeddingSpec.from_powers((3, 2, 2, 1), char)
-    want = verify_kernel_dims(es)
-    monkeypatch.setattr(slpkit.exactmat, "_echelon", _refuse_elimination)
-    assert verify_kernel_dims(es) == want
-    ranks = [d.rank for d in want.degrees]
-    if char:
-        # 3! vanishes mod 3, so every piece from degree 3 on loses rank
-        assert ranks[3:] == [13, 13, 9, 4, 1, 0]
-        assert [d.ok for d in want.degrees] == [True] * 3 + [False] * 6
-    else:
-        assert want.all_ok and ranks == list(hilbert_vector(es.source_spec))
-
-
-def test_every_piece_of_an_embedding_up_to_m_8_skips_the_elimination(monkeypatch):
-    monkeypatch.setattr(slpkit.exactmat, "_echelon", _refuse_elimination)
-    # every composition of m <= 8, one per set of cut points in 1..m-1
-    for m in range(1, 9):
-        for k in range(m):
-            for cuts in combinations(range(1, m), k):
-                bounds = (0, *cuts, m)
-                powers = tuple(b - a for a, b in zip(bounds, bounds[1:]))
-                assert verify_kernel_dims(EmbeddingSpec.from_powers(powers)).all_ok
-
-
 def test_probe_pattern_rank_below_the_exact_rank_falls_back():
-    # mod PROBE_PRIME the pattern has one nonzero, so the probe sees rank 1
-    # and the exact elimination must still run
+    # mod PROBE_PRIME one entry vanishes, so the probe sees rank 1 and the
+    # exact elimination must still run
     rr = certified_rank(ExactMatrix.from_rows([[PROBE_PRIME, 0], [0, 1]]))
     assert (rr.rank, rr.method) == (2, "fraction-free")
 
