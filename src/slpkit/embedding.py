@@ -15,22 +15,24 @@ of all source variables maps to the sum of all target variables.
 The degree-j matrix has a closed form.  A square-free target monomial v
 meeting block k in c_k variables occurs only in the image of y^c, and there
 with coefficient prod(c_k!), one for each ordering of v's variables inside
-every block; _phi_rows reads these columns and values off the source's
-mixed-radix code table and multiplies no polynomials.  phi_monomial, which
-the socle check expands, uses the same closed form block by block: a block
-sum to the power e is e! times the sum of the block's square-free monomials
-of degree e, and multiply combines the blocks.  The values are at
-most m!, so for m <= 20 they are int64 from the start.
+every block.  So each row holds one value, the value of its column y^c, and
+every column is hit, by the prod C(a_k, c_k) >= 1 target monomials whose
+block counts are c.  phi_matrix reads each row's block counts off the bits
+of its code and multiplies no polynomials.  Every value divides the socle
+scalar prod(a_k!), so the piece is int64 whenever that scalar is below
+2^62.  phi_monomial, which the socle check expands, uses the same closed
+form block by block: a block sum to the power e is e! times the sum of the
+block's square-free monomials of degree e, and multiply combines the blocks.
 
-With one nonzero per row, the rank of a piece is the number of distinct
-columns that some row hits with a value nonzero in the field, so
-verify_kernel_dims counts those and builds no matrix.  phi_matrix places the
-same values into the dense piece that transfer_slp multiplies.
+The rank of a piece is therefore the number of its columns whose value is
+nonzero in the field: all of them in characteristic 0, and in
+characteristic p those with every c_k < p.  verify_kernel_dims counts those
+off the source's code table and lists no target monomial; transfer_slp
+multiplies the dense pieces of phi_matrix.
 
-A run over many embeddings builds each piece of work once, through two
-lru_cache memos.  The digit table of quadratic(m)'s degree-j codes is
-shared by every composition of m and kept per (m, j).  _target_middle_maps
-keeps the middle maps of the last target, keyed on m and the characteristic.
+A run over many embeddings builds each target middle map once, through one
+lru_cache memo: _target_middle_maps keeps the middle maps of the last
+target, keyed on m and the characteristic.
 """
 from __future__ import annotations
 
@@ -119,54 +121,33 @@ def phi_monomial(es: EmbeddingSpec, exponents: tuple[int, ...]) -> AlgebraElemen
 
 
 def _refuse_oversized_pieces(es: EmbeddingSpec, degrees: Iterable[int]) -> None:
-    """_refuse_oversized for phi_matrix(es, j), for every j in degrees."""
+    """_refuse_oversized for phi_matrix(es, j), for every j in degrees.
+
+    phi_matrix lists the degree-j pieces of both algebras.
+    """
     for j in degrees:
-        _refuse_oversized(es.target_spec.dim(j), es.source_spec.dim(j), f"the degree-{j} piece of the embedding")
-
-
-@lru_cache(maxsize=64)
-def _target_digits(m: int, degree: int) -> np.ndarray:
-    """Read-only digit table of quadratic(m)'s degree-`degree` codes, the same for every composition of m.
-
-    The digits are 0 or 1, so the table is kept as bools, an eighth of the
-    int64 table; 64 tables hold every degree of two targets up to m = 31.
-    """
-    target = (2,) * m
-    digits = _digits(target, _position_codes(target, degree)).astype(bool)
-    digits.flags.writeable = False
-    return digits
-
-
-def _phi_rows(es: EmbeddingSpec, degree: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """(cols, values, width) of the degree-j piece: target row r holds values[r] in column cols[r] of width.
-
-    Row v's value is prod(c_k!) in the column of y^c, where c_k counts v's
-    variables in block k, read off the digits of the target's code table
-    (module docstring).
-    """
-    source = es.source_spec.exponents
-    columns = _position_codes(source, degree)
-    counts = np.add.reduceat(_target_digits(es.m, degree), es.offsets[:-1], axis=1, dtype=np.int64)
-    radix = _radix(source)
-    cols = np.searchsorted(columns, counts.astype(radix.dtype) @ radix)
-    # every entry prod(c_k!) is at most (sum c_k)! <= m!, so the values are
-    # int64 whenever m! < INT64_BOUND, that is for m <= 20
-    dtype = np.int64 if factorial(es.m) < INT64_BOUND else object
-    fact = np.array([factorial(k) for k in range(max(es.powers) + 1)], dtype=dtype)
-    return cols, fact[counts].prod(axis=1), len(columns)
+        rows, cols = es.target_spec.dim(j), es.source_spec.dim(j)
+        _refuse_oversized(rows, cols, rows + cols, f"the degree-{j} piece of the embedding")
 
 
 def phi_matrix(es: EmbeddingSpec, degree: int) -> ExactMatrix:
     """Matrix of the degree-j piece: source basis columns, target basis rows.
 
-    Each row holds its one _phi_rows value and nothing else.  A piece of
-    more than MAX_MAP_CELLS cells raises ValueError before any code table is
-    built.
+    Target row v holds prod(c_k!) in the column of y^c, where c_k counts
+    the bits of v's code in block k (module docstring).  A piece too large
+    to hold raises ValueError before any code table is built.
     """
     _refuse_oversized_pieces(es, (degree,))
-    cols, values, width = _phi_rows(es, degree)
-    out = np.zeros((len(cols), width), dtype=values.dtype)
-    out[np.arange(len(cols)), cols] = values
+    source, target = es.source_spec.exponents, es.target_spec.exponents
+    columns = _position_codes(source, degree)
+    radix = _radix(source)
+    counts = np.add.reduceat(_digits(target, _position_codes(target, degree)), es.offsets[:-1], axis=1)
+    cols = np.searchsorted(columns, counts.astype(radix.dtype) @ radix)
+    # every value prod(c_k!) divides the socle scalar prod(a_k!)
+    dtype = np.int64 if prod(map(factorial, es.powers)) < INT64_BOUND else object
+    fact = np.array([factorial(k) for k in range(max(es.powers) + 1)], dtype=dtype)
+    out = np.zeros((len(cols), len(columns)), dtype=dtype)
+    out[np.arange(len(cols)), cols] = fact[counts].prod(axis=1)
     return ExactMatrix.from_rows(out, es.characteristic or None)
 
 
@@ -224,19 +205,22 @@ class KernelDimsRecord:
 def verify_kernel_dims(es: EmbeddingSpec) -> KernelDimsRecord:
     """Certify injectivity degree by degree: rank == source dimension.
 
-    Every piece's size is checked before any piece is read.  A piece's rank
-    is the number of distinct columns hit by a value nonzero in the field
-    (module docstring), so no matrix is built or eliminated.
+    Every piece's size is checked first, as phi_matrix checks it.  A
+    piece's rank is the number of its columns whose value is nonzero in the
+    field (module docstring), counted off the source's code table, so no
+    matrix is built or eliminated and no target monomial is listed.
     """
     _refuse_oversized_pieces(es, range(es.m + 1))
     p = es.characteristic
+    source = es.source_spec.exponents
     records = []
     # the source's socle degree is m, so hv lists degrees 0..m
     for j, dim_src in enumerate(hilbert_vector(es.source_spec)):
-        cols, values, width = _phi_rows(es, j)
-        hit = np.zeros(width, dtype=bool)
-        hit[cols[values % p != 0] if p else cols] = True
-        rank = int(np.count_nonzero(hit))
+        rank = dim_src
+        if p:
+            # prod(c_k!) vanishes mod p exactly when some c_k >= p
+            counts = _digits(source, _position_codes(source, j))
+            rank = int(np.count_nonzero((counts < p).all(axis=1)))
         records.append(
             DegreeRankRecord(
                 degree=j,
@@ -275,9 +259,9 @@ class TransferRecord:
 
 
 def _refuse_oversized_embedding(es: EmbeddingSpec) -> None:
-    """Raise ValueError, before any work, for a matrix above MAX_MAP_CELLS cells.
+    """Raise ValueError, before any work, for a matrix too large to hold (lefschetz._refuse_oversized).
 
-    The matrices are those that verify_kernel_dims and transfer_slp build:
+    The matrices are those that verify_kernel_dims and transfer_slp refuse:
     every piece of phi_matrix and the middle maps of source and target.
     """
     _refuse_oversized_pieces(es, range(es.m + 1))

@@ -49,9 +49,10 @@ multiple of the probe prime vanishes mod it but not over ZZ.
 
 Products of two int64 matrices stay in int64 whenever max|a| * max|b| *
 a.cols < 2^62, which bounds every partial sum; embedding.phi_matrix is
-int64 for m <= 20, so the embedding's small products take that path.  Other
-products and all scalings multiply the stored arrays as object arrays of
-Python ints.  Neither builds `entries`.
+int64 while the socle scalar prod(a_k!) is below 2^62, so the embedding's
+small products take that path.  Other products and all scalings multiply
+the stored arrays as object arrays of Python ints.  Neither builds
+`entries`.
 """
 from __future__ import annotations
 

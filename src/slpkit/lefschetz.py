@@ -39,11 +39,11 @@ answer off that decision, a fallback with a note that says why.  All
 routes answer with a MapCheck.  method "auto", the default, takes the
 proof route for every map; "dense", the oracle, always builds the map.
 
-Only maps that are built are refused for size: build_matrix refuses one of
-more than MAX_MAP_CELLS cells before listing any basis, and slp_check
-refuses every map of a sweep that builds them before building any.  Under
-the proof's hypotheses the auto route builds the socle map alone, so the
-verdict comes at any size; outside them the fold builds no map up to its
+Only maps that are built are refused for size: build_matrix refuses one
+whose cells and listed basis entries cost more than MAX_MAP_CELLS cells
+before listing any basis, and slp_check refuses every map of a sweep that
+builds them before building any.  Under the proof's hypotheses the auto
+route builds the socle map alone, so the verdict comes at any size; outside them the fold builds no map up to its
 bound on the socle degree, above which the auto route builds the maps as
 the dense route does, and a map is refused only when too big.
 """
@@ -120,20 +120,37 @@ class MultiplicationMatrix:
 # (pattern, column) pairs placed per numpy step; bounds the builder's scratch memory
 _PLACE_CHUNK = 1 << 18
 
-# largest dim(i) * dim(i+t) of a map that is built or checked (2 GiB of int64)
+# largest cost, in int64 cells, of a map that is built or checked (2 GiB)
 MAX_MAP_CELLS = 1 << 28
+# cells charged per basis entry listed to place a matrix, 384 B: an entry's
+# exponent tuple, position-dict slot and code took 230 to 320 B on the
+# one-column maps (0, n/2) of quadratic(18..24), and a target row of an
+# embedding piece, with its code and digits, 320 to 370 B for m = 18..22
+_LISTED_ENTRY_CELLS = 48
 
 
-def _refuse_oversized(rows: int, cols: int, what: str) -> None:
-    """Raise ValueError for a matrix too large to hold; callers run it before listing any basis."""
-    if rows * cols > MAX_MAP_CELLS:
-        raise ValueError(f"{what} is {rows}x{cols}, above the limit of {MAX_MAP_CELLS} cells")
+def _refuse_oversized(rows: int, cols: int, listed: int, what: str) -> None:
+    """Raise ValueError for a matrix too large to hold with the `listed` basis entries that place it.
+
+    Callers run it before listing any basis.  A thin map holds few cells
+    but lists its bases all the same.
+    """
+    cost = rows * cols + _LISTED_ENTRY_CELLS * listed
+    if cost > MAX_MAP_CELLS:
+        raise ValueError(
+            f"{what} is {rows}x{cols} and lists {listed} basis entries, {cost} cells in all,"
+            f" above the limit of {MAX_MAP_CELLS} cells"
+        )
 
 
 def _refuse_oversized_maps(spec: AlgebraSpec, pairs: Iterable[tuple[int, int]]) -> None:
-    """_refuse_oversized for the map of l^t from degree i, for every (i, t) in pairs."""
+    """_refuse_oversized for the map of l^t from degree i, for every (i, t) in pairs.
+
+    build_matrix lists the degree-i, degree-t and degree-(i + t) pieces.
+    """
     for i, t in pairs:
-        _refuse_oversized(spec.dim(i + t), spec.dim(i), f"the (i={i}, t={t}) map")
+        rows, cols = spec.dim(i + t), spec.dim(i)
+        _refuse_oversized(rows, cols, rows + cols + spec.dim(t), f"the (i={i}, t={t}) map")
 
 
 def build_matrix(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> MultiplicationMatrix:
@@ -141,8 +158,9 @@ def build_matrix(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> Multipl
 
     The matrix is over F_p in characteristic p and over ZZ in characteristic
     0.  Each pattern of graded_basis(spec, t) is placed through the degree-i
-    and degree-(i+t) code tables.  A map of more than MAX_MAP_CELLS cells
-    raises ValueError before any basis is listed or code table built.
+    and degree-(i+t) code tables.  A map whose cells and listed entries
+    cost more than MAX_MAP_CELLS cells raises ValueError before any basis
+    is listed or code table built.
     """
     if form.nvars != spec.n:
         raise ValueError("form has the wrong number of coefficients")

@@ -3,12 +3,12 @@ import numpy as np
 import pytest
 
 from slpkit.blockrec import _auto_route
-from slpkit.embedding import _target_digits, _target_middle_maps
+from slpkit.embedding import _target_middle_maps
 from slpkit.exactmat import ExactMatrix
 
 # every memo that holds built maps or decisions; tests/test_package.py checks
 # that each lru_cache of blockrec and embedding is listed here
-MEMOS = (_auto_route, _target_middle_maps, _target_digits)
+MEMOS = (_auto_route, _target_middle_maps)
 
 
 @pytest.fixture(autouse=True)

@@ -209,6 +209,22 @@ def reference_phi_matrix(powers, degree, char=0):
     return rows
 
 
+def truncated_box_hilbert(powers, p):
+    """h_0..h_m, m = sum(powers), of the box killing y_k at min(a_k + 1, p), or at a_k + 1 when p = 0.
+
+    This is the rank of each degree's piece of the block-sum substitution:
+    the piece's column y^c holds prod(c_k!), which is nonzero mod p exactly
+    when every c_k < p.  Counted by convolving one variable's exponent
+    range at a time; degrees above the truncated box's socle count 0.
+    """
+    m = sum(powers)
+    h = [1] + [0] * m
+    for a in powers:
+        top = min(a, p - 1) if p else a
+        h = [sum(h[j - e] for e in range(min(top, j) + 1)) for j in range(m + 1)]
+    return h
+
+
 def power(f, k):
     """f^k in the quotient, multiplying by f one factor at a time."""
     if k < 0:

@@ -351,6 +351,27 @@ def test_oversized_algebra_exits_two_before_listing_a_basis(capsys, monkeypatch)
     assert "SLP holds for 30 variables" in out
 
 
+def test_thin_map_too_long_to_list_exits_two(capsys, monkeypatch):
+    import slpkit.lefschetz
+    import slpkit.quotient
+
+    def no_basis_listing(*args):
+        pytest.fail("a thin map reached graded_basis or a code table")
+
+    monkeypatch.setattr(slpkit.lefschetz, "graded_basis", no_basis_listing)
+    for module in (slpkit.quotient, slpkit.lefschetz):
+        monkeypatch.setattr(module, "_position_codes", no_basis_listing)
+    # the (0, 14) map of quadratic(28) is 40116600x1, far below 2^28 cells, but
+    # building it would list degree 14 twice: about 17 GiB
+    for argv in (
+        ["rank", "--quadratic", "28", "--i", "0", "--t", "14", "--method", "dense"],
+        ["matrix", "--quadratic", "28", "--i", "0", "--t", "14"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "(i=0, t=14) map is 40116600x1 and lists 80233201 basis entries" in err and "limit" in err
+
+
 def test_above_the_fold_bound_only_maps_too_big_to_build_exit_two(capsys, monkeypatch):
     import slpkit._jordan
     import slpkit.blockrec

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from slpkit.embedding import (
     EmbeddingSpec,
-    _phi_rows,
     _target_middle_maps,
     phi_matrix,
     phi_monomial,
@@ -217,11 +216,16 @@ def _phi_expansion(es, degree):
         ((1,) * 20, 0, 2, np.int64),
         ((2, 1, 3), 5, 4, np.int64),
         ((6, 7, 7), 7, 18, np.int64),
-        # m = 21: 21! > 2^62, so the build stays in Python ints
-        ((10, 11), 0, 21, object),
+        # every value divides the socle scalar prod(a_k!), so m > 20 is int64
+        # while that scalar is below 2^62: 10! 11! < 2^52
+        ((10, 11), 0, 21, np.int64),
+        # the edge, in every degree: 20! < 2^62, but 20! 2! > 2^62 keeps the
+        # build in Python ints
+        ((20, 1), 0, 2, np.int64),
+        ((20, 2), 0, 2, object),
     ],
 )
-def test_phi_matrix_is_built_in_int64_up_to_m_20(from_rows_dtypes, powers, char, degree, built):
+def test_phi_matrix_is_int64_while_the_socle_scalar_is_below_2_62(from_rows_dtypes, powers, char, degree, built):
     es = EmbeddingSpec.from_powers(powers, char)
     got = phi_matrix(es, degree)
     assert from_rows_dtypes == [np.dtype(built)]
@@ -405,19 +409,69 @@ def test_counted_ranks_match_the_eliminated_pieces(char):
             assert got == [certified_rank(phi_matrix(es, j)).rank for j in range(m + 1)], es
 
 
-@pytest.mark.parametrize("powers,char,all_ok", [((11, 10), 13, True), ((12, 10), 5, False)])
-def test_counted_ranks_match_on_object_pieces(powers, char, all_ok):
-    # m > 20: the values are Python ints; mod 13 every block factorial
-    # survives, mod 5 those of 5 and more vanish.  The dense pieces are
-    # compared where they have at most 2000 rows (degrees <= 3 and >= m - 3);
-    # a middle piece of 705432 object rows takes seconds to build
+@pytest.mark.parametrize(
+    "powers,char,all_ok", [((11, 10), 13, True), ((12, 10), 5, False), ((20, 2), 3, False)]
+)
+def test_counted_ranks_match_on_object_pieces(from_rows_dtypes, powers, char, all_ok):
+    # m > 20: mod 13 every block factorial survives, mod 5 and mod 3 those
+    # of p and more vanish.  (20, 2) is built in Python ints, as its socle
+    # scalar 20! 2! is above 2^62.  The dense pieces are compared
+    # where they have at most 2000 rows (degrees <= 3 and >= m - 3); a
+    # middle piece has 352716 rows or more
     es = EmbeddingSpec.from_powers(powers, char)
-    assert _phi_rows(es, es.m)[1].dtype == object
+    phi_matrix(es, es.m)
+    assert from_rows_dtypes == [np.dtype(object if powers == (20, 2) else np.int64)]
     record = verify_kernel_dims(es)
     small = [j for j in range(es.m + 1) if comb(es.m, j) <= 2000]
     assert small == [0, 1, 2, 3, es.m - 3, es.m - 2, es.m - 1, es.m]
     assert [record.degrees[j].rank for j in small] == [certified_rank(phi_matrix(es, j)).rank for j in small]
     assert record.all_ok == all_ok
+
+
+def test_kernel_dims_list_no_target_monomial(monkeypatch):
+    # every column of a piece is hit, so its rank is read off the source's
+    # code table: (12, 10) lists none of quadratic(22)'s 4194304 monomials
+    import slpkit.embedding
+    import slpkit.quotient
+
+    target = (2,) * 22
+    code_table = slpkit.quotient._position_codes
+
+    def source_tables_only(exponents, degree):
+        assert exponents != target, "the kernel check listed a target monomial"
+        return code_table(exponents, degree)
+
+    for module in (slpkit.quotient, slpkit.embedding):
+        monkeypatch.setattr(module, "_position_codes", source_tables_only)
+    monkeypatch.setattr(slpkit.embedding, "phi_matrix", _refuse_work)
+    record = verify_kernel_dims(EmbeddingSpec.from_powers((12, 10), 5))
+    # 5! vanishes mod 5: from degree 5 on the ranks are those of the box 5 x 5
+    assert not record.all_ok
+    assert [d.rank for d in record.degrees] == [1, 2, 3, 4, 5, 4, 3, 2, 1] + [0] * 14
+
+
+@st.composite
+def _compositions_up_to_60(draw):
+    """Compositions of m <= 60 into at most four parts, so the source has at most 16^4 monomials."""
+    m = draw(st.integers(1, 60))
+    cuts = sorted(draw(st.sets(st.integers(1, m - 1), max_size=3))) if m > 1 else []
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, m]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_compositions_up_to_60(), st.sampled_from([0, 2, 3, 5, 7, 11, 13]))
+def test_kernel_ranks_are_the_hilbert_function_of_the_truncated_box(powers, char):
+    # the target pieces reach C(60, 30) rows, beyond any elimination and
+    # beyond the size limit that verify_kernel_dims keeps for the phi_matrix
+    # pieces (tested above); the limit is lifted here, and phi_matrix
+    # stubbed, since the count lists the source's code tables alone
+    import slpkit.embedding
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(slpkit.embedding, "_refuse_oversized_pieces", lambda es, degrees: None)
+        mp.setattr(slpkit.embedding, "phi_matrix", _refuse_work)
+        record = verify_kernel_dims(EmbeddingSpec.from_powers(powers, char))
+    assert [d.rank for d in record.degrees] == oracles.truncated_box_hilbert(powers, char)
 
 
 def _untimed(rec):
