@@ -27,7 +27,8 @@ block's square-free monomials of degree e, and multiply combines the blocks.
 The rank of a piece is therefore the number of its columns whose value is
 nonzero in the field: all of them in characteristic 0, and in
 characteristic p those with every c_k < p.  verify_kernel_dims counts those
-off the source's code table and lists no target monomial; transfer_slp
+off the source's code table and lists no target monomial (over Q it lists
+nothing), so the source tables are all it refuses for size; transfer_slp
 multiplies the dense pieces of phi_matrix.
 
 A run over many embeddings builds each target middle map once, through one
@@ -40,7 +41,6 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, factorial, prod
-from typing import Iterable
 
 import numpy as np
 
@@ -120,16 +120,6 @@ def phi_monomial(es: EmbeddingSpec, exponents: tuple[int, ...]) -> AlgebraElemen
     return out
 
 
-def _refuse_oversized_pieces(es: EmbeddingSpec, degrees: Iterable[int]) -> None:
-    """_refuse_oversized for phi_matrix(es, j), for every j in degrees.
-
-    phi_matrix lists the degree-j pieces of both algebras.
-    """
-    for j in degrees:
-        rows, cols = es.target_spec.dim(j), es.source_spec.dim(j)
-        _refuse_oversized(rows, cols, rows + cols, f"the degree-{j} piece of the embedding")
-
-
 def phi_matrix(es: EmbeddingSpec, degree: int) -> ExactMatrix:
     """Matrix of the degree-j piece: source basis columns, target basis rows.
 
@@ -137,17 +127,24 @@ def phi_matrix(es: EmbeddingSpec, degree: int) -> ExactMatrix:
     the bits of v's code in block k (module docstring).  A piece too large
     to hold raises ValueError before any code table is built.
     """
-    _refuse_oversized_pieces(es, (degree,))
-    source, target = es.source_spec.exponents, es.target_spec.exponents
+    rows, cols = es.target_spec.dim(degree), es.source_spec.dim(degree)
+    _refuse_oversized(rows, cols, rows + cols, f"the degree-{degree} piece of the embedding")
+    source = es.source_spec.exponents
     columns = _position_codes(source, degree)
-    radix = _radix(source)
-    counts = np.add.reduceat(_digits(target, _position_codes(target, degree)), es.offsets[:-1], axis=1)
-    cols = np.searchsorted(columns, counts.astype(radix.dtype) @ radix)
+    codes = _position_codes(es.target_spec.exponents, degree)
+    # the codes' bits, unpacked a byte at a time and summed block by block
+    # in the narrowest dtype that holds a count: no m-wide int64 table
+    code_bytes = np.empty((rows, (es.m + 7) // 8), dtype=np.uint8)
+    for k in range(code_bytes.shape[1]):
+        code_bytes[:, k] = codes >> 8 * k & 255
+    bits = np.unpackbits(code_bytes, axis=1, count=es.m, bitorder="little")
+    counts = np.add.reduceat(bits, es.offsets[:-1], axis=1, dtype=np.min_scalar_type(max(es.powers)))
+    column_of = np.searchsorted(columns, counts @ _radix(source))
     # every value prod(c_k!) divides the socle scalar prod(a_k!)
     dtype = np.int64 if prod(map(factorial, es.powers)) < INT64_BOUND else object
     fact = np.array([factorial(k) for k in range(max(es.powers) + 1)], dtype=dtype)
-    out = np.zeros((len(cols), len(columns)), dtype=dtype)
-    out[np.arange(len(cols)), cols] = fact[counts].prod(axis=1)
+    out = np.zeros((rows, cols), dtype=dtype)
+    out[np.arange(rows), column_of] = fact[counts].prod(axis=1)
     return ExactMatrix.from_rows(out, es.characteristic or None)
 
 
@@ -202,15 +199,27 @@ class KernelDimsRecord:
         return all(d.ok for d in self.degrees)
 
 
+def _refuse_oversized_tables(es: EmbeddingSpec) -> None:
+    """_refuse_oversized for each source code table that verify_kernel_dims lists, in characteristic p only.
+
+    The degree-j table decodes to dim(j) rows of n digits.
+    """
+    if es.characteristic:
+        for j in range(es.m + 1):
+            rows = es.source_spec.dim(j)
+            _refuse_oversized(rows, es.n, rows, f"the degree-{j} code table of the embedding's source")
+
+
 def verify_kernel_dims(es: EmbeddingSpec) -> KernelDimsRecord:
     """Certify injectivity degree by degree: rank == source dimension.
 
-    Every piece's size is checked first, as phi_matrix checks it.  A
-    piece's rank is the number of its columns whose value is nonzero in the
-    field (module docstring), counted off the source's code table, so no
-    matrix is built or eliminated and no target monomial is listed.
+    A piece's rank is the number of its columns whose value is nonzero in
+    the field (module docstring): every column over Q, where nothing is
+    listed, and in characteristic p a count off the source's code table.  So
+    no matrix is built or eliminated and no target monomial is listed; only
+    a source code table too large to list is refused, before any is built.
     """
-    _refuse_oversized_pieces(es, range(es.m + 1))
+    _refuse_oversized_tables(es)
     p = es.characteristic
     source = es.source_spec.exponents
     records = []
@@ -261,10 +270,12 @@ class TransferRecord:
 def _refuse_oversized_embedding(es: EmbeddingSpec) -> None:
     """Raise ValueError, before any work, for a matrix too large to hold (lefschetz._refuse_oversized).
 
-    The matrices are those that verify_kernel_dims and transfer_slp refuse:
-    every piece of phi_matrix and the middle maps of source and target.
+    They are those that verify_kernel_dims and transfer_slp refuse: the
+    source code tables in characteristic p and the middle maps of source
+    and target.  The target map from degree i has at least the cells and
+    listed entries of the degree-i piece that transfer_slp builds.
     """
-    _refuse_oversized_pieces(es, range(es.m + 1))
+    _refuse_oversized_tables(es)
     for spec in (es.target_spec, es.source_spec):
         _refuse_oversized_maps(spec, middle_pairs(es.m))
 

@@ -124,8 +124,9 @@ _PLACE_CHUNK = 1 << 18
 MAX_MAP_CELLS = 1 << 28
 # cells charged per basis entry listed to place a matrix, 384 B: an entry's
 # exponent tuple, position-dict slot and code took 230 to 320 B on the
-# one-column maps (0, n/2) of quadratic(18..24), and a target row of an
-# embedding piece, with its code and digits, 320 to 370 B for m = 18..22
+# one-column maps (0, n/2) of quadratic(18..24), and a target row of a
+# one-block embedding piece, with its code and block counts, 83 to 98 B for
+# m = 18..22 (peak-RSS growth of one build in a fresh process)
 _LISTED_ENTRY_CELLS = 48
 
 

@@ -8,6 +8,10 @@ A graded piece is held as its ascending table of mixed-radix codes, built
 by splitting over the last variable; graded_basis decodes it into tuples.
 Coefficients are integers, read in Q (characteristic 0) or F_p
 (characteristic p, entries kept as residues in [0, p)).
+
+Code tables, listings, position dicts and Hilbert functions are memoized in
+lru_caches of _MEMO_SIZE entries: a sweep over many algebras keeps the
+working set of its current step, not every algebra it has checked.
 """
 from __future__ import annotations
 
@@ -23,6 +27,13 @@ import numpy as np
 
 from ._primes import is_prime
 from .exactmat import INT64_BOUND
+
+# entries per memo.  One step of an embedding sweep (the three checks on one
+# composition of m) reads the source's m + 1 pieces and the target's pieces
+# below m/2: at most 16 code tables and 7 entries of any other memo at
+# m = 10.  So 32 holds a step for every m <= 20, and the target's tables stay
+# in across the sweep.
+_MEMO_SIZE = 32
 
 
 def _sequence(values, what: str) -> tuple:
@@ -85,6 +96,11 @@ class AlgebraSpec:
         # computed once per spec: dim and every route read it per map
         return sum(d - 1 for d in self.exponents)
 
+    @cached_property
+    def _hilbert(self) -> tuple[int, ...]:
+        # read once per spec: dim is called per map, and the memo's key hashes the exponents
+        return _hilbert_function(self.exponents)
+
     @property
     def is_quadratic(self) -> bool:
         return all(d == 2 for d in self.exponents)
@@ -105,7 +121,7 @@ class AlgebraSpec:
     def dim(self, t: int) -> int:
         if t < 0 or t > self.socle_degree:
             return 0
-        return _hilbert_function(self.exponents)[t]
+        return self._hilbert[t]
 
     def to_json_dict(self) -> dict:
         return {
@@ -115,14 +131,14 @@ class AlgebraSpec:
         }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _radix(exponents: tuple[int, ...]) -> np.ndarray:
     """Place values prod_{j<k} d_j of the codes; int64 unless prod(d) > INT64_BOUND."""
     dtype = np.int64 if prod(exponents) <= INT64_BOUND else object
     return np.array(list(accumulate(exponents[:-1], mul, initial=1)), dtype=dtype)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _position_codes(exponents: tuple[int, ...], degree: int) -> np.ndarray:
     """Ascending code table of the degree-`degree` piece for these killed powers.
 
@@ -155,12 +171,12 @@ def _digits(exponents: tuple[int, ...], codes: np.ndarray) -> np.ndarray:
     return (codes[:, None] // radix % np.array(exponents, dtype=radix.dtype)).astype(np.int64)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _listing(exponents: tuple[int, ...], t: int) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*_digits(exponents, _position_codes(exponents, t)).T.tolist()))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def graded_basis(spec: AlgebraSpec, t: int) -> tuple[tuple[int, ...], ...]:
     """Exponent tuples of the standard monomials of degree t.
 
@@ -173,7 +189,7 @@ def graded_basis(spec: AlgebraSpec, t: int) -> tuple[tuple[int, ...], ...]:
     return _listing(spec.exponents, t)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def basis_positions(spec: AlgebraSpec, t: int) -> Mapping[tuple[int, ...], int]:
     """Exponent tuple -> row/column index inside graded_basis(spec, t)."""
     return {m: k for k, m in enumerate(graded_basis(spec, t))}
@@ -240,10 +256,10 @@ def multiply(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
 
 def hilbert_vector(spec: AlgebraSpec) -> tuple[int, ...]:
     """Graded dimensions h_0..h_m: the coefficients of prod_i (1 + t + ... + t^(d_i - 1))."""
-    return _hilbert_function(spec.exponents)
+    return spec._hilbert
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _hilbert_function(exponents: tuple[int, ...]) -> tuple[int, ...]:
     """hilbert_vector by the killed powers alone, so every characteristic shares one copy."""
     poly = [1]

@@ -316,17 +316,23 @@ def test_kernel_dims_check_every_piece_before_building_any(monkeypatch):
     import slpkit.quotient
 
     def no_work(*args):
-        pytest.fail("verify_kernel_dims built or ranked a piece before refusing an oversized one")
+        pytest.fail("verify_kernel_dims listed a code table, built a piece or ranked one")
 
     for module, name in (
         (slpkit.quotient, "_position_codes"),
         (slpkit.embedding, "_position_codes"),
+        (slpkit.embedding, "phi_matrix"),
         (slpkit.embedding, "certified_rank"),
     ):
         monkeypatch.setattr(module, name, no_work)
-    # pieces 0..6 fit (the largest is 12376x12376); degree 7 is the first that does not
-    with pytest.raises(ValueError, match=r"degree-7 piece of the embedding is 19448x19448"):
-        verify_kernel_dims(EmbeddingSpec.from_powers((1,) * 17))
+    # over Q every column counts, so nothing is listed, however large the pieces
+    for powers in ((1,) * 17, (26,), (30, 30)):
+        es = EmbeddingSpec.from_powers(powers)
+        assert [d.rank for d in verify_kernel_dims(es).degrees] == list(hilbert_vector(es.source_spec))
+    # in characteristic p the source tables are listed: degrees 0..5 of
+    # quadratic(40) fit, and degree 6 is refused before any table is built
+    with pytest.raises(ValueError, match=r"degree-6 code table of the embedding's source is 3838380x40"):
+        verify_kernel_dims(EmbeddingSpec.from_powers((1,) * 40, 3))
 
 
 def test_each_target_middle_map_and_phi_piece_is_built_once(monkeypatch):
@@ -461,14 +467,11 @@ def _compositions_up_to_60(draw):
 @settings(max_examples=150, deadline=None)
 @given(_compositions_up_to_60(), st.sampled_from([0, 2, 3, 5, 7, 11, 13]))
 def test_kernel_ranks_are_the_hilbert_function_of_the_truncated_box(powers, char):
-    # the target pieces reach C(60, 30) rows, beyond any elimination and
-    # beyond the size limit that verify_kernel_dims keeps for the phi_matrix
-    # pieces (tested above); the limit is lifted here, and phi_matrix
-    # stubbed, since the count lists the source's code tables alone
+    # the target pieces reach C(60, 30) rows, beyond any elimination; the
+    # count lists the source's code tables alone, so phi_matrix is stubbed
     import slpkit.embedding
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(slpkit.embedding, "_refuse_oversized_pieces", lambda es, degrees: None)
         mp.setattr(slpkit.embedding, "phi_matrix", _refuse_work)
         record = verify_kernel_dims(EmbeddingSpec.from_powers(powers, char))
     assert [d.rank for d in record.degrees] == oracles.truncated_box_hilbert(powers, char)

@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from slpkit.embedding import EmbeddingSpec
+import slpkit.quotient
+from slpkit.embedding import EmbeddingSpec, transfer_slp, verify_kernel_dims
 from slpkit.lefschetz import LinearForm, slp_check
 from slpkit.quotient import (
     AlgebraElement,
     AlgebraSpec,
+    _MEMO_SIZE,
     _position_codes,
     graded_basis,
     basis_positions,
@@ -115,6 +117,43 @@ def test_many_variables_need_no_deep_recursion():
     report = slp_check(spec, LinearForm.ones(n))
     assert report.slp
     assert [(c.i, c.t, c.rank) for c in report.maps] == [(0, 2, 1)]
+
+
+def _quotient_memos():
+    return [
+        value
+        for value in vars(slpkit.quotient).values()
+        if hasattr(value, "cache_parameters") and value.__module__ == "slpkit.quotient"
+    ]
+
+
+def test_every_quotient_memo_is_bounded():
+    memos = _quotient_memos()
+    assert graded_basis in memos and basis_positions in memos
+    assert [memo.cache_parameters()["maxsize"] for memo in memos] == [_MEMO_SIZE] * len(memos)
+
+
+def test_a_sweep_keeps_the_quotient_memos_bounded_and_correct():
+    # the compositions of 7 in two characteristics: 128 source specs, 64
+    # distinct killed-power tuples, each read in every degree by the checks
+    sources = []
+    for char in (0, 7):
+        for cuts in iproduct((0, 1), repeat=6):
+            borders = [0, *(k + 1 for k, cut in enumerate(cuts) if cut), 7]
+            es = EmbeddingSpec.from_powers(tuple(b - a for a, b in zip(borders, borders[1:])), char)
+            verify_kernel_dims(es)
+            transfer_slp(es)
+            sources.append(es.source_spec)
+    assert len(set(sources)) == 128 > _MEMO_SIZE
+    for memo in _quotient_memos():
+        assert memo.cache_info().currsize <= _MEMO_SIZE, memo.__name__
+    # the first sources' entries were evicted long ago and are listed again;
+    # the last ones are read back from the memos
+    for spec in sources[:3] + sources[-3:]:
+        for t in range(spec.socle_degree + 1):
+            listing = oracles.brute_standard_monomials(spec.exponents, t)
+            assert list(graded_basis(spec, t)) == listing
+            assert basis_positions(spec, t) == {m: k for k, m in enumerate(listing)}
 
 
 def test_basis_positions_are_consistent():
