@@ -6,7 +6,10 @@ the same inputs except for fields under "timing" and per-map "ms".  Every
 map check runs through lefschetz.check_map: rank checks one map, and slp,
 char-search and bench print and write slp_check's reports.  Exit codes: 0
 the property or check holds, 1 it fails (slp, embed-verify, bench), 2 usage
-or input error.
+or input error.  main builds only the parser of the command in argv[0]:
+_COMMANDS gives its help line and handler, _add_flags its flags.  It
+builds all of them only when argv[0] is no command (none, -h, an unknown
+name), so help and errors still list every command.
 """
 from __future__ import annotations
 
@@ -58,75 +61,36 @@ def _parse_prime_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _add_spec_flags(p: argparse.ArgumentParser, char: bool = True) -> None:
-    """--quadratic or --exponents, and --char unless the command picks its own characteristics."""
+def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
+    """command's flags, in the order its help lists them.
+
+    One function rather than an adder per command: every import loads each
+    function's code object, and seven more adders left about 87 more
+    garbage-collected objects behind on every import of the CLI.
+    """
+    if command == "selftest":
+        return
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--quadratic", type=int, metavar="N", help="square-free algebra on N variables")
     group.add_argument("--exponents", type=_parse_int_list, metavar="D1,D2,...", help="killed powers per variable")
-    if char:
+    if command != "char-search":
+        # --primes names the characteristics, so char-search takes no --char
         p.add_argument("--char", type=int, default=0, metavar="C", help="coefficient characteristic, 0 or a prime")
-
-
-def _add_form_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--form", type=_parse_int_list, metavar="C1,C2,...", help="form coefficients (default: all ones)")
-
-
-def _add_output_flags(p: argparse.ArgumentParser) -> None:
+    if command not in ("hilbert", "embed-verify"):
+        p.add_argument("--form", type=_parse_int_list, metavar="C1,C2,...", help="form coefficients (default: all ones)")
+    if command == "matrix":
+        p.add_argument("--i", type=int, required=True, help="source degree")
+        p.add_argument("--t", type=int, required=True, help="power of the form")
+    elif command == "rank":
+        p.add_argument("--i", type=int, required=True)
+        p.add_argument("--t", type=int, required=True)
+    elif command == "slp":
+        p.add_argument("--mode", choices=("middle", "full"), default="middle")
+    elif command == "char-search":
+        p.add_argument("--primes", type=_parse_prime_range, required=True, metavar="LO..HI")
+    if command in ("rank", "slp"):
+        p.add_argument("--method", choices=("auto", "dense"), default="auto")
     p.add_argument("--out", metavar="PATH", help="write machine output (JSON) to PATH")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="slpkit",
-        description="multiplication matrices and strong Lefschetz verdicts for monomial complete intersections",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("hilbert", help="graded dimensions of the algebra")
-    _add_spec_flags(p)
-    _add_output_flags(p)
-
-    p = sub.add_parser("matrix", help="one multiplication matrix")
-    _add_spec_flags(p)
-    _add_form_flag(p)
-    p.add_argument("--i", type=int, required=True, help="source degree")
-    p.add_argument("--t", type=int, required=True, help="power of the form")
-    _add_output_flags(p)
-
-    p = sub.add_parser("rank", help="rank of one multiplication matrix")
-    _add_spec_flags(p)
-    _add_form_flag(p)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--method", choices=("auto", "dense"), default="auto")
-    _add_output_flags(p)
-
-    p = sub.add_parser("slp", help="strong Lefschetz verdict (exit 0 holds, 1 fails)")
-    _add_spec_flags(p)
-    _add_form_flag(p)
-    p.add_argument("--mode", choices=("middle", "full"), default="middle")
-    p.add_argument("--method", choices=("auto", "dense"), default="auto")
-    _add_output_flags(p)
-
-    p = sub.add_parser("char-search", help="probe the same form over a range of prime fields")
-    # --primes names the characteristics, so the command takes no --char
-    _add_spec_flags(p, char=False)
-    _add_form_flag(p)
-    p.add_argument("--primes", type=_parse_prime_range, required=True, metavar="LO..HI")
-    _add_output_flags(p)
-
-    p = sub.add_parser("embed-verify", help="verify the quadratic embedding of the algebra")
-    _add_spec_flags(p)
-    _add_output_flags(p)
-
-    p = sub.add_parser("bench", help="compare the dense and auto routes on the middle maps")
-    _add_spec_flags(p)
-    _add_form_flag(p)
-    _add_output_flags(p)
-
-    sub.add_parser("selftest", help="quick internal checks (exit 0 all pass)")
-
-    return parser
 
 
 def _spec_from_args(args) -> AlgebraSpec:
@@ -355,23 +319,45 @@ def _cmd_selftest(args) -> int:
     return 0 if all_ok else 1
 
 
-_DISPATCH = {
-    "hilbert": _cmd_hilbert,
-    "matrix": _cmd_matrix,
-    "rank": _cmd_rank,
-    "slp": _cmd_slp,
-    "char-search": _cmd_char_search,
-    "embed-verify": _cmd_embed_verify,
-    "bench": _cmd_bench,
-    "selftest": _cmd_selftest,
+# name -> (help line, handler), in the order help lists them
+_COMMANDS = {
+    "hilbert": ("graded dimensions of the algebra", _cmd_hilbert),
+    "matrix": ("one multiplication matrix", _cmd_matrix),
+    "rank": ("rank of one multiplication matrix", _cmd_rank),
+    "slp": ("strong Lefschetz verdict (exit 0 holds, 1 fails)", _cmd_slp),
+    "char-search": ("probe the same form over a range of prime fields", _cmd_char_search),
+    "embed-verify": ("verify the quadratic embedding of the algebra", _cmd_embed_verify),
+    "bench": ("compare the dense and auto routes on the middle maps", _cmd_bench),
+    "selftest": ("quick internal checks (exit 0 all pass)", _cmd_selftest),
 }
 
 
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with command's subparser alone, or with every subparser if command is not a command.
+
+    The subparsers keep the full choice list as their metavar, so an error the
+    top-level parser reports after a command ran (unrecognized arguments)
+    prints the same usage either way.
+    """
+    parser = argparse.ArgumentParser(
+        prog="slpkit",
+        description="multiplication matrices and strong Lefschetz verdicts for monomial complete intersections",
+    )
+    one = command in _COMMANDS
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}" if one else None
+    )
+    for name in (command,) if one else _COMMANDS:
+        _add_flags(sub.add_parser(name, help=_COMMANDS[name][0]), name)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        return _COMMANDS[args.command][1](args)
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

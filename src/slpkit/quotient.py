@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from math import prod
 from numbers import Integral
-from operator import mul
+from operator import mul, sub
 from typing import Mapping
 
 import numpy as np
@@ -261,12 +261,22 @@ def hilbert_vector(spec: AlgebraSpec) -> tuple[int, ...]:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _hilbert_function(exponents: tuple[int, ...]) -> tuple[int, ...]:
-    """hilbert_vector by the killed powers alone, so every characteristic shares one copy."""
+    """hilbert_vector by the killed powers alone, so every characteristic shares one copy.
+
+    The killed power d with the largest k (d - 1), k its count, gives the
+    k-th power of its window 1 + t + ... + t^(d-1) by J. C. P. Miller's
+    recurrence for powers of a series (Knuth, TAOCP vol. 2, 4.7):
+    i a_i = sum over j = 1..min(d - 1, i) of ((k + 1) j - i) a_(i-j), the
+    division by i exact.  Every other variable multiplies in its window as a
+    running sum, in time linear in the length.
+    """
+    d = max(set(exponents), key=lambda e: exponents.count(e) * (e - 1), default=1)
+    k = exponents.count(d)
     poly = [1]
-    for d in exponents:
-        out = [0] * (len(poly) + d - 1)
-        for j, c in enumerate(poly):
-            for k in range(d):
-                out[j + k] += c
-        poly = out
+    for i in range(1, k * (d - 1) + 1):
+        poly.append(sum(((k + 1) * j - i) * poly[i - j] for j in range(1, min(d - 1, i) + 1)) // i)
+    for e in exponents:
+        if e != d:
+            prefix = list(accumulate(chain(repeat(0, e - 1), poly, repeat(0, e - 1)), initial=0))
+            poly = list(map(sub, prefix[e:], prefix))
     return tuple(poly)

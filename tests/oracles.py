@@ -209,6 +209,18 @@ def reference_phi_matrix(powers, degree, char=0):
     return rows
 
 
+def hilbert_by_windows(exponents):
+    """h_0..h_m: multiply by one window 1 + t + ... + t^(d-1) per killed power d, term by term."""
+    poly = [1]
+    for d in exponents:
+        out = [0] * (len(poly) + d - 1)
+        for j, c in enumerate(poly):
+            for k in range(d):
+                out[j + k] += c
+        poly = out
+    return tuple(poly)
+
+
 def truncated_box_hilbert(powers, p):
     """h_0..h_m, m = sum(powers), of the box killing y_k at min(a_k + 1, p), or at a_k + 1 when p = 0.
 

@@ -1,4 +1,5 @@
 """End-to-end command tests driven through main(argv)."""
+import argparse
 import doctest
 import json
 import shlex
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from slpkit.cli import main
+from slpkit.cli import _COMMANDS, _build_parser, main
 from slpkit.exactmat import ExactMatrix
 from slpkit.lefschetz import LinearForm, build_matrix, full_pairs, slp_check
 from slpkit.quotient import AlgebraSpec
@@ -295,6 +296,59 @@ def test_usage_errors_exit_two(capsys):
         main(["no-such-command"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def _count_parsers(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+def test_a_command_builds_its_own_parser_alone(capsys, monkeypatch):
+    built = _count_parsers(monkeypatch)
+    code, out, _ = run(capsys, "hilbert", "--quadratic", "3")
+    assert code == 0 and out == "1,3,3,1\n"
+    assert len(built) == 2
+    for argv in (["--help"], ["no-such-command"]):
+        built.clear()
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert len(built) == 1 + len(_COMMANDS)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_a_command_prints_the_help_and_errors_of_the_full_parser(capsys, command):
+    for argv in ([command, "--help"], [command, "--no-such-flag"]):
+        with pytest.raises(SystemExit) as full:
+            _build_parser().parse_args(argv)
+        expected = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == full.value.code
+        assert capsys.readouterr() == expected
+    assert expected.err.startswith("usage: slpkit")
+
+
+@pytest.mark.parametrize("argv", [[], ["no-such-command"]])
+def test_no_command_lists_every_command(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert all(command in err for command in _COMMANDS)
+
+
+def test_main_reads_sys_argv_by_default(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["slpkit", "hilbert", "--quadratic", "4"])
+    assert main() == 0
+    assert capsys.readouterr().out == "1,4,6,4,1\n"
 
 
 def test_empty_prime_ranges_exit_two(capsys):

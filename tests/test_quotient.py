@@ -18,6 +18,7 @@ from slpkit.quotient import (
     AlgebraElement,
     AlgebraSpec,
     _MEMO_SIZE,
+    _hilbert_function,
     _position_codes,
     graded_basis,
     basis_positions,
@@ -184,6 +185,28 @@ def test_golden_basis_two_cubics():
 )
 def test_hilbert_goldens(bounds, expected):
     assert tuple(hilbert_vector(AlgebraSpec(len(bounds), bounds))) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 9), max_size=12))
+def test_hilbert_function_matches_the_window_products(exponents):
+    # the power recurrence and the running window sums against one window at a time
+    exponents = tuple(exponents)
+    assert _hilbert_function.__wrapped__(exponents) == oracles.hilbert_by_windows(exponents)
+
+
+@pytest.mark.parametrize(
+    "exponents",
+    [
+        (2,) * 1000 + (3,) * 500,
+        (5,) * 300 + (1,) * 200,
+        (9, 2) * 150,
+        tuple(random.Random(7).choice(range(1, 10)) for _ in range(400)),
+    ],
+    ids=["2x1000+3x500", "5x300+1x200", "9-2x150", "random-400"],
+)
+def test_hilbert_function_of_hundreds_of_variables(exponents):
+    assert _hilbert_function.__wrapped__(exponents) == oracles.hilbert_by_windows(exponents)
 
 
 def test_hilbert_sweep_properties():
