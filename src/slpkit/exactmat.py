@@ -28,14 +28,21 @@ earlier one (same shape, same entries in order) reuses that elimination.
 
 Both arithmetics run one row reduction, _echelon, on a copy of the stored
 array: the pivot rule, the row swaps and the pivot list are shared, and only
-the step that rewrites the rows below a pivot differs.  Over F_p the copy is
-int64 for p < 2^31 (products stay below 2^62) and Python ints for larger
-primes; over ZZ it is always Python ints, as int64 minors would overflow,
-and the touched rows of a step are rewritten a chunk of at most
-_REWRITE_CHUNK cells at a time, so the double-length products alive beside
-the matrix stay bounded.  rank_mod_p always runs _echelon, which takes one
-step on a 1x1 map and none on an empty one.  A modular rank keeps no
-pivots; only rank_fraction_free reports them.
+the step that rewrites the rows below a pivot differs.  A swap moves only
+the columns from the pivot column on: every row at or below the current one
+is zero left of that column (each earlier column was a pivot column they
+were reduced in, or a zero column skipped), so the columns it leaves alone
+hold the same zeros in both rows.  Over F_p the copy is int64 for p < 2^31
+(products stay below 2^62) and Python ints for larger primes; over ZZ it is
+always Python ints, as int64 minors would overflow, and the touched rows of
+a step are rewritten a chunk of at most _REWRITE_CHUNK cells at a time, so
+the double-length products alive beside the matrix stay bounded.
+rank_mod_p always runs _echelon, which takes one step on a 1x1 map and none
+on an empty one.  It ranks the short side: a tall matrix is eliminated as
+its transpose, which has the same rank, so at most cols pivot steps run and
+each rewrites whole rows of the long side.  The one reduced copy is made in
+that orientation and C order.  A modular rank keeps no pivots; only
+rank_fraction_free reports them, in the input's own orientation.
 
 A full rank mod one prime certifies full rank over Q (specialization can
 only lose rank), which is the cheap one-sided check behind certified_rank.
@@ -331,36 +338,43 @@ def _echelon(a: np.ndarray, p: int | None) -> tuple[int, tuple, int, int]:
     for c in range(ncols):
         if r == nrows:
             break
-        # one scan per column: after the swap, row pr holds the old row r,
-        # which is zero in column c, so the rows to rewrite are nz[1:] + r
-        nz = a[r:, c].nonzero()[0]
+        # one scan per column: below = a[r:] after the swap still has the
+        # rows to rewrite at positions nz[1:], since row pr then holds the
+        # old row r, which is zero in column c
+        below = a[r:]
+        nz = below[:, c].nonzero()[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
-            a[[r, pr]] = a[[pr, r]]
+            # rows r and below are zero left of column c, so the swap
+            # moves the live columns only
+            old = a[r, c:].copy()
+            a[r, c:] = a[pr, c:]
+            a[pr, c:] = old
             ids[r], ids[pr] = ids[pr], ids[r]
             sign = -sign
             if p is None:
-                stamps[[r, pr]] = stamps[[pr, r]]
-        idx = nz[1:] + r
+                stamps[r], stamps[pr] = stamps[pr], stamps[r]
         if p is not None:
             # when rows below need rewriting, the pivot row is scaled to 1 in
-            # place on its view; the touched rows are gathered once,
-            # rewritten in place as sub - f * row mod p, and written back
-            # (products stay below 2^62 for p < 2^31)
+            # place on its view; the touched rows are gathered once through
+            # the view below, rewritten in place as sub - f * row mod p, and
+            # written back (products stay below 2^62 for p < 2^31)
             row = a[r, c:]
             piv = int(row[0])
             d = d * piv % p
-            if idx.size:
+            if nz.size > 1:
                 if piv != 1:
                     row *= pow(piv, -1, p)
                     row %= p
-                sub = a[idx, c:]
+                touched = nz[1:]
+                sub = below[touched, c:]
                 sub -= sub[:, :1] * row
                 sub %= p
-                a[idx, c:] = sub
+                below[touched, c:] = sub
         else:
+            idx = nz[1:] + r
             if stamps[r] != d:
                 a[r, c:] = a[r, c:] * d // stamps[r]
             piv = a[r, c]
@@ -387,27 +401,33 @@ def _echelon(a: np.ndarray, p: int | None) -> tuple[int, tuple, int, int]:
     return r, tuple(pivots), sign, d
 
 
-def _reduce_mod_p(m: ExactMatrix, p: int) -> np.ndarray:
-    """One copy of m's stored array reduced mod p: int64 for p < 2^31, Python ints above.
+def _reduce_mod_p(m: ExactMatrix, p: int, transpose: bool = False) -> np.ndarray:
+    """One C-ordered copy of m's stored array, or of its transpose, reduced mod p.
 
-    F_p storage takes the steps of ZZ storage, which leave its residues as they are.
+    The copy is int64 for p < 2^31 and Python ints above.  F_p storage takes
+    the steps of ZZ storage, which leave its residues as they are.
     """
     if m.modulus not in (None, p):
         raise ValueError("matrix already lives over a different prime field")
     work = np.int64 if p < 2**31 else object
-    if m.array.dtype == object:
+    x = m.array.T if transpose else m.array
+    if x.dtype == object:
         # entries beyond int64 are reduced before an int64 copy could hold them
-        return (m.array % p).astype(work, copy=False)
+        return np.remainder(x, p, order="C").astype(work, copy=False)
     # cast first: an int64 array % p raises OverflowError for p above 2^63
-    a = m.array.astype(work)
+    a = x.astype(work, order="C")
     a %= p
     return a
 
 
 def rank_mod_p(m: ExactMatrix, p: int) -> RankResult:
-    """Rank over F_p by _echelon; integer matrices are reduced mod p first.  The pivots are not kept."""
+    """Rank over F_p by _echelon; integer matrices are reduced mod p first.  The pivots are not kept.
+
+    A tall matrix is eliminated as its transpose, which has the same rank,
+    so at most its column count of pivot steps run.
+    """
     _prime_modulus(p)
-    return RankResult(_echelon(_reduce_mod_p(m, p), p)[0], "modular")
+    return RankResult(_echelon(_reduce_mod_p(m, p, m.rows > m.cols), p)[0], "modular")
 
 
 def certified_rank(m: ExactMatrix) -> RankResult:

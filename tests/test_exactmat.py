@@ -160,13 +160,38 @@ def _oracle_form(result, p):
     return rank_, pivots, sign * d % p
 
 
+def _permuted_echelon(rng, nrows, ncols, entry):
+    """Rows of an echelon matrix with zero columns interleaved, reversed or shuffled.
+
+    Pivot columns are odd and every even column is zero, so a pivot row
+    found below the current row is swapped up right after a skipped zero
+    column.  Rows past the pivot rows are zero or repeat one of them.
+    entry(rng) draws each nonzero entry.
+    """
+    pivot_cols = [c for c in range(1, ncols, 2) if rng.random() < 0.7][:nrows]
+    rows = [
+        [0] * c + [entry(rng)] + [entry(rng) if j % 2 and rng.random() < 0.7 else 0 for j in range(c + 1, ncols)]
+        for c in pivot_cols
+    ]
+    rows += [list(rng.choice(rows)) if rows and rng.random() < 0.5 else [0] * ncols for _ in range(nrows - len(rows))]
+    if rng.random() < 0.5:
+        rows.reverse()
+    else:
+        rng.shuffle(rows)
+    return rows
+
+
 def test_numpy_and_object_modular_paths_agree():
     # one echelon: int64 steps below 2^31, the same steps on Python ints above
     rng = random.Random(1008)
     for p in (101, 2**31 - 1, next_prime(2**31), 2**61 - 1, next_prime(2**64)):
-        for trial in range(40):
+        for trial in range(60):
             nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
-            if trial % 2:
+            if trial % 3 == 2:
+                # every swap moves rows zero left of the pivot column: a swap
+                # that left the pivot column behind breaks pivots and det
+                rows = _permuted_echelon(rng, nrows, ncols, lambda r: r.randrange(1, p))
+            elif trial % 3:
                 rows = _deficient_rows(rng, nrows, ncols, p)
             else:
                 rows = [[e % p for e in row] for row in random_matrix(rng, nrows, ncols, 0, 100)]
@@ -177,7 +202,7 @@ def test_numpy_and_object_modular_paths_agree():
                 stored = ExactMatrix.from_rows(np.array(rows, dtype=np.int64), p)
                 assert stored.array.dtype == np.int64
                 assert _oracle_form(_echelon(_reduce_mod_p(stored, p), p), p) == want
-            if trial % 2:
+            if trial % 3 == 1:
                 assert want[0] < min(nrows, ncols)
         for shape in ((1, 1), (3, 4), (5, 2)):
             zero = [[0] * shape[1] for _ in range(shape[0])]
@@ -238,6 +263,41 @@ def test_dense_echelon_mod_p_matches_the_reference(p, work, data):
     a = _reduce_mod_p(ExactMatrix.from_rows(rows, p), p)
     assert a.dtype == work
     assert _oracle_form(_echelon(a, p), p) == oracles.reference_echelon_mod_p(rows, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from([2, 101, 2**31 - 1, next_prime(2**31)]),
+    shape=st.sampled_from(["tall", "wide", "square"]),
+    deficient=st.booleans(),
+    huge=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_mod_p_ranks_the_short_side(p, shape, deficient, huge, seed):
+    # a tall matrix is eliminated as its transpose: the rank is the
+    # transpose's, and the stored array is left as it was
+    rng = random.Random(seed)
+    short, long = rng.randint(1, 5), rng.randint(6, 12)
+    nrows, ncols = {"tall": (long, short), "wide": (short, long), "square": (short, short)}[shape]
+    rows = _deficient_rows(rng, nrows, ncols, p) if deficient else random_matrix(rng, nrows, ncols, 0, p - 1)
+    for r in rng.sample(range(nrows), rng.randint(0, nrows // 2)):
+        rows[r] = [0] * ncols
+    for c in rng.sample(range(ncols), rng.randint(0, ncols // 2)):
+        for row in rows:
+            row[c] = 0
+    stored = rows
+    if huge:
+        # entries off by multiples of p * 2^64 have the same residues and object storage
+        stored = [[e + p * 2**64 * rng.randint(0, 1) for e in row] for row in rows]
+        stored[0][0] += p * 2**64
+    m = ExactMatrix.from_rows(stored)
+    assert m.array.dtype == (object if huge else np.int64)
+    before = m.array.copy()
+    want = oracles.mod_rank(rows, p)
+    assert rank_mod_p(m, p).rank == rank_mod_p(ExactMatrix.from_rows(m.array.T), p).rank == want
+    assert m.array.dtype == before.dtype and np.array_equal(m.array, before)
+    if deficient:
+        assert want < min(nrows, ncols)
 
 
 @st.composite
@@ -738,8 +798,19 @@ def _permuted_blocks(draw, square=False):
     return [[rows[r][c] for c in cperm] for r in rperm]
 
 
+@st.composite
+def _permuted_echelon_rows(draw, square=False):
+    """_permuted_echelon's rows, entries of every size: pivot rows swapped up right after skipped zero columns."""
+    nrows, ncols = _shape(draw, square, least=2)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    sizes = ((1, 9), (2**40, 2**61), (2**64, 2**80))
+    return _permuted_echelon(rng, nrows, ncols, lambda r: r.choice((-1, 1)) * r.randint(*r.choice(sizes)))
+
+
 def _echelon_inputs(square=False):
-    return st.one_of(_plain_rows(square), _deficient_product(square), _permuted_blocks(square))
+    return st.one_of(
+        _plain_rows(square), _deficient_product(square), _permuted_blocks(square), _permuted_echelon_rows(square)
+    )
 
 
 def _both_echelons(rows):
