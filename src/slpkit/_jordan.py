@@ -5,8 +5,9 @@ k[l], so it is a direct sum of strings: a string (s, L) has the basis v,
 lv, ..., l^(L-1)v with v of degree s and l^L v = 0.  The graded Jordan type
 {(s, L): count} gives every rank: l^t from degree i has rank the number of
 strings with s <= i and s + L - 1 >= i + t.  This module is the math
-alone: blockrec's auto route folds once per (spec, form) where the paper's
-hypotheses fail, and reads the rank of every map off that one type.
+alone: lefschetz's auto-route decision folds once per (spec, form) where
+the paper's hypotheses fail, and blockrec reads the rank of every map off
+that one type.
 
 Rescaling x_k -> x_k / c_k is a graded automorphism of A, so the type
 depends only on which coefficients vanish in the field.  It is folded in
@@ -60,16 +61,16 @@ import numpy as np
 
 from .quotient import AlgebraSpec, _hilbert_function
 
-# Largest socle degree m that is folded; above it blockrec checks the maps
-# the fold would answer dense, so only a map too big both to fold and to
-# build is refused.  The type has at most (m+1)(m+2)/2 keys.  Measured at
-# m = 1000 on one core of a 2-vCPU Xeon, each in a fresh interpreter (28 MiB
-# after import): quadratic(1000) at p = 7 folds in 0.54 s with 998 keys;
-# with every other coefficient zero in 0.28 s over Q with 125751 keys, the
-# most keys here, at 59 MiB peak RSS; (21,)*50 at p = 13 in 0.98 s with 4961
-# keys, 0.95 s with 47861 keys with half its coefficients zero; (101,)*10 at
-# p = 7 in 0.80 s; and (501, 501) at p = 499, whose one mod-p pair table is
-# the largest, in 0.96 s.
+# Largest socle degree m that is folded; above it lefschetz._auto_route folds
+# nothing and blockrec checks the maps the fold would answer dense, so only a
+# map too big both to fold and to build is refused.  The type has at most
+# (m+1)(m+2)/2 keys.  Measured at m = 1000 on one core of a 2-vCPU Xeon, each
+# in a fresh interpreter (28 MiB after import): quadratic(1000) at p = 7 folds
+# in 0.54 s with 998 keys; with every other coefficient zero in 0.28 s over Q
+# with 125751 keys, the most keys here, at 59 MiB peak RSS; (21,)*50 at p = 13
+# in 0.98 s with 4961 keys, 0.95 s with 47861 keys with half its coefficients
+# zero; (101,)*10 at p = 7 in 0.80 s; and (501, 501) at p = 499, whose one
+# mod-p pair table is the largest, in 0.96 s.
 _MAX_FOLD_DEGREE = 1000
 
 

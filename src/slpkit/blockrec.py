@@ -17,10 +17,10 @@ map (j, k-2j) of the first k variables, is bijective when (k-1, j) and
 (2j = k) and in the 1x1 maps l^k: A_0 -> A_k (j = 0), the scalars
 k! c_1...c_k.  In characteristic 0 or above n with no zero coefficient
 every step and every base map is invertible, so the induction builds no
-matrix.  The auto route decides once per (spec, form) whether those
-hypotheses hold, with one 1x1 map, and where one fails it folds the Jordan
-type (_jordan) once, up to the fold's bound on the socle degree.
-recursive_middle_rank reads every map's answer off that one decision: the
+matrix.  lefschetz makes the auto route's one decision per (spec, form):
+whether those hypotheses hold, with one 1x1 map, and where one fails the
+Jordan type (_jordan), folded up to the fold's bound on the socle degree.
+recursive_middle_rank reads every map's answer off that decision: the
 proof's rank, carried to every other spec by the block-sum embedding and
 to every (i, t) from the middle maps; the rank counted off the type's
 strings, which builds no map of the spec either; or, above the fold's
@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from typing import Mapping
 
 from .exactmat import (
     ExactMatrix,
@@ -40,8 +38,7 @@ from .exactmat import (
     rank_mod_p,  # unused; perfbench/tests/test_tracing.py expects this binding
     scale,
 )
-from ._jordan import _MAX_FOLD_DEGREE, jordan_type
-from .lefschetz import LinearForm, MapCheck, build_matrix, check_map
+from .lefschetz import LinearForm, MapCheck, _auto_route, build_matrix, check_map
 from .quotient import AlgebraSpec
 
 
@@ -97,29 +94,6 @@ def decompose(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> BlockDecom
     bl = scale(raw_bl, scalar)
     br = build_matrix(rspec, rform, i - 1, t).matrix
     return BlockDecomposition(spec, form, i, t, tl, bl, br, scalar)
-
-
-# a sweep reads one key; at the fold's bound a type can hold some 30 MiB
-@lru_cache(maxsize=2)
-def _auto_route(spec: AlgebraSpec, form: LinearForm) -> tuple[str | None, int, Mapping[tuple[int, int], int] | None]:
-    """The auto route's one decision for (spec, form): (fallback reason, socle peak_bits, Jordan type).
-
-    The proof's hypotheses are characteristic 0 or above the socle degree m,
-    and the 1x1 socle map l^m: A_0 -> A_m nonzero, checked by check_map's
-    dense route.  When they hold the reason is None and peak_bits is the
-    socle map's; otherwise the reason says why, peak_bits is 0 and the type
-    is folded, or None above _MAX_FOLD_DEGREE, where the maps are built.
-    """
-    m = spec.socle_degree
-    char = spec.characteristic
-    if char and char <= m:
-        reason = f"characteristic {char} <= socle degree {m}; structured path unavailable"
-    else:
-        socle = check_map(spec, form, 0, m, "dense")
-        if socle.maximal:
-            return None, socle.peak_bits, None
-        reason = "zero coefficient in the form; structured path unavailable"
-    return reason, 0, jordan_type(spec, form.coefficients) if m <= _MAX_FOLD_DEGREE else None
 
 
 def recursive_middle_rank(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> MapCheck:

@@ -29,15 +29,16 @@ fails, so the expensive path runs exactly when something genuinely
 degenerates.  Coefficients are integers, so every matrix is over ZZ or F_p.
 Its auto route, blockrec.recursive_middle_rank, is the paper's proof: the
 induction on variables, carried to every spec by the block-sum embedding
-and to every (i, t) by the argument above.  It makes one decision per
-(spec, form): whether the proof's hypotheses hold, which builds no matrix
-beyond the 1x1 socle map l^m: A_0 -> A_m, checked through the dense route,
-and where they fail the Jordan-type fold (_jordan), which reads the rank
-off the strings of multiplication by the form, folded one variable at a
-time, and builds no map of the spec.  Every map of the pair reads its
-answer off that decision, a fallback with a note that says why.  All
-routes answer with a MapCheck.  method "auto", the default, takes the
-proof route for every map; "dense", the oracle, always builds the map.
+and to every (i, t) by the argument above.  _auto_route makes its one
+decision per (spec, form): whether the proof's hypotheses hold, which
+builds no matrix beyond the 1x1 socle map l^m: A_0 -> A_m, checked through
+the dense route, and where they fail the Jordan-type fold (_jordan), which
+reads the rank off the strings of multiplication by the form, folded one
+variable at a time, and builds no map of the spec.  slp_check reads it to
+know whether a sweep builds its maps, and every map of the pair reads its
+answer off it, a fallback with a note that says why.  All routes answer
+with a MapCheck.  method "auto", the default, takes the proof route for
+every map; "dense", the oracle, always builds the map.
 
 Only maps that are built are refused for size: build_matrix refuses one
 whose cells and listed basis entries cost more than MAX_MAP_CELLS cells
@@ -51,11 +52,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import comb
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
+from ._jordan import _MAX_FOLD_DEGREE, jordan_type
 from ._primes import is_prime
 from .exactmat import (
     INT64_BOUND,
@@ -321,6 +324,29 @@ def check_map(spec: AlgebraSpec, form: LinearForm, i: int, t: int, method: str =
     return MapCheck(i, t, nrows, ncols, rr.rank, maximal, rr.method, ms, peak_bits=peak_bits(mat))
 
 
+# a sweep reads one key; at the fold's bound a type can hold some 30 MiB
+@lru_cache(maxsize=2)
+def _auto_route(spec: AlgebraSpec, form: LinearForm) -> tuple[str | None, int, Mapping[tuple[int, int], int] | None]:
+    """The auto route's one decision for (spec, form): (fallback reason, socle peak_bits, Jordan type).
+
+    The proof's hypotheses are characteristic 0 or above the socle degree m,
+    and the 1x1 socle map l^m: A_0 -> A_m nonzero, checked by check_map's
+    dense route.  When they hold the reason is None and peak_bits is the
+    socle map's; otherwise the reason says why, peak_bits is 0 and the type
+    is folded, or None above _MAX_FOLD_DEGREE, where the maps are built.
+    """
+    m = spec.socle_degree
+    char = spec.characteristic
+    if char and char <= m:
+        reason = f"characteristic {char} <= socle degree {m}; structured path unavailable"
+    else:
+        socle = check_map(spec, form, 0, m, "dense")
+        if socle.maximal:
+            return None, socle.peak_bits, None
+        reason = "zero coefficient in the form; structured path unavailable"
+    return reason, 0, jordan_type(spec, form.coefficients) if m <= _MAX_FOLD_DEGREE else None
+
+
 def slp_check(
     spec: AlgebraSpec,
     form: LinearForm,
@@ -355,8 +381,6 @@ def slp_check(
     start = time.perf_counter()
     builds = method == "dense"
     if not builds:
-        from .blockrec import _auto_route
-
         reason, _, strings = _auto_route(spec, form)
         builds = reason is not None and strings is None
     if builds:

@@ -2,12 +2,12 @@
 import numpy as np
 import pytest
 
-from slpkit.blockrec import _auto_route
 from slpkit.embedding import _target_middle_maps
 from slpkit.exactmat import ExactMatrix
+from slpkit.lefschetz import _auto_route
 
 # every memo that holds built maps or decisions; tests/test_package.py checks
-# that each lru_cache of blockrec and embedding is listed here
+# that each lru_cache of blockrec, embedding and lefschetz is listed here
 MEMOS = (_auto_route, _target_middle_maps)
 
 

@@ -170,7 +170,7 @@ def test_recursive_rank_zero_coefficient_falls_back():
 
 @pytest.mark.parametrize("char", [0, 101])
 def test_singular_base_map_falls_back_to_the_fold(monkeypatch, char):
-    real = slpkit.blockrec.check_map
+    real = slpkit.lefschetz.check_map
     calls = []
 
     def first_base_map_singular(*args):
@@ -178,7 +178,8 @@ def test_singular_base_map_falls_back_to_the_fold(monkeypatch, char):
         calls.append(args[:4])
         return replace(mc, maximal=False) if len(calls) == 1 else mc
 
-    monkeypatch.setattr(slpkit.blockrec, "check_map", first_base_map_singular)
+    for module in (slpkit.lefschetz, slpkit.blockrec):
+        monkeypatch.setattr(module, "check_map", first_base_map_singular)
     spec = AlgebraSpec.quadratic(6, char)
     form = LinearForm((1, 2, -1, 3, 1, -2))
     rr = recursive_middle_rank(spec, form, 2, 2)
@@ -192,7 +193,7 @@ def test_singular_base_map_falls_back_to_the_fold(monkeypatch, char):
 
 
 def test_fallback_ms_covers_the_socle_check(monkeypatch):
-    real = slpkit.blockrec.check_map
+    real = slpkit.lefschetz.check_map
     inner = []
 
     def recording(*args):
@@ -200,7 +201,8 @@ def test_fallback_ms_covers_the_socle_check(monkeypatch):
         inner.append(mc.ms)
         return mc
 
-    monkeypatch.setattr(slpkit.blockrec, "check_map", recording)
+    for module in (slpkit.lefschetz, slpkit.blockrec):
+        monkeypatch.setattr(module, "check_map", recording)
     rr = recursive_middle_rank(AlgebraSpec.quadratic(6), LinearForm((1, 2, 0, 3, 1, 1)), 2, 2)
     # the socle check, then the fold, which checks no map
     assert len(inner) == 1 and rr.notes and rr.method == "jordan"
@@ -290,7 +292,7 @@ def test_block_route_builds_only_base_maps(monkeypatch, char, exponents):
             pytest.fail(f"built the ({i}, {t}) map of {spec.n} variables")
         return real_build(spec, form, i, t)
 
-    real_check = slpkit.blockrec.check_map
+    real_check = slpkit.lefschetz.check_map
     real_rank = slpkit.blockrec.recursive_middle_rank
     checks, ranked = [], []
 
@@ -303,7 +305,8 @@ def test_block_route_builds_only_base_maps(monkeypatch, char, exponents):
         return real_rank(spec, form, i, t)
 
     monkeypatch.setattr(slpkit.lefschetz, "build_matrix", only_one_by_one)
-    monkeypatch.setattr(slpkit.blockrec, "check_map", counting_check)
+    for module in (slpkit.lefschetz, slpkit.blockrec):
+        monkeypatch.setattr(module, "check_map", counting_check)
     monkeypatch.setattr(slpkit.blockrec, "recursive_middle_rank", counting_rank)
     spec = AlgebraSpec(len(exponents), exponents, char)
     form = LinearForm(tuple((-1) ** k * (k % 5 + 1) for k in range(spec.n)))
@@ -314,16 +317,18 @@ def test_block_route_builds_only_base_maps(monkeypatch, char, exponents):
     verdicts = [(i, spec.dim(i), "block-recursive") for i in range((m + 1) // 2)]
     assert [(c.i, c.rank, c.method) for c in report.maps] == verdicts
     assert ranked == list(range((m + 1) // 2))
-    # one base map per slp_check, shared by every middle map: the socle map l^m: A_0 -> A_m
-    assert checks == [(0, m, "dense")]
+    # one base map per slp_check, shared by every middle map: the socle map
+    # l^m: A_0 -> A_m, checked dense before slp_check asks for the auto maps
+    sweep = [(i, t, "auto") for i, t in middle_pairs(m)]
+    assert checks == [(0, m, "dense"), *sweep]
     # a second sweep of the same (spec, form) reuses it
     assert [(c.i, c.rank, c.method) for c in slp_check(spec, form).maps] == verdicts
-    assert checks == [(0, m, "dense")]
+    assert checks == [(0, m, "dense"), *sweep, *sweep]
 
 
 def _answers(spec, form):
     """Every map's auto answer for (spec, form), ms aside, from a cleared memo."""
-    slpkit.blockrec._auto_route.cache_clear()
+    slpkit.lefschetz._auto_route.cache_clear()
     return [replace(check_map(spec, form, i, t), ms=0.0) for i, t in full_pairs(spec.socle_degree)]
 
 
@@ -336,7 +341,7 @@ def test_the_route_is_decided_per_spec_and_form():
     pairs = [(spec, x), (spec, y), (replace(spec, characteristic=5), x)]
     alone = [_answers(s, f) for s, f in pairs]
     assert alone[0] != alone[1] and alone[0] != alone[2]
-    slpkit.blockrec._auto_route.cache_clear()
+    slpkit.lefschetz._auto_route.cache_clear()
     interleaved = [[] for _ in pairs]
     for i, t in full_pairs(spec.socle_degree):
         for answers, (s, f) in zip(interleaved, pairs):
@@ -353,7 +358,7 @@ def test_the_route_is_decided_per_spec_and_form():
     ids=["p7", "zero-coefficient"],
 )
 def test_each_pair_is_decided_once(monkeypatch, spec, form, built):
-    real_build, real_fold = slpkit.lefschetz.build_matrix, slpkit.blockrec.jordan_type
+    real_build, real_fold = slpkit.lefschetz.build_matrix, slpkit.lefschetz.jordan_type
     builds, folds = [], []
 
     def counting_build(s, f, i, t):
@@ -365,7 +370,7 @@ def test_each_pair_is_decided_once(monkeypatch, spec, form, built):
         return real_fold(*args)
 
     monkeypatch.setattr(slpkit.lefschetz, "build_matrix", counting_build)
-    monkeypatch.setattr(slpkit.blockrec, "jordan_type", counting_fold)
+    monkeypatch.setattr(slpkit.lefschetz, "jordan_type", counting_fold)
     assert not slp_check(spec, form).slp
     for i, t in full_pairs(spec.socle_degree):
         assert check_map(spec, form, i, t).method == "jordan"

@@ -428,12 +428,12 @@ def test_thin_map_too_long_to_list_exits_two(capsys, monkeypatch):
 
 def test_above_the_fold_bound_only_maps_too_big_to_build_exit_two(capsys, monkeypatch):
     import slpkit._jordan
-    import slpkit.blockrec
+    import slpkit.lefschetz
 
     def no_fold(*args):
         pytest.fail("folded above the bound")
 
-    monkeypatch.setattr(slpkit.blockrec, "jordan_type", no_fold)
+    monkeypatch.setattr(slpkit.lefschetz, "jordan_type", no_fold)
     m = slpkit._jordan._MAX_FOLD_DEGREE
     # above the bound the maps the fold would answer are built and ranked
     code, out, err = run(capsys, "rank", "--quadratic", str(m + 1), "--char", "7", "--i", "0", "--t", "1")

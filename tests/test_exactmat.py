@@ -1051,6 +1051,36 @@ def test_permuted_direct_sum_ranks_block_by_block(big, monkeypatch):
         assert certified_rank(ExactMatrix.from_rows(scaled)).rank == rr.rank
 
 
+def test_tall_rank_deficient_products_match_the_oracles():
+    # an n x k product through r < k dimensions, n > k, with zero rows and
+    # columns: rank-deficient, so the modular probe cannot certify it and the
+    # fraction-free elimination runs on its tall blocks
+    rng = random.Random(1117)
+    for _ in range(60):
+        k = rng.randint(2, 7)
+        n, r = rng.randint(k + 1, 16), rng.randint(1, k - 1)
+        left, right = random_matrix(rng, n, r, -3, 3), random_matrix(rng, r, k, -3, 3)
+        rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
+        for i in rng.sample(range(n), rng.randint(0, 3)):
+            rows[i] = [0] * k
+        for j in rng.sample(range(k), rng.randint(0, 1)):
+            for row in rows:
+                row[j] = 0
+        m = ExactMatrix.from_rows(rows)
+        want = oracles.gauss_rank(rows)
+        assert want < k
+        rr = rank_fraction_free(m)
+        assert rr.rank == certified_rank(m).rank == want
+        assert rank_mod_p(m, 3).rank == oracles.mod_rank(rows, 3)
+        # pivots are the input's (row, column) pairs, sorted by column, and
+        # name a minor whose determinant is pivot_minor_det up to sign
+        assert [c for _r, c in rr.pivots] == sorted(c for _r, c in rr.pivots)
+        assert len({r for r, _c in rr.pivots}) == len(rr.pivots) == want
+        if want:
+            sub = [[rows[i][c] for (_pr, c) in rr.pivots] for (i, _pc) in rr.pivots]
+            assert abs(rr.pivot_minor_det) == abs(oracles.gauss_det(sub)) != 0
+
+
 def test_components_skip_zero_rows_and_columns():
     # rows 0 and 3 meet through column 2; row 1 and column 1 are zero
     mask = np.array([[1, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]) != 0

@@ -9,6 +9,7 @@ import slpkit._primes
 import slpkit.blockrec
 import slpkit.embedding
 import slpkit.exactmat
+import slpkit.lefschetz
 
 SRC = Path(slpkit.__file__).resolve().parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -104,7 +105,7 @@ def test_readme_module_table_lists_every_public_module():
     assert table == modules
 
 
-def test_the_fixture_clears_every_memo_of_blockrec_and_embedding():
+def test_the_fixture_clears_every_memo_of_blockrec_embedding_and_lefschetz():
     # loaded by path: perfbench/tests has a conftest.py of its own
     spec = importlib.util.spec_from_file_location("slpkit_tests_conftest", CONFTEST)
     conftest = importlib.util.module_from_spec(spec)
@@ -112,8 +113,32 @@ def test_the_fixture_clears_every_memo_of_blockrec_and_embedding():
     # the memos each module defines, not those it imports from quotient
     memos = {
         f"{module.__name__}.{name}"
-        for module in (slpkit.blockrec, slpkit.embedding)
+        for module in (slpkit.blockrec, slpkit.embedding, slpkit.lefschetz)
         for name, value in vars(module).items()
         if hasattr(value, "cache_clear") and value.__module__ == module.__name__
     }
     assert memos == {f"{memo.__module__}.{memo.__name__}" for memo in conftest.MEMOS}
+
+
+def _call_time_imports(node, func=None):
+    """(innermost function, statement) for each import statement inside a function body."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _call_time_imports(child, child.name)
+        elif isinstance(child, (ast.Import, ast.ImportFrom)):
+            if func is not None:
+                yield func, ast.unparse(child)
+        else:
+            yield from _call_time_imports(child, func)
+
+
+def test_the_only_call_time_import_is_check_maps():
+    # blockrec imports lefschetz, so check_map imports recursive_middle_rank
+    # when it runs; perfbench's required span blockrec.recursive_middle_rank
+    # pins that import until the benchmark revision (ROADMAP item 1a)
+    found = [
+        (path.stem, *imp)
+        for path in sorted(SRC.glob("*.py"))
+        for imp in _call_time_imports(ast.parse(path.read_text()))
+    ]
+    assert found == [("lefschetz", "check_map", "from .blockrec import recursive_middle_rank")]
