@@ -21,13 +21,7 @@ from math import comb
 
 from ._primes import primes_in_range
 from .blockrec import decompose
-from .embedding import (
-    EmbeddingSpec,
-    _refuse_oversized_embedding,
-    transfer_slp,
-    verify_kernel_dims,
-    verify_socle_image,
-)
+from .embedding import EmbeddingSpec, transfer_slp, verify_kernel_dims, verify_socle_image
 from .exactmat import (
     ExactMatrix,
     determinant,
@@ -196,11 +190,11 @@ def _cmd_char_search(args) -> int:
 def _cmd_embed_verify(args) -> int:
     spec = _spec_from_args(args)
     es = EmbeddingSpec.from_spec(spec)
-    _refuse_oversized_embedding(es)
     start = time.perf_counter()
-    socle = verify_socle_image(es)
-    kernel = verify_kernel_dims(es)
+    # transfer_slp first: its target-map size check refuses whatever the other two would
     transfer = transfer_slp(es)
+    kernel = verify_kernel_dims(es)
+    socle = verify_socle_image(es)
     ms = (time.perf_counter() - start) * 1000.0
     print(f"embedding into {es.m} square-free variables")
     print(f"socle scalar {socle.scalar} ({'non-zero' if socle.nonzero else 'zero'} in the field): {'ok' if socle.ok else 'MISMATCH'}")
@@ -356,11 +350,20 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _build_parser(argv[0] if argv else None).parse_args(argv)
+    # a paper-size dimension passes Python's int-to-str limit (C(15000, 7500)
+    # has 4514 digits): lift it for the command alone, so that an in-process
+    # caller keeps its own.  Python 3.10 before 3.10.7 has no limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return _COMMANDS[args.command][1](args)
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

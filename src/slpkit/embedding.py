@@ -199,32 +199,27 @@ class KernelDimsRecord:
         return all(d.ok for d in self.degrees)
 
 
-def _refuse_oversized_tables(es: EmbeddingSpec) -> None:
-    """_refuse_oversized for each source code table that verify_kernel_dims lists, in characteristic p only.
-
-    The degree-j table decodes to dim(j) rows of n digits.
-    """
-    if es.characteristic:
-        for j in range(es.m + 1):
-            rows = es.source_spec.dim(j)
-            _refuse_oversized(rows, es.n, rows, f"the degree-{j} code table of the embedding's source")
-
-
 def verify_kernel_dims(es: EmbeddingSpec) -> KernelDimsRecord:
     """Certify injectivity degree by degree: rank == source dimension.
 
     A piece's rank is the number of its columns whose value is nonzero in
     the field (module docstring): every column over Q, where nothing is
     listed, and in characteristic p a count off the source's code table.  So
-    no matrix is built or eliminated and no target monomial is listed; only
-    a source code table too large to list is refused, before any is built.
+    no matrix is built or eliminated and no target monomial is listed.  In
+    characteristic p every code table, dim(j) rows of n digits, is checked
+    for size before any is listed.  An embedding with a table too large to
+    list also has a target middle map too large to build, so transfer_slp
+    refuses it as well.
     """
-    _refuse_oversized_tables(es)
     p = es.characteristic
     source = es.source_spec.exponents
-    records = []
     # the source's socle degree is m, so hv lists degrees 0..m
-    for j, dim_src in enumerate(hilbert_vector(es.source_spec)):
+    hv = hilbert_vector(es.source_spec)
+    if p:
+        for j, rows in enumerate(hv):
+            _refuse_oversized(rows, es.n, rows, f"the degree-{j} code table of the embedding's source")
+    records = []
+    for j, dim_src in enumerate(hv):
         rank = dim_src
         if p:
             # prod(c_k!) vanishes mod p exactly when some c_k >= p
@@ -267,19 +262,6 @@ class TransferRecord:
         return self.slp_direct == self.slp_via_embedding
 
 
-def _refuse_oversized_embedding(es: EmbeddingSpec) -> None:
-    """Raise ValueError, before any work, for a matrix too large to hold (lefschetz._refuse_oversized).
-
-    They are those that verify_kernel_dims and transfer_slp refuse: the
-    source code tables in characteristic p and the middle maps of source
-    and target.  The target map from degree i has at least the cells and
-    listed entries of the degree-i piece that transfer_slp builds.
-    """
-    _refuse_oversized_tables(es)
-    for spec in (es.target_spec, es.source_spec):
-        _refuse_oversized_maps(spec, middle_pairs(es.m))
-
-
 @lru_cache(maxsize=1)
 def _target_middle_maps(m: int, characteristic: int) -> tuple[ExactMatrix, ...]:
     """The middle maps (i, m - 2i) of the all-ones form on quadratic(m), by i, kept for the last target.
@@ -300,7 +282,9 @@ def transfer_slp(es: EmbeddingSpec) -> TransferRecord:
     the quadratic algebra and asks the target middle map to stay injective on
     the image; source pieces in complementary degrees have equal dimension,
     so full column rank of the composite decides the source middle map.
-    Every target middle map's size is checked before any map is built.
+    Every target middle map's size is checked first, before any map is
+    built; every embedding that the source's middle maps or
+    verify_kernel_dims' code tables would refuse fails it (m >= 17).
     Each piece below the middle degree is built here by phi_matrix, and the
     target middle maps come from _target_middle_maps, which keeps the last
     target's maps only.

@@ -9,9 +9,9 @@ by splitting over the last variable; graded_basis decodes it into tuples.
 Coefficients are integers, read in Q (characteristic 0) or F_p
 (characteristic p, entries kept as residues in [0, p)).
 
-Code tables, listings, position dicts and Hilbert functions are memoized in
-lru_caches of _MEMO_SIZE entries: a sweep over many algebras keeps the
-working set of its current step, not every algebra it has checked.
+Code tables, listings and Hilbert functions are memoized in lru_caches of
+_MEMO_SIZE entries: a sweep over many algebras keeps the working set of its
+current step, not every algebra it has checked.
 """
 from __future__ import annotations
 
@@ -32,7 +32,9 @@ from .exactmat import INT64_BOUND
 # composition of m) reads the source's m + 1 pieces and the target's pieces
 # below m/2: at most 16 code tables and 7 entries of any other memo at
 # m = 10.  So 32 holds a step for every m <= 20, and the target's tables stay
-# in across the sweep.
+# in across the sweep.  basis_positions keeps no memo: its one caller here,
+# build_matrix, reads only the dict's length, and no benchmark pass reads
+# the same (spec, degree) dict twice.
 _MEMO_SIZE = 32
 
 
@@ -189,7 +191,6 @@ def graded_basis(spec: AlgebraSpec, t: int) -> tuple[tuple[int, ...], ...]:
     return _listing(spec.exponents, t)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def basis_positions(spec: AlgebraSpec, t: int) -> Mapping[tuple[int, ...], int]:
     """Exponent tuple -> row/column index inside graded_basis(spec, t)."""
     return {m: k for k, m in enumerate(graded_basis(spec, t))}

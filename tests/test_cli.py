@@ -3,7 +3,9 @@ import argparse
 import doctest
 import json
 import shlex
+import sys
 from dataclasses import replace
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -487,6 +489,8 @@ def test_paper_size_inputs_get_their_verdict(capsys):
     [
         ["embed-verify", "--quadratic", "17"],
         ["embed-verify", "--exponents", "18"],
+        # m = 17 in characteristic p, where verify_kernel_dims would list source code tables
+        ["embed-verify", "--exponents", "10,9", "--char", "3"],
         ["bench", "--quadratic", "17"],
     ],
     ids=" ".join,
@@ -509,6 +513,33 @@ def test_oversized_embedding_and_bench_exit_two_before_any_work(capsys, monkeypa
         monkeypatch.setattr(module, name, no_work)
     code, out, err = run(capsys, *argv)
     assert code == 2 and "limit" in err and out == ""
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit before Python 3.10.7")
+def test_paper_size_answers_print_under_any_digit_limit(capsys, tmp_path):
+    # C(2200, 1100) has 661 digits, above 640, the lowest limit Python allows
+    path = tmp_path / "h.json"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        hilbert = run(capsys, "hilbert", "--quadratic", "2200", "--out", str(path))
+        slp = run(capsys, "slp", "--quadratic", "2200")
+        bad_char = run(capsys, "slp", "--quadratic", "3", "--char", "4")
+        with pytest.raises(SystemExit) as usage:
+            main(["slp", "--quadratic", "3", "--bogus"])
+        # main lifts the limit for its command alone
+        after = sys.get_int_max_str_digits()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert after == 640
+    h = [comb(2200, k) for k in range(2201)]
+    assert hilbert == (0, ",".join(map(str, h)) + "\n", "")
+    assert json.loads(path.read_text())["h"] == h
+    code, out, _ = slp
+    assert code == 0 and out.endswith("SLP holds for 2200 variables, characteristic 0\n")
+    assert f"i=1099 t=2  {h[1101]}x{h[1099]} rank={h[1099]} " in out
+    assert bad_char[0] == 2 and bad_char[2].startswith("error: ")
+    assert usage.value.code == 2
 
 
 def test_input_errors_exit_two(capsys):

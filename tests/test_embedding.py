@@ -19,6 +19,7 @@ from slpkit.embedding import (
     verify_socle_image,
 )
 from slpkit.exactmat import certified_rank
+from slpkit.lefschetz import _refuse_oversized_maps, middle_pairs
 from slpkit.quotient import AlgebraSpec, _position_codes, graded_basis, hilbert_vector, multiply
 
 
@@ -309,6 +310,28 @@ def test_oversized_pieces_and_maps_are_refused_before_any_listing(monkeypatch):
     # one source variable: every piece is a column, but the target (7, 3) map is not
     with pytest.raises(ValueError, match=r"\(i=7, t=3\) map is 19448x19448"):
         transfer_slp(EmbeddingSpec.from_powers((17,)))
+
+
+@st.composite
+def _compositions_up_to_16(draw):
+    m = draw(st.integers(1, 16))
+    cuts = draw(st.lists(st.booleans(), min_size=m - 1, max_size=m - 1))
+    borders = [0, *(k + 1 for k, cut in enumerate(cuts) if cut), m]
+    return tuple(b - a for a, b in zip(borders, borders[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_compositions_up_to_16(), st.sampled_from([0, 2, 3]))
+def test_the_target_maps_size_check_covers_the_other_checks(powers, char):
+    # embed-verify runs transfer_slp first, whose first statement checks the
+    # target's middle maps; for m <= 16 they fit (m = 17 is refused in
+    # test_oversized_pieces_and_maps_are_refused_before_any_listing),
+    # and so do the source's middle maps and, in characteristic p, the code
+    # tables verify_kernel_dims lists
+    es = EmbeddingSpec.from_powers(powers, char)
+    _refuse_oversized_maps(es.target_spec, middle_pairs(es.m))
+    _refuse_oversized_maps(es.source_spec, middle_pairs(es.m))
+    verify_kernel_dims(es)
 
 
 def test_kernel_dims_check_every_piece_before_building_any(monkeypatch):
