@@ -28,8 +28,19 @@ Gorenstein of socle degree top = L + b - 2 and u + y is self-adjoint for its
 pairing, so the type is symmetric and exactly one string ends in each degree
 top - k, k < r.  In characteristic 0 or p > top the pair algebra has the
 strong Lefschetz property (the paper's theorem in two variables), and the
-type is Clebsch-Gordan: (k, L + b - 1 - 2k) for k < r.  Otherwise the ends
-are found mod p.  Swapping u and y, take L <= b, so r = L.  For s < r
+type is Clebsch-Gordan: (k, L + b - 1 - 2k) for k < r.
+
+The side-two closed form.  Let M = max(L, b).  When r = 1 the pair
+algebra is k[u]/(u^M), one string (0, M), in every characteristic.  When
+r = 2, call the short side's variable y, so y^2 = 0 and
+(u + y)^k = u^k + k u^(k-1) y: the string from degree 0 has length M + 1
+exactly when p does not divide M, and length M otherwise.  One string
+starts in each degree below 2 and the lengths add up to 2M, so the type is
+Clebsch-Gordan, ((0, M + 1), (1, M - 1)), when p does not divide M, and
+((0, M), (1, M)) when it does.
+
+Otherwise, r >= 3 and p <= top, the ends are found mod p; only there does
+the inverse below run.  Swapping u and y, take L <= b, so r = L.  For s < r
 every monomial of degree s survives, so A_s is spanned by the
 u^a (u + y)^(s-a), a <= s, and v_0..v_s span (u + y)^(b-1-s) A_s, where
 v_s = (u + y)^(b-1-s) u^s in degree b - 1.  Their images in degree e >= b - 1
@@ -66,18 +77,22 @@ from .quotient import AlgebraSpec, _hilbert_function
 # map too big both to fold and to build is refused.  The type has at most
 # (m+1)(m+2)/2 keys.  Measured at m = 1000 on one core of a 2-vCPU Xeon, each
 # in a fresh interpreter (28 MiB after import): quadratic(1000) at p = 7 folds
-# in 0.54 s with 998 keys; with every other coefficient zero in 0.28 s over Q
-# with 125751 keys, the most keys here, at 59 MiB peak RSS; (21,)*50 at p = 13
-# in 0.98 s with 4961 keys, 0.95 s with 47861 keys with half its coefficients
-# zero; (101,)*10 at p = 7 in 0.80 s; and (501, 501) at p = 499, whose one
-# mod-p pair table is the largest, in 0.96 s.
+# in about 0.4 s with 998 keys, every pair table of side two, in closed
+# form; with every other coefficient zero in 0.28 s over Q with 125751 keys,
+# the most keys here, at 59 MiB peak RSS; (21,)*50 at p = 13 in 0.98 s with
+# 4961 keys, 0.95 s with 47861 keys with half its coefficients zero;
+# (101,)*10 at p = 7 in 0.80 s; and (501, 501) at p = 499, whose one mod-p
+# pair table is the largest, in 0.96 s.
 _MAX_FOLD_DEGREE = 1000
 
 
 def _pair_type(length: int, b: int, p: int) -> tuple[tuple[int, int], ...]:
     """Strings (start, length) of u + y on k[u, y]/(u^length, y^b) in characteristic p."""
     short, top = min(length, b), length + b - 2
-    if p == 0 or p > top:
+    if short == 2 and p and top % p == 0:
+        # side two, p divides max(length, b) = top: the module docstring
+        return ((0, top), (1, top))
+    if short <= 2 or p == 0 or p > top:
         return tuple((k, top + 1 - 2 * k) for k in range(short))
     return _pair_type_mod_p(length, b, p)
 

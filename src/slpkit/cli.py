@@ -152,10 +152,12 @@ def _cmd_slp(args) -> int:
     report = slp_check(spec, form, mode=args.mode, method=args.method)
     for c in report.maps:
         mark = "ok " if c.maximal else "FAIL"
-        print(
-            f"  {mark} i={c.i:<2d} t={c.t:<2d} {c.rows}x{c.cols}"
-            f" rank={c.rank} ({c.method}, {c.ms:.2f} ms)"
-        )
+        # a middle map is square and mostly of full rank, and a paper-size
+        # dimension has thousands of digits: convert each distinct value once
+        rows = str(c.rows)
+        cols = rows if c.cols == c.rows else str(c.cols)
+        rank = rows if c.rank == c.rows else cols if c.rank == c.cols else str(c.rank)
+        print(f"  {mark} i={c.i:<2d} t={c.t:<2d} {rows}x{cols} rank={rank} ({c.method}, {c.ms:.2f} ms)")
     print(f"SLP {'holds' if report.slp else 'fails'} for {spec.n} variables, characteristic {spec.characteristic}")
     _emit(args, report.to_json_dict())
     return 0 if report.slp else 1

@@ -291,7 +291,7 @@ def transfer_slp(es: EmbeddingSpec) -> TransferRecord:
     """
     m = es.m
     source = es.source_spec
-    _refuse_oversized_maps(es.target_spec, middle_pairs(m))
+    _refuse_oversized_maps(es.target_spec, middle_pairs(m), "the target's")
     hv = hilbert_vector(source)
     direct = slp_check(source, LinearForm.ones(es.n), method="dense")
     records = []

@@ -88,6 +88,11 @@ class LinearForm:
             coeffs = tuple(map(_int_coeff, coeffs))
         if coeffs is not self.coefficients:
             object.__setattr__(self, "coefficients", coeffs)
+        # once, as AlgebraSpec's: the auto route's memo hashes the form per map
+        object.__setattr__(self, "_hash", hash(coeffs))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def nvars(self) -> int:
@@ -147,14 +152,16 @@ def _refuse_oversized(rows: int, cols: int, listed: int, what: str) -> None:
         )
 
 
-def _refuse_oversized_maps(spec: AlgebraSpec, pairs: Iterable[tuple[int, int]]) -> None:
+def _refuse_oversized_maps(spec: AlgebraSpec, pairs: Iterable[tuple[int, int]], whose: str = "the") -> None:
     """_refuse_oversized for the map of l^t from degree i, for every (i, t) in pairs.
 
     build_matrix lists the degree-i, degree-t and degree-(i + t) pieces.
+    whose names the algebra in the message when it is not the one the caller
+    was given ("the target's").
     """
     for i, t in pairs:
         rows, cols = spec.dim(i + t), spec.dim(i)
-        _refuse_oversized(rows, cols, rows + cols + spec.dim(t), f"the (i={i}, t={t}) map")
+        _refuse_oversized(rows, cols, rows + cols + spec.dim(t), f"{whose} (i={i}, t={t}) map")
 
 
 def build_matrix(spec: AlgebraSpec, form: LinearForm, i: int, t: int) -> MultiplicationMatrix:

@@ -87,11 +87,16 @@ class AlgebraSpec:
             raise ValueError("killed powers must be integers >= 1")
         if not isinstance(char, int) or char != 0 and not is_prime(char):
             raise ValueError("characteristic must be 0 or a prime")
+        # the fields' hash, once: the auto route's memo hashes the spec per map
+        object.__setattr__(self, "_hash", hash((n, self.exponents, char)))
 
     @classmethod
     def quadratic(cls, n: int, characteristic: int = 0) -> "AlgebraSpec":
         """The square-free case: all variables killed at power 2."""
         return cls(n, (2,) * n, characteristic)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @cached_property
     def socle_degree(self) -> int:

@@ -515,6 +515,16 @@ def test_oversized_embedding_and_bench_exit_two_before_any_work(capsys, monkeypa
     assert code == 2 and "limit" in err and out == ""
 
 
+def test_a_size_refusal_names_whose_map_it_is(capsys):
+    # the one-variable source has no such map: the refused map is the target quadratic(17)'s
+    code, out, err = run(capsys, "embed-verify", "--exponents", "18")
+    assert code == 2 and out == ""
+    assert err.startswith("error: the target's (i=7, t=3) map is 19448x19448 and lists 39576 basis entries")
+    # named on the command line, quadratic(17)'s own map is "the" map
+    code, out, err = run(capsys, "slp", "--quadratic", "17", "--method", "dense")
+    assert code == 2 and out == "" and err.startswith("error: the (i=7, t=3) map is 19448x19448 ")
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit before Python 3.10.7")
 def test_paper_size_answers_print_under_any_digit_limit(capsys, tmp_path):
     # C(2200, 1100) has 661 digits, above 640, the lowest limit Python allows

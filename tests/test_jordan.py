@@ -69,6 +69,40 @@ def test_closed_form_pair_tables_match_the_mod_p_tables():
         assert _pair_type(length, b, 2) == _pair_type_mod_p(length, b, 2)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 2),
+    st.integers(1, 1000),
+    st.booleans(),
+    st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]),
+)
+def test_side_two_pair_tables_match_the_mod_p_tables(short, long, swap, p):
+    # the closed form of short side r <= 2, in either order, against the inverse it replaces
+    length, b = (long, short) if swap else (short, long)
+    assert _pair_type(length, b, p) == _pair_type_mod_p(length, b, p), (length, b, p)
+
+
+def test_square_free_algebras_fold_with_no_mod_p_table(monkeypatch):
+    import slpkit._jordan
+
+    def no_mod_p(*args):
+        pytest.fail(f"_pair_type_mod_p{args} on a square-free algebra")
+
+    monkeypatch.setattr(slpkit._jordan, "_pair_type_mod_p", no_mod_p)
+    # in characteristic p a square-free fold keeps every length at most p, so
+    # it meets only the tables with p dividing the long side; try all of side two
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for short, long, p in itertools.product((1, 2), range(1, 100), primes):
+        assert _pair_type(short, long, p) == _pair_type(long, short, p)
+    for n in range(1, 41):
+        for p in (p for p in primes if p <= n):
+            spec = AlgebraSpec.quadratic(n, p)
+            for zeros in (0, 1, n // 2, n):
+                # p vanishes mod p; 1, p - 1 and 2p + 1 do not
+                strings = jordan_type(spec, ((p,) * zeros + (1, p - 1, 2 * p + 1) * n)[:n])
+                assert sum(count * length for (_s, length), count in strings.items()) == 2**n
+
+
 def test_mod_p_pair_tables_match_the_dense_ranks():
     # every map of the two-variable algebra, ranked dense, against the
     # strings that cover it; both orders of the killed powers

@@ -591,6 +591,22 @@ def test_linear_form_helpers():
         LinearForm((1,)).restricted()
 
 
+def test_a_form_hashes_its_coefficients_once():
+    # the auto route's memo looks the form up once per map
+    class Counted(tuple):
+        calls = 0
+
+        def __hash__(self):
+            Counted.calls += 1
+            return super().__hash__()
+
+    form = LinearForm(Counted((1, -2, 3)))
+    memo = {form: "decision"}
+    assert all(memo[form] == "decision" for _ in range(5))
+    assert Counted.calls == 1
+    assert form == LinearForm((1, -2, 3)) and hash(form) == hash(LinearForm([1, -2, np.int64(3)]))
+
+
 @pytest.mark.parametrize(
     "inexact",
     [1.5, 0.5, Decimal("0.5"), Fraction(1, 2), Fraction(4, 1)],

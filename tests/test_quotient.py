@@ -1,4 +1,5 @@
 """Quotient algebras: graded bases, reduction, products, Hilbert vectors."""
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product as iproduct
@@ -410,7 +411,8 @@ def test_spec_validation():
 
 def test_spec_stores_plain_ints():
     spec = AlgebraSpec(np.int64(2), (np.int64(3), True), np.int64(5))
-    assert spec == AlgebraSpec(2, (3, 1), 5)
+    assert spec == AlgebraSpec(2, (3, 1), 5) and hash(spec) == hash(AlgebraSpec(2, (3, 1), 5))
+    assert hash(replace(spec, characteristic=7)) == hash(AlgebraSpec(2, (3, 1), 7))
     assert [type(v) for v in (spec.n, *spec.exponents, spec.characteristic)] == [int] * 4
     assert json.dumps(spec.to_json_dict()) == '{"n": 2, "exponents": [3, 1], "characteristic": 5}'
     assert json.dumps(AlgebraSpec(2, (2, 2), np.int64(5)).to_json_dict()).endswith('"characteristic": 5}')
