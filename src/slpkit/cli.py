@@ -193,7 +193,7 @@ def _cmd_embed_verify(args) -> int:
     spec = _spec_from_args(args)
     es = EmbeddingSpec.from_spec(spec)
     start = time.perf_counter()
-    # transfer_slp first: its target-map size check refuses whatever the other two would
+    # transfer_slp first: only it refuses for size, and it does so before the socle check expands anything
     transfer = transfer_slp(es)
     kernel = verify_kernel_dims(es)
     socle = verify_socle_image(es)

@@ -26,10 +26,11 @@ block's square-free monomials of degree e, and multiply combines the blocks.
 
 The rank of a piece is therefore the number of its columns whose value is
 nonzero in the field: all of them in characteristic 0, and in
-characteristic p those with every c_k < p.  verify_kernel_dims counts those
-off the source's code table and lists no target monomial (over Q it lists
-nothing), so the source tables are all it refuses for size; transfer_slp
-multiplies the dense pieces of phi_matrix.
+characteristic p those with every c_k < p, which the Hilbert function of
+the box killing y_k at min(a_k + 1, p) counts.  verify_kernel_dims reads
+the ranks off that Hilbert function, so it lists nothing and refuses no
+embedding at any size; transfer_slp multiplies the dense pieces of
+phi_matrix, and it alone refuses an embedding for size.
 
 A run over many embeddings builds each target middle map once, through one
 lru_cache memo: _target_middle_maps keeps the middle maps of the last
@@ -54,7 +55,7 @@ from .lefschetz import (
     middle_pairs,
     slp_check,
 )
-from .quotient import AlgebraSpec, AlgebraElement, _digits, _plain_ints, _position_codes, _radix, _sequence, hilbert_vector, multiply
+from .quotient import AlgebraSpec, AlgebraElement, _plain_ints, _position_codes, _radix, _sequence, hilbert_vector, multiply
 
 
 @dataclass(frozen=True)
@@ -202,29 +203,22 @@ class KernelDimsRecord:
 def verify_kernel_dims(es: EmbeddingSpec) -> KernelDimsRecord:
     """Certify injectivity degree by degree: rank == source dimension.
 
-    A piece's rank is the number of its columns whose value is nonzero in
-    the field (module docstring): every column over Q, where nothing is
-    listed, and in characteristic p a count off the source's code table.  So
-    no matrix is built or eliminated and no target monomial is listed.  In
-    characteristic p every code table, dim(j) rows of n digits, is checked
-    for size before any is listed.  An embedding with a table too large to
-    list also has a target middle map too large to build, so transfer_slp
-    refuses it as well.
+    The degree-j piece has one nonzero per row and every column is hit
+    (module docstring), so its rank is the number of columns whose value is
+    nonzero in the field.  Column y^c holds prod(c_k!), which is nonzero mod
+    p exactly when every c_k < p.  So the rank is the number of degree-j
+    monomials with every c_k <= min(a_k, p - 1): the Hilbert function of the
+    box killing y_k at min(a_k + 1, p), 0 past its socle degree, and over Q
+    the source's own.  No matrix is built or eliminated, no monomial or code
+    table is listed, and no embedding is refused.
     """
     p = es.characteristic
-    source = es.source_spec.exponents
+    box = AlgebraSpec(es.n, tuple(min(a + 1, p) for a in es.powers), p) if p else es.source_spec
     # the source's socle degree is m, so hv lists degrees 0..m
     hv = hilbert_vector(es.source_spec)
-    if p:
-        for j, rows in enumerate(hv):
-            _refuse_oversized(rows, es.n, rows, f"the degree-{j} code table of the embedding's source")
     records = []
     for j, dim_src in enumerate(hv):
-        rank = dim_src
-        if p:
-            # prod(c_k!) vanishes mod p exactly when some c_k >= p
-            counts = _digits(source, _position_codes(source, j))
-            rank = int(np.count_nonzero((counts < p).all(axis=1)))
+        rank = box.dim(j)
         records.append(
             DegreeRankRecord(
                 degree=j,
@@ -283,8 +277,9 @@ def transfer_slp(es: EmbeddingSpec) -> TransferRecord:
     the image; source pieces in complementary degrees have equal dimension,
     so full column rank of the composite decides the source middle map.
     Every target middle map's size is checked first, before any map is
-    built; every embedding that the source's middle maps or
-    verify_kernel_dims' code tables would refuse fails it (m >= 17).
+    built; a source piece is no larger than the target's piece of the same
+    degree, so every embedding whose source middle maps would be refused
+    fails it (m >= 17).
     Each piece below the middle degree is built here by phi_matrix, and the
     target middle maps come from _target_middle_maps, which keeps the last
     target's maps only.

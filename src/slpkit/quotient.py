@@ -5,7 +5,9 @@ The d_i are the killed powers: x_i^{d_i} = 0, so exponent e_i ranges over
 A monomial is its exponent tuple (e_1, ..., e_n), and the Hilbert function
 is the tuple of graded dimensions (h_0, ..., h_m).
 A graded piece is held as its ascending table of mixed-radix codes, built
-by splitting over the last variable; graded_basis decodes it into tuples.
+by splitting over the last variable; graded_basis decodes it into tuples,
+save the one monomial of degree 0 and of the socle degree, which it gives
+directly.
 Coefficients are integers, read in Q (characteristic 0) or F_p
 (characteristic p, entries kept as residues in [0, p)).
 
@@ -180,6 +182,10 @@ def _digits(exponents: tuple[int, ...], codes: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _listing(exponents: tuple[int, ...], t: int) -> tuple[tuple[int, ...], ...]:
+    # one monomial, every exponent 0 or every one at its top: decoding the
+    # socle's code would cost time quadratic in the number of variables
+    if t in (0, sum(exponents) - len(exponents)):
+        return (tuple(0 if t == 0 else d - 1 for d in exponents),)
     return tuple(zip(*_digits(exponents, _position_codes(exponents, t)).T.tolist()))
 
 

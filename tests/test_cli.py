@@ -489,7 +489,7 @@ def test_paper_size_inputs_get_their_verdict(capsys):
     [
         ["embed-verify", "--quadratic", "17"],
         ["embed-verify", "--exponents", "18"],
-        # m = 17 in characteristic p, where verify_kernel_dims would list source code tables
+        # m = 17 in characteristic p: refused on the target's maps, though the source's are small
         ["embed-verify", "--exponents", "10,9", "--char", "3"],
         ["bench", "--quadratic", "17"],
     ],

@@ -326,8 +326,8 @@ def test_the_target_maps_size_check_covers_the_other_checks(powers, char):
     # embed-verify runs transfer_slp first, whose first statement checks the
     # target's middle maps; for m <= 16 they fit (m = 17 is refused in
     # test_oversized_pieces_and_maps_are_refused_before_any_listing),
-    # and so do the source's middle maps and, in characteristic p, the code
-    # tables verify_kernel_dims lists
+    # and so do the source's middle maps; verify_kernel_dims lists nothing
+    # and refuses nothing
     es = EmbeddingSpec.from_powers(powers, char)
     _refuse_oversized_maps(es.target_spec, middle_pairs(es.m))
     _refuse_oversized_maps(es.source_spec, middle_pairs(es.m))
@@ -335,27 +335,31 @@ def test_the_target_maps_size_check_covers_the_other_checks(powers, char):
 
 
 def test_kernel_dims_check_every_piece_before_building_any(monkeypatch):
+    # every rank is read off the Hilbert function of the box cut below p, so
+    # nothing is listed, decoded, built or ranked, and no size is refused
     import slpkit.embedding
     import slpkit.quotient
 
     def no_work(*args):
-        pytest.fail("verify_kernel_dims listed a code table, built a piece or ranked one")
+        pytest.fail("verify_kernel_dims listed or decoded a code table, built a piece or ranked one")
 
     for module, name in (
         (slpkit.quotient, "_position_codes"),
+        (slpkit.quotient, "_digits"),
         (slpkit.embedding, "_position_codes"),
         (slpkit.embedding, "phi_matrix"),
         (slpkit.embedding, "certified_rank"),
     ):
         monkeypatch.setattr(module, name, no_work)
-    # over Q every column counts, so nothing is listed, however large the pieces
-    for powers in ((1,) * 17, (26,), (30, 30)):
-        es = EmbeddingSpec.from_powers(powers)
-        assert [d.rank for d in verify_kernel_dims(es).degrees] == list(hilbert_vector(es.source_spec))
-    # in characteristic p the source tables are listed: degrees 0..5 of
-    # quadratic(40) fit, and degree 6 is refused before any table is built
-    with pytest.raises(ValueError, match=r"degree-6 code table of the embedding's source is 3838380x40"):
-        verify_kernel_dims(EmbeddingSpec.from_powers((1,) * 40, 3))
+    # quadratic(40)'s degree-6 piece has 3838380 monomials, and (30, 30) at
+    # p = 7 loses rank from degree 7 on
+    for powers, char in (((1,) * 17, 0), ((26,), 0), ((30, 30), 0), ((1,) * 40, 3), ((30, 30), 7)):
+        es = EmbeddingSpec.from_powers(powers, char)
+        ranks = oracles.truncated_box_hilbert(powers, char)
+        dims = hilbert_vector(es.source_spec)
+        want = [(j, dims[j], comb(es.m, j), ranks[j], ranks[j] == dims[j]) for j in range(es.m + 1)]
+        got = [(d.degree, d.dim_source, d.dim_target, d.rank, d.ok) for d in verify_kernel_dims(es).degrees]
+        assert got == want
 
 
 def test_each_target_middle_map_and_phi_piece_is_built_once(monkeypatch):
@@ -458,8 +462,8 @@ def test_counted_ranks_match_on_object_pieces(from_rows_dtypes, powers, char, al
 
 
 def test_kernel_dims_list_no_target_monomial(monkeypatch):
-    # every column of a piece is hit, so its rank is read off the source's
-    # code table: (12, 10) lists none of quadratic(22)'s 4194304 monomials
+    # every column of a piece is hit, so its rank is read off a Hilbert
+    # function: (12, 10) lists none of quadratic(22)'s 4194304 monomials
     import slpkit.embedding
     import slpkit.quotient
 
@@ -481,17 +485,18 @@ def test_kernel_dims_list_no_target_monomial(monkeypatch):
 
 @st.composite
 def _compositions_up_to_60(draw):
-    """Compositions of m <= 60 into at most four parts, so the source has at most 16^4 monomials."""
+    """Compositions of m <= 60 into any number of parts."""
     m = draw(st.integers(1, 60))
-    cuts = sorted(draw(st.sets(st.integers(1, m - 1), max_size=3))) if m > 1 else []
+    cuts = sorted(draw(st.sets(st.integers(1, m - 1)))) if m > 1 else []
     return tuple(b - a for a, b in zip([0, *cuts], [*cuts, m]))
 
 
 @settings(max_examples=150, deadline=None)
 @given(_compositions_up_to_60(), st.sampled_from([0, 2, 3, 5, 7, 11, 13]))
 def test_kernel_ranks_are_the_hilbert_function_of_the_truncated_box(powers, char):
-    # the target pieces reach C(60, 30) rows, beyond any elimination; the
-    # count lists the source's code tables alone, so phi_matrix is stubbed
+    # the target pieces reach C(60, 30) rows and the source 2^60 monomials,
+    # beyond any elimination or listing; the ranks are a Hilbert function,
+    # so phi_matrix is stubbed
     import slpkit.embedding
 
     with pytest.MonkeyPatch.context() as mp:

@@ -286,6 +286,27 @@ def test_the_paper_gives_a_verdict_at_every_size(monkeypatch):
         slp_check(spec, LinearForm.ones(9), method="dense")
 
 
+@pytest.mark.parametrize("p", [0, next_prime(3000)])
+def test_the_paper_size_socle_map_decodes_no_code(monkeypatch, p):
+    # the one monomial of degree 0 and of the socle degree is known, every
+    # exponent 0 or every one at its top; decoding the degree-n code would
+    # cost time quadratic in n
+    import slpkit.quotient
+
+    def no_decoding(*args):
+        pytest.fail("the socle map decoded a code")
+
+    # the listings are shared across characteristics, so neither run finds the other's
+    for memo in (slpkit.quotient._listing, slpkit.quotient.graded_basis):
+        memo.cache_clear()
+    monkeypatch.setattr(slpkit.quotient, "_digits", no_decoding)
+    spec = AlgebraSpec.quadratic(3000, p)
+    report = slp_check(spec, LinearForm.ones(3000))
+    assert report.slp and len(report.maps) == 1500
+    assert all(c.rank == c.rows == comb(3000, c.i) and c.method == "block-recursive" for c in report.maps)
+    assert graded_basis(spec, 0) == ((0,) * 3000,) and graded_basis(spec, 3000) == ((1,) * 3000,)
+
+
 @pytest.mark.parametrize(
     "n, p, zeros",
     [(200, 7, 0), (30, 29, 0), (17, 17, 0), (30, 0, 3)],
